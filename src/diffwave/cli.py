@@ -1,7 +1,7 @@
 """Command-line surface: profile | simulate | rates | verify.
 
 Exit codes: 0 success, 1 criterion failure, 2 usage or configuration
-error, 3 numerical blow-up.
+error, 3 numerical blow-up or loss of hyperbolicity.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from .closures import HyperbolicityError
 from .config import ConfigError, build_scenario, parse_config
 from .diagnostics import BASE_TARGETS, IMPROVED_TARGETS, FitError, fit_decay_rate
 from .diffusion_wave import solve_profile
@@ -72,7 +73,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     spec, corr = build_scenario(cfg)
     profile = solve_profile(
-        spec.closure, cfg.v_minus, cfg.v_plus, spec.closure.alpha, n_cells=8192
+        spec.closure, cfg.v_minus, cfg.v_plus, spec.closure.alpha, n_cells=cfg.n_cells
     )
     if spec.end_time > 0.0:
         samples = np.linspace(0.0, spec.end_time, 101)
@@ -235,6 +236,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except BlowUpError as exc:
         print(f"numerical blow-up: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
+    except HyperbolicityError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     except FitError as exc:
         print(f"rate-fit failure: {exc}", file=sys.stderr)

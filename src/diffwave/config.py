@@ -15,6 +15,10 @@ import difflib
 import io
 from dataclasses import dataclass
 
+from .closures import gamma_law_closure, m1_closure
+from .corrections import CorrectionField, make_mollifier
+from .solver import PerturbationSpec, ScenarioSpec, smallness_errors, wave_strength
+
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config", "PRESETS"]
 
 
@@ -157,6 +161,12 @@ def _validate(cfg: RunConfig, errors: list):
         errors.append("scenario.perturbation_width must be positive")
     if cfg.x_max is not None and cfg.x_max <= 0.0:
         errors.append("grid.x_max must be positive or 'auto'")
+    errors.extend(
+        smallness_errors(
+            wave_strength(cfg.v_minus, cfg.v_plus, cfg.u_minus, cfg.u_plus),
+            cfg.perturbation_amplitude,
+        )
+    )
 
 
 def parse_config(text: str) -> RunConfig:
@@ -237,10 +247,6 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def build_scenario(cfg: RunConfig):
     """Instantiate the closure, scenario, and correction objects."""
-    from .closures import gamma_law_closure, m1_closure
-    from .corrections import CorrectionField, make_mollifier
-    from .solver import PerturbationSpec, ScenarioSpec
-
     if cfg.closure_name == "m1":
         closure = m1_closure(cfg.sigma)
     else:

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import time as _time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .closures import ModelClosure, wave_speed_bound
+from .closures import ModelClosure, flux_and_speed, momentum_flux, wave_speed_bound
 from .corrections import CorrectionField, eval_uhat, eval_vhat
 from .diffusion_wave import WaveProfile, eval_ubar, eval_vbar
 
@@ -49,6 +49,26 @@ __all__ = [
 # and the admissibility checks assume states stay near the wave.
 MAX_WAVE_STRENGTH = 0.5
 MAX_PERTURBATION_AMPLITUDE = 0.1
+
+
+def wave_strength(v_minus, v_plus, u_minus, u_plus) -> float:
+    """delta = |v_plus - v_minus| + |u_plus - u_minus|."""
+    return abs(v_plus - v_minus) + abs(u_plus - u_minus)
+
+
+def smallness_errors(strength: float, amplitude: float) -> list[str]:
+    """One message per smallness cap the wave strength or bump amplitude exceeds."""
+    errors = []
+    if strength > MAX_WAVE_STRENGTH:
+        errors.append(
+            f"wave strength {strength:g} exceeds the smallness cap {MAX_WAVE_STRENGTH}"
+        )
+    if abs(amplitude) > MAX_PERTURBATION_AMPLITUDE:
+        errors.append(
+            f"perturbation amplitude {amplitude:g} exceeds the smallness "
+            f"cap {MAX_PERTURBATION_AMPLITUDE}"
+        )
+    return errors
 
 
 class BlowUpError(RuntimeError):
@@ -121,21 +141,14 @@ class ScenarioSpec:
     def __post_init__(self):
         if not 0.0 < self.cfl < 1.0:
             raise ValueError("cfl must lie in (0,1)")
-        if self.wave_strength > MAX_WAVE_STRENGTH:
-            raise ValueError(
-                f"wave strength {self.wave_strength:g} exceeds the smallness "
-                f"cap {MAX_WAVE_STRENGTH}"
-            )
-        if abs(self.perturbation.amplitude) > MAX_PERTURBATION_AMPLITUDE:
-            raise ValueError(
-                f"perturbation amplitude {self.perturbation.amplitude:g} exceeds "
-                f"the smallness cap {MAX_PERTURBATION_AMPLITUDE}"
-            )
+        errors = smallness_errors(self.wave_strength, self.perturbation.amplitude)
+        if errors:
+            raise ValueError("; ".join(errors))
 
     @property
     def wave_strength(self) -> float:
         """delta = |v_plus - v_minus| + |u_plus - u_minus|."""
-        return abs(self.v_plus - self.v_minus) + abs(self.u_plus - self.u_minus)
+        return wave_strength(self.v_minus, self.v_plus, self.u_minus, self.u_plus)
 
     def domain_half_width(self) -> float:
         """x_max, or the default margin 10 sqrt(1+T) max|lambda| + support."""
@@ -231,105 +244,88 @@ def build_initial_data(
 
 def cfl_dt(state: SimState, cfl: float) -> float:
     """Time step cfl * dx / max|lambda| over all cells."""
-    amax = float(np.max(wave_speed_bound(state.closure, state.v, state.u)))
+    amax = float(wave_speed_bound(state.closure, state.v, state.u).max())
     if amax <= 0.0:
         raise ValueError("vanishing wave speed; cannot set a CFL step")
     return cfl * state.dx / amax
 
 
-def _minmod(a, b):
-    return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+def _minmod(d):
+    """Minmod slopes of the n - 1 adjacent difference pairs of d."""
+    a, b = d[:-1], d[1:]
+    ad = np.abs(d)
+    return np.where(a * b > 0.0, np.where(ad[:-1] < ad[1:], a, b), 0.0)
 
 
-def _flux(closure, v, u):
-    return -u, closure.p(v) - closure.g(u) * closure.f(v)
-
-
-def step(
-    state: SimState,
-    dt: float,
-    u_minus: float | None = None,
-    u_plus: float | None = None,
-) -> SimState:
+def step(state: SimState, dt: float, u_minus: float, u_plus: float) -> SimState:
     """One Strang-split step of size dt.
 
     u_minus / u_plus are the undamped far-field constants; the ghost
-    cells carry them damped to the transport time.  When omitted, the
-    current boundary-cell values are taken as the far field at time t.
+    cells carry them damped to the transport time.
     """
     closure = state.closure
     alpha = closure.alpha
     dx = state.dx
-    n = state.n_cells
 
     half_damp = np.exp(-0.5 * alpha * dt)
     u = state.u * half_damp
     v = state.v
 
     # ghost cells follow the damped far-field law at the transport time
-    t_half = state.t + 0.5 * dt
-    if u_minus is None:
-        ug_l = state.u[0] * half_damp
-    else:
-        ug_l = u_minus * np.exp(-alpha * t_half)
-    if u_plus is None:
-        ug_r = state.u[-1] * half_damp
-    else:
-        ug_r = u_plus * np.exp(-alpha * t_half)
-
+    far_decay = np.exp(-alpha * (state.t + 0.5 * dt))
+    ug_l = u_minus * far_decay
+    ug_r = u_plus * far_decay
     ve = np.concatenate(([v[0], v[0]], v, [v[-1], v[-1]]))
     ue = np.concatenate(([ug_l, ug_l], u, [ug_r, ug_r]))
 
     # minmod slopes on cells 1 .. n+2 of the extended arrays
-    dv = np.diff(ve)
-    du = np.diff(ue)
-    sv = _minmod(dv[:-1], dv[1:])
-    su = _minmod(du[:-1], du[1:])
+    dv = ve[1:] - ve[:-1]
+    du = ue[1:] - ue[:-1]
+    sv = _minmod(dv)
+    su = _minmod(du)
 
-    # MUSCL-Hancock predictor: half-step evolution of the face values
-    vl = ve[1:-1] - 0.5 * sv
-    vr = ve[1:-1] + 0.5 * sv
-    ul = ue[1:-1] - 0.5 * su
-    ur = ue[1:-1] + 0.5 * su
-    fvl, ful = _flux(closure, vl, ul)
-    fvr, fur = _flux(closure, vr, ur)
+    # MUSCL-Hancock predictor: half-step evolution of the face values; the
+    # volume flux is -u, so its difference across the cell is ur - ul
+    vc, uc = ve[1:-1], ue[1:-1]
+    hv, hu = 0.5 * sv, 0.5 * su
+    vl, vr = vc - hv, vc + hv
+    ul, ur = uc - hu, uc + hu
     lam = 0.5 * dt / dx
-    dv_pred = lam * (fvl - fvr)
-    du_pred = lam * (ful - fur)
-    vl = vl + dv_pred
-    vr = vr + dv_pred
-    ul = ul + du_pred
-    ur = ur + du_pred
+    dv_pred = lam * (ur - ul)
+    du_pred = lam * (momentum_flux(closure, vl, ul) - momentum_flux(closure, vr, ur))
+    vl += dv_pred
+    vr += dv_pred
+    ul += du_pred
+    ur += du_pred
 
     # local Lax-Friedrichs flux on the n+1 interior faces
     vL, uL = vr[:-1], ur[:-1]
     vR, uR = vl[1:], ul[1:]
-    if np.any(vL <= 0.0) or np.any(vR <= 0.0):
+    if (vL <= 0.0).any() or (vR <= 0.0).any():
         bad = int(np.argmax((vL <= 0.0) | (vR <= 0.0)))
         raise BlowUpError(
             f"negative specific volume in reconstruction near cell {bad} "
             f"at t={state.t:.6g}"
         )
-    a_face = np.maximum(
-        wave_speed_bound(closure, vL, uL), wave_speed_bound(closure, vR, uR)
-    )
-    fvL, fuL = _flux(closure, vL, uL)
-    fvR, fuR = _flux(closure, vR, uR)
-    flux_v = 0.5 * (fvL + fvR) - 0.5 * a_face * (vR - vL)
-    flux_u = 0.5 * (fuL + fuR) - 0.5 * a_face * (uR - uL)
+    fuL, aL = flux_and_speed(closure, vL, uL)
+    fuR, aR = flux_and_speed(closure, vR, uR)
+    half_a = 0.5 * np.maximum(aL, aR)
+    flux_v = 0.5 * (-uL - uR) - half_a * (vR - vL)
+    flux_u = 0.5 * (fuL + fuR) - half_a * (uR - uL)
 
-    v_new = v - (dt / dx) * np.diff(flux_v)
-    u_new = u - (dt / dx) * np.diff(flux_u)
+    r = dt / dx
+    v_new = v - r * (flux_v[1:] - flux_v[:-1])
+    u_new = u - r * (flux_u[1:] - flux_u[:-1])
     u_new *= half_damp
     t_new = state.t + dt
 
-    if not np.all(np.isfinite(v_new)) or not np.all(np.isfinite(u_new)):
+    if not (np.isfinite(v_new).all() and np.isfinite(u_new).all()):
         bad = int(np.argmax(~(np.isfinite(v_new) & np.isfinite(u_new))))
         raise BlowUpError(f"non-finite state in cell {bad} at t={t_new:.6g}")
-    if np.any(v_new <= 0.0):
+    if (v_new <= 0.0).any():
         bad = int(np.argmax(v_new <= 0.0))
         raise BlowUpError(f"vacuum reached in cell {bad} at t={t_new:.6g}")
-    if closure.name == "m1" and np.any(np.abs(u_new) > 1.0):
+    if closure.name == "m1" and (np.abs(u_new) > 1.0).any():
         warnings.warn(
             f"|u| exceeded 1 at t={t_new:.6g}; states remain inside the "
             "closure box but outside the physical flux limit",
@@ -337,7 +333,10 @@ def step(
             stacklevel=2,
         )
 
-    return replace(state, v=v_new, u=u_new, t=t_new)
+    # the checks above cover what SimState.__post_init__ would re-scan
+    new = object.__new__(SimState)
+    new.__dict__.update(state.__dict__, v=v_new, u=u_new, t=t_new)
+    return new
 
 
 def run(

@@ -5,16 +5,14 @@ Each criterion returns a CriterionResult with scalar evidence; the CLI
 asserts on the same objects, so there is exactly one implementation of
 the pass/fail logic.
 
-The long decay-rate scenarios (one gas-law, one radiative) are run once
-and shared by the conservation, base-rate, improved-rate, and
-higher-derivative criteria.  DIFFWAVE_THREADS caps how many of them run
-concurrently.
+The long decay-rate scenarios (one gas-law, one radiative) are run once,
+one after the other, and shared by the conservation, base-rate,
+improved-rate, and higher-derivative criteria.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -476,8 +474,7 @@ def run_acceptance(
     """Run the acceptance criteria; returns (results, artifacts dict).
 
     ``fast`` skips the two long decay scenarios (criteria P4..P8 are
-    reported as skipped).  DIFFWAVE_THREADS > 1 runs the long scenarios
-    concurrently.
+    reported as skipped).
     """
     tol = tolerances or AcceptanceTolerances()
     os.makedirs(out_dir, exist_ok=True)
@@ -498,16 +495,8 @@ def run_acceptance(
         ):
             results.append(CriterionResult(cid, name, True, {}, skipped=True))
     else:
-        n_threads = max(1, int(os.environ.get("DIFFWAVE_THREADS", "1")))
-        if n_threads > 1:
-            with ThreadPoolExecutor(max_workers=min(2, n_threads)) as pool:
-                fut_g = pool.submit(_run_long_scenario, "gamma-default")
-                fut_m = pool.submit(_run_long_scenario, "m1-default")
-                spec_g, corr_g, prof_g, series_g = fut_g.result()
-                spec_m, corr_m, prof_m, series_m = fut_m.result()
-        else:
-            spec_g, corr_g, prof_g, series_g = _run_long_scenario("gamma-default")
-            spec_m, corr_m, prof_m, series_m = _run_long_scenario("m1-default")
+        series_g = _run_long_scenario("gamma-default")[3]
+        spec_m, corr_m, prof_m, series_m = _run_long_scenario("m1-default")
 
         write_series_csv(os.path.join(out_dir, "series_gamma.csv"), series_g)
         write_series_csv(os.path.join(out_dir, "series_m1.csv"), series_m)

@@ -98,3 +98,42 @@ def test_verify_rejects_unknown_tolerance_key(tmp_path):
     cfg.write_text("[acceptance]\nprofile_max_eror = 1e-8\n")
     assert main(["verify", "--fast", "--config", str(cfg),
                  "--out", str(tmp_path / "v")]) == 2
+
+
+def test_smallness_cap_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "strong.ini"
+    cfg.write_text("[scenario]\npreset = gamma-default\nv_plus = 2.0\n"
+                   "perturbation_amplitude = 0.5\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "wave strength 1 exceeds the smallness cap 0.5" in err
+    assert "perturbation amplitude 0.5 exceeds the smallness cap 0.1" in err
+
+
+def test_hyperbolicity_loss_exit_code(tiny_config, tmp_path, monkeypatch, capsys):
+    from diffwave import cli
+    from diffwave.closures import HyperbolicityError
+
+    def lose_hyperbolicity(*args, **kwargs):
+        raise HyperbolicityError("hyperbolicity lost at state (v=1, u=1.2)")
+
+    monkeypatch.setattr(cli, "run", lose_hyperbolicity)
+    assert main(["simulate", "--config", tiny_config, "--out", str(tmp_path)]) == 3
+    assert "u=1.2" in capsys.readouterr().err
+
+
+def test_simulate_solves_profile_on_config_grid(tmp_path, monkeypatch):
+    from diffwave import cli
+
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text(TINY_CONFIG.replace("n_cells = 512", "n_cells = 1024"))
+    grids = []
+    solve = cli.solve_profile
+
+    def recording_solve(*args, **kwargs):
+        grids.append(kwargs["n_cells"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_profile", recording_solve)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert grids == [1024]

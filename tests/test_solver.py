@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diffwave import gamma_law_closure, solve_profile
+from diffwave import HyperbolicityError, gamma_law_closure, solve_profile
 from diffwave.corrections import CorrectionField, make_mollifier
 from diffwave.solver import (
     BlowUpError,
@@ -125,6 +125,14 @@ def test_cfl_dt_examples(gamma_closure, m1):
     assert cfl_dt(state, 0.45) == pytest.approx(0.45 * 0.1 / np.sqrt(2.0), rel=1e-12)
     state = SimState(-10.0, 10.0, n, np.ones(n), np.zeros(n), 0.0, m1)
     assert cfl_dt(state, 0.45) == pytest.approx(0.045 * np.sqrt(3.0), rel=1e-12)
+
+
+def test_cfl_dt_rejects_state_without_real_speeds(m1):
+    # |u| > 2/sqrt(3): the M1 discriminant is NaN, not negative
+    state = SimState(-1.0, 1.0, 4, np.ones(4), np.array([0.0, 0.0, 1.2, 0.0]), 0.0, m1)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(HyperbolicityError, match=r"v=1, u=1\.2"):
+            cfl_dt(state, 0.45)
 
 
 def test_cfl_dt_uses_fastest_cell(gamma_closure):
