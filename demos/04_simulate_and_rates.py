@@ -41,7 +41,9 @@ series = run(spec, profile, corr, np.arange(0.0, 301.0, 5.0), store_z=False)
 print(f"wave shift x0 = {series.x0:+.6f}")
 print(f"largest |mass drift| = {max(abs(m) for m in series.mass_residual):.2e}")
 
-report = theorem_report(series, window=(30.0, 300.0), l1_condition=True)
+report = theorem_report(
+    series.times(), series.norms, window=(30.0, 300.0), l1_condition=True
+)
 print(f"\nfitted decay exponents on t in [30, 300]:")
 print(f"{'quantity':10s} {'fitted':>9s} {'target':>8s}  r^2")
 for row in report["rows"]:

@@ -45,6 +45,7 @@ from .diffusion_wave import (
 )
 from .solver import (
     BlowUpError,
+    InitialDataError,
     PerturbationSpec,
     ScenarioSpec,
     SimState,

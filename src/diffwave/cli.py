@@ -1,7 +1,8 @@
 """Command-line surface: profile | simulate | rates | verify.
 
-Exit codes: 0 success, 1 criterion failure, 2 usage or configuration
-error, 3 numerical blow-up or loss of hyperbolicity.
+Exit codes: 0 success, 1 criterion failure, 2 usage, configuration or
+initial-data error, 3 numerical blow-up, loss of hyperbolicity or a
+failed profile solve.  ``ERROR_EXITS`` maps each error to its code.
 """
 
 from __future__ import annotations
@@ -16,16 +17,32 @@ import numpy as np
 
 from .closures import HyperbolicityError
 from .config import ConfigError, build_scenario, parse_config
-from .diagnostics import BASE_TARGETS, IMPROVED_TARGETS, FitError, fit_decay_rate
-from .diffusion_wave import solve_profile
-from .output import emit_loglog_svg, read_series_csv, write_rates_csv, write_series_csv
-from .solver import BlowUpError, run
+from .diagnostics import FitError, theorem_report
+from .diffusion_wave import ProfileSolverError, solve_profile
+from .output import (
+    emit_loglog_svg,
+    read_series_csv,
+    write_profile_csv,
+    write_rates_csv,
+    write_series_csv,
+)
+from .solver import BlowUpError, InitialDataError, run
 from .verify import AcceptanceTolerances, run_acceptance
 
 EXIT_OK = 0
 EXIT_CRITERION = 1
 EXIT_USAGE = 2
 EXIT_BLOWUP = 3
+
+# (exception type, exit code, message prefix); the first match wins
+ERROR_EXITS = (
+    (ConfigError, EXIT_USAGE, "config error"),
+    (InitialDataError, EXIT_USAGE, "initial data error"),
+    (BlowUpError, EXIT_BLOWUP, "numerical blow-up"),
+    (HyperbolicityError, EXIT_BLOWUP, "numerical failure"),
+    (ProfileSolverError, EXIT_BLOWUP, "profile solver failure"),
+    (FitError, EXIT_CRITERION, "rate-fit failure"),
+)
 
 
 def _load_config(path: str):
@@ -36,35 +53,14 @@ def _load_config(path: str):
         raise ConfigError([f"cannot read config {path!r}: {exc}"]) from exc
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def cmd_profile(args) -> int:
     cfg = _load_config(args.config)
     spec, corr = build_scenario(cfg)
     profile = solve_profile(
         spec.closure, cfg.v_minus, cfg.v_plus, spec.closure.alpha, n_cells=cfg.n_cells
     )
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "profile.csv")
-    lines = ["xi,phi,dphi,d2phi,d3phi,d4phi"]
-    for i in range(len(profile.xi_grid)):
-        lines.append(
-            ",".join(
-                _fmt(a[i])
-                for a in (
-                    profile.xi_grid,
-                    profile.phi,
-                    profile.dphi,
-                    profile.d2phi,
-                    profile.d3phi,
-                    profile.d4phi,
-                )
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_profile_csv(path, profile)
     print(f"wrote {path} ({len(profile.xi_grid)} nodes, residual {profile.residual:.3e})")
     return EXIT_OK
 
@@ -95,35 +91,13 @@ def cmd_rates(args) -> int:
     if len(t) == 0:
         print("error: empty series", file=sys.stderr)
         return EXIT_USAGE
-    window = (t[-1] / 10.0, t[-1])
-    targets = IMPROVED_TARGETS if args.targets == "improved" else BASE_TARGETS
-    tol = {
-        "l2_V": 0.10, "l2_Vx": 0.10, "l2_Vxx": 0.20, "l2_Vxxx": 0.30,
-        "l2_z": 0.15, "l2_zx": 0.25, "l2_zxx": 0.40,
-    }
-    rows = []
-    for key, target in targets.items():
-        fit = fit_decay_rate(t, data[key], window, target, tol[key])
-        if args.targets == "improved":
-            passed = fit.passed
-        else:
-            passed = fit.exponent <= target + tol[key] and fit.r_squared >= 0.98
-        rows.append(
-            {
-                "quantity": key,
-                "exponent": fit.exponent,
-                "target": target,
-                "tolerance": tol[key],
-                "r_squared": fit.r_squared,
-                "passed": passed,
-            }
-        )
+    rows = theorem_report(t, data, l1_condition=args.targets == "improved")["rows"]
     os.makedirs(args.out, exist_ok=True)
     write_rates_csv(os.path.join(args.out, "rates.csv"), rows)
     emit_loglog_svg(
         os.path.join(args.out, "rates.svg"),
         t,
-        {k: data[k] for k in targets},
+        {r["quantity"]: data[r["quantity"]] for r in rows},
     )
     for row in rows:
         mark = "ok " if row["passed"] else "BAD"
@@ -231,18 +205,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BlowUpError as exc:
-        print(f"numerical blow-up: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    except HyperbolicityError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    except FitError as exc:
-        print(f"rate-fit failure: {exc}", file=sys.stderr)
-        return EXIT_CRITERION
+    except tuple(kind for kind, _, _ in ERROR_EXITS) as exc:
+        _, code, prefix = next(e for e in ERROR_EXITS if isinstance(exc, e[0]))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

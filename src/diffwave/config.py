@@ -1,7 +1,7 @@
 """Run configuration: INI-style parsing, presets, validation, round-trip.
 
 A config is a small INI document with sections [closure], [scenario],
-[grid], [time], [mollifier], [output]; `#` starts a comment.  Unknown
+[grid], [time], [mollifier]; `#` starts a comment.  Unknown
 keys are rejected with the nearest valid key suggested, and validation
 collects every error before failing.  Scenario presets expand to the
 full parameter set of the built-in verification scenarios and can be
@@ -53,8 +53,6 @@ class RunConfig:
     mollifier_shape: str = "bump"
     mollifier_center: float = 0.0
     mollifier_half_width: float = 1.0
-    output_directory: str = "out"
-    seed: int = 0
 
 
 # (section, key) -> (config field, converter)
@@ -78,8 +76,6 @@ _SCHEMA = {
     ("mollifier", "shape"): ("mollifier_shape", str),
     ("mollifier", "center"): ("mollifier_center", float),
     ("mollifier", "half_width"): ("mollifier_half_width", float),
-    ("output", "directory"): ("output_directory", str),
-    ("output", "seed"): ("seed", int),
 }
 
 # Scenario presets; "m1-default" is the long verification scenario for
@@ -238,7 +234,7 @@ def serialize_config(cfg: RunConfig) -> str:
         by_section.setdefault(section, {})[key] = format(val, ".17g") if isinstance(
             val, float
         ) else str(val)
-    for section in ("closure", "scenario", "grid", "time", "mollifier", "output"):
+    for section in ("closure", "scenario", "grid", "time", "mollifier"):
         parser[section] = by_section.get(section, {})
     buf = io.StringIO()
     parser.write(buf)

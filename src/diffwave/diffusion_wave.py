@@ -156,7 +156,11 @@ def _ode_derivatives(closure, alpha, xi, phi, dphi):
 
 
 def _first_derivative(arr: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order centered first derivative, one-sided at the edges."""
+    """Fourth-order centered first derivative, one-sided at the edges.
+
+    The edge nodes use fourth-order one-sided stencils too.  The profile
+    solve and the perturbation diagnostics share this stencil.
+    """
     d = np.empty_like(arr)
     d[2:-2] = (-arr[4:] + 8.0 * arr[3:-1] - 8.0 * arr[1:-3] + arr[:-4]) / (12.0 * h)
     # 4th-order one-sided stencils for the four edge nodes
@@ -441,8 +445,6 @@ def eval_vbar(profile: WaveProfile, x, t, dx_order: int = 0, dt_order: int = 0):
         if a:
             term = term * xi**a
         out = out + term
-    if key == (0, 0):
-        pass
     out = out * sqrt1pt ** (-2.0 * total)
     return float(out) if scalar else out
 

@@ -1,14 +1,13 @@
 """Deterministic CSV and SVG emission for run artifacts.
 
-Outputs must be byte-identical across runs with the same config and
-seed, so floats are written with a fixed 17-significant-digit format
+Outputs must be byte-identical across runs with the same config, so
+floats are written with a fixed 17-significant-digit format
 (round-trip exact for doubles) and the SVG is assembled from plain
 strings with no timestamps or generator metadata.
 """
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
@@ -17,6 +16,7 @@ __all__ = [
     "SERIES_COLUMNS",
     "write_series_csv",
     "write_rates_csv",
+    "write_profile_csv",
     "emit_loglog_svg",
 ]
 
@@ -77,6 +77,16 @@ def write_rates_csv(path, rows) -> None:
                 ]
             )
         )
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def write_profile_csv(path, profile) -> None:
+    """Write a WaveProfile: xi and phi with its first four derivatives."""
+    columns = (profile.xi_grid, profile.phi, profile.dphi, profile.d2phi,
+               profile.d3phi, profile.d4phi)
+    lines = ["xi,phi,dphi,d2phi,d3phi,d4phi"]
+    for i in range(len(profile.xi_grid)):
+        lines.append(",".join(_fmt(a[i]) for a in columns))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -166,7 +176,3 @@ def _write_text(path, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise IOError(f"cannot write {path!r}: {exc}") from exc
-
-
-def is_finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)

@@ -37,6 +37,7 @@ __all__ = [
     "ScenarioSpec",
     "PerturbationSpec",
     "BlowUpError",
+    "InitialDataError",
     "lagrangian_transform",
     "build_initial_data",
     "cfl_dt",
@@ -73,6 +74,10 @@ def smallness_errors(strength: float, amplitude: float) -> list[str]:
 
 class BlowUpError(RuntimeError):
     """Raised when the numerical solution leaves the physical regime."""
+
+
+class InitialDataError(ValueError):
+    """Raised when a scenario's initial data does not fit its domain or state box."""
 
 
 @dataclass
@@ -223,7 +228,7 @@ def build_initial_data(
         ("u right", u0[-1], spec.u_plus),
     ):
         if abs(got - want) > 1e-8:
-            raise ValueError(
+            raise InitialDataError(
                 f"far-field mismatch in {name}: {got!r} vs {want!r}; "
                 "domain too small for the perturbation or mollifier support"
             )
@@ -238,7 +243,7 @@ def build_initial_data(
         closure=spec.closure,
     )
     if not spec.closure.admissible(v0, u0):
-        raise ValueError("initial data leaves the admissible state box")
+        raise InitialDataError("initial data leaves the admissible state box")
     return state
 
 

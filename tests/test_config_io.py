@@ -77,7 +77,7 @@ def test_preset_table_regression():
 
 
 def test_config_round_trip():
-    cfg = parse_config("[scenario]\npreset = gamma-default\n[output]\nseed = 7\n")
+    cfg = parse_config("[scenario]\npreset = gamma-default\n")
     text = serialize_config(cfg)
     cfg2 = parse_config(text)
     assert cfg2 == RunConfig(**{**cfg.__dict__, "preset": None})

@@ -119,7 +119,7 @@ def test_field_norms_zero_and_gaussian():
     zeros = np.zeros(n)
     clo = gamma_law_closure(2.0, 1.0)
     state = SimState(-20.0, 20.0, n, np.ones(n), zeros, 0.0, clo)
-    from diffwave.diagnostics import PerturbationFields, _deriv1, _deriv2
+    from diffwave.diagnostics import PerturbationFields, _deriv2
 
     g = np.exp(-(x**2))
     fields = PerturbationFields(
@@ -192,10 +192,14 @@ def test_theorem_report_synthetic_rates():
         norms["linf_V"] = 1.0
         norms["linf_z"] = 1.0
         series.append(t, norms, 0.0, 0.0)
-    rep = theorem_report(series, window=(50.0, 500.0), l1_condition=True)
+    rep = theorem_report(
+        series.times(), series.norms, window=(50.0, 500.0), l1_condition=True
+    )
     assert rep["overall_pass"]
     assert all(r["passed"] for r in rep["rows"])
-    rep = theorem_report(series, window=(50.0, 500.0), l1_condition=False)
+    rep = theorem_report(
+        series.times(), series.norms, window=(50.0, 500.0), l1_condition=False
+    )
     # faster-than-base decay must still pass the upper-bound semantics
     assert rep["overall_pass"]
 
