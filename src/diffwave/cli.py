@@ -1,8 +1,9 @@
 """Command-line surface: profile | simulate | rates | verify.
 
 Exit codes: 0 success, 1 criterion failure, 2 usage, configuration or
-initial-data error, 3 numerical blow-up, loss of hyperbolicity or a
-failed profile solve.  ``ERROR_EXITS`` maps each error to its code.
+initial-data error or a series too short to fit, 3 numerical blow-up,
+loss of hyperbolicity or a failed profile solve.  ``ERROR_EXITS`` maps
+each error to its code.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .closures import HyperbolicityError
 from .config import ConfigError, build_scenario, parse_config
-from .diagnostics import FitError, theorem_report
+from .diagnostics import FitError, FitWindowError, theorem_report
 from .diffusion_wave import ProfileSolverError, solve_profile
 from .output import (
     emit_loglog_svg,
@@ -41,6 +42,7 @@ ERROR_EXITS = (
     (BlowUpError, EXIT_BLOWUP, "numerical blow-up"),
     (HyperbolicityError, EXIT_BLOWUP, "numerical failure"),
     (ProfileSolverError, EXIT_BLOWUP, "profile solver failure"),
+    (FitWindowError, EXIT_USAGE, "series too short"),
     (FitError, EXIT_CRITERION, "rate-fit failure"),
 )
 

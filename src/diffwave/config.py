@@ -81,9 +81,6 @@ _SCHEMA = {
 # Scenario presets; "m1-default" is the long verification scenario for
 # the radiative closure, "gamma-default" the gas-dynamics counterpart.
 PRESETS = {
-    # cfl 0.25: the far-field velocity jump makes the Strang splitting
-    # leak mass at rate (dt^2/24) alpha |u_plus - u_minus|; the smaller
-    # step keeps the accumulated drift under the 1e-6 conservation gate.
     "m1-default": {
         "closure_name": "m1",
         "sigma": 1.0,
@@ -97,7 +94,7 @@ PRESETS = {
         "perturbation_width": 2.0,
         "n_cells": 8192,
         "end_time": 500.0,
-        "cfl": 0.25,
+        "cfl": 0.45,
     },
     "gamma-default": {
         "closure_name": "gamma_law",

@@ -34,6 +34,7 @@ __all__ = [
     "RateFit",
     "ResidualReport",
     "FitError",
+    "FitWindowError",
     "build_fields",
     "conserved_mass",
     "field_norms",
@@ -59,6 +60,10 @@ IMPROVED_TARGETS = {k: v - 0.25 for k, v in BASE_TARGETS.items()}
 
 class FitError(ValueError):
     """Raised when a decay series cannot be fitted."""
+
+
+class FitWindowError(FitError):
+    """Raised when a fit window holds fewer samples than a fit needs."""
 
 
 def _deriv2(arr: np.ndarray, dx: float) -> np.ndarray:
@@ -215,8 +220,12 @@ def fit_decay_rate(
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
     sel = (t >= window[0]) & (t <= window[1])
-    if np.count_nonzero(sel) < 8:
-        raise FitError(f"need at least 8 samples in window {window}")
+    found = int(np.count_nonzero(sel))
+    if found < 8:
+        raise FitWindowError(
+            f"need at least 8 samples in window "
+            f"({float(window[0])!r}, {float(window[1])!r}), found {found}"
+        )
     if np.any(values[sel] <= 0.0):
         raise FitError("non-positive norm values in fit window (blow-up or underflow)")
 

@@ -50,6 +50,7 @@ __all__ = [
     "AcceptanceTolerances",
     "CriterionResult",
     "run_acceptance",
+    "small_series",
     "CRITERIA",
     "CRITERION_NAMES",
 ]
@@ -424,8 +425,12 @@ def check_higher_derivatives(series, tol: AcceptanceTolerances) -> CriterionResu
     )
 
 
-def check_determinism(tmp_dir) -> CriterionResult:
-    """P9: two from-scratch small runs serialize to identical bytes."""
+def small_series():
+    """The small gas-law run, built from scratch: 512 cells to t = 3.
+
+    P9 serializes it twice; ``tests/golden/series_small.csv`` holds its
+    committed bytes.
+    """
     clo = gamma_law_closure(2.0, 1.0)
     profile = solve_profile(clo, 1.0, 1.05, 1.0, n_cells=1024)
     corr = CorrectionField(0.0, 0.0, 1.0, make_mollifier("bump"))
@@ -439,11 +444,15 @@ def check_determinism(tmp_dir) -> CriterionResult:
         end_time=3.0,
         cfl=0.45,
     )
+    return run(spec, profile, corr, np.linspace(0.0, 3.0, 7), store_z=False)
+
+
+def check_determinism(tmp_dir) -> CriterionResult:
+    """P9: two from-scratch small runs serialize to identical bytes."""
     paths = []
     for tag in ("a", "b"):
-        series = run(spec, profile, corr, np.linspace(0.0, 3.0, 7), store_z=False)
         path = os.path.join(tmp_dir, f"determinism_{tag}.csv")
-        write_series_csv(path, series)
+        write_series_csv(path, small_series())
         paths.append(path)
     blobs = [open(p, "rb").read() for p in paths]
     return CriterionResult(

@@ -209,3 +209,28 @@ def test_fast_skips_carry_the_table_names(tmp_path, monkeypatch):
     assert skipped == {
         cid: verify.CRITERION_NAMES[cid] for cid in ("P4", "P5", "P6", "P7", "P8")
     }
+
+
+def test_rates_on_too_short_series_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text(TINY_CONFIG.replace("end = 3.0", "end = 0"))
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--config", str(cfg), "--out", out]) == 0
+    capsys.readouterr()
+    series_path = os.path.join(out, "series.csv")
+    assert main(["rates", "--series", series_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "need at least 8 samples in window (0.0, 0.0), found 1" in err
+    assert "np.float64" not in err
+
+
+def test_blowup_exit_code(tiny_config, tmp_path, monkeypatch, capsys):
+    from diffwave import solver
+
+    def blow_up(state, *args, **kwargs):
+        raise solver.BlowUpError(f"vacuum reached in cell 7 at t={state.t:.6g}")
+
+    # run() looks step up at call time, so the error rises from inside the solver
+    monkeypatch.setattr(solver, "step", blow_up)
+    assert main(["simulate", "--config", tiny_config, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("numerical blow-up: vacuum reached")

@@ -73,7 +73,7 @@ def test_preset_table_regression():
     assert set(PRESETS) == {"m1-default", "gamma-default", "constant-state"}
     assert PRESETS["gamma-default"]["gamma"] == 2.0
     assert PRESETS["gamma-default"]["u_plus"] == 0.0
-    assert PRESETS["m1-default"]["cfl"] == 0.25
+    assert PRESETS["m1-default"]["cfl"] == 0.45
 
 
 def test_config_round_trip():
@@ -153,21 +153,10 @@ def test_svg_emission(tmp_path):
 
 def test_golden_series_regression(tmp_path):
     """Byte-exact regression against the committed golden artifact."""
-    from diffwave import gamma_law_closure, solve_profile
-    from diffwave.corrections import CorrectionField, make_mollifier
-    from diffwave.solver import PerturbationSpec, ScenarioSpec, run
+    from diffwave.verify import small_series
 
-    clo = gamma_law_closure(2.0, 1.0)
-    profile = solve_profile(clo, 1.0, 1.05, 1.0, n_cells=1024)
-    corr = CorrectionField(0.0, 0.0, 1.0, make_mollifier("bump"))
-    spec = ScenarioSpec(
-        closure=clo, v_minus=1.0, v_plus=1.05,
-        perturbation=PerturbationSpec(amplitude=0.005, width=2.0),
-        n_cells=512, x_max=30.0, end_time=3.0, cfl=0.45,
-    )
-    series = run(spec, profile, corr, np.linspace(0.0, 3.0, 7), store_z=False)
     fresh = tmp_path / "series_small.csv"
-    write_series_csv(fresh, series)
+    write_series_csv(fresh, small_series())
     golden = os.path.join(os.path.dirname(__file__), "golden", "series_small.csv")
     assert os.path.exists(golden), "golden file missing; see tests/golden/README"
     assert fresh.read_bytes() == open(golden, "rb").read()

@@ -94,7 +94,10 @@ def reference_step(state, dt, u_minus, u_plus):
     )
     fvL, fuL = _flux(closure, vL, uL)
     fvR, fuR = _flux(closure, vR, uR)
-    flux_v = 0.5 * (fvL + fvR) - 0.5 * a_face * (vR - vL)
+    # the central volume flux carries the step's mean damping factor
+    h = 0.5 * alpha * dt
+    kappa = np.sinh(h) / h
+    flux_v = (0.5 * kappa) * (fvL + fvR) - 0.5 * a_face * (vR - vL)
     flux_u = 0.5 * (fuL + fuR) - 0.5 * a_face * (uR - uL)
 
     v_new = v - (dt / dx) * np.diff(flux_v)
