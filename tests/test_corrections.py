@@ -9,6 +9,7 @@ from diffwave.corrections import (
     eval_uhat,
     eval_uhat_x,
     eval_vhat,
+    eval_vhat_cell_average,
     eval_vhat_t,
     eval_vhat_x,
     make_mollifier,
@@ -183,6 +184,30 @@ def test_shift_shape_invariance(erf_profile):
     xb = compute_shift_x0(x, v0, erf_profile, cc)
     assert xa != xb  # different decompositions, different rounding
     assert abs(xa - xb) < 1e-8
+
+
+def test_vhat_cell_average_carries_exact_mass(corr):
+    """Cell means sum to vhat's mass on a coarse grid; point values do not."""
+    t = 0.7
+    mass = (corr.du / -corr.alpha) * np.exp(-corr.alpha * t)
+    dx = 0.25
+    x = -3.0 + 0.1 + (np.arange(24) + 0.5) * dx
+    means = eval_vhat_cell_average(corr, x, dx, t)
+    assert np.sum(means) * dx == pytest.approx(mass, abs=1e-16)
+    assert abs(np.sum(eval_vhat(corr, x, t)) * dx - mass) > 1e-6
+    # second-order agreement with the point values on refinement
+    errs = []
+    for dx in (0.02, 0.01):
+        x = -1.5 + (np.arange(round(3.0 / dx)) + 0.5) * dx
+        errs.append(np.max(np.abs(eval_vhat_cell_average(corr, x, dx, t)
+                                  - eval_vhat(corr, x, t))))
+    assert 3.5 < errs[0] / errs[1] < 4.5
+
+
+def test_shift_rejects_nonuniform_grid(erf_profile, corr):
+    x = np.linspace(-10.0, 10.0, 201) ** 3 / 100.0
+    with pytest.raises(ValueError, match="uniform"):
+        compute_shift_x0(x, eval_vbar(erf_profile, x, 0.0), erf_profile, corr)
 
 
 def test_shift_rejects_constant_wave(m1, corr):

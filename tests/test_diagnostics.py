@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from diffwave import gamma_law_closure, solve_profile
+from diffwave import config, gamma_law_closure, solve_profile, solver
 from diffwave.corrections import CorrectionField, make_mollifier
 from diffwave.diagnostics import (
     BASE_TARGETS,
@@ -264,3 +266,44 @@ def test_monotone_decay_after_transient(gamma_closure, gamma_profile, null_corr)
     t = series.times()
     late = vals[t >= 10.0]
     assert np.all(np.diff(late) <= 0.01 * late[:-1])
+
+
+@pytest.fixture(scope="module")
+def m1_ledger_case():
+    """m1-default at 4096 cells on its t = 500 domain, run to t = 20."""
+    cfg = config.parse_config("[scenario]\npreset = m1-default\n[grid]\nn_cells = 4096\n")
+    spec, corr = config.build_scenario(cfg)
+    spec = dataclasses.replace(spec, x_max=spec.domain_half_width(), end_time=20.0)
+    profile = solve_profile(spec.closure, spec.v_minus, spec.v_plus, 1.0, n_cells=4096)
+    return spec, profile, corr
+
+
+def test_m1_mass_ledger_closes_to_rounding(m1_ledger_case):
+    """The far-field jump's mass is carried by vhat's cell means exactly.
+
+    Point values of vhat left the bump mollifier's midpoint-rule mass error,
+    8.2e-7 at this grid, in the residual.
+    """
+    spec, profile, corr = m1_ledger_case
+    assert spec.u_plus != spec.u_minus
+    series = run(spec, profile, corr, np.linspace(0.0, 20.0, 21), store_z=False)
+    assert max(abs(m) for m in series.mass_residual) <= 1e-10
+
+
+def test_m1_mass_ledger_shows_an_injected_leak(m1_ledger_case, monkeypatch):
+    spec, profile, corr = m1_ledger_case
+    leak = 1e-9
+    true_step = solver.step
+
+    def leaky_step(state, dt, u_minus, u_plus):
+        new = true_step(state, dt, u_minus, u_plus)
+        if state.t < 10.0 <= new.t:
+            new.v[spec.n_cells // 3] += leak / new.dx
+        return new
+
+    monkeypatch.setattr(solver, "step", leaky_step)
+    series = run(spec, profile, corr, np.linspace(0.0, 20.0, 21), store_z=False)
+    t = series.times()
+    mass = np.asarray(series.mass_residual)
+    assert np.all(np.abs(mass[t < 10.0]) <= 1e-10)
+    assert np.all(np.abs(mass[t > 10.0] - leak) <= 1e-10)

@@ -2,8 +2,10 @@
 
 ``reference_step`` and ``reference_wave_speed_bound`` are the straightforward
 formulations: two separate eigen-solves per face, every closure term
-evaluated, the successor state rebuilt through ``dataclasses.replace``.  The
-package's lean step must reproduce them bit for bit, so these tests compare
+evaluated, the successor state rebuilt through ``dataclasses.replace``.
+``reference_cfl_dt`` takes the time step from the largest face speed of the
+step that produced the state, and from the cells only for the initial data.
+The package's lean step must reproduce them bit for bit, so these tests compare
 the raw 64-bit patterns (signed zeros included) and use ``==`` on scalars,
 never a tolerance.
 """
@@ -17,6 +19,7 @@ from diffwave import config
 from diffwave.closures import gamma_law_closure, linear_closure, m1_closure, wave_speed_bound
 from diffwave.diffusion_wave import solve_profile
 from diffwave.solver import SimState, build_initial_data, cfl_dt, step
+from diffwave.solver import _minmod as solver_minmod
 
 
 def same_bits(a, b):
@@ -47,7 +50,9 @@ def _flux(closure, v, u):
 
 
 def reference_cfl_dt(state, cfl):
-    amax = float(np.max(reference_wave_speed_bound(state.closure, state.v, state.u)))
+    amax = state.speed_bound
+    if amax is None:
+        amax = float(np.max(reference_wave_speed_bound(state.closure, state.v, state.u)))
     return cfl * state.dx / amax
 
 
@@ -103,7 +108,9 @@ def reference_step(state, dt, u_minus, u_plus):
     v_new = v - (dt / dx) * np.diff(flux_v)
     u_new = u - (dt / dx) * np.diff(flux_u)
     u_new *= half_damp
-    return dataclasses.replace(state, v=v_new, u=u_new, t=state.t + dt)
+    new = dataclasses.replace(state, v=v_new, u=u_new, t=state.t + dt)
+    new.speed_bound = float(np.max(a_face))
+    return new
 
 
 def _preset_state(preset, n_cells):
@@ -132,6 +139,51 @@ def test_step_and_cfl_match_reference_bitwise(preset):
         assert state.t == ref.t
         assert same_bits(state.v, ref.v)
         assert same_bits(state.u, ref.u)
+
+
+@pytest.mark.parametrize("n_cells", [1024, 2048])
+@pytest.mark.parametrize("preset", ["gamma-default", "m1-default"])
+def test_face_rule_dt_tracks_cell_rule(preset, n_cells):
+    """The lagged face-speed step stays within 2e-3 of the cell-speed step.
+
+    On these runs it is never the larger of the two beyond rounding: the
+    face speeds bound the cell speeds of the state they produce.
+    """
+    spec, state = _preset_state(preset, n_cells)
+    steps = 0
+    while state.t < 10.0:
+        dt = cfl_dt(state, spec.cfl)
+        dt_cells = cfl_dt(dataclasses.replace(state), spec.cfl)
+        assert abs(dt - dt_cells) <= 2e-3
+        assert dt <= dt_cells * (1.0 + 1e-15)
+        state = step(state, dt, spec.u_minus, spec.u_plus)
+        steps += 1
+    assert steps >= n_cells // 25
+
+
+def test_minmod_pins_underflow_ties_and_signed_zeros():
+    """The package's minmod, on one row and on stacked rows, against _minmod."""
+    vals = np.array([0.0, -0.0, 1e-200, -1e-200, 1e-160, -1e-160, 0.3, -0.3,
+                     2.0, -2.0, np.inf, -np.inf])
+    a, b = (g.ravel() for g in np.meshgrid(vals, vals))
+    pairs = np.column_stack([a, b])
+    row = pairs.ravel()  # (a_i, b_i) sits at offsets 2i, 2i + 1
+    with np.errstate(invalid="ignore"):  # inf * 0
+        want = _minmod(a, b)
+        assert same_bits(solver_minmod(pairs)[:, 0], want)
+        assert same_bits(solver_minmod(row)[::2], want)
+        stacked = solver_minmod(np.stack([row, -row[::-1]]))
+        assert same_bits(stacked[0], solver_minmod(row))
+        assert same_bits(stacked[1], solver_minmod(-row[::-1]))
+
+    def one(x, y):
+        return solver_minmod(np.array([x, y]))[0]
+
+    assert same_bits(one(1e-200, 1e-200), 0.0)  # the product underflows to 0
+    assert same_bits(one(1e-160, 2e-160), 1e-160)  # a subnormal product is > 0
+    assert same_bits(one(-0.3, -0.3), -0.3)  # ties, |a| == |b|, return b
+    assert same_bits(one(-0.0, -2.0), 0.0) and same_bits(one(0.3, -0.0), 0.0)
+    assert same_bits(one(-2.0, -0.3), -0.3)
 
 
 def _user_built(closure):
