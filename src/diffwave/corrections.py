@@ -67,7 +67,6 @@ class Mollifier:
     def _eval_raw(self, x):
         s = self._scaled(x)
         inside = np.abs(s) < 1.0
-        out = np.zeros_like(s)
         if self.shape == "bump":
             ss = np.where(inside, s, 0.0)
             out = np.where(inside, np.exp(-1.0 / np.where(inside, 1.0 - ss**2, 1.0)), 0.0)

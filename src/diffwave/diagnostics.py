@@ -1,4 +1,4 @@
-"""Perturbation fields, norms, conserved mass, and decay-rate fitting.
+"""Perturbation fields, norms, conserved mass, and decay-rate verdicts.
 
 The decay targets are phrased for the anti-derivative of the volume
 perturbation and the velocity perturbation
@@ -8,14 +8,18 @@ perturbation and the velocity perturbation
 
 with the wave shift x0 chosen so the integrand has zero total mass (then
 V decays at both ends and its L2 norms make sense).  This module builds
-those fields from a solver state, measures their norms, fits log-log
-decay exponents against the theoretical targets, and evaluates the
-residual of the second-order-in-time reformulation
+those fields from a solver state, measures their norms, fits and judges
+log-log decay exponents, and evaluates the residual of the
+second-order-in-time reformulation
 
     V_tt + (p'(vbar) V_x)_x + alpha V_t = F1 + F2
 
 where F1 collects the Darcy mismatch and pressure nonlinearity and F2
 the flux-correction term g(u) f(v).
+
+The rate gates of ``rates`` and of acceptance P5-P8 live here only: the
+targets, one tolerance table ``RATE_TOLERANCES``, the r^2 floor
+``R2_THRESHOLD`` and one verdict, ``rate_row``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .corrections import CorrectionField, eval_uhat, eval_vhat_cell_average
 from .diffusion_wave import WaveProfile, _first_derivative, eval_ubar, eval_vbar
-from .solver import ScenarioSpec, SimState
+from .solver import SimState
 
 __all__ = [
     "PerturbationFields",
@@ -39,11 +43,15 @@ __all__ = [
     "conserved_mass",
     "field_norms",
     "fit_decay_rate",
+    "rate_row",
+    "exponent_within",
     "residual_check",
     "theorem_report",
     "time_derivative_norms",
     "BASE_TARGETS",
     "IMPROVED_TARGETS",
+    "RATE_TOLERANCES",
+    "R2_THRESHOLD",
 ]
 
 NORM_KEYS = ("l2_V", "l2_Vx", "l2_Vxx", "l2_Vxxx", "l2_z", "l2_zx", "l2_zxx",
@@ -56,6 +64,14 @@ BASE_TARGETS = {
     "l2_z": -1.0, "l2_zx": -1.5, "l2_zxx": -2.0,
 }
 IMPROVED_TARGETS = {k: v - 0.25 for k, v in BASE_TARGETS.items()}
+
+# Allowed distance of a fitted exponent from its target, per quantity, and
+# the r^2 every judged fit must reach.
+RATE_TOLERANCES = {
+    "l2_V": 0.10, "l2_Vx": 0.10, "l2_Vxx": 0.20, "l2_Vxxx": 0.30,
+    "l2_z": 0.15, "l2_zx": 0.25, "l2_zxx": 0.40,
+}
+R2_THRESHOLD = 0.98
 
 
 class FitError(ValueError):
@@ -86,9 +102,8 @@ class PerturbationFields:
     x: np.ndarray
     dx: float
     t: float
-    w: np.ndarray      # v - vbar(.+x0) - vhat; equals V_x identically
     V: np.ndarray
-    Vx: np.ndarray
+    Vx: np.ndarray     # w = v - vbar(.+x0) - vhat, the integrand of V
     Vxx: np.ndarray
     Vxxx: np.ndarray
     z: np.ndarray
@@ -120,7 +135,6 @@ def build_fields(
         x=x,
         dx=dx,
         t=t,
-        w=w,
         V=V,
         Vx=w,
         Vxx=_first_derivative(w, dx),
@@ -139,7 +153,7 @@ def conserved_mass(fields: PerturbationFields) -> float:
     means absorb exactly.  Drift therefore measures mass the scheme gained
     or lost, plus the profile's own mass error (the gas-law runs' P4 drift).
     """
-    return float(np.trapezoid(fields.w, fields.x))
+    return float(np.trapezoid(fields.Vx, fields.x))
 
 
 def _l2(arr: np.ndarray, dx: float) -> float:
@@ -167,21 +181,17 @@ class DiagnosticsSeries:
     """Time series of perturbation diagnostics from one run."""
 
     x0: float
-    spec: ScenarioSpec | None = None
     t: list = field(default_factory=list)
     norms: dict = field(default_factory=lambda: {k: [] for k in NORM_KEYS})
     mass_residual: list = field(default_factory=list)
-    boundary_residual: list = field(default_factory=list)
     z_fields: list = field(default_factory=list)
     final_state: SimState | None = None
-    max_abs_u: float = 0.0  # running max over every step, not just samples
 
-    def append(self, t, norms, mass, boundary, z_field=None):
+    def append(self, t, norms, mass, z_field=None):
         self.t.append(float(t))
         for k in NORM_KEYS:
             self.norms[k].append(norms[k])
         self.mass_residual.append(float(mass))
-        self.boundary_residual.append(float(boundary))
         if z_field is not None:
             self.z_fields.append(np.asarray(z_field))
 
@@ -200,25 +210,13 @@ class RateFit:
     intercept: float
     r_squared: float
     window: tuple[float, float]
-    target_exponent: float
-    tolerance: float
-    passed: bool
 
 
-def fit_decay_rate(
-    t,
-    values,
-    window: tuple[float, float],
-    target: float,
-    tol: float,
-    r2_threshold: float = 0.98,
-) -> RateFit:
+def fit_decay_rate(t, values, window: tuple[float, float]) -> RateFit:
     """Ordinary least squares of log(values) on log(1+t) over a window.
 
-    The fitted slope is the decay exponent.  ``passed`` is true when the
-    exponent sits within ``tol`` of ``target`` and the fit explains the
-    data (r_squared above threshold).  Requires at least 8 samples with
-    positive values in the window.
+    The fitted slope is the decay exponent; ``rate_row`` judges it.
+    Requires at least 8 samples with positive values in the window.
     """
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -246,10 +244,34 @@ def fit_decay_rate(
         intercept=float(intercept),
         r_squared=r2,
         window=(float(window[0]), float(window[1])),
-        target_exponent=float(target),
-        tolerance=float(tol),
-        passed=bool(abs(slope - target) <= tol and r2 >= r2_threshold),
     )
+
+
+def exponent_within(key: str, exponent: float, l1_condition: bool) -> bool:
+    """Whether an exponent of norm ``key`` meets its target within tolerance.
+
+    With the integrability condition the improved rate is optimal and is
+    matched two-sidedly; without it the base rate is an upper bound.
+    """
+    tol = RATE_TOLERANCES[key]
+    if l1_condition:
+        return bool(abs(exponent - IMPROVED_TARGETS[key]) <= tol)
+    return bool(exponent <= BASE_TARGETS[key] + tol)
+
+
+def rate_row(t, values, key: str, window: tuple[float, float],
+             l1_condition: bool = True) -> dict:
+    """Fit one norm series; it passes on ``exponent_within`` and ``R2_THRESHOLD``."""
+    fit = fit_decay_rate(t, values, window)
+    return {
+        "quantity": key,
+        "exponent": fit.exponent,
+        "target": (IMPROVED_TARGETS if l1_condition else BASE_TARGETS)[key],
+        "tolerance": RATE_TOLERANCES[key],
+        "r_squared": fit.r_squared,
+        "passed": exponent_within(key, fit.exponent, l1_condition)
+        and fit.r_squared >= R2_THRESHOLD,
+    }
 
 
 def time_derivative_norms(series: DiagnosticsSeries, dx: float) -> dict:
@@ -366,50 +388,18 @@ def theorem_report(
     norms,
     window: tuple[float, float] | None = None,
     l1_condition: bool = True,
-    tolerances: dict | None = None,
-    r2_threshold: float = 0.98,
 ) -> dict:
-    """Fit every norm series and compare against the decay targets.
+    """Judge every norm series with ``rate_row``.
 
     ``t`` holds the sample times and ``norms`` maps each target key
     (``l2_V`` ... ``l2_zxx``) to its series, as ``DiagnosticsSeries``
     (``series.times(), series.norms``) and ``read_series_csv`` provide.
     The default window is the last decade, ``(t[-1]/10, t[-1])``.
-    Without the integrability condition the targets are upper bounds
-    (faster decay passes); with it the rates are optimal and matched
-    two-sidedly.  Returns rows of (quantity, exponent, target,
-    tolerance, r_squared, passed) and ``overall_pass``, true when every
-    row passes.
+    Returns the rows and ``overall_pass``, true when every row passes.
     """
     t = np.asarray(t, dtype=float)
     if window is None:
         window = (t[-1] / 10.0, t[-1])
-    targets = IMPROVED_TARGETS if l1_condition else BASE_TARGETS
-    default_tol = {
-        "l2_V": 0.10, "l2_Vx": 0.10, "l2_Vxx": 0.20, "l2_Vxxx": 0.30,
-        "l2_z": 0.15, "l2_zx": 0.25, "l2_zxx": 0.40,
-    }
-    if tolerances:
-        default_tol.update(tolerances)
-
-    rows = []
-    for key, target in targets.items():
-        fit = fit_decay_rate(
-            t, norms[key], window, target, default_tol[key], r2_threshold
-        )
-        if l1_condition:
-            passed = fit.passed
-        else:
-            passed = fit.exponent <= target + default_tol[key] and fit.r_squared >= r2_threshold
-        rows.append(
-            {
-                "quantity": key,
-                "exponent": fit.exponent,
-                "target": target,
-                "tolerance": default_tol[key],
-                "r_squared": fit.r_squared,
-                "passed": bool(passed),
-            }
-        )
+    rows = [rate_row(t, norms[key], key, window, l1_condition) for key in BASE_TARGETS]
     return {"rows": rows, "window": window, "l1_condition": l1_condition,
             "overall_pass": all(r["passed"] for r in rows)}

@@ -332,7 +332,6 @@ def solve_profile(
             target = _correction_term(closure, alpha, xi, phi, h)
             phi, rnorm = newton(phi, target, max_iter)
 
-    lo, hi = min(v_minus, v_plus), max(v_minus, v_plus)
     phi = np.clip(phi, lo, hi)
     phi[0], phi[-1] = v_minus, v_plus
 

@@ -55,6 +55,7 @@ __all__ = [
     "build_initial_data",
     "cfl_dt",
     "step",
+    "advance",
     "run",
     "heat_kernel",
 ]
@@ -107,12 +108,15 @@ class SimState:
     # largest face wave speed of the step that produced this state; a state
     # built any other way (constructor, dataclasses.replace) has None
     speed_bound: float | None = field(default=None, init=False)
+    # largest |u| over this state and every step that led to it
+    max_abs_u: float = field(init=False)
 
     def __post_init__(self):
         if len(self.v) != self.n_cells or len(self.u) != self.n_cells:
             raise ValueError("field length must equal n_cells")
         if np.any(self.v <= 0.0):
             raise ValueError("specific volume must stay positive")
+        self.max_abs_u = float(np.max(np.abs(self.u)))
 
     @property
     def dx(self) -> float:
@@ -294,7 +298,8 @@ def step(state: SimState, dt: float, u_minus: float, u_plus: float) -> SimState:
 
     u_minus / u_plus are the undamped far-field constants; the ghost
     cells carry them damped to the transport time.  The successor state
-    records the largest face speed of the step as its ``speed_bound``.
+    records the largest face speed of the step as its ``speed_bound`` and
+    carries the running ``max_abs_u`` forward.
     """
     closure = state.closure
     alpha = closure.alpha
@@ -381,9 +386,23 @@ def step(state: SimState, dt: float, u_minus: float, u_plus: float) -> SimState:
     # the checks above cover what SimState.__post_init__ would re-scan
     new = object.__new__(SimState)
     new.__dict__.update(
-        state.__dict__, v=v_new, u=u_new, t=t_new, speed_bound=speed_bound
+        state.__dict__, v=v_new, u=u_new, t=t_new, speed_bound=speed_bound,
+        max_abs_u=max(state.max_abs_u, float(u_max)),
     )
     return new
+
+
+def advance(
+    state: SimState, t_end: float, cfl: float, u_minus: float, u_plus: float
+) -> SimState:
+    """Step ``state`` to ``t_end`` at the CFL time step.
+
+    The last step is shortened to land on ``t_end``; a state already
+    within 1e-12 of it is returned as is.
+    """
+    while state.t < t_end - 1e-12:
+        state = step(state, min(cfl_dt(state, cfl), t_end - state.t), u_minus, u_plus)
+    return state
 
 
 def run(
@@ -416,27 +435,20 @@ def run(
     if sample_times.size == 0 or sample_times[0] > 0.0:
         sample_times = np.concatenate(([0.0], sample_times))
 
-    series = DiagnosticsSeries(x0=x0, spec=spec)
-    series.max_abs_u = float(np.max(np.abs(state.u)))
+    series = DiagnosticsSeries(x0=x0)
 
     def record(state):
         fields = build_fields(state, profile, x0, corr)
-        norms = field_norms(fields)
-        mass = conserved_mass(fields)
-        boundary = max(
-            abs(state.u[0] - spec.u_minus * np.exp(-spec.closure.alpha * state.t)),
-            abs(state.u[-1] - spec.u_plus * np.exp(-spec.closure.alpha * state.t)),
+        series.append(
+            state.t, field_norms(fields), conserved_mass(fields),
+            fields.z if store_z else None,
         )
-        series.append(state.t, norms, mass, boundary, fields.z if store_z else None)
 
     record(state)
     for target in sample_times[1:]:
         if target > spec.end_time:
             break
-        while state.t < target - 1e-12:
-            dt = min(cfl_dt(state, spec.cfl), target - state.t)
-            state = step(state, dt, spec.u_minus, spec.u_plus)
-            series.max_abs_u = max(series.max_abs_u, float(np.max(np.abs(state.u))))
+        state = advance(state, target, spec.cfl, spec.u_minus, spec.u_plus)
         record(state)
 
     series.final_state = state

@@ -100,6 +100,19 @@ def test_verify_rejects_unknown_tolerance_key(tmp_path):
                  "--out", str(tmp_path / "v")]) == 2
 
 
+@pytest.mark.parametrize("key", [
+    "r2_threshold", "base_vx_bound", "base_z_bound", "improved_v_tol",
+    "improved_vx_tol", "improved_z_tol", "vxx_bound",
+])
+def test_rate_gates_are_not_acceptance_keys(tmp_path, capsys, key):
+    """Rate gates live in diagnostics.RATE_TOLERANCES, shared with ``rates``."""
+    cfg = tmp_path / "verify.ini"
+    cfg.write_text(f"[acceptance]\n{key} = 0.2\n")
+    assert main(["verify", "--fast", "--config", str(cfg),
+                 "--out", str(tmp_path / "v")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_smallness_cap_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "strong.ini"
     cfg.write_text("[scenario]\npreset = gamma-default\nv_plus = 2.0\n"
@@ -173,7 +186,7 @@ def test_rates_verdict_covers_every_row(tmp_path):
         norms = {k: (1 + t) ** v for k, v in IMPROVED_TARGETS.items()}
         norms["l2_zxx"] = (1 + t) ** (IMPROVED_TARGETS["l2_zxx"] + 1.0)
         norms["linf_V"] = norms["linf_z"] = 1.0
-        series.append(t, norms, 0.0, 0.0)
+        series.append(t, norms, 0.0)
 
     rep = theorem_report(series.times(), series.norms)
     assert [r["quantity"] for r in rep["rows"] if not r["passed"]] == ["l2_zxx"]
@@ -230,7 +243,7 @@ def test_blowup_exit_code(tiny_config, tmp_path, monkeypatch, capsys):
     def blow_up(state, *args, **kwargs):
         raise solver.BlowUpError(f"vacuum reached in cell 7 at t={state.t:.6g}")
 
-    # run() looks step up at call time, so the error rises from inside the solver
+    # advance() looks step up at call time, so the error rises from inside the solver
     monkeypatch.setattr(solver, "step", blow_up)
     assert main(["simulate", "--config", tiny_config, "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("numerical blow-up: vacuum reached")

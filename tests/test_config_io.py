@@ -97,7 +97,7 @@ def _tiny_series(n_samples=3):
     for i in range(n_samples):
         t = float(i)
         norms = {k: 1.0 / (1.0 + t) for k in SERIES_COLUMNS[1:-1]}
-        series.append(t, norms, 1e-9 * i, 0.0)
+        series.append(t, norms, 1e-9 * i)
     return series
 
 

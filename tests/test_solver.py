@@ -10,6 +10,7 @@ from diffwave.solver import (
     PerturbationSpec,
     ScenarioSpec,
     SimState,
+    advance,
     build_initial_data,
     cfl_dt,
     heat_kernel,
@@ -201,6 +202,50 @@ def test_volume_sum_balances_boundary_flux(gamma_closure):
         state = step(state, 0.01, 0.0, 0.05)
     gained = 0.05 * (1.0 - np.exp(-state.t))
     assert np.sum(state.v) * state.dx - mass0 == pytest.approx(gained, abs=1e-13)
+
+
+def test_far_field_edge_cells_follow_damped_law(m1):
+    """Edge cells track u_pm exp(-alpha t) while an interior jump evolves.
+
+    The jump's influence spreads at most two cells per step, so 150 cells
+    between the jump and each edge stay clear of it for 60 steps.
+    """
+    n = 300
+    u_minus, u_plus = 0.0, 0.05
+    state = SimState(-15.0, 15.0, n, np.ones(n), np.zeros(n), 0.0, m1)
+    state.u[n // 2:] = u_plus
+    for _ in range(60):
+        state = step(state, cfl_dt(state, 0.45), u_minus, u_plus)
+        decay = np.exp(-m1.alpha * state.t)
+        assert abs(state.u[0] - u_minus * decay) <= 1e-12
+        assert abs(state.u[-1] - u_plus * decay) <= 1e-12
+        assert state.v[0] == state.v[-1] == 1.0
+    assert not np.allclose(state.u[n // 2 - 5:n // 2 + 5], state.u[n // 2])
+
+
+def test_advance_lands_on_end_time(gamma_closure):
+    n = 128
+    u = 0.01 * np.sin(np.linspace(0.0, np.pi, n))
+    start = SimState(-5.0, 5.0, n, np.ones(n), u, 0.0, gamma_closure)
+    ref = start
+    while ref.t < 0.7 - 1e-12:
+        ref = step(ref, min(cfl_dt(ref, 0.45), 0.7 - ref.t), 0.0, 0.0)
+    end = advance(start, 0.7, 0.45, 0.0, 0.0)
+    assert end.t == ref.t == pytest.approx(0.7, abs=1e-12)
+    assert np.array_equal(end.v, ref.v) and np.array_equal(end.u, ref.u)
+    assert advance(end, 0.7, 0.45, 0.0, 0.0) is end
+
+
+def test_max_abs_u_runs_over_every_step(gamma_closure):
+    """A state's max_abs_u is the largest |u| over it and its history."""
+    n = 64
+    start = SimState(-5.0, 5.0, n, np.ones(n), np.full(n, -0.1), 0.0, gamma_closure)
+    assert start.max_abs_u == 0.1
+    end = advance(start, 1.0, 0.45, -0.1, -0.1)
+    assert np.max(np.abs(end.u)) < 0.05
+    assert end.max_abs_u == 0.1
+    # a rebuilt state has no history
+    assert dataclasses.replace(end).max_abs_u == np.max(np.abs(end.u))
 
 
 def test_step_against_spectral_reference(gamma_closure, null_corr):
