@@ -22,13 +22,13 @@ from diffwave import (
 )
 
 # --- linear pressure: compare with the closed form ----------------------
-lin = solve_profile(linear_closure(1.0), 1.0, 1.2, alpha=1.0, n_cells=8192)
+lin = solve_profile(linear_closure(1.0), 1.0, 1.2, n_cells=8192)
 exact = 1.0 + 0.2 * 0.5 * (1.0 + erf(lin.xi_grid / 2.0))
 print(f"linear closure: max |phi - erf form| = {np.max(np.abs(lin.phi - exact)):.3e}")
 print(f"phi'(0) = {lin.deriv(0.0, 1):.10f}  (exact {0.2 / (2 * np.sqrt(np.pi)):.10f})")
 
 # --- M1 closure: solver diagnostics --------------------------------------
-prof = solve_profile(m1_closure(1.0), 1.0, 1.2, alpha=1.0, n_cells=8192)
+prof = solve_profile(m1_closure(1.0), 1.0, 1.2, n_cells=8192)
 print(f"\nM1 closure: phi(0) = {prof.deriv(0.0, 0):.12f}, residual = {prof.residual:.2e}")
 print(f"once-integrated identity mismatch on [-2, 2]: {flux_relation_check(prof, -2.0, 2.0):.2e}")
 

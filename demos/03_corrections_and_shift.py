@@ -31,7 +31,7 @@ print(f"\npair identities residual (exact by construction): "
       f"{verify_correction_system(corr, np.linspace(-4, 4, 801), 0.7):.2e}")
 
 # --- the shift x0 ---------------------------------------------------------
-profile = solve_profile(linear_closure(1.0), 1.0, 1.2, alpha=1.0, n_cells=4096)
+profile = solve_profile(linear_closure(1.0), 1.0, 1.2, n_cells=4096)
 grid = np.linspace(-40.0, 40.0, 16001)
 
 clean = eval_vbar(profile, grid, 0.0) + eval_vhat(corr, grid, 0.0)

@@ -22,7 +22,7 @@ from diffwave.output import emit_loglog_svg
 from diffwave.solver import PerturbationSpec, ScenarioSpec, run
 
 closure = gamma_law_closure(gamma=2.0, alpha=1.0)
-profile = solve_profile(closure, 1.0, 1.1, alpha=1.0, n_cells=8192)
+profile = solve_profile(closure, 1.0, 1.1, n_cells=8192)
 corr = CorrectionField(0.0, 0.0, 1.0, make_mollifier("bump"))
 
 spec = ScenarioSpec(

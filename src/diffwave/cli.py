@@ -9,7 +9,6 @@ each error to its code.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import os
 import sys
@@ -19,7 +18,7 @@ import numpy as np
 from .closures import HyperbolicityError
 from .config import ConfigError, build_scenario, parse_config
 from .diagnostics import FitError, FitWindowError, theorem_report
-from .diffusion_wave import ProfileSolverError, solve_profile
+from .diffusion_wave import ProfileSolverError
 from .output import (
     emit_loglog_svg,
     read_series_csv,
@@ -28,7 +27,7 @@ from .output import (
     write_series_csv,
 )
 from .solver import BlowUpError, InitialDataError, run
-from .verify import AcceptanceTolerances, run_acceptance
+from .verify import run_acceptance
 
 EXIT_OK = 0
 EXIT_CRITERION = 1
@@ -56,11 +55,7 @@ def _load_config(path: str):
 
 
 def cmd_profile(args) -> int:
-    cfg = _load_config(args.config)
-    spec, corr = build_scenario(cfg)
-    profile = solve_profile(
-        spec.closure, cfg.v_minus, cfg.v_plus, spec.closure.alpha, n_cells=cfg.n_cells
-    )
+    _, _, profile = build_scenario(_load_config(args.config))
     path = os.path.join(args.out, "profile.csv")
     write_profile_csv(path, profile)
     print(f"wrote {path} ({len(profile.xi_grid)} nodes, residual {profile.residual:.3e})")
@@ -68,11 +63,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    spec, corr = build_scenario(cfg)
-    profile = solve_profile(
-        spec.closure, cfg.v_minus, cfg.v_plus, spec.closure.alpha, n_cells=cfg.n_cells
-    )
+    spec, corr, profile = build_scenario(_load_config(args.config))
     if spec.end_time > 0.0:
         samples = np.linspace(0.0, spec.end_time, 101)
     else:
@@ -110,33 +101,8 @@ def cmd_rates(args) -> int:
     return EXIT_OK if all(r["passed"] for r in rows) else EXIT_CRITERION
 
 
-def _read_acceptance_overrides(path: str) -> AcceptanceTolerances:
-    parser = configparser.ConfigParser(
-        comment_prefixes=("#",), inline_comment_prefixes=("#",)
-    )
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_string(fh.read())
-    except (OSError, configparser.Error) as exc:
-        raise ConfigError([f"cannot read verify config {path!r}: {exc}"]) from exc
-    updates = {}
-    if parser.has_section("acceptance"):
-        for key, raw in parser.items("acceptance"):
-            try:
-                updates[key] = int(raw) if key.endswith("_steps") else float(raw)
-            except ValueError as exc:
-                raise ConfigError([f"bad acceptance value {key} = {raw!r}"]) from exc
-    try:
-        return AcceptanceTolerances().override(updates)
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from exc
-
-
 def cmd_verify(args) -> int:
-    tol = AcceptanceTolerances()
-    if args.config:
-        tol = _read_acceptance_overrides(args.config)
-    results, _ = run_acceptance(fast=args.fast, tolerances=tol, out_dir=args.out)
+    results, _ = run_acceptance(fast=args.fast, out_dir=args.out)
     for res in results:
         print(res.line())
         for key, val in res.details.items():
@@ -190,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--fast", action="store_true",
                    help="skip the long decay scenarios")
-    p.add_argument("--config", default=None,
-                   help="optional INI with [acceptance] tolerance overrides")
     p.add_argument("--out", default="verify_out")
     p.set_defaults(fn=cmd_verify)
     return parser

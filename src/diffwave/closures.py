@@ -47,9 +47,8 @@ class ModelClosure:
     """Constitutive functions and admissible box for one model.
 
     ``p``/``dp``/``d2p`` act on v, ``g``/``dg``/``d2g`` on u, ``f``/``df``
-    on v.  ``d3p``/``d4p`` are optional; they are only needed to build the
-    third and fourth profile derivatives analytically and fall back to
-    finite differences of ``d2p`` when absent.
+    on v.  ``d3p``/``d4p`` give the third and fourth profile derivatives
+    analytically; every closure supplies them.
     """
 
     name: str
@@ -57,6 +56,8 @@ class ModelClosure:
     p: Callable
     dp: Callable
     d2p: Callable
+    d3p: Callable = field(repr=False)
+    d4p: Callable = field(repr=False)
     g: Callable
     dg: Callable
     d2g: Callable
@@ -64,8 +65,6 @@ class ModelClosure:
     df: Callable
     v_range: tuple[float, float]
     u_range: tuple[float, float]
-    d3p: Callable | None = field(default=None, repr=False)
-    d4p: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.alpha <= 0.0:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .closures import gamma_law_closure, m1_closure
 from .corrections import CorrectionField, make_mollifier
+from .diffusion_wave import solve_profile
 from .solver import PerturbationSpec, ScenarioSpec, smallness_errors, wave_strength
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config", "PRESETS"]
@@ -239,7 +240,11 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def build_scenario(cfg: RunConfig):
-    """Instantiate the closure, scenario, and correction objects."""
+    """Instantiate the scenario, its correction pair and its wave profile.
+
+    Returns ``(spec, corr, profile)``; the profile is solved on the
+    config's ``n_cells``.
+    """
     if cfg.closure_name == "m1":
         closure = m1_closure(cfg.sigma)
     else:
@@ -267,4 +272,5 @@ def build_scenario(cfg: RunConfig):
     corr = CorrectionField(
         u_minus=cfg.u_minus, u_plus=cfg.u_plus, alpha=closure.alpha, mollifier=moll
     )
-    return spec, corr
+    profile = solve_profile(closure, cfg.v_minus, cfg.v_plus, n_cells=cfg.n_cells)
+    return spec, corr, profile

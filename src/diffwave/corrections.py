@@ -187,10 +187,8 @@ def eval_vhat_t(corr: CorrectionField, x, t):
     return (corr.du / (-corr.alpha)) * (-corr.alpha) * np.exp(-corr.alpha * t) * corr.mollifier(x)
 
 
-def eval_vhat_x(corr: CorrectionField, x, t, order: int = 1):
+def eval_vhat_x(corr: CorrectionField, x, t):
     """Analytic first spatial derivative of vhat."""
-    if order != 1:
-        raise ValueError("only first spatial derivative provided")
     return (corr.du / (-corr.alpha)) * np.exp(-corr.alpha * t) * corr.mollifier.derivative(x)
 
 

@@ -109,21 +109,6 @@ class TailFit:
     max_rel_residual: float
 
 
-def _d3p_d4p(closure: ModelClosure):
-    """Third/fourth pressure derivatives, by finite differences if absent."""
-    if closure.d3p is not None and closure.d4p is not None:
-        return closure.d3p, closure.d4p
-    h = 1e-4
-
-    def d3p(v):
-        return (closure.d2p(v + h) - closure.d2p(v - h)) / (2.0 * h)
-
-    def d4p(v):
-        return (closure.d2p(v + h) - 2.0 * closure.d2p(v) + closure.d2p(v - h)) / h**2
-
-    return (closure.d3p or d3p), (closure.d4p or d4p)
-
-
 def _ode_derivatives(closure, alpha, xi, phi, dphi):
     """phi'', phi''', phi'''' from repeated differentiation of the ODE.
 
@@ -135,11 +120,10 @@ def _ode_derivatives(closure, alpha, xi, phi, dphi):
     derivatives through (phi, phi') as well, which avoids amplifying
     grid noise through repeated numerical differencing.
     """
-    d3p, d4p = _d3p_d4p(closure)
     p1 = closure.dp(phi)
     p2 = closure.d2p(phi)
-    p3 = d3p(phi)
-    p4 = d4p(phi)
+    p3 = closure.d3p(phi)
+    p4 = closure.d4p(phi)
     a2 = 0.5 * alpha
 
     d2 = (a2 * xi * dphi - p2 * dphi**2) / p1
@@ -223,10 +207,9 @@ def solve_profile(
     closure: ModelClosure,
     v_minus: float,
     v_plus: float,
-    alpha: float | None = None,
+    *,
     xi_max: float | None = None,
     n_cells: int = 4096,
-    tol: float = 1e-10,
     max_iter: int = 60,
     defect_correction: bool = True,
 ) -> WaveProfile:
@@ -239,21 +222,17 @@ def solve_profile(
     polished by defect-corrected Newton sweeps that cancel the leading
     truncation term, raising the solution accuracy to fourth order.
 
-    The reported ``residual`` is the max-norm algebraic residual of the
-    system actually solved.  The effective tolerance is floored at the
-    rounding level of the stencil, which scales like eps / h^2.
+    The damping constant is the closure's ``alpha``.  The reported
+    ``residual`` is the max-norm algebraic residual of the system actually
+    solved.  Newton stops below 1e-10, or below the rounding level of the
+    stencil where that is higher; it scales like eps / h^2.
 
     Higher derivatives are produced analytically from the ODE, not by
     repeated differencing of phi.
     """
-    if alpha is None:
-        alpha = closure.alpha
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    alpha = closure.alpha
     if n_cells < 64:
         raise ValueError("n_cells must be at least 64")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if xi_max is None:
         xi_max = 12.0 / np.sqrt(alpha)
 
@@ -294,7 +273,7 @@ def solve_profile(
     # The stencil divides O(eps)-sized rounding in phi by h^2; residuals
     # below that floor are unattainable in double precision.
     pscale = max(abs(closure.dp(lo)), abs(closure.dp(hi))) * max(hi, 1.0)
-    tol_eff = max(tol, 100.0 * np.finfo(float).eps * pscale / h**2)
+    tol_eff = max(1e-10, 100.0 * np.finfo(float).eps * pscale / h**2)
 
     def newton(phi, target, max_iter):
         res = _stencil_residual(closure, alpha, xi, phi, h) - target

@@ -9,17 +9,17 @@ the pass/fail logic.  Criterion names live in one table,
 
 The long decay-rate scenarios (one gas-law, one radiative) are run once,
 one after the other, and shared by the conservation, base-rate,
-improved-rate, and higher-derivative criteria.  Those rate gates (P5-P8)
-take their targets, tolerances and r^2 floor from the rate table in
-``diagnostics`` (``RATE_TOLERANCES``, ``R2_THRESHOLD``), the same table
-``diffwave rates`` judges with; ``AcceptanceTolerances`` holds every other
-threshold.
+improved-rate, and higher-derivative criteria.  Every gate is a fixed
+point: the rate gates (P5-P8) take their targets, tolerances and r^2
+floor from the rate table in ``diagnostics`` (``RATE_TOLERANCES``,
+``R2_THRESHOLD``), the same table ``diffwave rates`` judges with, and
+``GATES`` holds every other threshold.  No run can change them.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .solver import (
 )
 
 __all__ = [
-    "AcceptanceTolerances",
+    "GATES",
     "CriterionResult",
     "run_acceptance",
     "small_series",
@@ -78,34 +78,25 @@ CRITERION_NAMES = {
 }
 CRITERIA = tuple(CRITERION_NAMES)
 
+# Pass thresholds of every criterion but the rate gates, which judge decay
+# exponents against ``diagnostics.RATE_TOLERANCES``.
+GATES = {
+    "profile_max_error": 1e-8,  # P1
+    "profile_residual": 1e-8,
+    "tail_c_target": 0.25,
+    "tail_c_tol": 0.02,
+    "correction_residual": 1e-12,  # P2
+    "shift_invariance": 1e-8,
+    "translation_error": 1e-8,
+    "const_state_error": 1e-12,  # P3
+    "splitting_floor": 1e-14,
+    "convergence_order": 1.5,
+    "mass_drift": 1e-6,  # P4
+    "residual_ratio": 3.5,  # P7
+}
 
-@dataclass(frozen=True)
-class AcceptanceTolerances:
-    """Pinned pass thresholds of every criterion but the rate gates.
-
-    P5-P8 judge decay exponents against ``diagnostics.RATE_TOLERANCES``.
-    """
-
-    profile_max_error: float = 1e-8
-    profile_residual: float = 1e-8
-    tail_c_target: float = 0.25
-    tail_c_tol: float = 0.02
-    correction_residual: float = 1e-12
-    shift_invariance: float = 1e-8
-    translation_error: float = 1e-8
-    const_state_error: float = 1e-12
-    const_state_steps: int = 10000
-    splitting_floor: float = 1e-14
-    convergence_order: float = 1.5
-    mass_drift: float = 1e-6
-    residual_ratio: float = 3.5
-
-    def override(self, updates: dict) -> "AcceptanceTolerances":
-        names = {f.name for f in fields(self)}
-        bad = sorted(set(updates) - names)
-        if bad:
-            raise ValueError(f"unknown acceptance tolerance keys: {bad}")
-        return replace(self, **updates)
+# steps of P3's constant-state run: its work, not a gate
+CONST_STATE_STEPS = 10000
 
 
 @dataclass
@@ -125,26 +116,24 @@ class CriterionResult:
 
 
 def _run_long_scenario(preset: str):
-    spec, corr = build_scenario(parse_config(f"[scenario]\npreset = {preset}\n"))
-    profile = solve_profile(
-        spec.closure, spec.v_minus, spec.v_plus, spec.closure.alpha,
-        n_cells=spec.n_cells,
+    spec, corr, profile = build_scenario(
+        parse_config(f"[scenario]\npreset = {preset}\n")
     )
     samples = np.arange(0.0, spec.end_time + 0.5, 5.0)
     series = run(spec, profile, corr, samples, store_z=True)
     return spec, corr, profile, series
 
 
-def check_profile_correctness(tol: AcceptanceTolerances) -> CriterionResult:
+def check_profile_correctness() -> CriterionResult:
     """P1: erf match, discrete residual, monotone bounds, Gaussian tail."""
     from scipy.special import erf
 
     lin = linear_closure(1.0)
-    prof = solve_profile(lin, 1.0, 1.2, 1.0, n_cells=8192)
+    prof = solve_profile(lin, 1.0, 1.2, n_cells=8192)
     exact = 1.0 + 0.2 * 0.5 * (1.0 + erf(prof.xi_grid / 2.0))
     max_err = float(np.max(np.abs(prof.phi - exact)))
 
-    m1p = solve_profile(m1_closure(1.0), 1.0, 1.2, 1.0, n_cells=8192)
+    m1p = solve_profile(m1_closure(1.0), 1.0, 1.2, n_cells=8192)
     m1_residual = m1p.residual
 
     lo, hi = 1.0, 1.2
@@ -153,11 +142,11 @@ def check_profile_correctness(tol: AcceptanceTolerances) -> CriterionResult:
     monotone_ok = bool(np.all(m1p.dphi >= -noise))
 
     tail = verify_gaussian_tail(prof)
-    tail_ok = abs(tail.c_decay - tol.tail_c_target) <= tol.tail_c_tol
+    tail_ok = abs(tail.c_decay - GATES["tail_c_target"]) <= GATES["tail_c_tol"]
 
     passed = (
-        max_err < tol.profile_max_error
-        and m1_residual < tol.profile_residual
+        max_err < GATES["profile_max_error"]
+        and m1_residual < GATES["profile_residual"]
         and bounds_ok
         and monotone_ok
         and tail_ok
@@ -175,7 +164,7 @@ def check_profile_correctness(tol: AcceptanceTolerances) -> CriterionResult:
     )
 
 
-def check_correction_identities(tol: AcceptanceTolerances) -> CriterionResult:
+def check_correction_identities() -> CriterionResult:
     """P2: randomized correction-pair identities and shift properties."""
     rng = np.random.default_rng(20240811)
     worst = 0.0
@@ -198,18 +187,14 @@ def check_correction_identities(tol: AcceptanceTolerances) -> CriterionResult:
     # mass error; the fine grid keeps the cosine support-edge kinks below
     # the gate.
     lin = linear_closure(1.0)
-    prof = solve_profile(lin, 1.0, 1.2, 1.0, n_cells=4096)
+    prof = solve_profile(lin, 1.0, 1.2, n_cells=4096)
     x = np.linspace(-20.0, 20.0, 31417)
     # centers offset from grid alignment so the support-edge kinks of
     # the cosine shape exercise the worst-case trapezoid error
     corr_b = CorrectionField(0.0, 0.1, 1.0, make_mollifier("bump", 0.0614))
     corr_c = CorrectionField(0.0, 0.1, 1.0, make_mollifier("cosine", 0.1379))
-    bump = np.where(
-        np.abs(x - 3.0) < 1.0,
-        np.exp(1.0 - 1.0 / np.maximum(1.0 - (x - 3.0) ** 2, 1e-300)),
-        0.0,
-    )
-    v0 = eval_vbar(prof, x, 0.0) + 0.01 * bump + eval_vhat(corr_b, x, 0.0)
+    bump = PerturbationSpec(amplitude=0.01, center=3.0, width=1.0)(x)
+    v0 = eval_vbar(prof, x, 0.0) + bump + eval_vhat(corr_b, x, 0.0)
     shift_diff = abs(
         compute_shift_x0(x, v0, prof, corr_b)
         - compute_shift_x0(x, v0, prof, corr_c)
@@ -220,9 +205,9 @@ def check_correction_identities(tol: AcceptanceTolerances) -> CriterionResult:
     translation_err = abs(compute_shift_x0(x, v0t, prof, corr_b) + a)
 
     passed = (
-        worst < tol.correction_residual
-        and shift_diff < tol.shift_invariance
-        and translation_err < tol.translation_error
+        worst < GATES["correction_residual"]
+        and shift_diff < GATES["shift_invariance"]
+        and translation_err < GATES["translation_error"]
     )
     return CriterionResult(
         "P2",
@@ -235,14 +220,14 @@ def check_correction_identities(tol: AcceptanceTolerances) -> CriterionResult:
     )
 
 
-def check_solver_baseline(tol: AcceptanceTolerances) -> CriterionResult:
+def check_solver_baseline() -> CriterionResult:
     """P3: constant-state preservation, splitting order, grid convergence."""
     clo = gamma_law_closure(2.0, 1.0)
     n = 512
     state = SimState(-10.0, 10.0, n, np.full(n, 1.0), np.zeros(n), 0.0, clo)
     dt = cfl_dt(state, 0.45)
     s = state
-    for _ in range(tol.const_state_steps):
+    for _ in range(CONST_STATE_STEPS):
         s = step(s, dt, 0.0, 0.0)
     const_dev = float(max(np.max(np.abs(s.v - 1.0)), np.max(np.abs(s.u))))
 
@@ -257,10 +242,10 @@ def check_solver_baseline(tol: AcceptanceTolerances) -> CriterionResult:
 
     e_coarse = damping_error(0.02)
     e_fine = damping_error(0.01)
-    splitting_ok = e_fine <= e_coarse / 4.0 + tol.splitting_floor
+    splitting_ok = e_fine <= e_coarse / 4.0 + GATES["splitting_floor"]
 
     # grid convergence on a smooth small-amplitude wave
-    profile = solve_profile(clo, 1.0, 1.05, 1.0, n_cells=4096)
+    profile = solve_profile(clo, 1.0, 1.05, n_cells=4096)
     corr = CorrectionField(0.0, 0.0, 1.0, make_mollifier("bump"))
 
     def solve_at(n_cells):
@@ -288,9 +273,9 @@ def check_solver_baseline(tol: AcceptanceTolerances) -> CriterionResult:
     order = float(np.log2(e1 / e2))
 
     passed = (
-        const_dev < tol.const_state_error
+        const_dev < GATES["const_state_error"]
         and splitting_ok
-        and order >= tol.convergence_order
+        and order >= GATES["convergence_order"]
     )
     return CriterionResult(
         "P3",
@@ -304,12 +289,12 @@ def check_solver_baseline(tol: AcceptanceTolerances) -> CriterionResult:
     )
 
 
-def check_conservation(series, tol: AcceptanceTolerances) -> CriterionResult:
+def check_conservation(series) -> CriterionResult:
     """P4: conserved perturbation mass along the gas-law run."""
     drift = float(max(abs(m) for m in series.mass_residual))
     return CriterionResult(
         "P4",
-        drift < tol.mass_drift,
+        drift < GATES["mass_drift"],
         {"max_mass_drift": drift},
     )
 
@@ -347,7 +332,7 @@ def check_improved_rates(series) -> CriterionResult:
     )
 
 
-def check_m1_run(series, spec, profile, corr, tol: AcceptanceTolerances) -> CriterionResult:
+def check_m1_run(series, spec, profile, corr) -> CriterionResult:
     """P7: improved rates, admissibility, and residual order for the radiative run."""
     rows = _rate_rows(series, IMPROVED_GATED, l1_condition=True)
     rates_ok = all(r["passed"] for r in rows.values())
@@ -368,7 +353,7 @@ def check_m1_run(series, spec, profile, corr, tol: AcceptanceTolerances) -> Crit
 
     ratio = resid_at(1024) / resid_at(2048)
 
-    passed = rates_ok and u_max < 1.0 and ratio >= tol.residual_ratio
+    passed = rates_ok and u_max < 1.0 and ratio >= GATES["residual_ratio"]
     return CriterionResult(
         "P7",
         passed,
@@ -409,7 +394,7 @@ def small_series():
     committed bytes.
     """
     clo = gamma_law_closure(2.0, 1.0)
-    profile = solve_profile(clo, 1.0, 1.05, 1.0, n_cells=1024)
+    profile = solve_profile(clo, 1.0, 1.05, n_cells=1024)
     corr = CorrectionField(0.0, 0.0, 1.0, make_mollifier("bump"))
     spec = ScenarioSpec(
         closure=clo,
@@ -439,23 +424,18 @@ def check_determinism(tmp_dir) -> CriterionResult:
     )
 
 
-def run_acceptance(
-    fast: bool = False,
-    tolerances: AcceptanceTolerances | None = None,
-    out_dir: str = "verify_out",
-):
+def run_acceptance(fast: bool = False, out_dir: str = "verify_out"):
     """Run the acceptance criteria; returns (results, artifacts dict).
 
     ``fast`` skips the two long decay scenarios (criteria P4..P8 are
     reported as skipped).
     """
-    tol = tolerances or AcceptanceTolerances()
     os.makedirs(out_dir, exist_ok=True)
     results: list[CriterionResult] = []
 
-    results.append(check_profile_correctness(tol))
-    results.append(check_correction_identities(tol))
-    results.append(check_solver_baseline(tol))
+    results.append(check_profile_correctness())
+    results.append(check_correction_identities())
+    results.append(check_solver_baseline())
 
     artifacts = {}
     if fast:
@@ -470,10 +450,10 @@ def run_acceptance(
         artifacts["series_gamma"] = series_g
         artifacts["series_m1"] = series_m
 
-        results.append(check_conservation(series_g, tol))
+        results.append(check_conservation(series_g))
         results.append(check_base_rates(series_g))
         results.append(check_improved_rates(series_g))
-        results.append(check_m1_run(series_m, spec_m, prof_m, corr_m, tol))
+        results.append(check_m1_run(series_m, spec_m, prof_m, corr_m))
         results.append(check_higher_derivatives(series_g))
 
     results.append(check_determinism(out_dir))

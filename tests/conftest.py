@@ -22,12 +22,12 @@ def linear():
 @pytest.fixture(scope="session")
 def erf_profile(linear):
     """Linear-pressure profile with the erf closed form (v: 1 -> 1.2)."""
-    return solve_profile(linear, 1.0, 1.2, 1.0, n_cells=4096)
+    return solve_profile(linear, 1.0, 1.2, n_cells=4096)
 
 
 @pytest.fixture(scope="session")
 def m1_profile(m1):
-    return solve_profile(m1, 1.0, 1.2, 1.0, n_cells=8192)
+    return solve_profile(m1, 1.0, 1.2, n_cells=8192)
 
 
 @pytest.fixture()

@@ -8,7 +8,32 @@ stdout (visible with ``pytest -s`` or through ``diffwave verify``).
 import numpy as np
 import pytest
 
+from diffwave import diagnostics, verify
 from diffwave.verify import run_acceptance
+
+
+def test_gates_are_fixed_points():
+    """Every gate is a literal here: moving one means editing this test."""
+    assert verify.GATES == {
+        "profile_max_error": 1e-8,
+        "profile_residual": 1e-8,
+        "tail_c_target": 0.25,
+        "tail_c_tol": 0.02,
+        "correction_residual": 1e-12,
+        "shift_invariance": 1e-8,
+        "translation_error": 1e-8,
+        "const_state_error": 1e-12,
+        "splitting_floor": 1e-14,
+        "convergence_order": 1.5,
+        "mass_drift": 1e-6,
+        "residual_ratio": 3.5,
+    }
+    assert diagnostics.RATE_TOLERANCES == {
+        "l2_V": 0.10, "l2_Vx": 0.10, "l2_Vxx": 0.20, "l2_Vxxx": 0.30,
+        "l2_z": 0.15, "l2_zx": 0.25, "l2_zxx": 0.40,
+    }
+    assert diagnostics.R2_THRESHOLD == 0.98
+    assert verify.CONST_STATE_STEPS == 10000
 
 
 @pytest.fixture(scope="module")

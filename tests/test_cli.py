@@ -80,17 +80,25 @@ def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 2
 
 
-def test_verify_fast_with_corrupted_tolerance(tmp_path):
-    cfg = tmp_path / "verify.ini"
-    cfg.write_text("[acceptance]\nprofile_max_error = 1e-30\n")
+def test_verify_fast_with_corrupted_tolerance(tmp_path, monkeypatch):
+    from diffwave import verify
+
+    monkeypatch.setitem(verify.GATES, "profile_max_error", 1e-30)
     out = str(tmp_path / "v")
-    code = main(["verify", "--fast", "--config", str(cfg), "--out", out])
-    assert code == 1
+    assert main(["verify", "--fast", "--out", out]) == 1
     report = json.load(open(os.path.join(out, "verify.json")))
     by_id = {c["id"]: c for c in report["criteria"]}
     assert by_id["P1"]["passed"] is False
     assert by_id["P4"]["skipped"] is True
     assert report["overall_pass"] is False
+
+
+def test_verify_takes_no_gate_overrides(tmp_path):
+    """The gates are fixed: a valid [acceptance] file is a usage error."""
+    cfg = tmp_path / "verify.ini"
+    cfg.write_text("[acceptance]\nmass_drift = 1.0\n")
+    assert main(["verify", "--fast", "--config", str(cfg),
+                 "--out", str(tmp_path / "v")]) == 2
 
 
 def test_verify_rejects_unknown_tolerance_key(tmp_path):
@@ -106,11 +114,14 @@ def test_verify_rejects_unknown_tolerance_key(tmp_path):
 ])
 def test_rate_gates_are_not_acceptance_keys(tmp_path, capsys, key):
     """Rate gates live in diagnostics.RATE_TOLERANCES, shared with ``rates``."""
+    from diffwave import verify
+
     cfg = tmp_path / "verify.ini"
     cfg.write_text(f"[acceptance]\n{key} = 0.2\n")
     assert main(["verify", "--fast", "--config", str(cfg),
                  "--out", str(tmp_path / "v")]) == 2
-    assert key in capsys.readouterr().err
+    assert "--config" in capsys.readouterr().err
+    assert key not in verify.GATES
 
 
 def test_smallness_cap_is_a_config_error(tmp_path, capsys):
@@ -136,18 +147,18 @@ def test_hyperbolicity_loss_exit_code(tiny_config, tmp_path, monkeypatch, capsys
 
 
 def test_simulate_solves_profile_on_config_grid(tmp_path, monkeypatch):
-    from diffwave import cli
+    from diffwave import config
 
     cfg = tmp_path / "grid.ini"
     cfg.write_text(TINY_CONFIG.replace("n_cells = 512", "n_cells = 1024"))
     grids = []
-    solve = cli.solve_profile
+    solve = config.solve_profile
 
     def recording_solve(*args, **kwargs):
         grids.append(kwargs["n_cells"])
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "solve_profile", recording_solve)
+    monkeypatch.setattr(config, "solve_profile", recording_solve)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert grids == [1024]
 
@@ -163,13 +174,13 @@ def test_initial_data_error_exit_code(tmp_path, capsys):
 
 
 def test_profile_solver_failure_exit_code(tiny_config, tmp_path, monkeypatch, capsys):
-    from diffwave import cli
+    from diffwave import config
     from diffwave.diffusion_wave import ProfileSolverError
 
     def fail_to_converge(*args, **kwargs):
         raise ProfileSolverError("profile Newton iteration did not converge")
 
-    monkeypatch.setattr(cli, "solve_profile", fail_to_converge)
+    monkeypatch.setattr(config, "solve_profile", fail_to_converge)
     for command in ("profile", "simulate"):
         assert main([command, "--config", tiny_config, "--out", str(tmp_path)]) == 3
         assert "did not converge" in capsys.readouterr().err

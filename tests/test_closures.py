@@ -160,6 +160,8 @@ def test_hyperbolicity_error_names_state():
         p=one,
         dp=one,  # p' > 0: elliptic, no real speeds
         d2p=zero,
+        d3p=zero,
+        d4p=zero,
         g=zero,
         dg=zero,
         d2g=zero,

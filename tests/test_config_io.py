@@ -85,8 +85,10 @@ def test_config_round_trip():
 
 def test_build_scenario_wiring():
     cfg = parse_config("[scenario]\npreset = m1-default\n")
-    spec, corr = build_scenario(cfg)
+    spec, corr, profile = build_scenario(cfg)
     assert spec.closure.name == "m1"
+    assert len(profile.xi_grid) == cfg.n_cells + 1
+    assert (profile.v_minus, profile.v_plus) == (spec.v_minus, spec.v_plus)
     assert spec.wave_strength == pytest.approx(0.15)
     assert corr.u_plus == 0.05
     assert corr.mollifier.shape == "bump"

@@ -213,7 +213,7 @@ def test_shift_rejects_nonuniform_grid(erf_profile, corr):
 def test_shift_rejects_constant_wave(m1, corr):
     from diffwave import solve_profile
 
-    prof = solve_profile(m1, 1.1, 1.1, 1.0, n_cells=128)
+    prof = solve_profile(m1, 1.1, 1.1, n_cells=128)
     x = np.linspace(-10, 10, 101)
     with pytest.raises(ZeroDivisionError, match="constant-state"):
         compute_shift_x0(x, np.full_like(x, 1.1), prof, corr)

@@ -37,7 +37,7 @@ GAUSSIAN_L2 = 1.1195151349202476  # ||exp(-x^2)||_L2 = (pi/2)^(1/4)
 
 @pytest.fixture(scope="module")
 def gamma_profile(gamma_closure):
-    return solve_profile(gamma_closure, 1.0, 1.1, 1.0, n_cells=4096)
+    return solve_profile(gamma_closure, 1.0, 1.1, n_cells=4096)
 
 
 @pytest.fixture()
@@ -257,7 +257,7 @@ def test_theorem_report_synthetic_rates():
 
 
 def test_residual_check_constant_state(gamma_closure, null_corr):
-    prof = solve_profile(gamma_closure, 1.0, 1.0, 1.0, n_cells=128)
+    prof = solve_profile(gamma_closure, 1.0, 1.0, n_cells=128)
     n = 512
     state = SimState(-20.0, 20.0, n, np.ones(n), np.zeros(n), 0.0, gamma_closure)
     dt = cfl_dt(state, 0.4)
@@ -322,9 +322,8 @@ def test_monotone_decay_after_transient(gamma_closure, gamma_profile, null_corr)
 def m1_ledger_case():
     """m1-default at 4096 cells on its t = 500 domain, run to t = 20."""
     cfg = config.parse_config("[scenario]\npreset = m1-default\n[grid]\nn_cells = 4096\n")
-    spec, corr = config.build_scenario(cfg)
+    spec, corr, profile = config.build_scenario(cfg)
     spec = dataclasses.replace(spec, x_max=spec.domain_half_width(), end_time=20.0)
-    profile = solve_profile(spec.closure, spec.v_minus, spec.v_plus, 1.0, n_cells=4096)
     return spec, profile, corr
 
 

@@ -8,6 +8,7 @@ from diffwave import (
     eval_ubar,
     eval_vbar,
     flux_relation_check,
+    linear_closure,
     m1_closure,
     solve_profile,
     verify_gaussian_tail,
@@ -24,7 +25,7 @@ def exact_erf(xi):
 
 
 def test_constant_profile_shortcut(m1):
-    prof = solve_profile(m1, 1.3, 1.3, 1.0, n_cells=128)
+    prof = solve_profile(m1, 1.3, 1.3, n_cells=128)
     assert prof.is_constant
     assert np.all(prof.phi == 1.3)
     assert np.all(prof.dphi == 0.0) and np.all(prof.d4phi == 0.0)
@@ -34,6 +35,19 @@ def test_linear_pressure_matches_erf(erf_profile):
     err = np.max(np.abs(erf_profile.phi - exact_erf(erf_profile.xi_grid)))
     assert err < 1e-10
     assert erf_profile.deriv(0.0, 1) == pytest.approx(0.2 / (2 * np.sqrt(np.pi)), abs=1e-9)
+
+
+def test_profile_takes_alpha_from_closure():
+    """alpha = 4 narrows the erf profile to phi = 1 + 0.1 (1 + erf(xi))."""
+    prof = solve_profile(linear_closure(4.0), 1.0, 1.2, n_cells=4096)
+    assert prof.alpha == 4.0
+    assert np.max(np.abs(prof.phi - (1.0 + 0.1 * (1.0 + erf(prof.xi_grid))))) < 1e-8
+
+
+def test_stale_positional_alpha_is_rejected(m1):
+    # a positional fourth argument would otherwise become xi_max
+    with pytest.raises(TypeError):
+        solve_profile(m1, 1.0, 1.2, 1.0, n_cells=128)
 
 
 def test_m1_profile_center_regression(m1_profile):
@@ -52,7 +66,7 @@ def test_profile_invariants(m1_profile):
 def test_grid_refinement_second_order(m1):
     vals = {}
     for n in (1024, 2048, 4096):
-        p = solve_profile(m1, 1.0, 1.2, 1.0, n_cells=n, defect_correction=False)
+        p = solve_profile(m1, 1.0, 1.2, n_cells=n, defect_correction=False)
         vals[n] = p.phi[n // 2]
     e1 = abs(vals[1024] - vals[2048])
     e2 = abs(vals[2048] - vals[4096])
@@ -60,18 +74,18 @@ def test_grid_refinement_second_order(m1):
 
 
 def test_reflection_symmetry(m1):
-    fwd = solve_profile(m1, 1.0, 1.2, 1.0, n_cells=2048)
-    rev = solve_profile(m1, 1.2, 1.0, 1.0, n_cells=2048)
+    fwd = solve_profile(m1, 1.0, 1.2, n_cells=2048)
+    rev = solve_profile(m1, 1.2, 1.0, n_cells=2048)
     assert np.max(np.abs(rev.phi - fwd.phi[::-1])) < 1e-11
 
 
 def test_solver_error_paths(m1):
     with pytest.raises(ProfileSolverError):
-        solve_profile(m1, 1.0, 1.2, 1.0, n_cells=256, max_iter=0)
+        solve_profile(m1, 1.0, 1.2, n_cells=256, max_iter=0)
     with pytest.raises(ValueError):
-        solve_profile(m1, 0.01, 1.2, 1.0)  # below admissible v_range
+        solve_profile(m1, 0.01, 1.2)  # below admissible v_range
     with pytest.raises(ValueError):
-        solve_profile(m1, 1.0, 1.2, 1.0, n_cells=32)
+        solve_profile(m1, 1.0, 1.2, n_cells=32)
 
 
 def test_flux_relation(m1_profile, rng):
@@ -85,15 +99,13 @@ def test_flux_relation(m1_profile, rng):
 
 
 def test_flux_relation_constant(m1):
-    prof = solve_profile(m1, 1.1, 1.1, 1.0, n_cells=128)
+    prof = solve_profile(m1, 1.1, 1.1, n_cells=128)
     assert flux_relation_check(prof, -1.0, 1.0) == 0.0
 
 
 def _sine_profile():
     """Synthetic profile carrying an analytically differentiable shape."""
     xi = np.linspace(-12.0, 12.0, 4001)
-    from diffwave import linear_closure
-
     return WaveProfile(
         xi_grid=xi,
         phi=1.1 + 0.05 * np.sin(0.5 * xi),
@@ -167,7 +179,7 @@ def test_ubar(erf_profile, m1):
     assert eval_ubar(erf_profile, 0.0, 0.0) == pytest.approx(
         0.2 / (2 * np.sqrt(np.pi)), abs=1e-9
     )
-    const = solve_profile(m1, 1.1, 1.1, 1.0, n_cells=128)
+    const = solve_profile(m1, 1.1, 1.1, n_cells=128)
     x = np.linspace(-5.0, 5.0, 11)
     assert np.all(eval_ubar(const, x, 1.0) == 0.0)
     # sign follows v_plus - v_minus (up to tail differencing noise);
@@ -189,8 +201,8 @@ def test_gaussian_tail_linear(erf_profile):
 
 
 def test_gaussian_tail_stable_under_domain_doubling(linear):
-    small = solve_profile(linear, 1.0, 1.2, 1.0, xi_max=12.0, n_cells=4096)
-    big = solve_profile(linear, 1.0, 1.2, 1.0, xi_max=24.0, n_cells=8192)
+    small = solve_profile(linear, 1.0, 1.2, xi_max=12.0, n_cells=4096)
+    big = solve_profile(linear, 1.0, 1.2, xi_max=24.0, n_cells=8192)
     c1 = verify_gaussian_tail(small).c_decay
     c2 = verify_gaussian_tail(big).c_decay
     assert abs(c2 - c1) / c1 < 0.05
@@ -203,6 +215,6 @@ def test_gaussian_tail_m1(m1_profile):
 
 
 def test_gaussian_tail_rejects_constant(m1):
-    prof = solve_profile(m1, 1.1, 1.1, 1.0, n_cells=128)
+    prof = solve_profile(m1, 1.1, 1.1, n_cells=128)
     with pytest.raises(ValueError):
         verify_gaussian_tail(prof)

@@ -68,7 +68,7 @@ def test_lagrangian_transform_rejects_vacuum():
 
 
 def test_build_initial_data_pure_wave(gamma_closure, null_corr):
-    profile = solve_profile(gamma_closure, 1.0, 1.1, 1.0, n_cells=4096)
+    profile = solve_profile(gamma_closure, 1.0, 1.1, n_cells=4096)
     spec = ScenarioSpec(
         closure=gamma_closure, v_minus=1.0, v_plus=1.1,
         perturbation=PerturbationSpec(amplitude=0.0),
@@ -83,7 +83,7 @@ def test_build_initial_data_pure_wave(gamma_closure, null_corr):
 
 
 def test_build_initial_data_constant_state(gamma_closure, null_corr):
-    profile = solve_profile(gamma_closure, 1.0, 1.0, 1.0, n_cells=128)
+    profile = solve_profile(gamma_closure, 1.0, 1.0, n_cells=128)
     spec = ScenarioSpec(
         closure=gamma_closure, v_minus=1.0, v_plus=1.0,
         perturbation=PerturbationSpec(amplitude=0.0),
@@ -95,7 +95,7 @@ def test_build_initial_data_constant_state(gamma_closure, null_corr):
 
 
 def test_build_initial_data_far_field_check(gamma_closure, null_corr):
-    profile = solve_profile(gamma_closure, 1.0, 1.1, 1.0, n_cells=4096)
+    profile = solve_profile(gamma_closure, 1.0, 1.1, n_cells=4096)
     spec = ScenarioSpec(
         closure=gamma_closure, v_minus=1.0, v_plus=1.1,
         perturbation=PerturbationSpec(amplitude=0.01, center=18.0, width=3.0),
@@ -337,7 +337,7 @@ def test_m1_warns_beyond_physical_flux_limit(m1):
 
 
 def test_run_end_time_zero(gamma_closure, null_corr):
-    profile = solve_profile(gamma_closure, 1.0, 1.1, 1.0, n_cells=2048)
+    profile = solve_profile(gamma_closure, 1.0, 1.1, n_cells=2048)
     spec = ScenarioSpec(
         closure=gamma_closure, v_minus=1.0, v_plus=1.1,
         perturbation=PerturbationSpec(amplitude=0.0),
@@ -348,7 +348,7 @@ def test_run_end_time_zero(gamma_closure, null_corr):
 
 
 def test_run_constant_state_norms_vanish(gamma_closure, null_corr):
-    profile = solve_profile(gamma_closure, 1.0, 1.0, 1.0, n_cells=128)
+    profile = solve_profile(gamma_closure, 1.0, 1.0, n_cells=128)
     spec = ScenarioSpec(
         closure=gamma_closure, v_minus=1.0, v_plus=1.0,
         perturbation=PerturbationSpec(amplitude=0.0),

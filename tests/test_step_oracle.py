@@ -17,7 +17,6 @@ import pytest
 
 from diffwave import config
 from diffwave.closures import gamma_law_closure, linear_closure, m1_closure, wave_speed_bound
-from diffwave.diffusion_wave import solve_profile
 from diffwave.solver import SimState, build_initial_data, cfl_dt, step
 from diffwave.solver import _minmod as solver_minmod
 
@@ -117,10 +116,7 @@ def _preset_state(preset, n_cells):
     cfg = config.parse_config(
         f"[scenario]\npreset = {preset}\n[grid]\nn_cells = {n_cells}\n"
     )
-    spec, corr = config.build_scenario(cfg)
-    profile = solve_profile(
-        spec.closure, cfg.v_minus, cfg.v_plus, spec.closure.alpha, n_cells=n_cells
-    )
+    spec, corr, profile = config.build_scenario(cfg)
     return spec, build_initial_data(spec, profile, corr)
 
 
