@@ -55,7 +55,7 @@ def _load_config(path: str):
 
 
 def cmd_profile(args) -> int:
-    _, _, profile = build_scenario(_load_config(args.config))
+    _, profile = build_scenario(_load_config(args.config))
     path = os.path.join(args.out, "profile.csv")
     write_profile_csv(path, profile)
     print(f"wrote {path} ({len(profile.xi_grid)} nodes, residual {profile.residual:.3e})")
@@ -63,12 +63,12 @@ def cmd_profile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec, corr, profile = build_scenario(_load_config(args.config))
+    spec, profile = build_scenario(_load_config(args.config))
     if spec.end_time > 0.0:
         samples = np.linspace(0.0, spec.end_time, 101)
     else:
         samples = np.array([0.0])
-    series = run(spec, profile, corr, samples, store_z=False)
+    series = run(spec, profile, samples, store_z=False)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "series.csv")
     write_series_csv(path, series)

@@ -1,26 +1,29 @@
-"""Run configuration: INI-style parsing, presets, validation, round-trip.
+"""Run configuration: INI-style parsing, presets and validation.
 
 A config is a small INI document with sections [closure], [scenario],
-[grid], [time], [mollifier]; `#` starts a comment.  Unknown
-keys are rejected with the nearest valid key suggested, and validation
-collects every error before failing.  Scenario presets expand to the
-full parameter set of the built-in verification scenarios and can be
-overridden key by key.
+[grid] and [time]; `#` starts a comment.  Unknown keys are rejected with
+the nearest valid key suggested, and validation collects every error
+before failing.  Scenario presets expand to the full parameter set of
+the built-in verification scenarios and can be overridden key by key.
+
+Each scenario input has one key: ``[closure] alpha`` is the damping of
+both closures (for m1 it is the opacity sigma), and a key the chosen
+closure has no use for, such as ``gamma`` with ``name = m1``, is an
+error.  The correction pair is not configured: ``ScenarioSpec`` derives
+it from the far-field velocities and alpha.
 """
 
 from __future__ import annotations
 
 import configparser
 import difflib
-import io
 from dataclasses import dataclass
 
 from .closures import gamma_law_closure, m1_closure
-from .corrections import CorrectionField, make_mollifier
 from .diffusion_wave import solve_profile
 from .solver import PerturbationSpec, ScenarioSpec, smallness_errors, wave_strength
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config", "PRESETS"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "PRESETS"]
 
 
 class ConfigError(ValueError):
@@ -36,7 +39,6 @@ class RunConfig:
     """Validated flat view of a run configuration."""
 
     closure_name: str = "gamma_law"
-    sigma: float = 1.0
     gamma: float = 2.0
     alpha: float = 1.0
     preset: str | None = None
@@ -51,15 +53,11 @@ class RunConfig:
     x_max: float | None = None
     end_time: float = 500.0
     cfl: float = 0.45
-    mollifier_shape: str = "bump"
-    mollifier_center: float = 0.0
-    mollifier_half_width: float = 1.0
 
 
 # (section, key) -> (config field, converter)
 _SCHEMA = {
     ("closure", "name"): ("closure_name", str),
-    ("closure", "sigma"): ("sigma", float),
     ("closure", "gamma"): ("gamma", float),
     ("closure", "alpha"): ("alpha", float),
     ("scenario", "preset"): ("preset", str),
@@ -74,17 +72,16 @@ _SCHEMA = {
     ("grid", "x_max"): ("x_max", lambda s: None if s == "auto" else float(s)),
     ("time", "end"): ("end_time", float),
     ("time", "cfl"): ("cfl", float),
-    ("mollifier", "shape"): ("mollifier_shape", str),
-    ("mollifier", "center"): ("mollifier_center", float),
-    ("mollifier", "half_width"): ("mollifier_half_width", float),
 }
+
+# retired keys whose value now lives under another key of the same section
+_FOLDED = {("closure", "sigma"): "alpha"}
 
 # Scenario presets; "m1-default" is the long verification scenario for
 # the radiative closure, "gamma-default" the gas-dynamics counterpart.
 PRESETS = {
     "m1-default": {
         "closure_name": "m1",
-        "sigma": 1.0,
         "alpha": 1.0,
         "v_minus": 1.0,
         "v_plus": 1.1,
@@ -139,18 +136,12 @@ def _validate(cfg: RunConfig, errors: list):
         errors.append("grid.n_cells must be at least 64")
     if cfg.end_time < 0.0:
         errors.append("time.end must be nonnegative")
-    if cfg.sigma <= 0.0:
-        errors.append("closure.sigma must be positive")
     if cfg.alpha <= 0.0:
         errors.append("closure.alpha must be positive")
     if cfg.gamma < 1.0:
         errors.append("closure.gamma must be >= 1")
     if cfg.v_minus <= 0.0 or cfg.v_plus <= 0.0:
         errors.append("far-field volumes must be positive")
-    if cfg.mollifier_shape not in ("bump", "cosine"):
-        errors.append("mollifier.shape must be 'bump' or 'cosine'")
-    if cfg.mollifier_half_width <= 0.0:
-        errors.append("mollifier.half_width must be positive")
     if cfg.perturbation_width <= 0.0:
         errors.append("scenario.perturbation_width must be positive")
     if cfg.x_max is not None and cfg.x_max <= 0.0:
@@ -191,6 +182,8 @@ def parse_config(text: str) -> RunConfig:
             if (section, key) not in _SCHEMA:
                 candidates = [k for (s, k) in _SCHEMA if s == section]
                 near = difflib.get_close_matches(key, candidates, n=1)
+                if (section, key) in _FOLDED:
+                    near = [_FOLDED[section, key]]
                 hint = f"; did you mean '{near[0]}'?" if near else ""
                 errors.append(f"unknown key '{key}' in [{section}]{hint}")
                 continue
@@ -200,6 +193,7 @@ def parse_config(text: str) -> RunConfig:
             except ValueError:
                 errors.append(f"bad value for {section}.{key}: {raw!r}")
 
+    given = set(values)  # the document's own keys, before any preset
     preset = values.get("preset")
     if preset is not None:
         if preset not in PRESETS:
@@ -214,39 +208,21 @@ def parse_config(text: str) -> RunConfig:
     # range-check whatever did parse so one failure reports everything
     cfg = RunConfig(**values)
     _validate(cfg, errors)
+    if cfg.closure_name == "m1" and "gamma" in given:
+        errors.append("closure.gamma does not apply to the m1 closure; remove it")
     if errors:
         raise ConfigError(errors)
     return cfg
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Render a RunConfig as INI text; parse(serialize(c)) == c."""
-    parser = configparser.ConfigParser()
-    by_section: dict[str, dict[str, str]] = {}
-    for (section, key), (field_name, _) in _SCHEMA.items():
-        val = getattr(cfg, field_name)
-        if field_name == "preset":
-            continue  # presets are already expanded
-        if val is None:
-            val = "auto"
-        by_section.setdefault(section, {})[key] = format(val, ".17g") if isinstance(
-            val, float
-        ) else str(val)
-    for section in ("closure", "scenario", "grid", "time", "mollifier"):
-        parser[section] = by_section.get(section, {})
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
-
-
 def build_scenario(cfg: RunConfig):
-    """Instantiate the scenario, its correction pair and its wave profile.
+    """Instantiate the scenario and its wave profile.
 
-    Returns ``(spec, corr, profile)``; the profile is solved on the
-    config's ``n_cells``.
+    Returns ``(spec, profile)``; the profile is solved on the config's
+    ``n_cells``, and ``spec.corr`` is the scenario's correction pair.
     """
     if cfg.closure_name == "m1":
-        closure = m1_closure(cfg.sigma)
+        closure = m1_closure(cfg.alpha)
     else:
         closure = gamma_law_closure(cfg.gamma, cfg.alpha)
 
@@ -266,11 +242,5 @@ def build_scenario(cfg: RunConfig):
         end_time=cfg.end_time,
         cfl=cfg.cfl,
     )
-    moll = make_mollifier(
-        cfg.mollifier_shape, cfg.mollifier_center, cfg.mollifier_half_width
-    )
-    corr = CorrectionField(
-        u_minus=cfg.u_minus, u_plus=cfg.u_plus, alpha=closure.alpha, mollifier=moll
-    )
     profile = solve_profile(closure, cfg.v_minus, cfg.v_plus, n_cells=cfg.n_cells)
-    return spec, corr, profile
+    return spec, profile

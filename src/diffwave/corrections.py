@@ -47,7 +47,6 @@ class Mollifier:
     """Smooth nonnegative bump with unit integral and compact support."""
 
     shape: str
-    support: tuple[float, float]
     normalization: float
     _center: float = field(repr=False, default=0.0)
     _half_width: float = field(repr=False, default=1.0)
@@ -115,7 +114,6 @@ def make_mollifier(
     if half_width <= 0.0:
         raise ValueError("half_width must be positive")
 
-    support = (center - half_width, center + half_width)
     if shape == "bump":
         raw, _ = quad(lambda s: np.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0)
         normalization = 1.0 / (raw * half_width)
@@ -124,7 +122,6 @@ def make_mollifier(
 
     moll = Mollifier(
         shape=shape,
-        support=support,
         normalization=normalization,
         _center=center,
         _half_width=half_width,
@@ -132,7 +129,7 @@ def make_mollifier(
     # Cumulative table by composite Simpson on a fine symmetric grid;
     # interpolation error is far below the quadrature tolerance used in
     # the shift computation.
-    xs = np.linspace(support[0], support[1], _CUMULATIVE_NODES)
+    xs = np.linspace(center - half_width, center + half_width, _CUMULATIVE_NODES)
     ys = moll(xs)
     from scipy.integrate import cumulative_simpson
 

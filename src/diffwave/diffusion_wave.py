@@ -60,10 +60,14 @@ class WaveProfile:
     d4phi: np.ndarray
     v_minus: float
     v_plus: float
-    alpha: float
     closure: ModelClosure
     residual: float = 0.0
     _splines: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def alpha(self) -> float:
+        """The damping constant: the closure's alpha."""
+        return self.closure.alpha
 
     @property
     def xi_max(self) -> float:
@@ -252,7 +256,6 @@ def solve_profile(
             d4phi=zeros.copy(),
             v_minus=float(v_minus),
             v_plus=float(v_plus),
-            alpha=float(alpha),
             closure=closure,
         )
 
@@ -326,7 +329,6 @@ def solve_profile(
         d4phi=d4,
         v_minus=float(v_minus),
         v_plus=float(v_plus),
-        alpha=float(alpha),
         closure=closure,
         residual=float(rnorm),
     )

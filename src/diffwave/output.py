@@ -12,6 +12,8 @@ import os
 
 import numpy as np
 
+from .diagnostics import NORM_KEYS
+
 __all__ = [
     "SERIES_COLUMNS",
     "write_series_csv",
@@ -20,19 +22,7 @@ __all__ = [
     "emit_loglog_svg",
 ]
 
-SERIES_COLUMNS = (
-    "t",
-    "l2_V",
-    "l2_Vx",
-    "l2_Vxx",
-    "l2_Vxxx",
-    "l2_z",
-    "l2_zx",
-    "l2_zxx",
-    "linf_V",
-    "linf_z",
-    "mass_residual",
-)
+SERIES_COLUMNS = ("t", *NORM_KEYS, "mass_residual")
 
 
 def _fmt(x) -> str:
@@ -45,7 +35,7 @@ def write_series_csv(path, series) -> None:
     times = series.times()
     for i, t in enumerate(times):
         row = [_fmt(t)]
-        for key in SERIES_COLUMNS[1:-1]:
+        for key in NORM_KEYS:
             row.append(_fmt(series.norms[key][i]))
         row.append(_fmt(series.mass_residual[i]))
         lines.append(",".join(row))

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closures import ModelClosure, flux_and_speed, momentum_flux, wave_speed_bound
-from .corrections import CorrectionField, eval_uhat, eval_vhat
+from .corrections import CorrectionField, eval_uhat, eval_vhat, make_mollifier
 from .diffusion_wave import WaveProfile, eval_ubar, eval_vbar
 
 __all__ = [
@@ -64,6 +64,10 @@ __all__ = [
 # and the admissibility checks assume states stay near the wave.
 MAX_WAVE_STRENGTH = 0.5
 MAX_PERTURBATION_AMPLITUDE = 0.1
+
+# the unit-mass mollifier of every scenario's correction pair; the wave
+# shift depends on its mass alone, not on its shape
+_UNIT_BUMP = make_mollifier("bump")
 
 
 def wave_strength(v_minus, v_plus, u_minus, u_plus) -> float:
@@ -150,7 +154,12 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Complete description of one simulation scenario."""
+    """Complete description of one simulation scenario.
+
+    ``corr`` is the scenario's correction pair (vhat, uhat), derived once
+    from ``u_minus``, ``u_plus``, the closure's alpha and the unit bump on
+    [-1, 1]; it takes no part in ``==`` or ``repr``.
+    """
 
     closure: ModelClosure
     v_minus: float
@@ -162,6 +171,7 @@ class ScenarioSpec:
     x_max: float | None = None  # None: set from propagation distance
     end_time: float = 500.0
     cfl: float = 0.45
+    corr: CorrectionField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.cfl < 1.0:
@@ -169,6 +179,8 @@ class ScenarioSpec:
         errors = smallness_errors(self.wave_strength, self.perturbation.amplitude)
         if errors:
             raise ValueError("; ".join(errors))
+        corr = CorrectionField(self.u_minus, self.u_plus, self.closure.alpha, _UNIT_BUMP)
+        object.__setattr__(self, "corr", corr)
 
     @property
     def wave_strength(self) -> float:
@@ -221,9 +233,7 @@ def lagrangian_transform(x_grid, rho0, u0, n_cells: int | None = None):
     return m_uniform, v0, u0_lag
 
 
-def build_initial_data(
-    spec: ScenarioSpec, profile: WaveProfile, corr: CorrectionField
-) -> SimState:
+def build_initial_data(spec: ScenarioSpec, profile: WaveProfile) -> SimState:
     """Initial state: diffusion wave + correction pair + compact bump.
 
     v0 = vbar(., 0) + vhat(., 0) + perturbation
@@ -238,8 +248,8 @@ def build_initial_data(
     x = -half + (np.arange(spec.n_cells) + 0.5) * dx
 
     pert = spec.perturbation(x)
-    v0 = eval_vbar(profile, x, 0.0) + eval_vhat(corr, x, 0.0) + pert
-    u0 = eval_ubar(profile, x, 0.0) + eval_uhat(corr, x, 0.0) + pert
+    v0 = eval_vbar(profile, x, 0.0) + eval_vhat(spec.corr, x, 0.0) + pert
+    u0 = eval_ubar(profile, x, 0.0) + eval_uhat(spec.corr, x, 0.0) + pert
 
     for name, got, want in (
         ("v left", v0[0], spec.v_minus),
@@ -377,8 +387,8 @@ def step(state: SimState, dt: float, u_minus: float, u_plus: float) -> SimState:
         raise BlowUpError(f"vacuum reached in cell {bad} at t={t_new:.6g}")
     if closure.name == "m1" and u_max > 1.0:
         warnings.warn(
-            f"|u| exceeded 1 at t={t_new:.6g}; states remain inside the "
-            "closure box but outside the physical flux limit",
+            f"|u| exceeded 1 at t={t_new:.6g}; the state has left the closure "
+            f"box |u| <= {closure.u_range[1]:g} and the physical flux limit",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -405,13 +415,7 @@ def advance(
     return state
 
 
-def run(
-    spec: ScenarioSpec,
-    profile: WaveProfile,
-    corr: CorrectionField,
-    sample_times,
-    store_z: bool = True,
-):
+def run(spec: ScenarioSpec, profile: WaveProfile, sample_times, store_z: bool = True):
     """Evolve a scenario and record perturbation diagnostics.
 
     Builds the initial data, fixes the wave shift x0 from it, then
@@ -425,7 +429,8 @@ def run(
     from .corrections import compute_shift_x0
     from .diagnostics import DiagnosticsSeries, build_fields, conserved_mass, field_norms
 
-    state = build_initial_data(spec, profile, corr)
+    corr = spec.corr
+    state = build_initial_data(spec, profile)
     if profile.is_constant:
         x0 = 0.0
     else:

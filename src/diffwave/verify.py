@@ -116,12 +116,10 @@ class CriterionResult:
 
 
 def _run_long_scenario(preset: str):
-    spec, corr, profile = build_scenario(
-        parse_config(f"[scenario]\npreset = {preset}\n")
-    )
+    spec, profile = build_scenario(parse_config(f"[scenario]\npreset = {preset}\n"))
     samples = np.arange(0.0, spec.end_time + 0.5, 5.0)
-    series = run(spec, profile, corr, samples, store_z=True)
-    return spec, corr, profile, series
+    series = run(spec, profile, samples, store_z=True)
+    return spec, profile, series
 
 
 def check_profile_correctness() -> CriterionResult:
@@ -246,7 +244,6 @@ def check_solver_baseline() -> CriterionResult:
 
     # grid convergence on a smooth small-amplitude wave
     profile = solve_profile(clo, 1.0, 1.05, n_cells=4096)
-    corr = CorrectionField(0.0, 0.0, 1.0, make_mollifier("bump"))
 
     def solve_at(n_cells):
         spec = ScenarioSpec(
@@ -259,7 +256,7 @@ def check_solver_baseline() -> CriterionResult:
             end_time=2.0,
             cfl=0.4,
         )
-        return advance(build_initial_data(spec, profile, corr), 2.0, 0.4, 0.0, 0.0)
+        return advance(build_initial_data(spec, profile), 2.0, 0.4, 0.0, 0.0)
 
     s512, s1024, s2048 = (solve_at(m) for m in (512, 1024, 2048))
 
@@ -332,7 +329,7 @@ def check_improved_rates(series) -> CriterionResult:
     )
 
 
-def check_m1_run(series, spec, profile, corr) -> CriterionResult:
+def check_m1_run(series, spec, profile) -> CriterionResult:
     """P7: improved rates, admissibility, and residual order for the radiative run."""
     rows = _rate_rows(series, IMPROVED_GATED, l1_condition=True)
     rates_ok = all(r["passed"] for r in rows.values())
@@ -343,13 +340,13 @@ def check_m1_run(series, spec, profile, corr) -> CriterionResult:
     # time difference, and measured in rms where the scheme order shows
     def resid_at(n_cells, t_snap=80.0, spacing=1.0):
         sp = replace(spec, n_cells=n_cells, x_max=60.0, end_time=t_snap + 2 * spacing)
-        st = build_initial_data(sp, profile, corr)
-        x0 = compute_shift_x0(st.x_centers, st.v, profile, corr)
+        st = build_initial_data(sp, profile)
+        x0 = compute_shift_x0(st.x_centers, st.v, profile, sp.corr)
         snaps = []
         for target in (t_snap, t_snap + spacing, t_snap + 2 * spacing):
             st = advance(st, target, sp.cfl, sp.u_minus, sp.u_plus)
             snaps.append(st)
-        return residual_check(tuple(snaps), profile, x0, corr).rms_residual
+        return residual_check(tuple(snaps), profile, x0, sp.corr).rms_residual
 
     ratio = resid_at(1024) / resid_at(2048)
 
@@ -395,7 +392,6 @@ def small_series():
     """
     clo = gamma_law_closure(2.0, 1.0)
     profile = solve_profile(clo, 1.0, 1.05, n_cells=1024)
-    corr = CorrectionField(0.0, 0.0, 1.0, make_mollifier("bump"))
     spec = ScenarioSpec(
         closure=clo,
         v_minus=1.0,
@@ -406,7 +402,7 @@ def small_series():
         end_time=3.0,
         cfl=0.45,
     )
-    return run(spec, profile, corr, np.linspace(0.0, 3.0, 7), store_z=False)
+    return run(spec, profile, np.linspace(0.0, 3.0, 7), store_z=False)
 
 
 def check_determinism(tmp_dir) -> CriterionResult:
@@ -442,8 +438,8 @@ def run_acceptance(fast: bool = False, out_dir: str = "verify_out"):
         for cid in ("P4", "P5", "P6", "P7", "P8"):
             results.append(CriterionResult(cid, True, {}, skipped=True))
     else:
-        series_g = _run_long_scenario("gamma-default")[3]
-        spec_m, corr_m, prof_m, series_m = _run_long_scenario("m1-default")
+        series_g = _run_long_scenario("gamma-default")[2]
+        spec_m, prof_m, series_m = _run_long_scenario("m1-default")
 
         write_series_csv(os.path.join(out_dir, "series_gamma.csv"), series_g)
         write_series_csv(os.path.join(out_dir, "series_m1.csv"), series_m)
@@ -453,7 +449,7 @@ def run_acceptance(fast: bool = False, out_dir: str = "verify_out"):
         results.append(check_conservation(series_g))
         results.append(check_base_rates(series_g))
         results.append(check_improved_rates(series_g))
-        results.append(check_m1_run(series_m, spec_m, prof_m, corr_m))
+        results.append(check_m1_run(series_m, spec_m, prof_m))
         results.append(check_higher_derivatives(series_g))
 
     results.append(check_determinism(out_dir))

@@ -3,15 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from diffwave.config import (
-    PRESETS,
-    ConfigError,
-    RunConfig,
-    build_scenario,
-    parse_config,
-    serialize_config,
-)
-from diffwave.diagnostics import DiagnosticsSeries
+from diffwave import config
+from diffwave.config import PRESETS, ConfigError, build_scenario, parse_config
+from diffwave.diagnostics import NORM_KEYS, DiagnosticsSeries
 from diffwave.output import (
     SERIES_COLUMNS,
     emit_loglog_svg,
@@ -56,7 +50,7 @@ def test_errors_are_collected_not_fail_fast():
 def test_preset_expands_to_acceptance_scenario():
     cfg = parse_config("[scenario]\npreset = m1-default\n")
     assert cfg.closure_name == "m1"
-    assert cfg.sigma == 1.0
+    assert cfg.alpha == 1.0
     assert cfg.v_minus == 1.0 and cfg.v_plus == 1.1
     assert cfg.u_minus == 0.0 and cfg.u_plus == 0.05
     assert cfg.perturbation_amplitude == 0.01
@@ -76,29 +70,69 @@ def test_preset_table_regression():
     assert PRESETS["m1-default"]["cfl"] == 0.45
 
 
-def test_config_round_trip():
-    cfg = parse_config("[scenario]\npreset = gamma-default\n")
-    text = serialize_config(cfg)
-    cfg2 = parse_config(text)
-    assert cfg2 == RunConfig(**{**cfg.__dict__, "preset": None})
+def test_config_keys_are_fixed():
+    """Every settable key is a literal here: adding a knob means editing this test."""
+    assert list(config._SCHEMA) == [
+        ("closure", "name"),
+        ("closure", "gamma"),
+        ("closure", "alpha"),
+        ("scenario", "preset"),
+        ("scenario", "v_minus"),
+        ("scenario", "v_plus"),
+        ("scenario", "u_minus"),
+        ("scenario", "u_plus"),
+        ("scenario", "perturbation_amplitude"),
+        ("scenario", "perturbation_center"),
+        ("scenario", "perturbation_width"),
+        ("grid", "n_cells"),
+        ("grid", "x_max"),
+        ("time", "end"),
+        ("time", "cfl"),
+    ]
 
 
 def test_build_scenario_wiring():
     cfg = parse_config("[scenario]\npreset = m1-default\n")
-    spec, corr, profile = build_scenario(cfg)
+    spec, profile = build_scenario(cfg)
     assert spec.closure.name == "m1"
     assert len(profile.xi_grid) == cfg.n_cells + 1
     assert (profile.v_minus, profile.v_plus) == (spec.v_minus, spec.v_plus)
     assert spec.wave_strength == pytest.approx(0.15)
-    assert corr.u_plus == 0.05
-    assert corr.mollifier.shape == "bump"
+    assert (spec.corr.u_minus, spec.corr.u_plus) == (0.0, 0.05)
+    assert spec.corr.mollifier.shape == "bump"
+
+
+def test_alpha_reaches_closure_correction_and_profile():
+    """One damping key: an m1 override moves every holder of alpha."""
+    spec, profile = build_scenario(
+        parse_config("[scenario]\npreset = m1-default\n[closure]\nalpha = 2.0\n")
+    )
+    assert spec.closure.name == "m1"
+    assert (spec.closure.alpha, spec.corr.alpha, profile.alpha) == (2.0, 2.0, 2.0)
+
+
+def test_retired_and_foreign_closure_keys_are_errors(tmp_path, capsys):
+    from diffwave.cli import main
+
+    cases = {
+        "sigma = 1\n": "unknown key 'sigma' in [closure]; did you mean 'alpha'?",
+        "gamma = 1.4\n": "closure.gamma does not apply to the m1 closure",
+    }
+    for line, message in cases.items():
+        path = tmp_path / "m1.ini"
+        path.write_text("[scenario]\npreset = m1-default\n[closure]\n" + line)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+    # a preset's own gamma is not the document's: naming m1 over it is fine
+    cfg = parse_config("[scenario]\npreset = gamma-default\n[closure]\nname = m1\n")
+    assert cfg.closure_name == "m1" and cfg.gamma == 2.0
 
 
 def _tiny_series(n_samples=3):
     series = DiagnosticsSeries(x0=0.25)
     for i in range(n_samples):
         t = float(i)
-        norms = {k: 1.0 / (1.0 + t) for k in SERIES_COLUMNS[1:-1]}
+        norms = {k: 1.0 / (1.0 + t) for k in NORM_KEYS}
         series.append(t, norms, 1e-9 * i)
     return series
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from diffwave import config, diagnostics, gamma_law_closure, solve_profile, solver
-from diffwave.corrections import CorrectionField, make_mollifier
 from diffwave.diagnostics import (
     BASE_TARGETS,
     IMPROVED_TARGETS,
@@ -41,18 +40,19 @@ def gamma_profile(gamma_closure):
 
 
 @pytest.fixture()
-def null_corr():
-    return CorrectionField(0.0, 0.0, 1.0, make_mollifier("bump"))
+def null_corr(gamma_closure):
+    """The correction pair of a scenario with no far-field velocity jump."""
+    return ScenarioSpec(closure=gamma_closure, v_minus=1.0, v_plus=1.0).corr
 
 
-def test_fields_vanish_on_exact_data(gamma_closure, gamma_profile, null_corr):
+def test_fields_vanish_on_exact_data(gamma_closure, gamma_profile):
     spec = ScenarioSpec(
         closure=gamma_closure, v_minus=1.0, v_plus=1.1,
         perturbation=PerturbationSpec(amplitude=0.0),
         n_cells=2048, x_max=60.0, end_time=1.0,
     )
-    state = build_initial_data(spec, gamma_profile, null_corr)
-    fields = build_fields(state, gamma_profile, 0.0, null_corr)
+    state = build_initial_data(spec, gamma_profile)
+    fields = build_fields(state, gamma_profile, 0.0, spec.corr)
     assert np.max(np.abs(fields.V)) < 1e-12
     assert np.max(np.abs(fields.z)) < 1e-12
     assert abs(conserved_mass(fields)) < 1e-12
@@ -77,9 +77,7 @@ def test_fields_shift_cancellation(gamma_closure, gamma_profile, null_corr):
     assert np.max(np.abs(fields.z)) < 1e-10
 
 
-def test_initial_v_norm_against_independent_quadrature(
-    gamma_closure, gamma_profile, null_corr
-):
+def test_initial_v_norm_against_independent_quadrature(gamma_closure, gamma_profile):
     """Rebuild ||V(0)|| by Simpson quadrature of the shifted integrand."""
     from scipy.integrate import cumulative_simpson, simpson
 
@@ -91,9 +89,9 @@ def test_initial_v_norm_against_independent_quadrature(
         perturbation=PerturbationSpec(amplitude=0.01, center=0.0, width=2.0),
         n_cells=8192, x_max=60.0, end_time=1.0,
     )
-    state = build_initial_data(spec, gamma_profile, null_corr)
-    x0 = compute_shift_x0(state.x_centers, state.v, gamma_profile, null_corr)
-    fields = build_fields(state, gamma_profile, x0, null_corr)
+    state = build_initial_data(spec, gamma_profile)
+    x0 = compute_shift_x0(state.x_centers, state.v, gamma_profile, spec.corr)
+    fields = build_fields(state, gamma_profile, x0, spec.corr)
 
     x = state.x_centers
     w_indep = state.v - eval_vbar(gamma_profile, x + x0, 0.0)
@@ -104,15 +102,15 @@ def test_initial_v_norm_against_independent_quadrature(
     assert field_norms(fields)["l2_V"] == pytest.approx(l2_indep, rel=1e-4)
 
 
-def test_vx_differencing_consistency(gamma_closure, gamma_profile, null_corr):
+def test_vx_differencing_consistency(gamma_closure, gamma_profile):
     """Differenced V must reproduce the integrand w at second order."""
     spec = ScenarioSpec(
         closure=gamma_closure, v_minus=1.0, v_plus=1.1,
         perturbation=PerturbationSpec(amplitude=0.01, width=3.0),
         n_cells=4096, x_max=60.0, end_time=1.0,
     )
-    state = build_initial_data(spec, gamma_profile, null_corr)
-    fields = build_fields(state, gamma_profile, 0.1, null_corr)
+    state = build_initial_data(spec, gamma_profile)
+    fields = build_fields(state, gamma_profile, 0.1, spec.corr)
     dV = np.gradient(fields.V, state.dx)
     interior = slice(2, -2)
     assert np.max(np.abs(dV[interior] - fields.Vx[interior])) < 5.0 * state.dx**2
@@ -305,13 +303,13 @@ def test_time_derivative_norms_synthetic():
         time_derivative_norms(bad, dx)
 
 
-def test_monotone_decay_after_transient(gamma_closure, gamma_profile, null_corr):
+def test_monotone_decay_after_transient(gamma_closure, gamma_profile):
     spec = ScenarioSpec(
         closure=gamma_closure, v_minus=1.0, v_plus=1.1,
         perturbation=PerturbationSpec(amplitude=0.01, width=2.0),
         n_cells=2048, x_max=80.0, end_time=40.0,
     )
-    series = run(spec, gamma_profile, null_corr, np.arange(0.0, 41.0, 2.0))
+    series = run(spec, gamma_profile, np.arange(0.0, 41.0, 2.0))
     vals = series.series("l2_V")
     t = series.times()
     late = vals[t >= 10.0]
@@ -322,9 +320,9 @@ def test_monotone_decay_after_transient(gamma_closure, gamma_profile, null_corr)
 def m1_ledger_case():
     """m1-default at 4096 cells on its t = 500 domain, run to t = 20."""
     cfg = config.parse_config("[scenario]\npreset = m1-default\n[grid]\nn_cells = 4096\n")
-    spec, corr, profile = config.build_scenario(cfg)
+    spec, profile = config.build_scenario(cfg)
     spec = dataclasses.replace(spec, x_max=spec.domain_half_width(), end_time=20.0)
-    return spec, profile, corr
+    return spec, profile
 
 
 def test_m1_mass_ledger_closes_to_rounding(m1_ledger_case):
@@ -333,14 +331,14 @@ def test_m1_mass_ledger_closes_to_rounding(m1_ledger_case):
     Point values of vhat left the bump mollifier's midpoint-rule mass error,
     8.2e-7 at this grid, in the residual.
     """
-    spec, profile, corr = m1_ledger_case
+    spec, profile = m1_ledger_case
     assert spec.u_plus != spec.u_minus
-    series = run(spec, profile, corr, np.linspace(0.0, 20.0, 21), store_z=False)
+    series = run(spec, profile, np.linspace(0.0, 20.0, 21), store_z=False)
     assert max(abs(m) for m in series.mass_residual) <= 1e-10
 
 
 def test_m1_mass_ledger_shows_an_injected_leak(m1_ledger_case, monkeypatch):
-    spec, profile, corr = m1_ledger_case
+    spec, profile = m1_ledger_case
     leak = 1e-9
     true_step = solver.step
 
@@ -351,7 +349,7 @@ def test_m1_mass_ledger_shows_an_injected_leak(m1_ledger_case, monkeypatch):
         return new
 
     monkeypatch.setattr(solver, "step", leaky_step)
-    series = run(spec, profile, corr, np.linspace(0.0, 20.0, 21), store_z=False)
+    series = run(spec, profile, np.linspace(0.0, 20.0, 21), store_z=False)
     t = series.times()
     mass = np.asarray(series.mass_residual)
     assert np.all(np.abs(mass[t < 10.0]) <= 1e-10)

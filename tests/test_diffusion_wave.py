@@ -115,7 +115,6 @@ def _sine_profile():
         d4phi=0.003125 * np.sin(0.5 * xi),
         v_minus=1.05,
         v_plus=1.15,
-        alpha=1.0,
         closure=linear_closure(1.0),
     )
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from diffwave import HyperbolicityError, gamma_law_closure, solve_profile
-from diffwave.corrections import CorrectionField, make_mollifier
 from diffwave.solver import (
     BlowUpError,
     PerturbationSpec,
@@ -18,11 +17,6 @@ from diffwave.solver import (
     run,
     step,
 )
-
-
-@pytest.fixture()
-def null_corr():
-    return CorrectionField(0.0, 0.0, 1.0, make_mollifier("bump"))
 
 
 def test_lagrangian_transform_identity():
@@ -67,14 +61,14 @@ def test_lagrangian_transform_rejects_vacuum():
         lagrangian_transform(x, rho, np.zeros_like(x))
 
 
-def test_build_initial_data_pure_wave(gamma_closure, null_corr):
+def test_build_initial_data_pure_wave(gamma_closure):
     profile = solve_profile(gamma_closure, 1.0, 1.1, n_cells=4096)
     spec = ScenarioSpec(
         closure=gamma_closure, v_minus=1.0, v_plus=1.1,
         perturbation=PerturbationSpec(amplitude=0.0),
         n_cells=1024, x_max=60.0, end_time=1.0,
     )
-    state = build_initial_data(spec, profile, null_corr)
+    state = build_initial_data(spec, profile)
     from diffwave import eval_ubar, eval_vbar
 
     x = state.x_centers
@@ -82,19 +76,19 @@ def test_build_initial_data_pure_wave(gamma_closure, null_corr):
     assert np.allclose(state.u, eval_ubar(profile, x, 0.0), atol=1e-14)
 
 
-def test_build_initial_data_constant_state(gamma_closure, null_corr):
+def test_build_initial_data_constant_state(gamma_closure):
     profile = solve_profile(gamma_closure, 1.0, 1.0, n_cells=128)
     spec = ScenarioSpec(
         closure=gamma_closure, v_minus=1.0, v_plus=1.0,
         perturbation=PerturbationSpec(amplitude=0.0),
         n_cells=256, x_max=20.0, end_time=1.0,
     )
-    state = build_initial_data(spec, profile, null_corr)
+    state = build_initial_data(spec, profile)
     assert np.all(state.v == 1.0)
     assert np.all(state.u == 0.0)
 
 
-def test_build_initial_data_far_field_check(gamma_closure, null_corr):
+def test_build_initial_data_far_field_check(gamma_closure):
     profile = solve_profile(gamma_closure, 1.0, 1.1, n_cells=4096)
     spec = ScenarioSpec(
         closure=gamma_closure, v_minus=1.0, v_plus=1.1,
@@ -102,7 +96,7 @@ def test_build_initial_data_far_field_check(gamma_closure, null_corr):
         n_cells=256, x_max=20.0, end_time=1.0,  # support touches the boundary
     )
     with pytest.raises(ValueError, match="far-field"):
-        build_initial_data(spec, profile, null_corr)
+        build_initial_data(spec, profile)
 
 
 def test_wave_strength_and_caps(gamma_closure):
@@ -120,6 +114,19 @@ def test_wave_strength_and_caps(gamma_closure):
             closure=gamma_closure, v_minus=1.0, v_plus=1.1,
             perturbation=PerturbationSpec(amplitude=0.5),
         )
+
+
+def test_spec_derives_its_correction_pair():
+    """u_minus, u_plus and alpha have one owner: the pair is read off the spec."""
+    closure = gamma_law_closure(2.0, 3.0)
+    spec = ScenarioSpec(closure=closure, v_minus=1.0, v_plus=1.1, u_plus=0.05)
+    corr = spec.corr
+    assert (corr.u_minus, corr.u_plus, corr.alpha) == (0.0, 0.05, 3.0)
+    assert corr.mollifier.shape == "bump" and corr.M0(1.0) == 1.0
+    # the pair takes no part in == or repr, and replace derives a new one
+    assert spec == ScenarioSpec(closure=closure, v_minus=1.0, v_plus=1.1, u_plus=0.05)
+    assert "corr" not in repr(spec)
+    assert dataclasses.replace(spec, u_minus=0.02).corr.u_minus == 0.02
 
 
 def test_cfl_dt_examples(gamma_closure, m1):
@@ -248,7 +255,7 @@ def test_max_abs_u_runs_over_every_step(gamma_closure):
     assert dataclasses.replace(end).max_abs_u == np.max(np.abs(end.u))
 
 
-def test_step_against_spectral_reference(gamma_closure, null_corr):
+def test_step_against_spectral_reference(gamma_closure):
     """Smooth compact wave vs an independent Fourier/RK4 integrator."""
     L = 20.0
     t_end = 1.0
@@ -336,25 +343,25 @@ def test_m1_warns_beyond_physical_flux_limit(m1):
         step(state, 1e-4, 1.05, 1.05)
 
 
-def test_run_end_time_zero(gamma_closure, null_corr):
+def test_run_end_time_zero(gamma_closure):
     profile = solve_profile(gamma_closure, 1.0, 1.1, n_cells=2048)
     spec = ScenarioSpec(
         closure=gamma_closure, v_minus=1.0, v_plus=1.1,
         perturbation=PerturbationSpec(amplitude=0.0),
         n_cells=512, x_max=40.0, end_time=0.0,
     )
-    series = run(spec, profile, null_corr, [0.0])
+    series = run(spec, profile, [0.0])
     assert series.t == [0.0]
 
 
-def test_run_constant_state_norms_vanish(gamma_closure, null_corr):
+def test_run_constant_state_norms_vanish(gamma_closure):
     profile = solve_profile(gamma_closure, 1.0, 1.0, n_cells=128)
     spec = ScenarioSpec(
         closure=gamma_closure, v_minus=1.0, v_plus=1.0,
         perturbation=PerturbationSpec(amplitude=0.0),
         n_cells=256, x_max=20.0, end_time=5.0,
     )
-    series = run(spec, profile, null_corr, np.linspace(0.0, 5.0, 6))
+    series = run(spec, profile, np.linspace(0.0, 5.0, 6))
     for key in ("l2_V", "l2_z", "linf_V", "linf_z"):
         assert max(series.norms[key]) < 1e-12
     assert max(abs(m) for m in series.mass_residual) < 1e-12

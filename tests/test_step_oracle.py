@@ -116,8 +116,8 @@ def _preset_state(preset, n_cells):
     cfg = config.parse_config(
         f"[scenario]\npreset = {preset}\n[grid]\nn_cells = {n_cells}\n"
     )
-    spec, corr, profile = config.build_scenario(cfg)
-    return spec, build_initial_data(spec, profile, corr)
+    spec, profile = config.build_scenario(cfg)
+    return spec, build_initial_data(spec, profile)
 
 
 @pytest.mark.parametrize("preset", ["gamma-default", "m1-default"])
