@@ -30,6 +30,22 @@ no step produced takes its speed bound from the cells.  The lag is safe
 because ``step`` checks the Courant number it actually runs at,
 dt * max face speed / dx, and raises ``BlowUpError`` above 1.
 
+``step`` computes only the cells that can change.  A cell's new value
+depends on dt, t and its stencil alone: the cell and two neighbours a side
+of the ghost-extended rows.  Every operation of the scheme acts elementwise,
+so two cells whose stencils hold the same bits compute the same bits.  The
+step finds the first and last neighbour pairs whose 64-bit patterns differ,
+which tells -0.0 from +0.0 and one NaN from another where ``==`` would not.
+It runs the scheme on the window of cells whose stencil touches such a pair,
+plus one uniform cell at each end, and fills each far field with the value
+its end cell computed.  Outside faces repeat the window's end faces, so the
+speed bound and the state checks lose nothing.  The result is the full-width
+step's bit for bit, and a constant state still goes through the flux, on a
+one-cell window.  The decay runs keep their far field bitwise uniform: over
+t = 100 the window averages 52 % of the grid on gamma-default and 82 % on
+m1-default, whose right ghost u_plus exp(-alpha (t + dt/2)) differs from
+the damped interior cells by rounding.
+
 The solver works in the mass (Lagrangian) coordinate throughout;
 ``lagrangian_transform`` maps Eulerian initial data into that frame.
 """
@@ -307,13 +323,16 @@ def step(state: SimState, dt: float, u_minus: float, u_plus: float) -> SimState:
     """One Strang-split step of size dt.
 
     u_minus / u_plus are the undamped far-field constants; the ghost
-    cells carry them damped to the transport time.  The successor state
+    cells carry them damped to the transport time.  Only the window of
+    cells whose stencil is not bitwise uniform is computed (module
+    docstring); error messages name domain cells.  The successor state
     records the largest face speed of the step as its ``speed_bound`` and
     carries the running ``max_abs_u`` forward.
     """
     closure = state.closure
     alpha = closure.alpha
     dx = state.dx
+    n = state.n_cells
     v = state.v
 
     half_damp = np.exp(-0.5 * alpha * dt)
@@ -321,7 +340,7 @@ def step(state: SimState, dt: float, u_minus: float, u_plus: float) -> SimState:
 
     # rows (v, u) with two ghost cells a side; the ghost cells follow the
     # damped far-field law at the transport time
-    w = np.empty((2, state.n_cells + 4))
+    w = np.empty((2, n + 4))
     w[0, :2] = v[0]
     w[0, 2:-2] = v
     w[0, -2:] = v[-1]
@@ -329,8 +348,24 @@ def step(state: SimState, dt: float, u_minus: float, u_plus: float) -> SimState:
     np.multiply(state.u, half_damp, out=w[1, 2:-2])
     w[1, -2:] = u_plus * far_decay
 
+    # the window of m = hi - lo cells lo .. hi-1: every cell whose stencil
+    # (extended cells i .. i+4) holds two different bit patterns, plus one
+    # uniform cell at each end; the cells outside repeat the window's ends
+    bits = w.view(np.int64)
+    jump = bits[:, 1:] != bits[:, :-1]
+    jumps = np.flatnonzero(jump[0] | jump[1])
+    if jumps.size:
+        lo, hi = max(int(jumps[0]) - 4, 0), min(int(jumps[-1]) + 2, n)
+    else:
+        lo, hi = 0, 1
+    w = w[:, lo:hi + 4]
+
+    def cell(k):
+        """Domain index of window cell or face k; left of lo all repeat k = 0."""
+        return lo + k if k else 0
+
     # minmod slopes, and the values at the left and right edge of cells
-    # 1 .. n+2 of the extended rows
+    # 1 .. m+2 of the extended window
     half_slope = 0.5 * _minmod(w[:, 1:] - w[:, :-1])
     centre = w[:, 1:-1]
     at_l = centre - half_slope
@@ -349,11 +384,11 @@ def step(state: SimState, dt: float, u_minus: float, u_plus: float) -> SimState:
     at_l += pred
     at_r += pred
 
-    # local Lax-Friedrichs flux on the n+1 interior faces
+    # local Lax-Friedrichs flux on the m+1 faces of the window
     left, right = at_r[:, :-1], at_l[:, 1:]
     (vL, uL), (vR, uR) = left, right
     if vL.min() <= 0.0 or vR.min() <= 0.0:
-        bad = int(np.argmax((vL <= 0.0) | (vR <= 0.0)))
+        bad = cell(int(np.argmax((vL <= 0.0) | (vR <= 0.0))))
         raise BlowUpError(
             f"negative specific volume in reconstruction near cell {bad} "
             f"at t={state.t:.6g}"
@@ -373,17 +408,18 @@ def step(state: SimState, dt: float, u_minus: float, u_plus: float) -> SimState:
     np.subtract((0.5 * kappa) * (-uL - uR), flux[0], out=flux[0])
     np.subtract(0.5 * (fuL + fuR), flux[1], out=flux[1])
 
-    v_new, u_new = w[:, 2:-2] - (dt / dx) * (flux[:, 1:] - flux[:, :-1])
-    u_new *= half_damp
+    win = w[:, 2:-2] - (dt / dx) * (flux[:, 1:] - flux[:, :-1])
+    v_win, u_win = win
+    u_win *= half_damp
     t_new = state.t + dt
 
-    v_min, v_max, u_max = v_new.min(), v_new.max(), np.abs(u_new).max()
+    v_min, v_max, u_max = v_win.min(), v_win.max(), np.abs(u_win).max()
     if not (v_min > 0.0 and v_max < np.inf and u_max < np.inf):
-        finite = np.isfinite(v_new) & np.isfinite(u_new)
+        finite = np.isfinite(v_win) & np.isfinite(u_win)
         if not finite.all():
-            bad = int(np.argmax(~finite))
+            bad = cell(int(np.argmax(~finite)))
             raise BlowUpError(f"non-finite state in cell {bad} at t={t_new:.6g}")
-        bad = int(np.argmax(v_new <= 0.0))
+        bad = cell(int(np.argmax(v_win <= 0.0)))
         raise BlowUpError(f"vacuum reached in cell {bad} at t={t_new:.6g}")
     if closure.name == "m1" and u_max > 1.0:
         warnings.warn(
@@ -392,6 +428,13 @@ def step(state: SimState, dt: float, u_minus: float, u_plus: float) -> SimState:
             RuntimeWarning,
             stacklevel=2,
         )
+
+    # each far field takes the value its end cell computed
+    rows = np.empty((2, n))
+    rows[:, lo:hi] = win
+    rows[:, :lo] = win[:, :1]
+    rows[:, hi:] = win[:, -1:]
+    v_new, u_new = rows
 
     # the checks above cover what SimState.__post_init__ would re-scan
     new = object.__new__(SimState)

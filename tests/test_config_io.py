@@ -182,7 +182,7 @@ def test_svg_emission(tmp_path):
     emit_loglog_svg(tmp_path / "again.svg", t, {"l2_V": (1 + t) ** -0.25,
                                                 "l2_z": (1 + t) ** -1.25})
     # byte-determinism of the plot itself
-    a = (tmp_path / "rates.svg").read_bytes()
+    assert (tmp_path / "rates.svg").read_bytes() == (tmp_path / "again.svg").read_bytes()
     with pytest.raises(ValueError):
         emit_loglog_svg(tmp_path / "bad.svg", t, {"zeros": np.zeros_like(t)})
 

@@ -326,11 +326,14 @@ def test_step_blow_up_detection(gamma_closure):
          "non-finite state in cell 8 at t=0.1"),
         (np.r_[np.full(8, 5.0), np.full(8, -5.0)], 0.6,
          "vacuum reached in cell 7 at t=0.6"),
+        # the only slope is at cell 10, so the step's window starts at cell 7
+        (np.r_[np.zeros(10), -10.0, -20.0, -10.0, np.zeros(3)], 0.6,
+         "negative specific volume in reconstruction near cell 10 at t=0$"),
     ],
-    ids=["non-finite", "vacuum"],
+    ids=["non-finite", "vacuum", "reconstruction"],
 )
 def test_step_names_the_failing_cell(gamma_closure, u, dt, message):
-    """Below Courant number 1, the state checks still name the cell."""
+    """The state checks name the domain cell, not the window's."""
     state = SimState(-8.0, 8.0, 16, np.ones(16), u, 0.0, gamma_closure)
     with np.errstate(all="ignore"), pytest.raises(BlowUpError, match=message):
         step(state, dt, 0.0, 0.0)

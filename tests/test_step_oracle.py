@@ -17,7 +17,7 @@ import pytest
 
 from diffwave import config
 from diffwave.closures import gamma_law_closure, linear_closure, m1_closure, wave_speed_bound
-from diffwave.solver import SimState, build_initial_data, cfl_dt, step
+from diffwave.solver import PerturbationSpec, SimState, build_initial_data, cfl_dt, step
 from diffwave.solver import _minmod as solver_minmod
 
 
@@ -235,3 +235,95 @@ def test_successor_state_keeps_grid_and_closure():
         state.x_left, state.x_right, state.n_cells
     )
     assert nxt.closure is state.closure
+
+
+# The step computes only a window of cells and fills each far field from
+# the window's end cell; these cases pin the window's edges against the
+# full-width reference.
+
+
+def _recording(closure, sizes):
+    """The closure with ``p`` appending the size of each argument to ``sizes``."""
+
+    def p(v, fn=closure.p):
+        sizes.append(np.size(v))
+        return fn(v)
+
+    return dataclasses.replace(closure, p=p)
+
+
+def _match_reference(state, n_steps, u_minus, u_plus):
+    ref = state
+    for _ in range(n_steps):
+        dt = cfl_dt(state, 0.45)
+        state = step(state, dt, u_minus, u_plus)
+        ref = reference_step(ref, dt, u_minus, u_plus)
+        assert state.t == ref.t and state.speed_bound == ref.speed_bound
+        assert same_bits(state.v, ref.v) and same_bits(state.u, ref.u)
+    return state
+
+
+@pytest.mark.parametrize(
+    "closure", [gamma_law_closure(2.0, 1.0), m1_closure(1.0)], ids=["gamma2", "m1"]
+)
+def test_constant_state_takes_a_one_cell_window(closure):
+    n, sizes = 256, []
+    state = SimState(-10.0, 10.0, n, np.full(n, 1.1), np.zeros(n), 0.0,
+                     _recording(closure, sizes))
+    ref = state
+    for _ in range(5):
+        sizes.clear()
+        state = step(state, 0.01, 0.0, 0.0)
+        assert max(sizes) == 3  # the predictor's edge values of one cell
+        ref = reference_step(ref, 0.01, 0.0, 0.0)
+        assert same_bits(state.v, ref.v) and same_bits(state.u, ref.u)
+        assert state.speed_bound == ref.speed_bound
+
+
+@pytest.mark.parametrize("edges", [(True, False), (False, True), (True, True)],
+                         ids=["left", "right", "both"])
+def test_window_touching_the_domain_edges(edges):
+    n, sizes = 128, []
+    x = -8.0 + (np.arange(n) + 0.5) * (16.0 / n)
+    bump = sum(PerturbationSpec(amplitude=0.05, center=centre, width=2.0)(x)
+               for centre, at_edge in zip((-8.0, 8.0), edges) if at_edge)
+    state = SimState(-8.0, 8.0, n, 1.0 + bump, 0.5 * bump, 0.0,
+                     _recording(gamma_law_closure(2.0, 1.0), sizes))
+    step(state, cfl_dt(state, 0.45), 0.0, 0.0)
+    # one edge's bump leaves the far side uniform: the window stops short
+    assert (max(sizes) < n + 2) == (edges != (True, True))
+    _match_reference(state, 40, 0.0, 0.0)
+
+
+def test_m1_far_field_jump():
+    """u_minus = 0 and u_plus = 0.05: the damped ghosts drift from the cells."""
+    closure = m1_closure(1.0)
+    n = 256
+    x = -40.0 + (np.arange(n) + 0.5) * (80.0 / n)
+    ramp = 0.5 * (1.0 + np.tanh(x))
+    state = SimState(-40.0, 40.0, n, 1.0 + 0.1 * ramp, 0.05 * ramp, 0.0, closure)
+    assert state.v[0] == state.v[1] and state.u[-1] == state.u[-2] == 0.05
+    _match_reference(state, 300, 0.0, 0.05)
+
+
+def test_signed_zeros_bound_the_window():
+    """-0.0 cells next to +0.0 cells differ in bits although they compare equal."""
+    n = 64
+    u = np.r_[np.full(n // 2, -0.0), np.zeros(n // 2)]
+    state = SimState(-4.0, 4.0, n, np.ones(n), u, 0.0, gamma_law_closure(2.0, 1.0))
+    state = _match_reference(state, 5, -0.0, 0.0)
+    assert np.signbit(state.u[: n // 2]).all() and not np.signbit(state.u[n // 2:]).any()
+
+
+def test_constant_state_still_runs_the_flux():
+    """A flux that depends on the face index moves every cell of a constant state.
+
+    The far field takes a value the step computed, not a closed form, so a
+    constant state still tests the flux.
+    """
+    gas = gamma_law_closure(2.0, 1.0)
+    closure = dataclasses.replace(gas, p=lambda v: gas.p(v) + 1e-3 * np.arange(np.size(v)))
+    n = 64
+    state = SimState(-4.0, 4.0, n, np.ones(n), np.zeros(n), 0.0, closure)
+    for stepper in (step, reference_step):
+        assert np.all(stepper(state, 0.01, 0.0, 0.0).u != 0.0)
