@@ -46,7 +46,7 @@ class HyperbolicityError(ValueError):
 class ModelClosure:
     """Constitutive functions and admissible box for one model.
 
-    ``p``/``dp``/``d2p`` act on v, ``g``/``dg``/``d2g`` on u, ``f``/``df``
+    ``p``/``dp``/``d2p`` act on v, ``g``/``dg`` on u, ``f``/``df``
     on v.  ``d3p``/``d4p`` give the third and fourth profile derivatives
     analytically; every closure supplies them.
     """
@@ -60,7 +60,6 @@ class ModelClosure:
     d4p: Callable = field(repr=False)
     g: Callable
     dg: Callable
-    d2g: Callable
     f: Callable
     df: Callable
     v_range: tuple[float, float]
@@ -176,17 +175,6 @@ def m1_closure(sigma: float = 1.0) -> ModelClosure:
         # u2 * u, not u**3: float power of a negative base is a slow scalar path
         return 2.0 * u * s / (2.0 + s) - 6.0 * (u2 * u) / (s * (2.0 + s) ** 2)
 
-    def d2g(u):
-        u = np.asarray(u, dtype=float)
-        s = np.sqrt(4.0 - 3.0 * u**2)
-        w = 2.0 + s
-        return (
-            2.0 * s / w
-            - 30.0 * u**2 / (s * w**2)
-            - 18.0 * u**4 / (s**3 * w**2)
-            - 36.0 * u**4 / (s**2 * w**3)
-        )
-
     def f(v):
         return 1.0 / np.asarray(v, dtype=float)
 
@@ -203,7 +191,6 @@ def m1_closure(sigma: float = 1.0) -> ModelClosure:
         d4p=d4p,
         g=g,
         dg=dg,
-        d2g=d2g,
         f=f,
         df=df,
         v_range=(0.05, 20.0),
@@ -265,7 +252,6 @@ def gamma_law_closure(gamma: float = 2.0, alpha: float = 1.0) -> ModelClosure:
         d4p=d4p,
         g=_zero,
         dg=_zero,
-        d2g=_zero,
         f=_one,
         df=_zero,
         v_range=(0.05, 20.0),
@@ -297,7 +283,6 @@ def linear_closure(alpha: float = 1.0) -> ModelClosure:
         d4p=_zero,
         g=_zero,
         dg=_zero,
-        d2g=_zero,
         f=_one,
         df=_zero,
         v_range=(0.05, 20.0),

@@ -226,7 +226,7 @@ def check_solver_baseline() -> CriterionResult:
     dt = cfl_dt(state, 0.45)
     s = state
     for _ in range(CONST_STATE_STEPS):
-        s = step(s, dt, 0.0, 0.0)
+        s = step(s, dt)
     const_dev = float(max(np.max(np.abs(s.v - 1.0)), np.max(np.abs(s.u))))
 
     # splitting error against the exact damping law on a uniform state;
@@ -235,7 +235,7 @@ def check_solver_baseline() -> CriterionResult:
     def damping_error(dt):
         s = SimState(-10.0, 10.0, n, np.full(n, 1.0), np.full(n, 0.1), 0.0, clo)
         while s.t < 1.0 - 1e-12:
-            s = step(s, min(dt, 1.0 - s.t), 0.1, 0.1)
+            s = step(s, min(dt, 1.0 - s.t))
         return float(np.max(np.abs(s.u - 0.1 * np.exp(-1.0))))
 
     e_coarse = damping_error(0.02)
@@ -256,7 +256,7 @@ def check_solver_baseline() -> CriterionResult:
             end_time=2.0,
             cfl=0.4,
         )
-        return advance(build_initial_data(spec, profile), 2.0, 0.4, 0.0, 0.0)
+        return advance(build_initial_data(spec, profile), 2.0, 0.4)
 
     s512, s1024, s2048 = (solve_at(m) for m in (512, 1024, 2048))
 
@@ -344,7 +344,7 @@ def check_m1_run(series, spec, profile) -> CriterionResult:
         x0 = compute_shift_x0(st.x_centers, st.v, profile, sp.corr)
         snaps = []
         for target in (t_snap, t_snap + spacing, t_snap + 2 * spacing):
-            st = advance(st, target, sp.cfl, sp.u_minus, sp.u_plus)
+            st = advance(st, target, sp.cfl)
             snaps.append(st)
         return residual_check(tuple(snaps), profile, x0, sp.corr).rms_residual
 

@@ -55,7 +55,6 @@ def test_analytic_derivatives_match_finite_differences(make):
     _assert_second_order(clo.dp, clo.d2p, v_pts)
     _assert_second_order(clo.f, clo.df, v_pts)
     _assert_second_order(clo.g, clo.dg, u_pts)
-    _assert_second_order(clo.dg, clo.d2g, u_pts)
 
 
 def test_m1_g_bounded_by_u_squared(m1):
@@ -164,7 +163,6 @@ def test_hyperbolicity_error_names_state():
         d4p=zero,
         g=zero,
         dg=zero,
-        d2g=zero,
         f=one,
         df=zero,
         v_range=(0.1, 10.0),

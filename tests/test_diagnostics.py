@@ -259,8 +259,8 @@ def test_residual_check_constant_state(gamma_closure, null_corr):
     n = 512
     state = SimState(-20.0, 20.0, n, np.ones(n), np.zeros(n), 0.0, gamma_closure)
     dt = cfl_dt(state, 0.4)
-    s1 = step(state, dt, 0.0, 0.0)
-    s2 = step(s1, dt, 0.0, 0.0)
+    s1 = step(state, dt)
+    s2 = step(s1, dt)
     rep = residual_check((state, s1, s2), prof, 0.0, null_corr)
     assert rep.max_abs_residual < 1e-10
     assert np.max(np.abs(rep.F2)) == 0.0  # g == 0 closure
@@ -269,8 +269,8 @@ def test_residual_check_constant_state(gamma_closure, null_corr):
 def test_residual_check_spacing_validation(gamma_closure, gamma_profile, null_corr):
     n = 256
     state = SimState(-20.0, 20.0, n, np.ones(n), np.zeros(n), 0.0, gamma_closure)
-    s1 = step(state, 0.01, 0.0, 0.0)
-    s2 = step(s1, 0.02, 0.0, 0.0)
+    s1 = step(state, 0.01)
+    s2 = step(s1, 0.02)
     with pytest.raises(ValueError, match="uniform"):
         residual_check((state, s1, s2), gamma_profile, 0.0, null_corr)
 
@@ -342,8 +342,8 @@ def test_m1_mass_ledger_shows_an_injected_leak(m1_ledger_case, monkeypatch):
     leak = 1e-9
     true_step = solver.step
 
-    def leaky_step(state, dt, u_minus, u_plus):
-        new = true_step(state, dt, u_minus, u_plus)
+    def leaky_step(state, dt):
+        new = true_step(state, dt)
         if state.t < 10.0 <= new.t:
             new.v[spec.n_cells // 3] += leak / new.dx
         return new

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ def test_speed_bound_is_set_only_by_step(gamma_closure):
     n = 64
     state = SimState(-1.0, 1.0, n, np.ones(n), np.zeros(n), 0.0, gamma_closure)
     assert state.speed_bound is None
-    nxt = step(state, 0.4 * cfl_dt(state, 1.0), 0.0, 0.0)
+    nxt = step(state, 0.4 * cfl_dt(state, 1.0))
     assert nxt.speed_bound == np.sqrt(2.0)  # sqrt(-p'(1)) on every face
     assert cfl_dt(nxt, 0.45) == 0.45 * nxt.dx / nxt.speed_bound
     assert dataclasses.replace(nxt).speed_bound is None
@@ -170,9 +171,9 @@ def test_step_above_courant_one_raises(gamma_closure):
     n = 64
     state = SimState(-1.0, 1.0, n, np.ones(n), np.zeros(n), 0.0, gamma_closure)
     courant_one = state.dx / np.sqrt(2.0)
-    step(state, 0.99 * courant_one, 0.0, 0.0)
+    step(state, 0.99 * courant_one)
     with pytest.raises(BlowUpError, match=r"Courant number 1\.01 exceeds 1"):
-        step(state, 1.01 * courant_one, 0.0, 0.0)
+        step(state, 1.01 * courant_one)
 
 
 def test_constant_state_is_exact_equilibrium(gamma_closure):
@@ -180,7 +181,7 @@ def test_constant_state_is_exact_equilibrium(gamma_closure):
     state = SimState(-10.0, 10.0, n, np.ones(n), np.zeros(n), 0.0, gamma_closure)
     dt = cfl_dt(state, 0.45)
     for _ in range(1000):
-        state = step(state, dt, 0.0, 0.0)
+        state = step(state, dt)
     assert np.max(np.abs(state.v - 1.0)) == 0.0
     assert np.max(np.abs(state.u)) == 0.0
 
@@ -189,7 +190,7 @@ def test_uniform_damping_is_exact(gamma_closure):
     n = 128
     state = SimState(-5.0, 5.0, n, np.ones(n), np.full(n, 0.1), 0.0, gamma_closure)
     for _ in range(100):
-        state = step(state, 0.01, 0.1, 0.1)
+        state = step(state, 0.01)
     assert np.max(np.abs(state.u - 0.1 * np.exp(-state.t))) < 1e-14
 
 
@@ -206,7 +207,7 @@ def test_volume_sum_balances_boundary_flux(gamma_closure):
     state.u[state.x_centers > 0.0] = 0.05
     mass0 = np.sum(state.v) * state.dx
     for _ in range(200):
-        state = step(state, 0.01, 0.0, 0.05)
+        state = step(state, 0.01)
     gained = 0.05 * (1.0 - np.exp(-state.t))
     assert np.sum(state.v) * state.dx - mass0 == pytest.approx(gained, abs=1e-13)
 
@@ -222,7 +223,7 @@ def test_far_field_edge_cells_follow_damped_law(m1):
     state = SimState(-15.0, 15.0, n, np.ones(n), np.zeros(n), 0.0, m1)
     state.u[n // 2:] = u_plus
     for _ in range(60):
-        state = step(state, cfl_dt(state, 0.45), u_minus, u_plus)
+        state = step(state, cfl_dt(state, 0.45))
         decay = np.exp(-m1.alpha * state.t)
         assert abs(state.u[0] - u_minus * decay) <= 1e-12
         assert abs(state.u[-1] - u_plus * decay) <= 1e-12
@@ -236,11 +237,17 @@ def test_advance_lands_on_end_time(gamma_closure):
     start = SimState(-5.0, 5.0, n, np.ones(n), u, 0.0, gamma_closure)
     ref = start
     while ref.t < 0.7 - 1e-12:
-        ref = step(ref, min(cfl_dt(ref, 0.45), 0.7 - ref.t), 0.0, 0.0)
-    end = advance(start, 0.7, 0.45, 0.0, 0.0)
+        ref = step(ref, min(cfl_dt(ref, 0.45), 0.7 - ref.t))
+    end = advance(start, 0.7, 0.45)
     assert end.t == ref.t == pytest.approx(0.7, abs=1e-12)
     assert np.array_equal(end.v, ref.v) and np.array_equal(end.u, ref.u)
-    assert advance(end, 0.7, 0.45, 0.0, 0.0) is end
+    assert advance(end, 0.7, 0.45) is end
+
+
+def test_step_and_advance_take_no_far_field_data():
+    """The far field carries its own law: adding far-field data means editing this test."""
+    assert list(inspect.signature(step).parameters) == ["state", "dt"]
+    assert list(inspect.signature(advance).parameters) == ["state", "t_end", "cfl"]
 
 
 def test_max_abs_u_runs_over_every_step(gamma_closure):
@@ -248,7 +255,7 @@ def test_max_abs_u_runs_over_every_step(gamma_closure):
     n = 64
     start = SimState(-5.0, 5.0, n, np.ones(n), np.full(n, -0.1), 0.0, gamma_closure)
     assert start.max_abs_u == 0.1
-    end = advance(start, 1.0, 0.45, -0.1, -0.1)
+    end = advance(start, 1.0, 0.45)
     assert np.max(np.abs(end.u)) < 0.05
     assert end.max_abs_u == 0.1
     # a rebuilt state has no history
@@ -297,7 +304,7 @@ def test_step_against_spectral_reference(gamma_closure):
         state = SimState(-L, L, n, v, u, 0.0, gamma_closure)
         while state.t < t_end - 1e-12:
             dt = min(cfl_dt(state, 0.4), t_end - state.t)
-            state = step(state, dt, 0.0, 0.0)
+            state = step(state, dt)
         vr = np.interp(x, xref, vref)
         ur = np.interp(x, xref, uref)
         err = np.sqrt(np.mean((state.v - vr) ** 2 + (state.u - ur) ** 2))
@@ -316,7 +323,7 @@ def test_step_blow_up_detection(gamma_closure):
     state = SimState(-1.0, 1.0, n, v, u, 0.0, gamma_closure)
     with pytest.raises(BlowUpError):
         for _ in range(50):
-            state = step(state, 0.05, 0.0, 0.0)  # far beyond CFL
+            state = step(state, 0.05)  # far beyond CFL
 
 
 @pytest.mark.parametrize(
@@ -336,14 +343,14 @@ def test_step_names_the_failing_cell(gamma_closure, u, dt, message):
     """The state checks name the domain cell, not the window's."""
     state = SimState(-8.0, 8.0, 16, np.ones(16), u, 0.0, gamma_closure)
     with np.errstate(all="ignore"), pytest.raises(BlowUpError, match=message):
-        step(state, dt, 0.0, 0.0)
+        step(state, dt)
 
 
 def test_m1_warns_beyond_physical_flux_limit(m1):
     n = 64
     state = SimState(-1.0, 1.0, n, np.ones(n), np.full(n, 1.05), 0.0, m1)
     with pytest.warns(RuntimeWarning, match="exceeded"):
-        step(state, 1e-4, 1.05, 1.05)
+        step(state, 1e-4)
 
 
 def test_run_end_time_zero(gamma_closure):
