@@ -98,6 +98,24 @@ class ModelClosure:
             and self.df is _zero
         )
 
+    @property
+    def builtin_m1(self) -> bool:
+        """True when p, p', g, g', f and f' are the built-in m1 functions.
+
+        The compiled step then evaluates them in C, operation for operation
+        the same formulas.  As for ``correction_free``, the test is on the
+        callables themselves, not on the name: a closure built or rebuilt
+        with any other p, p', g, g', f or f' has the step call them.
+        """
+        return (
+            self.p is _m1_p
+            and self.dp is _m1_dp
+            and self.g is _m1_g
+            and self.dg is _m1_dg
+            and self.f is _m1_f
+            and self.df is _m1_df
+        )
+
 
 @dataclass(frozen=True)
 class AssumptionReport:
@@ -137,6 +155,50 @@ def radiative_pressure_1d(rho, u):
     return val if np.ndim(val) else float(val)
 
 
+# The M1 constitutive functions.  None depends on sigma, so every m1 closure
+# shares them and ``ModelClosure.builtin_m1`` can recognise them by identity;
+# the compiled step evaluates p, p', g, g', f and f' operation for operation.
+def _m1_p(v):
+    return 1.0 / (3.0 * v)
+
+
+def _m1_dp(v):
+    return -1.0 / (3.0 * v**2)
+
+
+def _m1_d2p(v):
+    return 2.0 / (3.0 * v**3)
+
+
+def _m1_d3p(v):
+    return -2.0 / v**4
+
+
+def _m1_d4p(v):
+    return 8.0 / v**5
+
+
+def _m1_g(u):
+    s = np.sqrt(4.0 - 3.0 * np.asarray(u, dtype=float) ** 2)
+    return u**2 * s / (2.0 + s)
+
+
+def _m1_dg(u):
+    u = np.asarray(u, dtype=float)
+    u2 = u**2
+    s = np.sqrt(4.0 - 3.0 * u2)
+    # u2 * u, not u**3: float power of a negative base is a slow scalar path
+    return 2.0 * u * s / (2.0 + s) - 6.0 * (u2 * u) / (s * (2.0 + s) ** 2)
+
+
+def _m1_f(v):
+    return 1.0 / np.asarray(v, dtype=float)
+
+
+def _m1_df(v):
+    return -1.0 / np.asarray(v, dtype=float) ** 2
+
+
 def m1_closure(sigma: float = 1.0) -> ModelClosure:
     """Two-moment radiative-transfer closure in Lagrangian form.
 
@@ -148,51 +210,18 @@ def m1_closure(sigma: float = 1.0) -> ModelClosure:
     """
     if sigma <= 0.0:
         raise ValueError("opacity sigma must be positive")
-
-    def p(v):
-        return 1.0 / (3.0 * v)
-
-    def dp(v):
-        return -1.0 / (3.0 * v**2)
-
-    def d2p(v):
-        return 2.0 / (3.0 * v**3)
-
-    def d3p(v):
-        return -2.0 / v**4
-
-    def d4p(v):
-        return 8.0 / v**5
-
-    def g(u):
-        s = np.sqrt(4.0 - 3.0 * np.asarray(u, dtype=float) ** 2)
-        return u**2 * s / (2.0 + s)
-
-    def dg(u):
-        u = np.asarray(u, dtype=float)
-        u2 = u**2
-        s = np.sqrt(4.0 - 3.0 * u2)
-        # u2 * u, not u**3: float power of a negative base is a slow scalar path
-        return 2.0 * u * s / (2.0 + s) - 6.0 * (u2 * u) / (s * (2.0 + s) ** 2)
-
-    def f(v):
-        return 1.0 / np.asarray(v, dtype=float)
-
-    def df(v):
-        return -1.0 / np.asarray(v, dtype=float) ** 2
-
     return ModelClosure(
         name="m1",
         alpha=sigma,
-        p=p,
-        dp=dp,
-        d2p=d2p,
-        d3p=d3p,
-        d4p=d4p,
-        g=g,
-        dg=dg,
-        f=f,
-        df=df,
+        p=_m1_p,
+        dp=_m1_dp,
+        d2p=_m1_d2p,
+        d3p=_m1_d3p,
+        d4p=_m1_d4p,
+        g=_m1_g,
+        dg=_m1_dg,
+        f=_m1_f,
+        df=_m1_df,
         v_range=(0.05, 20.0),
         u_range=(-0.99, 0.99),
     )

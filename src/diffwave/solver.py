@@ -52,6 +52,23 @@ the wave's rounding-level tail reaches it: over t = 100 the window averages
 52 % of the grid on gamma-default and 59 % on m1-default, and over t = 500
 69 % and 80 %.
 
+The arithmetic of ``step`` runs in C (``_step.c``, built on first import
+and loaded by ``_kernel``) in three stages: (1) the ghost rows, the bitwise
+window and the minmod edge values; (2) the MUSCL-Hancock predictor; (3) the
+local Lax-Friedrichs faces, the update, the second damping half-step, the
+state checks and the far-field fill.  Between the stages ``step`` evaluates
+the closure in NumPy: ``momentum_flux`` on the two edge rows and
+``flux_and_speed`` on the two face rows.  Each C operation is the IEEE
+operation NumPy performs, in the same order and without fused multiply-adds,
+so the step is bit for bit the NumPy formulation that
+``tests/test_step_oracle.py`` keeps as its oracle.  When the closure's p, p',
+g, g', f and f' are the built-in m1 functions (``ModelClosure.builtin_m1``),
+C copies of them run instead, operation for operation; they use only
++, -, *, / and sqrt, which round correctly on both sides.  Every other
+closure keeps its NumPy callables.  The gamma law needs ``pow``, and NumPy's
+SIMD ``pow`` differs from libm's in the last bit for about 5 % of values of
+v in [0.9, 1.2], so a C copy would change the results.
+
 The solver works in the mass (Lagrangian) coordinate throughout;
 ``lagrangian_transform`` maps Eulerian initial data into that frame.
 """
@@ -63,6 +80,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernel
 from .closures import ModelClosure, flux_and_speed, momentum_flux, wave_speed_bound
 from .corrections import CorrectionField, eval_uhat, eval_vhat, make_mollifier
 from .diffusion_wave import WaveProfile, eval_ubar, eval_vbar
@@ -314,17 +332,6 @@ def cfl_dt(state: SimState, cfl: float) -> float:
     return cfl * state.dx / amax
 
 
-def _minmod(d):
-    """Minmod slopes of the adjacent difference pairs along the last axis of d.
-
-    The ``a * b > 0`` test keeps the slope at +0 when the product underflows
-    or a difference is a signed zero.
-    """
-    a, b = d[..., :-1], d[..., 1:]
-    ad = np.abs(d)
-    return np.where(a * b > 0.0, np.where(ad[..., :-1] < ad[..., 1:], a, b), 0.0)
-
-
 def step(state: SimState, dt: float) -> SimState:
     """One Strang-split step of size dt.
 
@@ -338,91 +345,60 @@ def step(state: SimState, dt: float) -> SimState:
     closure = state.closure
     alpha = closure.alpha
     dx = state.dx
-    n = state.n_cells
+    m1 = closure.builtin_m1
 
     half_damp = np.exp(-0.5 * alpha * dt)
+    v, u = _kernel.as_pair(state.v, state.u)
 
-    # rows (v, u) with two ghost cells a side; the ghost cells copy the edge
-    # cells after the first source half-step (transmissive boundary)
-    w = np.empty((2, n + 4))
-    w[0, 2:-2] = state.v
-    np.multiply(state.u, half_damp, out=w[1, 2:-2])
-    w[:, :2] = w[:, 2:3]
-    w[:, -2:] = w[:, -3:-2]
-
-    # the window of m = hi - lo cells lo .. hi-1: every cell whose stencil
-    # (extended cells i .. i+4) holds two different bit patterns, plus one
-    # uniform cell at each end; the cells outside repeat the window's ends
-    bits = w.view(np.int64)
-    jump = bits[:, 1:] != bits[:, :-1]
-    jumps = np.flatnonzero(jump[0] | jump[1])
-    if jumps.size:
-        lo, hi = max(int(jumps[0]) - 4, 0), min(int(jumps[-1]) + 2, n)
-    else:
-        lo, hi = 0, 1
-    w = w[:, lo:hi + 4]
+    # the window lo .. hi-1, and the minmod edge values of its cells and one
+    # ghost or neighbour a side after the first source half-step, in the
+    # named rows r (``_kernel.Rows``) that also take the closure's values
+    lo, hi, buf, r = _kernel.edges(v, u, half_damp)
+    m = hi - lo
 
     def cell(k):
         """Domain index of window cell or face k; left of lo all repeat k = 0."""
         return lo + k if k else 0
 
-    # minmod slopes, and the values at the left and right edge of cells
-    # 1 .. m+2 of the extended window
-    half_slope = 0.5 * _minmod(w[:, 1:] - w[:, :-1])
-    centre = w[:, 1:-1]
-    at_l = centre - half_slope
-    at_r = centre + half_slope
-
-    # MUSCL-Hancock predictor: half-step evolution of the edge values; the
-    # volume flux is -u, so its difference across the cell is ur - ul
-    pred = np.empty_like(at_l)
-    np.subtract(at_r[1], at_l[1], out=pred[0])
-    np.subtract(
-        momentum_flux(closure, at_l[0], at_l[1]),
-        momentum_flux(closure, at_r[0], at_r[1]),
-        out=pred[1],
-    )
-    pred *= 0.5 * dt / dx
-    at_l += pred
-    at_r += pred
-
-    # local Lax-Friedrichs flux on the m+1 faces of the window
-    left, right = at_r[:, :-1], at_l[:, 1:]
-    (vL, uL), (vR, uR) = left, right
-    if vL.min() <= 0.0 or vR.min() <= 0.0:
-        bad = cell(int(np.argmax((vL <= 0.0) | (vR <= 0.0))))
+    # MUSCL-Hancock predictor: half-step evolution of the edge values
+    if not m1:
+        r.mf_l[:] = momentum_flux(closure, r.vl, r.ul)
+        r.mf_r[:] = momentum_flux(closure, r.vr, r.ur)
+    bad = _kernel.predict(buf, m, 0.5 * dt / dx, m1)
+    if bad >= 0:
         raise BlowUpError(
-            f"negative specific volume in reconstruction near cell {bad} "
+            f"negative specific volume in reconstruction near cell {cell(bad)} "
             f"at t={state.t:.6g}"
         )
-    fuL, aL = flux_and_speed(closure, vL, uL)
-    fuR, aR = flux_and_speed(closure, vR, uR)
-    a_face = np.maximum(aL, aR)
-    speed_bound = float(a_face.max())
-    courant = dt * speed_bound / dx
-    if courant > 1.0:
-        raise BlowUpError(f"Courant number {courant:.6g} exceeds 1 at t={state.t:.6g}")
+
+    # local Lax-Friedrichs flux on the m+1 faces of the window; a face's left
+    # state is a right edge value and its right state a left edge value
+    faces = (r.vr[:-1], r.ur[:-1]), (r.vl[1:], r.ul[1:])
+    if not m1:
+        r.fu_l[:-1], r.a_l[:-1] = flux_and_speed(closure, *faces[0])
+        r.fu_r[:-1], r.a_r[:-1] = flux_and_speed(closure, *faces[1])
     # kappa = sinh(h)/h is the mean of exp(-alpha (s - t_mid)) over the step,
     # so the volume flux carries the far-field decay exactly (module docstring)
     h = 0.5 * alpha * dt
     kappa = np.sinh(h) / h if h > 0.0 else 1.0
-    flux = (0.5 * a_face) * (right - left)
-    np.subtract((0.5 * kappa) * (-uL - uR), flux[0], out=flux[0])
-    np.subtract(0.5 * (fuL + fuR), flux[1], out=flux[1])
+    rows, st = _kernel.update(
+        v, u, lo, hi, half_damp, dt / dx, 0.5 * kappa, m1, buf
+    )
+    if not st.hyperbolic:  # the NumPy evaluation raises the same error
+        for face in faces:
+            flux_and_speed(closure, *face)
+    speed_bound = st.speed_bound
+    courant = dt * speed_bound / dx
+    if courant > 1.0:
+        raise BlowUpError(f"Courant number {courant:.6g} exceeds 1 at t={state.t:.6g}")
 
-    win = w[:, 2:-2] - (dt / dx) * (flux[:, 1:] - flux[:, :-1])
-    v_win, u_win = win
-    u_win *= half_damp
     t_new = state.t + dt
-
-    v_min, v_max, u_max = v_win.min(), v_win.max(), np.abs(u_win).max()
-    if not (v_min > 0.0 and v_max < np.inf and u_max < np.inf):
-        finite = np.isfinite(v_win) & np.isfinite(u_win)
-        if not finite.all():
-            bad = cell(int(np.argmax(~finite)))
-            raise BlowUpError(f"non-finite state in cell {bad} at t={t_new:.6g}")
-        bad = cell(int(np.argmax(v_win <= 0.0)))
-        raise BlowUpError(f"vacuum reached in cell {bad} at t={t_new:.6g}")
+    if st.nonfinite >= 0:
+        bad = cell(st.nonfinite)
+        raise BlowUpError(f"non-finite state in cell {bad} at t={t_new:.6g}")
+    if st.vacuum >= 0:
+        raise BlowUpError(f"vacuum reached in cell {cell(st.vacuum)} at t={t_new:.6g}")
+    u_max = st.u_max
     if closure.name == "m1" and u_max > 1.0:
         warnings.warn(
             f"|u| exceeded 1 at t={t_new:.6g}; the state has left the closure "
@@ -430,19 +406,13 @@ def step(state: SimState, dt: float) -> SimState:
             RuntimeWarning,
             stacklevel=2,
         )
-
-    # each far field takes the value its end cell computed
-    rows = np.empty((2, n))
-    rows[:, lo:hi] = win
-    rows[:, :lo] = win[:, :1]
-    rows[:, hi:] = win[:, -1:]
     v_new, u_new = rows
 
     # the checks above cover what SimState.__post_init__ would re-scan
     new = object.__new__(SimState)
     new.__dict__.update(
         state.__dict__, v=v_new, u=u_new, t=t_new, speed_bound=speed_bound,
-        max_abs_u=max(state.max_abs_u, float(u_max)),
+        max_abs_u=max(state.max_abs_u, u_max),
     )
     return new
 

@@ -346,6 +346,22 @@ def test_step_names_the_failing_cell(gamma_closure, u, dt, message):
         step(state, dt)
 
 
+def test_nan_volume_hides_the_reconstruction_check(gamma_closure):
+    """The ``reconstruction`` case above with a NaN volume in cell 14.
+
+    A face row's minimum propagates the NaN, so the reconstruction check does
+    not fire and the hyperbolicity check names the first failing face state.
+    """
+    u = np.r_[np.zeros(10), -10.0, -20.0, -10.0, np.zeros(3)]
+    v = np.ones(16)
+    v[14] = np.nan
+    state = SimState(-8.0, 8.0, 16, v, u, 0.0, gamma_closure)
+    with np.errstate(all="ignore"), pytest.raises(
+        HyperbolicityError, match=r"state \(v=-1.22245, u=-11.1123\)"
+    ):
+        step(state, 0.6)
+
+
 def test_m1_warns_beyond_physical_flux_limit(m1):
     n = 64
     state = SimState(-1.0, 1.0, n, np.ones(n), np.full(n, 1.05), 0.0, m1)

@@ -15,10 +15,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from diffwave import config
-from diffwave.closures import gamma_law_closure, linear_closure, m1_closure, wave_speed_bound
+from diffwave import _kernel, config
+from diffwave.closures import (
+    HyperbolicityError,
+    flux_and_speed,
+    gamma_law_closure,
+    linear_closure,
+    m1_closure,
+    momentum_flux,
+    wave_speed_bound,
+)
+from diffwave._kernel import minmod as solver_minmod
 from diffwave.solver import PerturbationSpec, SimState, build_initial_data, cfl_dt, step
-from diffwave.solver import _minmod as solver_minmod
 
 
 def same_bits(a, b):
@@ -155,19 +163,14 @@ def test_face_rule_dt_tracks_cell_rule(preset, n_cells):
 
 
 def test_minmod_pins_underflow_ties_and_signed_zeros():
-    """The package's minmod, on one row and on stacked rows, against _minmod."""
+    """The compiled step's minmod against _minmod."""
     vals = np.array([0.0, -0.0, 1e-200, -1e-200, 1e-160, -1e-160, 0.3, -0.3,
                      2.0, -2.0, np.inf, -np.inf])
     a, b = (g.ravel() for g in np.meshgrid(vals, vals))
-    pairs = np.column_stack([a, b])
-    row = pairs.ravel()  # (a_i, b_i) sits at offsets 2i, 2i + 1
+    row = np.column_stack([a, b]).ravel()  # (a_i, b_i) sits at offsets 2i, 2i + 1
     with np.errstate(invalid="ignore"):  # inf * 0
         want = _minmod(a, b)
-        assert same_bits(solver_minmod(pairs)[:, 0], want)
         assert same_bits(solver_minmod(row)[::2], want)
-        stacked = solver_minmod(np.stack([row, -row[::-1]]))
-        assert same_bits(stacked[0], solver_minmod(row))
-        assert same_bits(stacked[1], solver_minmod(-row[::-1]))
 
     def one(x, y):
         return solver_minmod(np.array([x, y]))[0]
@@ -212,16 +215,64 @@ def test_correction_free_keyed_on_callables():
     assert not renamed.correction_free
 
 
-def test_rewrapped_closure_steps_like_builtin():
-    spec, state = _preset_state("gamma-default", 256)
+def test_builtin_m1_keyed_on_callables():
+    for sigma in (0.5, 1.0, 2.0):
+        assert m1_closure(sigma).builtin_m1
+    assert dataclasses.replace(m1_closure(1.0), name="gamma_law").builtin_m1
+    assert not _user_built(m1_closure(1.0)).builtin_m1
+    renamed = dataclasses.replace(gamma_law_closure(2.0, 1.0), name="m1")
+    assert not renamed.builtin_m1
+    for closure in (gamma_law_closure(2.0, 1.0), linear_closure(1.0)):
+        assert not closure.builtin_m1
+
+
+def test_compiled_m1_evaluators_match_numpy_bitwise():
+    """The C m1 flux and speed against the NumPy callables on m1's box.
+
+    The grid adds u = +-0.0 and the smallest subnormals to 700 x 700 points.
+    """
+    m1 = m1_closure(1.0)
+    v = np.linspace(0.05, 20.0, 700)
+    u = np.r_[np.linspace(-0.99, 0.99, 700), 0.0, -0.0, 5e-324, -5e-324]
+    vv, uu = np.meshgrid(v, u)
+    assert same_bits(_kernel.m1_momentum_flux(vv, uu), momentum_flux(m1, vv, uu))
+    flux, speed = _kernel.m1_flux_and_speed(vv, uu)
+    want_flux, want_speed = flux_and_speed(m1, vv, uu)
+    assert same_bits(flux, want_flux) and same_bits(speed, want_speed)
+
+
+def test_compiled_m1_loses_hyperbolicity_like_numpy():
+    """|u| > 2/sqrt(3): the built-in m1 step raises the callables' error."""
+    assert _kernel.m1_flux_and_speed(np.ones(3), np.array([0.0, 1.2, 0.0])) is None
+    n = 32
+    u = np.r_[np.zeros(12), np.full(8, 1.2), np.zeros(12)]
+    state = SimState(-4.0, 4.0, n, np.ones(n), u, 0.0, m1_closure(1.0))
     other = dataclasses.replace(state, closure=_user_built(state.closure))
-    assert not other.closure.correction_free
-    for _ in range(5):
-        dt = cfl_dt(state, spec.cfl)
-        assert cfl_dt(other, spec.cfl) == dt
-        state = step(state, dt)
-        other = step(other, dt)
-        assert same_bits(state.v, other.v) and same_bits(state.u, other.u)
+    messages = []
+    for s in (state, other):
+        with np.errstate(invalid="ignore"), pytest.raises(HyperbolicityError) as err:
+            step(s, 0.01)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("hyperbolicity lost at state")
+
+
+def test_rewrapped_closure_steps_like_builtin():
+    """The built-in callables' shortcuts (g = 0 in NumPy, m1 in C) and the callables agree.
+
+    m1-default has the far-field velocity jump u_plus = 0.05.
+    """
+    for preset in ("gamma-default", "m1-default"):
+        spec, state = _preset_state(preset, 256)
+        other = dataclasses.replace(state, closure=_user_built(state.closure))
+        assert not other.closure.correction_free and not other.closure.builtin_m1
+        assert state.closure.builtin_m1 == (preset == "m1-default")
+        for _ in range(5):
+            dt = cfl_dt(state, spec.cfl)
+            assert cfl_dt(other, spec.cfl) == dt
+            state = step(state, dt)
+            other = step(other, dt)
+            assert same_bits(state.v, other.v) and same_bits(state.u, other.u)
 
 
 def test_successor_state_keeps_grid_and_closure():
