@@ -9,23 +9,26 @@ shared cache directory raises ImportError, and a library that fails the
 check is rebuilt over.  The file name carries a hash of the source, of the
 compiler's ``--version`` output and of the flags, and the file appears by
 atomic rename, so an edited source or a new compiler rebuilds and
-concurrent first imports are harmless.  A failed build raises ImportError
-with the compiler command and its stderr.
+concurrent first imports are harmless.  A build into the package's
+``__pycache__/`` deletes this user's libraries of other hashes there.  A
+failed build raises ImportError with the compiler command and its stderr.
 
 The wrappers take and return NumPy arrays of float64; every input goes
-through ``np.ascontiguousarray(x, dtype=float)`` (``as_pair``).
-``solver.step`` calls the three stages and, between them, the closure on the
-named rows of ``edges`` (``_step.c`` says what each stage does).
+through ``np.ascontiguousarray(x, dtype=float)`` (``as_pair``, ``_row``).
+``solver.step`` makes one ``Step`` per call.  With the built-in m1 closure
+that is one C call, ``Step.m1``.  With any other closure it runs the three
+stages and, between them, the closure's two rounds (``closure_round``) on
+the rows of ``Step.edge_values``; ``_step.c`` says what each stage does.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 import stat
 import subprocess
 import tempfile
-from collections import namedtuple
 from pathlib import Path
 
 import cffi
@@ -116,7 +119,27 @@ def _build() -> Path:
     # the linker creates the file under the umask; no one else may write it
     os.chmod(tmp, 0o755)
     os.replace(tmp, target)
+    if cache == _SOURCE.parent / "__pycache__":
+        _prune(cache, target)
     return target
+
+
+def _prune(cache: Path, keep: Path) -> None:
+    """Delete this user's other compiled steps in the package's cache.
+
+    Only regular files that this user owns go (``lstat``: a symlink stays).
+    The per-user temporary cache is never pruned: it serves every checkout
+    of this user, so another checkout's library there may be loaded next.
+    """
+    for old in cache.iterdir():
+        if old == keep or not re.fullmatch(r"_step\.[0-9a-f]{16}\.so", old.name):
+            continue
+        try:
+            st = os.lstat(old)
+            if stat.S_ISREG(st.st_mode) and st.st_uid == os.getuid():
+                old.unlink()
+        except OSError:
+            pass  # gone already, or not ours to delete
 
 
 ffi = cffi.FFI()
@@ -125,6 +148,7 @@ lib = ffi.dlopen(str(_build()))
 
 
 _DOUBLES = ffi.typeof("double[]")
+_STATUS = ffi.typeof("dw_status *")
 
 
 def _ptr(a):
@@ -149,45 +173,105 @@ def minmod(d):
     return out
 
 
-# Views of a step buffer's rows over the window's m + 2 edge positions, each
-# bound to the row of ``_step.c``'s enum of the same name: the edge values
-# vl, ul, vr, ur; the momentum flux mf_l, mf_r there; and the momentum flux
-# and wave speed fu_l, a_l and fu_r, a_r of face k's left state (vr, ur)[k]
-# and right state (vl, ul)[k + 1], for the m + 1 faces k.
-Rows = namedtuple("Rows", "vl ul vr ur mf_l mf_r fu_l a_l fu_r a_r")
-_ROWS = tuple(getattr(lib, name.upper()) for name in Rows._fields)
+def _row(x, size: int):
+    """x as a contiguous float64 row of size values, broadcast if it is smaller."""
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.shape != (size,):
+        x = np.ascontiguousarray(np.broadcast_to(x, (size,)))
+    return x
 
 
-def edges(v, u, half_damp: float):
-    """Stage 1 on the rows of ``as_pair``: (lo, hi, buf, rows), the window
-    lo .. hi-1, the step's buffer and its named ``Rows``.
+def closure_round(closure, v, u, speed: bool):
+    """One closure round on the contiguous rows v and u: pointers to the rows
+    p, p', g, g', f, f' as the stages take them (g, g' on u, the rest on v).
 
-    The edge rows hold their values; on the callable path the caller fills
-    the momentum-flux and face rows before ``predict`` and ``update``.
+    Each callable is called once: p, g and f, and with ``speed`` also p', g'
+    and f'.  A correction-free closure evaluates only p, and p' with
+    ``speed``.  A row not evaluated is NULL.
     """
-    n = v.size
-    buf = np.empty((lib.N_ROWS, n + 4))
-    window = ffi.new("int64_t[2]")
-    lib.dw_edges(n, _ptr(v), _ptr(u), half_damp, window, _ptr(buf), n + 4)
-    lo, hi = window[0], window[1]
-    width = hi - lo + 2
-    rows = Rows._make(buf[r, :width] for r in _ROWS)
-    return lo, hi, buf, rows
+    size, null = v.size, ffi.NULL
+
+    def row(fn, x):
+        return _ptr(_row(fn(x), size))
+
+    p = row(closure.p, v)
+    dp = row(closure.dp, v) if speed else null
+    if closure.correction_free:
+        return p, dp, null, null, null, null
+    g, f = row(closure.g, u), row(closure.f, v)
+    if not speed:
+        return p, null, g, null, f, null
+    return p, dp, g, row(closure.dg, u), f, row(closure.df, v)
 
 
-def predict(buf, m: int, lam: float, m1: bool) -> int:
-    """Stage 2, in place on ``buf``; the first face with v <= 0 to report, or -1."""
-    return lib.dw_predict(m, lam, m1, _ptr(buf), buf.shape[1])
+class Step:
+    """One step's buffer, status and successor rows, passed from stage to stage.
+
+    ``v`` and ``u`` are the rows of ``as_pair``.  Each step makes its own, so
+    concurrent steps share nothing.  ``st`` is the ``dw_status``; ``rows``
+    the successor's (v, u) once the step has run through.
+    """
+
+    def __init__(self, v, u):
+        n = v.size
+        self.buf = np.empty(lib.N_REGIONS * 2 * (n + 2))
+        self.rows = np.empty((2, n))
+        self.st = ffi.new(_STATUS)
+        self._cells = (n, _ptr(v), _ptr(u))
+        self._out = (_ptr(self.buf), _ptr(self.rows), self.st)
+
+    def m1(self, half_damp, lam, dt_dx, half_kappa):
+        """The whole step with the built-in m1 closure.
+
+        ``st.thin_face >= 0`` stops it after the predictor.
+        """
+        lib.dw_step_m1(*self._cells, half_damp, lam, dt_dx, half_kappa, *self._out)
+
+    def edges(self, half_damp):
+        """Stage 1: the window ``st.lo`` .. ``st.hi - 1`` and its edge values."""
+        lib.dw_edges(*self._cells, half_damp, self._out[0], self.st)
+
+    def edge_values(self):
+        """(v, u) at the window's 2 (m + 2) edge values: the left edge values
+        of its cells and one cell a side, then their right edge values.
+
+        The same rows without their first and last value are the 2 (m + 1)
+        face states (``_step.c``), which the closure's second round takes.
+        """
+        s = self.st.hi - self.st.lo + 2
+        return self.buf[: 2 * s], self.buf[2 * s: 4 * s]
+
+    def face_states(self):
+        """((v, u) of the left states, (v, u) of the right states) of the
+        window's m + 1 faces: right and left edge values of the window."""
+        edge_v, edge_u = self.edge_values()
+        s = self.st.hi - self.st.lo + 2
+        return (edge_v[s:-1], edge_u[s:-1]), (edge_v[1:s], edge_u[1:s])
+
+    def predict(self, lam, terms):
+        """Stage 2 with the first round's ``closure_round``; a face whose
+        reconstructed v is <= 0 goes to ``st.thin_face``."""
+        lib.dw_predict(lam, terms[0], terms[2], terms[4], self._out[0], self.st)
+
+    def update(self, half_damp, dt_dx, half_kappa, terms):
+        """Stage 3 with the second round's ``closure_round``."""
+        lib.dw_update(*self._cells, half_damp, dt_dx, half_kappa, *terms, *self._out)
 
 
-def update(v, u, lo, hi, half_damp, dt_dx, half_kappa, m1, buf):
-    """Stage 3: (rows, status), the successor's (v, u) rows and its checks."""
-    n = v.size
-    rows = np.empty((2, n))
-    st = ffi.new("dw_status *")
-    lib.dw_update(n, lo, hi, _ptr(v), _ptr(u), half_damp, dt_dx, half_kappa, m1,
-                  _ptr(buf), buf.shape[1], _ptr(rows), st)
-    return rows, st
+def face_combine(closure, v, u):
+    """(flux, speed) of the closure at the states (v, u), as the step's second
+    closure round and its face combine compute them.
+
+    Returns None when a discriminant is not >= 0 (NaN included), where
+    ``closures.flux_and_speed`` raises HyperbolicityError.
+    """
+    v, u = as_pair(v, u)
+    v, u = v.ravel(), u.ravel()
+    flux, speed = np.empty_like(v), np.empty_like(v)
+    terms = closure_round(closure, v, u, True)
+    if lib.dw_face_combine(v.size, *terms, _ptr(flux), _ptr(speed)):
+        return flux, speed
+    return None
 
 
 def m1_momentum_flux(v, u):

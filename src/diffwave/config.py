@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import configparser
 import difflib
+import math
 from dataclasses import dataclass
 
 from .closures import gamma_law_closure, m1_closure
@@ -126,6 +127,11 @@ PRESETS = {
 
 
 def _validate(cfg: RunConfig, errors: list):
+    # NaN fails no comparison below, so every float is first checked finite
+    for (section, key), (name, _) in _SCHEMA.items():
+        value = getattr(cfg, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            errors.append(f"{section}.{key} must be finite, got {value!r}")
     if cfg.closure_name not in ("m1", "gamma_law"):
         errors.append(
             f"closure.name must be 'm1' or 'gamma_law', got {cfg.closure_name!r}"

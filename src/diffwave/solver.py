@@ -56,18 +56,25 @@ The arithmetic of ``step`` runs in C (``_step.c``, built on first import
 and loaded by ``_kernel``) in three stages: (1) the ghost rows, the bitwise
 window and the minmod edge values; (2) the MUSCL-Hancock predictor; (3) the
 local Lax-Friedrichs faces, the update, the second damping half-step, the
-state checks and the far-field fill.  Between the stages ``step`` evaluates
-the closure in NumPy: ``momentum_flux`` on the two edge rows and
-``flux_and_speed`` on the two face rows.  Each C operation is the IEEE
+state checks and the far-field fill.  Each C operation is the IEEE
 operation NumPy performs, in the same order and without fused multiply-adds,
 so the step is bit for bit the NumPy formulation that
-``tests/test_step_oracle.py`` keeps as its oracle.  When the closure's p, p',
-g, g', f and f' are the built-in m1 functions (``ModelClosure.builtin_m1``),
-C copies of them run instead, operation for operation; they use only
-+, -, *, / and sqrt, which round correctly on both sides.  Every other
-closure keeps its NumPy callables.  The gamma law needs ``pow``, and NumPy's
-SIMD ``pow`` differs from libm's in the last bit for about 5 % of values of
-v in [0.9, 1.2], so a C copy would change the results.
+``tests/test_step_oracle.py`` keeps as its oracle.
+
+When the closure's p, p', g, g', f and f' are the built-in m1 functions
+(``ModelClosure.builtin_m1``), C copies of them run instead, operation for
+operation (they use only +, -, *, / and sqrt, which round correctly on both
+sides), and the whole step is one C call.  Every other closure keeps its
+NumPy callables, and the step makes two closure rounds between the stages:
+each needed callable is called once on the edge values of both edge rows,
+held back to back in one array, then once on the states of both face rows.
+A correction-free closure (g = 0, f = 1) needs only p, then p and p'.  One
+C face combine turns the second round into fluxes, speeds and the
+hyperbolicity flag, with the IEEE operations of ``closures.flux_and_speed``,
+which raises the error when a discriminant is lost.  The gamma law needs
+``pow``, and NumPy's SIMD ``pow`` differs from libm's in the last bit for
+about 5 % of values of v in [0.9, 1.2], so a C copy would change the
+results.
 
 The solver works in the mass (Lagrangian) coordinate throughout;
 ``lagrangian_transform`` maps Eulerian initial data into that frame.
@@ -81,7 +88,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .closures import ModelClosure, flux_and_speed, momentum_flux, wave_speed_bound
+from .closures import ModelClosure, flux_and_speed, wave_speed_bound
 from .corrections import CorrectionField, eval_uhat, eval_vhat, make_mollifier
 from .diffusion_wave import WaveProfile, eval_ubar, eval_vbar
 
@@ -345,47 +352,44 @@ def step(state: SimState, dt: float) -> SimState:
     closure = state.closure
     alpha = closure.alpha
     dx = state.dx
-    m1 = closure.builtin_m1
 
     half_damp = np.exp(-0.5 * alpha * dt)
+    # kappa = sinh(h)/h is the mean of exp(-alpha (s - t_mid)) over the step,
+    # so the volume flux carries the far-field decay exactly (module docstring)
+    h = 0.5 * alpha * dt
+    kappa = np.sinh(h) / h if h > 0.0 else 1.0
+    lam, dt_dx = 0.5 * dt / dx, dt / dx
     v, u = _kernel.as_pair(state.v, state.u)
 
-    # the window lo .. hi-1, and the minmod edge values of its cells and one
-    # ghost or neighbour a side after the first source half-step, in the
-    # named rows r (``_kernel.Rows``) that also take the closure's values
-    lo, hi, buf, r = _kernel.edges(v, u, half_damp)
-    m = hi - lo
+    # one C call with the built-in m1 closure; else two closure rounds, on
+    # the edge values of the window lo .. hi-1 (its cells and one ghost or
+    # neighbour a side, after the first source half-step) and on the face
+    # states, between the three stages
+    work = _kernel.Step(v, u)
+    st = work.st
+    if closure.builtin_m1:
+        work.m1(half_damp, lam, dt_dx, 0.5 * kappa)
+    else:
+        work.edges(half_damp)
+        edge_v, edge_u = work.edge_values()
+        work.predict(lam, _kernel.closure_round(closure, edge_v, edge_u, False))
+        if st.thin_face < 0:
+            terms = _kernel.closure_round(closure, edge_v[1:-1], edge_u[1:-1], True)
+            work.update(half_damp, dt_dx, 0.5 * kappa, terms)
+    lo = st.lo
 
     def cell(k):
         """Domain index of window cell or face k; left of lo all repeat k = 0."""
         return lo + k if k else 0
 
-    # MUSCL-Hancock predictor: half-step evolution of the edge values
-    if not m1:
-        r.mf_l[:] = momentum_flux(closure, r.vl, r.ul)
-        r.mf_r[:] = momentum_flux(closure, r.vr, r.ur)
-    bad = _kernel.predict(buf, m, 0.5 * dt / dx, m1)
-    if bad >= 0:
+    if st.thin_face >= 0:
+        bad = cell(st.thin_face)
         raise BlowUpError(
-            f"negative specific volume in reconstruction near cell {cell(bad)} "
+            f"negative specific volume in reconstruction near cell {bad} "
             f"at t={state.t:.6g}"
         )
-
-    # local Lax-Friedrichs flux on the m+1 faces of the window; a face's left
-    # state is a right edge value and its right state a left edge value
-    faces = (r.vr[:-1], r.ur[:-1]), (r.vl[1:], r.ul[1:])
-    if not m1:
-        r.fu_l[:-1], r.a_l[:-1] = flux_and_speed(closure, *faces[0])
-        r.fu_r[:-1], r.a_r[:-1] = flux_and_speed(closure, *faces[1])
-    # kappa = sinh(h)/h is the mean of exp(-alpha (s - t_mid)) over the step,
-    # so the volume flux carries the far-field decay exactly (module docstring)
-    h = 0.5 * alpha * dt
-    kappa = np.sinh(h) / h if h > 0.0 else 1.0
-    rows, st = _kernel.update(
-        v, u, lo, hi, half_damp, dt / dx, 0.5 * kappa, m1, buf
-    )
     if not st.hyperbolic:  # the NumPy evaluation raises the same error
-        for face in faces:
+        for face in work.face_states():
             flux_and_speed(closure, *face)
     speed_bound = st.speed_bound
     courant = dt * speed_bound / dx
@@ -406,12 +410,12 @@ def step(state: SimState, dt: float) -> SimState:
             RuntimeWarning,
             stacklevel=2,
         )
-    v_new, u_new = rows
+    rows = work.rows
 
     # the checks above cover what SimState.__post_init__ would re-scan
     new = object.__new__(SimState)
     new.__dict__.update(
-        state.__dict__, v=v_new, u=u_new, t=t_new, speed_bound=speed_bound,
+        state.__dict__, v=rows[0], u=rows[1], t=t_new, speed_bound=speed_bound,
         max_abs_u=max(state.max_abs_u, u_max),
     )
     return new

@@ -128,6 +128,24 @@ def test_retired_and_foreign_closure_keys_are_errors(tmp_path, capsys):
     assert cfg.closure_name == "m1" and cfg.gamma == 2.0
 
 
+_FLOAT_KEYS = [key for key, (_, conv) in config._SCHEMA.items() if conv not in (str, int)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", _FLOAT_KEYS, ids=[".".join(k) for k in _FLOAT_KEYS])
+def test_non_finite_float_is_a_config_error(tmp_path, capsys, section, key, value):
+    """NaN passes no range check and inf passes some: each float key names itself."""
+    from diffwave.cli import main
+
+    sections = {"scenario": ["preset = gamma-default"]}
+    sections.setdefault(section, []).append(f"{key} = {value}")
+    path = tmp_path / "bad.ini"
+    path.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+                            for name, lines in sections.items()))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{section}.{key} must be finite, got {float(value)!r}" in capsys.readouterr().err
+
+
 def _tiny_series(n_samples=3):
     series = DiagnosticsSeries(x0=0.25)
     for i in range(n_samples):

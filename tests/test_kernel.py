@@ -107,3 +107,38 @@ def test_cache_key_follows_the_compiler_version(monkeypatch):
 
     monkeypatch.setattr(_kernel, "_run", other_compiler)
     assert _kernel._key() != key
+
+
+def _stale(directory, name):
+    path = directory / name
+    path.write_bytes(b"\x7fELF stale")
+    return path
+
+
+def test_build_prunes_own_stale_libraries_from_the_package_cache(monkeypatch, tmp_path):
+    source = tmp_path / "_step.c"
+    source.write_text(_kernel._SOURCE.read_text())
+    monkeypatch.setattr(_kernel, "_SOURCE", source)
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    stale = _stale(cache, "_step.0123456789abcdef.so")
+    kept = [_stale(cache, name) for name in ("_step.notahash.so", "other.so")]
+    elsewhere = _stale(tmp_path, "_step.fedcba9876543210.so")
+    link = cache / elsewhere.name
+    link.symlink_to(elsewhere)
+    kept.append(link)
+    if os.getuid() == 0:
+        foreign = _stale(cache, "_step.00000000000000ff.so")
+        os.chown(foreign, os.getuid() + 1, -1)
+        kept.append(foreign)
+    lib = _kernel._build()
+    assert lib.parent == cache and _is_library(lib)
+    assert not stale.exists()
+    assert all(os.path.lexists(path) for path in kept) and elsewhere.exists()
+
+
+def test_temporary_cache_is_not_pruned(user_cache):
+    user_cache.mkdir(mode=0o700)
+    other_checkout = _stale(user_cache, "_step.0123456789abcdef.so")
+    lib = _kernel._build()
+    assert lib.parent == user_cache and other_checkout.exists()

@@ -257,6 +257,102 @@ def test_compiled_m1_loses_hyperbolicity_like_numpy():
     assert messages[0].startswith("hyperbolicity lost at state")
 
 
+def test_closure_with_rising_pressure_loses_hyperbolicity_like_numpy():
+    """p' > 0: the correction-free and the general combine raise the callables' error."""
+    rising = dataclasses.replace(
+        linear_closure(1.0), p=lambda v: np.asarray(v, dtype=float),
+        dp=lambda v: np.ones_like(np.asarray(v, dtype=float)),
+    )
+    assert rising.correction_free and not _user_built(rising).correction_free
+    n = 32
+    for closure in (rising, _user_built(rising)):
+        state = SimState(-4.0, 4.0, n, np.ones(n), np.zeros(n), 0.0, closure)
+        with pytest.raises(HyperbolicityError) as err:
+            step(state, 0.01)
+        assert str(err.value) == (
+            "hyperbolicity lost at state (v=1, u=0): discriminant -4 is not >= 0"
+        )
+
+
+def _calls_per_round(closure, n_steps=3):
+    """The callables each closure round of ``step`` calls, on a bump state.
+
+    Every argument must be one contiguous 1-D float64 array.  Returns, per
+    step, the sorted names of the first round (the larger arguments, the
+    2 (m + 2) edge values) and of the second (the 2 (m + 1) face states).
+    """
+    calls = []
+
+    def recorder(name, fn):
+        def called(x):
+            assert type(x) is np.ndarray and x.dtype == np.float64
+            assert x.ndim == 1 and x.flags.c_contiguous
+            calls.append((name, x.size))
+            return fn(x)
+        return called
+
+    names = ("p", "dp") if closure.correction_free else ("p", "dp", "g", "dg", "f", "df")
+    closure = dataclasses.replace(
+        closure, **{k: recorder(k, getattr(closure, k)) for k in names}
+    )
+    n = 128
+    x = -8.0 + (np.arange(n) + 0.5) * (16.0 / n)
+    bump = PerturbationSpec(amplitude=0.05, center=0.0, width=2.0)(x)
+    state = SimState(-8.0, 8.0, n, 1.0 + bump, 0.5 * bump, 0.0, closure)
+    rounds = []
+    for _ in range(n_steps):
+        calls.clear()
+        state = step(state, 0.01)
+        sizes = sorted({size for _, size in calls}, reverse=True)
+        assert len(sizes) == 2 and sizes[0] == sizes[1] + 2
+        rounds.append([sorted(k for k, size in calls if size == s) for s in sizes])
+    return rounds
+
+
+def test_each_round_calls_each_callable_once_on_one_array():
+    for closure, first, second in (
+        (gamma_law_closure(2.0, 1.0), ["p"], ["dp", "p"]),
+        (_user_built(gamma_law_closure(2.0, 1.0)), ["f", "g", "p"],
+         ["df", "dg", "dp", "f", "g", "p"]),
+        (_user_built(m1_closure(1.0)), ["f", "g", "p"], ["df", "dg", "dp", "f", "g", "p"]),
+    ):
+        assert _calls_per_round(closure) == [[first, second]] * 3
+
+
+def test_builtin_m1_step_calls_no_callable(monkeypatch):
+    from diffwave import closures
+
+    calls = []
+    for name in ("p", "dp", "d2p", "d3p", "d4p", "g", "dg", "f", "df"):
+        fn = getattr(closures, f"_m1_{name}")
+        monkeypatch.setattr(closures, f"_m1_{name}",
+                            lambda x, fn=fn, name=name: calls.append(name) or fn(x))
+    closure = closures.m1_closure(1.0)
+    assert closure.builtin_m1
+    n = 64
+    u = 0.05 * np.sin(np.linspace(0.0, 3.0, n))
+    state = SimState(-4.0, 4.0, n, np.ones(n), u, 0.0, closure)
+    for _ in range(3):
+        state = step(state, 0.01)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "closure",
+    [gamma_law_closure(2.0, 1.0), gamma_law_closure(1.4, 0.5), linear_closure(1.0),
+     _user_built(m1_closure(1.0))],
+    ids=["gamma2", "gamma1.4", "linear", "m1-rewrapped"],
+)
+def test_face_combine_matches_flux_and_speed_bitwise(closure):
+    """The step's second closure round and C face combine against the NumPy pass."""
+    v = np.linspace(0.05, 20.0, 601)
+    u = np.r_[np.linspace(-0.99, 0.99, 397), 0.0, -0.0, 5e-324, -5e-324]
+    vv, uu = (a.ravel() for a in np.meshgrid(v, u))
+    flux, speed = _kernel.face_combine(closure, vv, uu)
+    want_flux, want_speed = flux_and_speed(closure, vv, uu)
+    assert same_bits(flux, want_flux) and same_bits(speed, want_speed)
+
+
 def test_rewrapped_closure_steps_like_builtin():
     """The built-in callables' shortcuts (g = 0 in NumPy, m1 in C) and the callables agree.
 
@@ -291,7 +387,12 @@ def test_successor_state_keeps_grid_and_closure():
 
 
 def _recording(closure, sizes):
-    """The closure with ``p`` appending the size of each argument to ``sizes``."""
+    """The closure with ``p`` appending the size of each argument to ``sizes``.
+
+    Each closure round calls ``p`` once on both rows back to back, so the
+    largest argument of a step is 2 (m + 2), the edge values of a window of
+    m cells.
+    """
 
     def p(v, fn=closure.p):
         sizes.append(np.size(v))
@@ -322,7 +423,7 @@ def test_constant_state_takes_a_one_cell_window(closure):
     for _ in range(5):
         sizes.clear()
         state = step(state, 0.01)
-        assert max(sizes) == 3  # the predictor's edge values of one cell
+        assert max(sizes) == 2 * 3  # the predictor's edge values of one cell
         ref = reference_step(ref, 0.01)
         assert same_bits(state.v, ref.v) and same_bits(state.u, ref.u)
         assert state.speed_bound == ref.speed_bound
@@ -339,7 +440,7 @@ def test_window_touching_the_domain_edges(edges):
                      _recording(gamma_law_closure(2.0, 1.0), sizes))
     step(state, cfl_dt(state, 0.45))
     # one edge's bump leaves the far side uniform: the window stops short
-    assert (max(sizes) < n + 2) == (edges != (True, True))
+    assert (max(sizes) < 2 * (n + 2)) == (edges != (True, True))
     _match_reference(state, 40)
 
 
@@ -362,12 +463,29 @@ def test_m1_far_field_jump():
         dt = cfl_dt(state, 0.45)
         sizes.clear()
         state = step(state, dt)
-        assert max(sizes) < n + 2  # the window ends short of the right edge
+        assert max(sizes) < 2 * (n + 2)  # the window ends short of the right edge
         ref = reference_step(ref, dt)
         assert state.t == ref.t and state.speed_bound == ref.speed_bound
         assert same_bits(state.v, ref.v) and same_bits(state.u, ref.u)
     assert np.all(state.u[-64:] == state.u[-1])
     assert state.u[-1] == pytest.approx(0.05 * np.exp(-state.t), rel=1e-12)
+
+
+@pytest.mark.parametrize("anchor", [2, 196], ids=["left-anchor", "right-anchor"])
+@pytest.mark.parametrize("row", ["v", "u"])
+def test_differing_pair_anywhere_sets_the_window(row, anchor):
+    """Jumps between cells k and k + 1, for every k, and at a fixed pair near
+    one end: the window search, which skips uniform pairs in blocks from both
+    ends, finds the far jump wherever it falls relative to the block edges."""
+    n = 200
+    closure = gamma_law_closure(2.0, 1.0)
+    for k in range(n - 1):
+        v, u = np.ones(n), np.zeros(n)
+        for pair in (anchor, k):
+            (v if row == "v" else u)[pair + 1:] += 0.01
+        state = SimState(-4.0, 4.0, n, v, u, 0.0, closure)
+        got, want = step(state, 0.01), reference_step(state, 0.01)
+        assert same_bits(got.v, want.v) and same_bits(got.u, want.u), k
 
 
 def test_signed_zeros_bound_the_window():
