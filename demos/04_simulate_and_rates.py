@@ -8,7 +8,7 @@ should sit near the optimal targets -1/4 (V), -3/4 (V_x), -5/4 (z).
 
 This is a trimmed version of the long verification scenario (smaller
 grid, shorter horizon), so the fitted slopes land close to, but not
-exactly on, the asymptotic values.  Expect roughly one minute.
+exactly on, the asymptotic values.  Expect a few seconds.
 
 Run:  python demos/04_simulate_and_rates.py
 """

@@ -15,10 +15,11 @@ failed build raises ImportError with the compiler command and its stderr.
 
 The wrappers take and return NumPy arrays of float64; every input goes
 through ``np.ascontiguousarray(x, dtype=float)`` (``as_pair``, ``_row``).
-``solver.step`` makes one ``Step`` per call.  With the built-in m1 closure
-that is one C call, ``Step.m1``.  With any other closure it runs the three
-stages and, between them, the closure's two rounds (``closure_round``) on
-the rows of ``Step.edge_values``; ``_step.c`` says what each stage does.
+``step`` runs one transport step and alone knows the layout of its buffer:
+with the built-in m1 closure one C call, with any other the three stages
+and, between them, the closure's two rounds (``closure_round``); ``_step.c``
+says what each stage does.  ``flux_and_speed`` is the same face combine on
+any states, the package's one evaluation of the flux and the wave speed.
 """
 
 from __future__ import annotations
@@ -204,74 +205,72 @@ def closure_round(closure, v, u, speed: bool):
     return p, dp, g, row(closure.dg, u), f, row(closure.df, v)
 
 
-class Step:
-    """One step's buffer, status and successor rows, passed from stage to stage.
+def _edge_rows(st, buf):
+    """(v, u) at the window's 2 (m + 2) edge values: the left edge values of
+    its cells and one cell a side, then their right edge values.
 
-    ``v`` and ``u`` are the rows of ``as_pair``.  Each step makes its own, so
-    concurrent steps share nothing.  ``st`` is the ``dw_status``; ``rows``
-    the successor's (v, u) once the step has run through.
+    The same rows without their first and last value are the 2 (m + 1) face
+    states (``_step.c``), which the closure's second round takes.
     """
-
-    def __init__(self, v, u):
-        n = v.size
-        self.buf = np.empty(lib.N_REGIONS * 2 * (n + 2))
-        self.rows = np.empty((2, n))
-        self.st = ffi.new(_STATUS)
-        self._cells = (n, _ptr(v), _ptr(u))
-        self._out = (_ptr(self.buf), _ptr(self.rows), self.st)
-
-    def m1(self, half_damp, lam, dt_dx, half_kappa):
-        """The whole step with the built-in m1 closure.
-
-        ``st.thin_face >= 0`` stops it after the predictor.
-        """
-        lib.dw_step_m1(*self._cells, half_damp, lam, dt_dx, half_kappa, *self._out)
-
-    def edges(self, half_damp):
-        """Stage 1: the window ``st.lo`` .. ``st.hi - 1`` and its edge values."""
-        lib.dw_edges(*self._cells, half_damp, self._out[0], self.st)
-
-    def edge_values(self):
-        """(v, u) at the window's 2 (m + 2) edge values: the left edge values
-        of its cells and one cell a side, then their right edge values.
-
-        The same rows without their first and last value are the 2 (m + 1)
-        face states (``_step.c``), which the closure's second round takes.
-        """
-        s = self.st.hi - self.st.lo + 2
-        return self.buf[: 2 * s], self.buf[2 * s: 4 * s]
-
-    def face_states(self):
-        """((v, u) of the left states, (v, u) of the right states) of the
-        window's m + 1 faces: right and left edge values of the window."""
-        edge_v, edge_u = self.edge_values()
-        s = self.st.hi - self.st.lo + 2
-        return (edge_v[s:-1], edge_u[s:-1]), (edge_v[1:s], edge_u[1:s])
-
-    def predict(self, lam, terms):
-        """Stage 2 with the first round's ``closure_round``; a face whose
-        reconstructed v is <= 0 goes to ``st.thin_face``."""
-        lib.dw_predict(lam, terms[0], terms[2], terms[4], self._out[0], self.st)
-
-    def update(self, half_damp, dt_dx, half_kappa, terms):
-        """Stage 3 with the second round's ``closure_round``."""
-        lib.dw_update(*self._cells, half_damp, dt_dx, half_kappa, *terms, *self._out)
+    s = st.hi - st.lo + 2
+    return buf[: 2 * s], buf[2 * s: 4 * s]
 
 
-def face_combine(closure, v, u):
-    """(flux, speed) of the closure at the states (v, u), as the step's second
-    closure round and its face combine compute them.
+def step(closure, v, u, half_damp, lam, dt_dx, half_kappa):
+    """The transport step's stages on the cells (v, u): (st, rows, buf).
 
-    Returns None when a discriminant is not >= 0 (NaN included), where
-    ``closures.flux_and_speed`` raises HyperbolicityError.
+    ``st`` is the ``dw_status``, ``rows`` the successor's (v, u) once the step
+    has run through, ``buf`` the step's buffer for ``face_states``.  Each call
+    makes its own, so concurrent steps share nothing.  With the built-in m1
+    closure the step is one C call; with any other it runs the three stages
+    and, between them, the closure's two rounds.  ``st.thin_face >= 0`` stops
+    it after the predictor.
     """
     v, u = as_pair(v, u)
-    v, u = v.ravel(), u.ravel()
+    n = v.size
+    buf = np.empty(lib.N_REGIONS * 2 * (n + 2))
+    rows = np.empty((2, n))
+    st = ffi.new(_STATUS)
+    cells = (n, _ptr(v), _ptr(u))
+    out = (_ptr(buf), _ptr(rows), st)
+    if closure.builtin_m1:
+        lib.dw_step_m1(*cells, half_damp, lam, dt_dx, half_kappa, *out)
+        return st, rows, buf
+    lib.dw_edges(*cells, half_damp, out[0], st)
+    edge_v, edge_u = _edge_rows(st, buf)
+    p, _, g, _, f, _ = closure_round(closure, edge_v, edge_u, False)
+    lib.dw_predict(lam, p, g, f, out[0], st)
+    if st.thin_face < 0:
+        terms = closure_round(closure, edge_v[1:-1], edge_u[1:-1], True)
+        lib.dw_update(*cells, half_damp, dt_dx, half_kappa, *terms, *out)
+    return st, rows, buf
+
+
+def face_states(st, buf):
+    """((v, u) of the left states, (v, u) of the right states) of the
+    window's m + 1 faces: right and left edge values of the window."""
+    edge_v, edge_u = _edge_rows(st, buf)
+    s = st.hi - st.lo + 2
+    return (edge_v[s:-1], edge_u[s:-1]), (edge_v[1:s], edge_u[1:s])
+
+
+def flux_and_speed(closure, v, u):
+    """(flux, speed) of the closure at the 1-D states (v, u), as the step's
+    face combine computes them: p - g f and (|b| + sqrt(b^2 - 4c)) / 2 with
+    b = g' f and c = p' - g f'.  The speed is max(|lam-|, |lam+|) bit for
+    bit: the larger root magnitude is the rounded sum of |b| and the root,
+    the smaller the rounded difference, which rounding keeps no larger.
+
+    Returns None when a discriminant is not >= 0 (NaN included).
+    """
+    v, u = as_pair(v, u)
     flux, speed = np.empty_like(v), np.empty_like(v)
-    terms = closure_round(closure, v, u, True)
-    if lib.dw_face_combine(v.size, *terms, _ptr(flux), _ptr(speed)):
-        return flux, speed
-    return None
+    if closure.builtin_m1:
+        ok = lib.dw_m1_flux_and_speed(v.size, _ptr(v), _ptr(u), _ptr(flux), _ptr(speed))
+    else:
+        terms = closure_round(closure, v, u, True)
+        ok = lib.dw_face_combine(v.size, *terms, _ptr(flux), _ptr(speed))
+    return (flux, speed) if ok else None
 
 
 def m1_momentum_flux(v, u):
@@ -280,16 +279,3 @@ def m1_momentum_flux(v, u):
     out = np.empty_like(v)
     lib.dw_m1_momentum_flux(v.size, _ptr(v), _ptr(u), _ptr(out))
     return out
-
-
-def m1_flux_and_speed(v, u):
-    """(flux, speed) of the built-in m1 closure, as the step evaluates them.
-
-    Returns None when a discriminant is not >= 0 (NaN included), where
-    ``closures.flux_and_speed`` raises HyperbolicityError.
-    """
-    v, u = as_pair(v, u)
-    flux, speed = np.empty_like(v), np.empty_like(v)
-    if lib.dw_m1_flux_and_speed(v.size, _ptr(v), _ptr(u), _ptr(flux), _ptr(speed)):
-        return flux, speed
-    return None

@@ -29,7 +29,8 @@
  * takes the momentum flux of the edge values (a correction-free closure's p
  * is read in place), and FLUX and SPEED the momentum flux and wave speed of
  * the face states; FLUXES takes the faces' volume and momentum fluxes.  The
- * window and every check go into a dw_status.
+ * window and every check go into a dw_status.  Of the Python, only
+ * _kernel.step knows this layout.
  *
  * A closure round hands in contiguous rows of the closure's values on V and
  * U (g, g' on u; p, p', f, f' on v).  A correction-free closure (g = 0,
@@ -247,9 +248,9 @@ CLONED void dw_predict(double lam, const double *p, const double *g, const doubl
     predict(lam, mf, buf, st);
 }
 
-/* The wave speed (|b| + sqrt(b^2 - 4c))/2, b = g' f and c = p' - g f', and
- * the momentum flux p - g f of one state, as ``closures.flux_and_speed``
- * computes them.  0 when the discriminant is not >= 0 (NaN included). */
+/* The speed (|b| + sqrt(b^2 - 4c))/2 = max |lam| bit for bit, b = g' f and
+ * c = p' - g f', and the momentum flux p - g f of one state: the package's
+ * one flux and speed.  0 when the discriminant is not >= 0 (NaN included). */
 static inline int64_t combine(double p, double dp, double g, double dg, double f,
                               double df, double *flux, double *speed)
 {
@@ -261,9 +262,8 @@ static inline int64_t combine(double p, double dp, double g, double dg, double f
 }
 
 /* The face combine of k states.  g = NULL is a correction-free closure:
- * b = 0 and c = p', so the speed is sqrt(-p') and the flux p, the bits of
- * ``flux_and_speed``'s correction-free branch, and hyperbolicity is
- * p' <= 0.  Returns 0 when a state is not hyperbolic, else 1. */
+ * b = 0, c = p', so the flux is p, the speed sqrt(-p') = 0.5 sqrt(-4p')
+ * exactly, and hyperbolicity p' <= 0.  Returns 0 unless all are hyperbolic. */
 CLONED int dw_face_combine(int64_t k, const double *restrict p,
                            const double *restrict dp, const double *restrict g,
                            const double *restrict dg, const double *restrict f,

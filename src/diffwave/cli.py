@@ -1,15 +1,14 @@
 """Command-line surface: profile | simulate | rates | verify.
 
-Exit codes: 0 success, 1 criterion failure, 2 usage, configuration or
-initial-data error or a series too short to fit, 3 numerical blow-up,
-loss of hyperbolicity or a failed profile solve.  ``ERROR_EXITS`` maps
-each error to its code.
+Exit codes: 0 success, 1 criterion failure, 2 usage, configuration,
+initial-data, series-file or output error or a series too short to fit,
+3 numerical blow-up, loss of hyperbolicity or a failed profile solve.
+``ERROR_EXITS`` maps each error to its code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -20,8 +19,11 @@ from .config import ConfigError, build_scenario, parse_config
 from .diagnostics import FitError, FitWindowError, theorem_report
 from .diffusion_wave import ProfileSolverError
 from .output import (
+    OutputError,
+    SeriesError,
     emit_loglog_svg,
     read_series_csv,
+    write_json,
     write_profile_csv,
     write_rates_csv,
     write_series_csv,
@@ -38,6 +40,8 @@ EXIT_BLOWUP = 3
 ERROR_EXITS = (
     (ConfigError, EXIT_USAGE, "config error"),
     (InitialDataError, EXIT_USAGE, "initial data error"),
+    (SeriesError, EXIT_USAGE, "series error"),
+    (OutputError, EXIT_USAGE, "output error"),
     (BlowUpError, EXIT_BLOWUP, "numerical blow-up"),
     (HyperbolicityError, EXIT_BLOWUP, "numerical failure"),
     (ProfileSolverError, EXIT_BLOWUP, "profile solver failure"),
@@ -69,7 +73,6 @@ def cmd_simulate(args) -> int:
     else:
         samples = np.array([0.0])
     series = run(spec, profile, samples, store_z=False)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "series.csv")
     write_series_csv(path, series)
     print(f"wrote {path} ({len(series.t)} samples, x0 = {series.x0:.6g})")
@@ -79,11 +82,7 @@ def cmd_simulate(args) -> int:
 def cmd_rates(args) -> int:
     data = read_series_csv(args.series)
     t = data["t"]
-    if len(t) == 0:
-        print("error: empty series", file=sys.stderr)
-        return EXIT_USAGE
     rows = theorem_report(t, data, l1_condition=args.targets == "improved")["rows"]
-    os.makedirs(args.out, exist_ok=True)
     write_rates_csv(os.path.join(args.out, "rates.csv"), rows)
     emit_loglog_svg(
         os.path.join(args.out, "rates.svg"),
@@ -121,9 +120,7 @@ def cmd_verify(args) -> int:
         "overall_pass": all(r.passed for r in results if not r.skipped),
     }
     path = os.path.join(args.out, "verify.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report)
     print(f"wrote {path}")
     ok = report["overall_pass"]
     print("acceptance:", "PASS" if ok else "FAIL")

@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import _kernel
+
 __all__ = [
     "ModelClosure",
     "AssumptionReport",
@@ -33,8 +35,6 @@ __all__ = [
     "check_assumptions",
     "characteristic_speeds",
     "wave_speed_bound",
-    "momentum_flux",
-    "flux_and_speed",
 ]
 
 
@@ -372,19 +372,6 @@ def check_assumptions(
     )
 
 
-def _require_hyperbolic(v, u, disc):
-    """Raise HyperbolicityError unless every discriminant is >= 0 (NaN fails)."""
-    ok = np.asarray(disc >= 0.0)
-    if ok.all():
-        return
-    bad = int(np.argmin(ok))
-    vb, ub, db = (float(np.broadcast_to(a, ok.shape).flat[bad]) for a in (v, u, disc))
-    raise HyperbolicityError(
-        f"hyperbolicity lost at state (v={vb:.6g}, u={ub:.6g}): "
-        f"discriminant {db:.6g} is not >= 0"
-    )
-
-
 def characteristic_speeds(closure: ModelClosure, v, u):
     """Real characteristic speeds (lam_minus, lam_plus) of the flux Jacobian.
 
@@ -399,7 +386,14 @@ def characteristic_speeds(closure: ModelClosure, v, u):
     b = closure.dg(u) * closure.f(v)
     c = closure.dp(v) - closure.g(u) * closure.df(v)
     disc = b * b - 4.0 * c
-    _require_hyperbolic(v, u, disc)
+    ok = np.asarray(disc >= 0.0)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        vb, ub, db = (float(np.broadcast_to(a, ok.shape).flat[bad]) for a in (v, u, disc))
+        raise HyperbolicityError(
+            f"hyperbolicity lost at state (v={vb:.6g}, u={ub:.6g}): "
+            f"discriminant {db:.6g} is not >= 0"
+        )
     root = np.sqrt(disc)
     lam_minus = 0.5 * (-b - root)
     lam_plus = 0.5 * (-b + root)
@@ -411,41 +405,12 @@ def characteristic_speeds(closure: ModelClosure, v, u):
 def wave_speed_bound(closure: ModelClosure, v, u):
     """Elementwise max |lambda| over both characteristic families.
 
-    Raises HyperbolicityError like ``characteristic_speeds``.
+    The speeds come from the step's compiled face combine
+    (``_kernel.flux_and_speed``).  Raises HyperbolicityError like
+    ``characteristic_speeds``.
     """
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return flux_and_speed(closure, v, u, with_flux=False)[1]
-
-
-def momentum_flux(closure: ModelClosure, v, u):
-    """Momentum component p(v) - g(u) f(v) of the flux (-u, p - g f)."""
-    if closure.correction_free:
-        return closure.p(v)
-    return closure.p(v) - closure.g(u) * closure.f(v)
-
-
-def flux_and_speed(closure: ModelClosure, v, u, with_flux: bool = True):
-    """``momentum_flux`` and ``wave_speed_bound`` from one pass of closure calls.
-
-    Each closure callable is evaluated at most once on the arrays (v, u).
-    The speed is (|b| + sqrt(b^2 - 4c)) / 2 with b = g'(u) f(v) and
-    c = p'(v) - g(u) f'(v), which is max(|lam-|, |lam+|) bit for bit: the
-    larger root magnitude is the rounded sum of |b| and the root, the
-    smaller the rounded difference, which rounding keeps no larger.  With
-    ``with_flux=False`` the flux is not computed and None is returned for it.
-    """
-    if closure.correction_free:
-        # b = 0 and c = p' give disc = -4 p', and 0.5 sqrt(-4 p') = sqrt(-p')
-        # exactly: scaling by 4 commutes with the correctly rounded sqrt
-        dp = closure.dp(v)
-        if not np.asarray(dp <= 0.0).all():
-            _require_hyperbolic(v, u, -4.0 * dp)
-        return (closure.p(v) if with_flux else None), np.sqrt(-dp)
-    gu = closure.g(u)
-    fv = closure.f(v)
-    b = closure.dg(u) * fv
-    disc = b * b - 4.0 * (closure.dp(v) - gu * closure.df(v))
-    _require_hyperbolic(v, u, disc)
-    speed = 0.5 * (np.abs(b) + np.sqrt(disc))
-    return (closure.p(v) - gu * fv if with_flux else None), speed
+    v, u = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(u, dtype=float))
+    result = _kernel.flux_and_speed(closure, v.ravel(), u.ravel())
+    if result is None:
+        characteristic_speeds(closure, v, u)  # raises the error
+    return result[1].reshape(v.shape)

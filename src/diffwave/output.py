@@ -8,21 +8,35 @@ strings with no timestamps or generator metadata.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
 
-from .diagnostics import NORM_KEYS
+from .diagnostics import BASE_TARGETS, NORM_KEYS
 
 __all__ = [
     "SERIES_COLUMNS",
+    "OutputError",
+    "SeriesError",
+    "make_dir",
+    "read_series_csv",
     "write_series_csv",
     "write_rates_csv",
     "write_profile_csv",
+    "write_json",
     "emit_loglog_svg",
 ]
 
 SERIES_COLUMNS = ("t", *NORM_KEYS, "mass_residual")
+
+
+class OutputError(OSError):
+    """Raised when an output directory or file cannot be made."""
+
+
+class SeriesError(ValueError):
+    """Raised when a series CSV cannot be read or lacks what ``rates`` judges."""
 
 
 def _fmt(x) -> str:
@@ -43,11 +57,35 @@ def write_series_csv(path, series) -> None:
 
 
 def read_series_csv(path):
-    """Read a series CSV back into a dict of column arrays."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
+    """Read a series CSV back into a dict of column arrays.
+
+    The file must be readable, its header must name ``t`` and every L2 norm
+    that ``rates`` judges, and it must hold at least one row of numbers, each
+    as long as the header.  Otherwise SeriesError names the path and the cause.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SeriesError(f"cannot read {path!r}: {exc}") from exc
+    if not lines:
+        raise SeriesError(f"{path!r} is empty")
+    header = lines[0].split(",")
+    missing = [name for name in ("t", *BASE_TARGETS) if name not in header]
+    if missing:
+        raise SeriesError(f"{path!r} lacks the column(s) {', '.join(missing)}")
+    rows = [line.split(",") for line in lines[1:] if line]
+    if not rows:
+        raise SeriesError(f"{path!r} holds no samples")
+    for k, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise SeriesError(
+                f"{path!r} line {k}: {len(row)} values for {len(header)} columns"
+            )
+    try:
+        data = np.asarray(rows, dtype=float)
+    except ValueError as exc:
+        raise SeriesError(f"{path!r} holds a non-numeric value: {exc}") from exc
     return {name: data[:, j] for j, name in enumerate(header)}
 
 
@@ -78,6 +116,11 @@ def write_profile_csv(path, profile) -> None:
     for i in range(len(profile.xi_grid)):
         lines.append(",".join(_fmt(a[i]) for a in columns))
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def write_json(path, obj) -> None:
+    """Write obj as indented JSON with sorted keys."""
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def emit_loglog_svg(path, t, series_map, title="decay of perturbation norms") -> None:
@@ -153,16 +196,21 @@ def emit_loglog_svg(path, t, series_map, title="decay of perturbation norms") ->
     _write_text(path, "\n".join(parts) + "\n")
 
 
+def make_dir(path) -> None:
+    """Make the directory path and its parents, unless it exists."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot make output directory {path!r}: {exc}") from exc
+
+
 def _write_text(path, text: str) -> None:
     path = os.fspath(path)
     parent = os.path.dirname(path)
     if parent:
-        try:
-            os.makedirs(parent, exist_ok=True)
-        except OSError as exc:
-            raise IOError(f"cannot create output directory for {path!r}: {exc}") from exc
+        make_dir(parent)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise IOError(f"cannot write {path!r}: {exc}") from exc
+        raise OutputError(f"cannot write {path!r}: {exc}") from exc

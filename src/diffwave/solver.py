@@ -70,11 +70,14 @@ each needed callable is called once on the edge values of both edge rows,
 held back to back in one array, then once on the states of both face rows.
 A correction-free closure (g = 0, f = 1) needs only p, then p and p'.  One
 C face combine turns the second round into fluxes, speeds and the
-hyperbolicity flag, with the IEEE operations of ``closures.flux_and_speed``,
-which raises the error when a discriminant is lost.  The gamma law needs
-``pow``, and NumPy's SIMD ``pow`` differs from libm's in the last bit for
-about 5 % of values of v in [0.9, 1.2], so a C copy would change the
-results.
+hyperbolicity flag; ``closures.wave_speed_bound`` takes its speeds from the
+same combine (``_kernel.flux_and_speed``).  When a discriminant is lost,
+``closures.characteristic_speeds`` on the face states raises the error.
+``_kernel.step`` runs the stages and alone knows the step's buffer;
+``step`` keeps the scheme's scalars and turns the status into errors.  The
+gamma law needs ``pow``, and NumPy's SIMD ``pow`` differs from libm's in the
+last bit for about 5 % of values of v in [0.9, 1.2], so a C copy would
+change the results.
 
 The solver works in the mass (Lagrangian) coordinate throughout;
 ``lagrangian_transform`` maps Eulerian initial data into that frame.
@@ -88,7 +91,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .closures import ModelClosure, flux_and_speed, wave_speed_bound
+from .closures import ModelClosure, characteristic_speeds, wave_speed_bound
 from .corrections import CorrectionField, eval_uhat, eval_vhat, make_mollifier
 from .diffusion_wave import WaveProfile, eval_ubar, eval_vbar
 
@@ -358,24 +361,9 @@ def step(state: SimState, dt: float) -> SimState:
     # so the volume flux carries the far-field decay exactly (module docstring)
     h = 0.5 * alpha * dt
     kappa = np.sinh(h) / h if h > 0.0 else 1.0
-    lam, dt_dx = 0.5 * dt / dx, dt / dx
-    v, u = _kernel.as_pair(state.v, state.u)
-
-    # one C call with the built-in m1 closure; else two closure rounds, on
-    # the edge values of the window lo .. hi-1 (its cells and one ghost or
-    # neighbour a side, after the first source half-step) and on the face
-    # states, between the three stages
-    work = _kernel.Step(v, u)
-    st = work.st
-    if closure.builtin_m1:
-        work.m1(half_damp, lam, dt_dx, 0.5 * kappa)
-    else:
-        work.edges(half_damp)
-        edge_v, edge_u = work.edge_values()
-        work.predict(lam, _kernel.closure_round(closure, edge_v, edge_u, False))
-        if st.thin_face < 0:
-            terms = _kernel.closure_round(closure, edge_v[1:-1], edge_u[1:-1], True)
-            work.update(half_damp, dt_dx, 0.5 * kappa, terms)
+    st, rows, buf = _kernel.step(
+        closure, state.v, state.u, half_damp, 0.5 * dt / dx, dt / dx, 0.5 * kappa
+    )
     lo = st.lo
 
     def cell(k):
@@ -388,9 +376,9 @@ def step(state: SimState, dt: float) -> SimState:
             f"negative specific volume in reconstruction near cell {bad} "
             f"at t={state.t:.6g}"
         )
-    if not st.hyperbolic:  # the NumPy evaluation raises the same error
-        for face in work.face_states():
-            flux_and_speed(closure, *face)
+    if not st.hyperbolic:  # the NumPy eigen-solve raises the same error
+        for face in _kernel.face_states(st, buf):
+            characteristic_speeds(closure, *face)
     speed_bound = st.speed_bound
     courant = dt * speed_bound / dx
     if courant > 1.0:
@@ -410,7 +398,6 @@ def step(state: SimState, dt: float) -> SimState:
             RuntimeWarning,
             stacklevel=2,
         )
-    rows = work.rows
 
     # the checks above cover what SimState.__post_init__ would re-scan
     new = object.__new__(SimState)

@@ -40,7 +40,7 @@ from .diagnostics import (
     time_derivative_norms,
 )
 from .diffusion_wave import eval_vbar, solve_profile, verify_gaussian_tail
-from .output import write_series_csv
+from .output import make_dir, write_series_csv
 from .solver import (
     PerturbationSpec,
     ScenarioSpec,
@@ -426,7 +426,7 @@ def run_acceptance(fast: bool = False, out_dir: str = "verify_out"):
     ``fast`` skips the two long decay scenarios (criteria P4..P8 are
     reported as skipped).
     """
-    os.makedirs(out_dir, exist_ok=True)
+    make_dir(out_dir)  # fail before the runs, not after
     results: list[CriterionResult] = []
 
     results.append(check_profile_correctness())

@@ -258,3 +258,49 @@ def test_blowup_exit_code(tiny_config, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(solver, "step", blow_up)
     assert main(["simulate", "--config", tiny_config, "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("numerical blow-up: vacuum reached")
+
+
+GOOD_HEADER = "t,l2_V,l2_Vx,l2_Vxx,l2_Vxxx,l2_z,l2_zx,l2_zxx"
+GOOD_ROW = "0,1,1,1,1,1,1,1"
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        (None, "cannot read"),
+        (f"{GOOD_HEADER}\n{GOOD_ROW}\n1,1,x,1,1,1,1,1\n", "non-numeric value"),
+        (f"{GOOD_HEADER}\n{GOOD_ROW}\n1,1,1\n", "line 3: 3 values for 8 columns"),
+        (GOOD_HEADER.replace(",l2_Vx,", ",") + "\n0,1,1,1,1,1,1\n",
+         "lacks the column(s) l2_Vx"),
+        ("", "is empty"),
+        (f"{GOOD_HEADER}\n", "holds no samples"),
+    ],
+    ids=["missing", "non-numeric", "ragged", "no-l2_Vx", "empty", "header-only"],
+)
+def test_rates_on_a_bad_series_file_is_a_usage_error(tmp_path, capsys, text, cause):
+    path = tmp_path / "series.csv"
+    if text is not None:
+        path.write_text(text)
+    out = str(tmp_path / "rates")
+    assert main(["rates", "--series", str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("series error: ") and repr(str(path)) in err and cause in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["profile", "simulate", "rates", "verify"])
+def test_out_naming_a_file_is_an_output_error(tiny_config, tmp_path, capsys, command):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    series = tmp_path / "series.csv"
+    series.write_text(GOOD_HEADER + "\n" + "".join(f"{t},1,1,1,1,1,1,1\n" for t in range(20)))
+    args = {
+        "profile": ["--config", tiny_config],
+        "simulate": ["--config", tiny_config],
+        "rates": ["--series", str(series)],
+        "verify": ["--fast"],
+    }[command]
+    assert main([command, *args, "--out", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot make output directory {str(blocker)!r}")
+    assert blocker.read_text() == "not a directory\n"

@@ -171,6 +171,20 @@ def test_hyperbolicity_error_names_state():
     with pytest.raises(HyperbolicityError, match="v=1"):
         characteristic_speeds(bad, 1.0, 0.0)
 
+    # wave_speed_bound takes its speeds from the compiled face combine and
+    # raises characteristic_speeds' message, word for word
+    v, u = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0, 0.5], [1.2, 0.0]])
+    for closure in (bad, m1_closure(1.0)):
+        messages = []
+        for fn in (characteristic_speeds, wave_speed_bound):
+            with np.errstate(invalid="ignore"), pytest.raises(HyperbolicityError) as err:
+                fn(closure, v, u)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    assert messages[0] == (
+        "hyperbolicity lost at state (v=3, u=1.2): discriminant nan is not >= 0"
+    )
+
 
 def test_closure_constructor_validation():
     with pytest.raises(ValueError):

@@ -18,11 +18,9 @@ import pytest
 from diffwave import _kernel, config
 from diffwave.closures import (
     HyperbolicityError,
-    flux_and_speed,
     gamma_law_closure,
     linear_closure,
     m1_closure,
-    momentum_flux,
     wave_speed_bound,
 )
 from diffwave._kernel import minmod as solver_minmod
@@ -234,19 +232,21 @@ def test_compiled_m1_evaluators_match_numpy_bitwise():
     m1 = m1_closure(1.0)
     v = np.linspace(0.05, 20.0, 700)
     u = np.r_[np.linspace(-0.99, 0.99, 700), 0.0, -0.0, 5e-324, -5e-324]
-    vv, uu = np.meshgrid(v, u)
-    assert same_bits(_kernel.m1_momentum_flux(vv, uu), momentum_flux(m1, vv, uu))
-    flux, speed = _kernel.m1_flux_and_speed(vv, uu)
-    want_flux, want_speed = flux_and_speed(m1, vv, uu)
-    assert same_bits(flux, want_flux) and same_bits(speed, want_speed)
+    vv, uu = (a.ravel() for a in np.meshgrid(v, u))
+    want_flux = _flux(m1, vv, uu)[1]
+    assert same_bits(_kernel.m1_momentum_flux(vv, uu), want_flux)
+    flux, speed = _kernel.flux_and_speed(m1, vv, uu)
+    assert same_bits(flux, want_flux)
+    assert same_bits(speed, reference_wave_speed_bound(m1, vv, uu))
 
 
 def test_compiled_m1_loses_hyperbolicity_like_numpy():
     """|u| > 2/sqrt(3): the built-in m1 step raises the callables' error."""
-    assert _kernel.m1_flux_and_speed(np.ones(3), np.array([0.0, 1.2, 0.0])) is None
+    m1 = m1_closure(1.0)
+    assert _kernel.flux_and_speed(m1, np.ones(3), np.array([0.0, 1.2, 0.0])) is None
     n = 32
     u = np.r_[np.zeros(12), np.full(8, 1.2), np.zeros(12)]
-    state = SimState(-4.0, 4.0, n, np.ones(n), u, 0.0, m1_closure(1.0))
+    state = SimState(-4.0, 4.0, n, np.ones(n), u, 0.0, m1)
     other = dataclasses.replace(state, closure=_user_built(state.closure))
     messages = []
     for s in (state, other):
@@ -344,13 +344,14 @@ def test_builtin_m1_step_calls_no_callable(monkeypatch):
     ids=["gamma2", "gamma1.4", "linear", "m1-rewrapped"],
 )
 def test_face_combine_matches_flux_and_speed_bitwise(closure):
-    """The step's second closure round and C face combine against the NumPy pass."""
+    """The step's second closure round and C face combine against the NumPy
+    flux and the larger of the two eigen-solves' speed magnitudes."""
     v = np.linspace(0.05, 20.0, 601)
     u = np.r_[np.linspace(-0.99, 0.99, 397), 0.0, -0.0, 5e-324, -5e-324]
     vv, uu = (a.ravel() for a in np.meshgrid(v, u))
-    flux, speed = _kernel.face_combine(closure, vv, uu)
-    want_flux, want_speed = flux_and_speed(closure, vv, uu)
-    assert same_bits(flux, want_flux) and same_bits(speed, want_speed)
+    flux, speed = _kernel.flux_and_speed(closure, vv, uu)
+    assert same_bits(flux, _flux(closure, vv, uu)[1])
+    assert same_bits(speed, reference_wave_speed_bound(closure, vv, uu))
 
 
 def test_rewrapped_closure_steps_like_builtin():
