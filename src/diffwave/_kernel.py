@@ -10,8 +10,20 @@ check is rebuilt over.  The file name carries a hash of the source, of the
 compiler's ``--version`` output and of the flags, and the file appears by
 atomic rename, so an edited source or a new compiler rebuilds and
 concurrent first imports are harmless.  A build into the package's
-``__pycache__/`` deletes this user's libraries of other hashes there.  A
-failed build raises ImportError with the compiler command and its stderr.
+``__pycache__/`` deletes this user's libraries and emitted modules of other
+hashes there.  A failed build raises ImportError with the compiler command
+and its stderr.
+
+The declarations reach cffi through out-of-line ABI mode: the first import
+parses them once (cffi with pycparser) and emits a module
+``_step.<hash>.py`` next to the library; a later import loads it, after the
+same ownership check as the library, and needs no C parser.
+
+With the built-in m1 closure the step runs its window in chunks on the
+calling thread and a pool of C threads, one per CPU past the first in the
+process's affinity mask (``taskset`` limits it); the pool starts on the
+first step with more than one chunk, and its workers are stopped and joined
+at exit, before the library can be unloaded.  ``_step.c`` describes it.
 
 The wrappers take and return NumPy arrays of float64; every input goes
 through ``np.ascontiguousarray(x, dtype=float)`` (``as_pair``, ``_row``).
@@ -24,6 +36,7 @@ any states, the package's one evaluation of the flux and the wave speed.
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import os
 import re
@@ -32,7 +45,6 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-import cffi
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("_step.c")
@@ -41,7 +53,7 @@ _CC = "cc"
 # so contraction changes bits.  -fno-math-errno lets sqrt compile to one
 # instruction.  Never -ffast-math, which drops IEEE semantics, nor
 # -march=native, which ties the cached library to the building CPU.
-_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared", "-pthread")
 
 # the declarations block of the source is the cdef
 _CDEF = _SOURCE.read_text().split("/* --- declarations --- */")[1].split(
@@ -126,14 +138,16 @@ def _build() -> Path:
 
 
 def _prune(cache: Path, keep: Path) -> None:
-    """Delete this user's other compiled steps in the package's cache.
+    """Delete this user's compiled steps and emitted modules of other hashes
+    in the package's cache.
 
     Only regular files that this user owns go (``lstat``: a symlink stays).
     The per-user temporary cache is never pruned: it serves every checkout
     of this user, so another checkout's library there may be loaded next.
     """
     for old in cache.iterdir():
-        if old == keep or not re.fullmatch(r"_step\.[0-9a-f]{16}\.so", old.name):
+        stale = re.fullmatch(r"_step\.([0-9a-f]{16})\.(so|py)", old.name)
+        if not stale or old.with_suffix(keep.suffix) == keep:
             continue
         try:
             st = os.lstat(old)
@@ -143,9 +157,36 @@ def _prune(cache: Path, keep: Path) -> None:
             pass  # gone already, or not ours to delete
 
 
-ffi = cffi.FFI()
-ffi.cdef(_CDEF)
-lib = ffi.dlopen(str(_build()))
+def _emitted_ffi(path: Path):
+    """The FFI of the declarations from the module cffi emits for them at
+    path (out-of-line ABI mode), emitting it first when it is missing or is
+    not this user's own.  Loading it needs no C parser."""
+    try:
+        ready = _private(path)
+    except FileNotFoundError:
+        ready = False
+    if not ready:
+        import cffi  # pycparser parses the declarations only here
+
+        builder = cffi.FFI()
+        builder.cdef(_CDEF)
+        builder.set_source(f"_step_{path.stem.split('.')[1]}", None, compiler_verbose=False)
+        fd, tmp = tempfile.mkstemp(prefix="_step.", suffix=".py.tmp", dir=path.parent)
+        os.close(fd)
+        builder.emit_python_code(tmp)
+        os.chmod(tmp, 0o644)
+        os.replace(tmp, path)
+    namespace = {}
+    exec(compile(path.read_bytes(), str(path), "exec"), namespace)
+    return namespace["ffi"]
+
+
+_library = _build()
+ffi = _emitted_ffi(_library.with_suffix(".py"))
+lib = ffi.dlopen(str(_library))
+# the chunk pool's workers run code of the library: end them before it can
+# be unloaded
+atexit.register(lib.dw_pool_stop)
 
 
 _DOUBLES = ffi.typeof("double[]")
@@ -221,9 +262,12 @@ def step(closure, v, u, half_damp, lam, dt_dx, half_kappa):
 
     ``st`` is the ``dw_status``, ``rows`` the successor's (v, u) once the step
     has run through, ``buf`` the step's buffer for ``face_states``.  Each call
-    makes its own, so concurrent steps share nothing.  With the built-in m1
-    closure the step is one C call; with any other it runs the three stages
-    and, between them, the closure's two rounds.  ``st.thin_face >= 0`` stops
+    makes its own, so concurrent steps share nothing but the chunk pool,
+    which one step holds at a time; a step that finds it held runs alone.
+    With the built-in m1 closure the step is one C call, run in chunks, and
+    when a face loses hyperbolicity once more as one chunk, which leaves the
+    face states in ``buf``.  With any other closure it runs the three stages
+    and, between them, the closure's two rounds; ``st.thin_face >= 0`` stops
     it after the predictor.
     """
     v, u = as_pair(v, u)
@@ -234,7 +278,10 @@ def step(closure, v, u, half_damp, lam, dt_dx, half_kappa):
     cells = (n, _ptr(v), _ptr(u))
     out = (_ptr(buf), _ptr(rows), st)
     if closure.builtin_m1:
-        lib.dw_step_m1(*cells, half_damp, lam, dt_dx, half_kappa, *out)
+        lib.dw_step_m1(*cells, half_damp, lam, dt_dx, half_kappa, 0, *out)
+        if not st.hyperbolic and st.thin_face < 0:
+            # the window as one chunk leaves the face states in buf
+            lib.dw_step_m1(*cells, half_damp, lam, dt_dx, half_kappa, 1, *out)
         return st, rows, buf
     lib.dw_edges(*cells, half_damp, out[0], st)
     edge_v, edge_u = _edge_rows(st, buf)

@@ -32,6 +32,20 @@
  * window and every check go into a dw_status.  Of the Python, only
  * _kernel.step knows this layout.
  *
+ * dw_step_m1 runs as a chunk pipeline.  The window search is serial; then
+ * the window is cut into chunks of CHUNK cells, and each chunk runs every
+ * stage on its own scratch, laid out as above for a window of its size: the
+ * edge values of its cells and a one-cell halo, the M1 momentum flux, the
+ * predictor, the M1 face combine, its faces (a face between two chunks is
+ * computed by both, to the same bits), the update of its cells, and the
+ * checks.  The first and last chunks fill the far fields.  Each chunk folds
+ * what it found into a partial status (a first index, a largest bit
+ * pattern, a flag); these fold to the same status in any order, so the
+ * status is the whole-window step's bit for bit.  The calling thread and a
+ * pool of workers claim chunks from one counter (see "the chunk pool"); the
+ * caller scratch is the start of buf.  The error path runs the window as
+ * one chunk, which leaves buf in the layout above.
+ *
  * A closure round hands in contiguous rows of the closure's values on V and
  * U (g, g' on u; p, p', f, f' on v).  A correction-free closure (g = 0,
  * f = 1) passes only p, and p' on the faces, with g = NULL.
@@ -39,9 +53,17 @@
  * The block between the two "declarations" lines is handed to cffi as is.
  */
 
+#define _GNU_SOURCE /* sched_getaffinity, CPU_COUNT */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <time.h>
+#include <unistd.h>
 
 /* --- declarations --- */
 enum { V, U, FLUX, SPEED, FLUXES, N_REGIONS };
@@ -64,14 +86,16 @@ void dw_update(int64_t n, const double *v, const double *u, double half_damp,
                const double *g, const double *dg, const double *f, const double *df,
                double *buf, double *rows, dw_status *st);
 void dw_step_m1(int64_t n, const double *v, const double *u, double half_damp,
-                double lam, double dt_dx, double half_kappa, double *buf,
-                double *rows, dw_status *st);
+                double lam, double dt_dx, double half_kappa, int one_chunk,
+                double *buf, double *rows, dw_status *st);
 int dw_face_combine(int64_t k, const double *p, const double *dp, const double *g,
                     const double *dg, const double *f, const double *df,
                     double *flux, double *speed);
 void dw_m1_momentum_flux(int64_t k, const double *v, const double *u, double *out);
 int dw_m1_flux_and_speed(int64_t k, const double *v, const double *u,
                          double *flux, double *speed);
+int dw_pool_workers(void);
+void dw_pool_stop(void);
 /* --- end of declarations --- */
 
 #if defined(__x86_64__)
@@ -89,6 +113,9 @@ int dw_m1_flux_and_speed(int64_t k, const double *v, const double *u,
 /* the neighbour pairs the window search tests at once */
 #define BLOCK 64
 
+/* the window cells of one chunk of dw_step_m1 */
+#define CHUNK 256
+
 static inline uint64_t bits(double x)
 {
     uint64_t b;
@@ -101,6 +128,82 @@ static inline double from_bits(uint64_t b)
     double x;
     memcpy(&x, &b, sizeof x);
     return x;
+}
+
+static inline int64_t min64(int64_t a, int64_t b)
+{
+    return a < b ? a : b;
+}
+
+static inline int64_t max64(int64_t a, int64_t b)
+{
+    return a > b ? a : b;
+}
+
+/* What the cells and faces of a window, or of a chunk of it, tell the
+ * status.  Window indices: a first-such field holds the smallest, INT64_MAX
+ * for none.  Each field folds by a minimum, maximum, or or and, so partial
+ * statuses fold (fold) to the same status (finish) in any order. */
+typedef struct {
+    int64_t nan_l, nan_r;   /* a face row's reconstructed v has a NaN */
+    int64_t le0_l, le0_r;   /* ... or a v <= 0 */
+    int64_t thin;           /* first face with a v <= 0 in either row */
+    int64_t hyperbolic;     /* every discriminant is >= 0 */
+    int64_t speed_nan;      /* a face speed is NaN */
+    int64_t speed_top;      /* the largest face speed's bits as a signed integer */
+    int64_t first_face;     /* the first face seen, and its speed */
+    double first_speed;
+    int64_t u_max;          /* the largest |u|'s bits */
+    int64_t nonfinite;      /* first cell with a non-finite v or u */
+    int64_t vacuum;         /* first cell with v <= 0 */
+} partial;
+
+static const partial NONE = {
+    .thin = INT64_MAX, .hyperbolic = 1, .speed_top = INT64_MIN,
+    .first_face = INT64_MAX, .nonfinite = INT64_MAX, .vacuum = INT64_MAX,
+};
+
+static inline void fold(partial *acc, const partial *p)
+{
+    acc->nan_l |= p->nan_l;
+    acc->nan_r |= p->nan_r;
+    acc->le0_l |= p->le0_l;
+    acc->le0_r |= p->le0_r;
+    acc->thin = min64(acc->thin, p->thin);
+    acc->hyperbolic &= p->hyperbolic;
+    acc->speed_nan |= p->speed_nan;
+    acc->speed_top = max64(acc->speed_top, p->speed_top);
+    if (p->first_face < acc->first_face) {
+        acc->first_face = p->first_face;
+        acc->first_speed = p->first_speed;
+    }
+    acc->u_max = max64(acc->u_max, p->u_max);
+    acc->nonfinite = min64(acc->nonfinite, p->nonfinite);
+    acc->vacuum = min64(acc->vacuum, p->vacuum);
+}
+
+/* The reconstruction check: when the NaN-propagating minimum of either face
+ * row's v is <= 0, the first face with a v <= 0, else -1. */
+static inline int64_t thin_face(const partial *p)
+{
+    return (p->le0_l && !p->nan_l) || (p->le0_r && !p->nan_r) ? p->thin : -1;
+}
+
+/* The largest face speed is the largest as a scan with ``a > max`` from -inf
+ * finds it, or NaN when any is NaN.  The speeds lie in {-0} u [+0, inf], so
+ * a positive largest speed has the largest bit pattern as a signed integer;
+ * when every speed is a zero, the scan keeps the first.  u_max is read only
+ * when every cell passes the state checks. */
+static void finish(const partial *p, dw_status *st)
+{
+    st->thin_face = thin_face(p);
+    st->hyperbolic = (int)p->hyperbolic;
+    st->speed_bound = p->speed_nan ? NAN
+                      : p->speed_top > 0 ? from_bits((uint64_t)p->speed_top)
+                                         : p->first_speed;
+    st->u_max = from_bits((uint64_t)p->u_max);
+    st->nonfinite = p->nonfinite == INT64_MAX ? -1 : p->nonfinite;
+    st->vacuum = p->vacuum == INT64_MAX ? -1 : p->vacuum;
 }
 
 /* a * b > 0 ? (|a| < |b| ? a : b) : 0.0, selected through bit masks so that
@@ -133,6 +236,30 @@ static inline uint64_t differ(const double *v, const double *u, double half_damp
     return acc;
 }
 
+/* The window is every cell whose 5-cell stencil holds two different bit
+ * patterns, plus one uniform cell at each end; a bitwise uniform state takes
+ * the one-cell window 0 .. 1.  The search skips BLOCK uniform pairs at a
+ * time from each end. */
+static inline void window(int64_t n, const double *v, const double *u, double half_damp,
+                          dw_status *st)
+{
+    int64_t first = 0, last = n - 2;
+    while (first + BLOCK <= last && !differ(v, u, half_damp, first, BLOCK))
+        first += BLOCK;
+    while (first <= last && !differ(v, u, half_damp, first, 1))
+        first++;
+    while (last - BLOCK >= first && !differ(v, u, half_damp, last - BLOCK + 1, BLOCK))
+        last -= BLOCK;
+    while (last > first && !differ(v, u, half_damp, last, 1))
+        last--;
+    st->lo = 0;
+    st->hi = 1;
+    if (first <= last) {
+        st->lo = first > 2 ? first - 2 : 0;
+        st->hi = last + 4 < n ? last + 4 : n;
+    }
+}
+
 /* the minmod edge values of cells 1 .. k of the extended row w */
 static inline void edge_values(int64_t k, const double *restrict w,
                                double *restrict at_l, double *restrict at_r)
@@ -144,34 +271,14 @@ static inline void edge_values(int64_t k, const double *restrict w,
     }
 }
 
-/* Stage 1.  The extended rows are (v, u half_damp) with two ghost cells a
- * side that copy the edge cells.  The window is every cell whose 5-cell
- * stencil holds two different bit patterns, plus one uniform cell at each
- * end; a bitwise uniform state takes the one-cell window 0 .. 1.  The
- * search skips BLOCK uniform pairs at a time from each end. */
-CLONED void dw_edges(int64_t n, const double *v, const double *u, double half_damp,
-                     double *buf, dw_status *st)
+/* The extended rows (v, u half_damp) of the m cells from domain cell lo,
+ * two more a side clamped to the domain (the ghost cells copy the edge
+ * cells), into FLUX and SPEED, and their edge values into V and U. */
+static inline void edges(int64_t n, const double *v, const double *u, double half_damp,
+                         int64_t lo, int64_t m, double *buf)
 {
-    int64_t first = 0, last = n - 2;
-    while (first + BLOCK <= last && !differ(v, u, half_damp, first, BLOCK))
-        first += BLOCK;
-    while (first <= last && !differ(v, u, half_damp, first, 1))
-        first++;
-    while (last - BLOCK >= first && !differ(v, u, half_damp, last - BLOCK + 1, BLOCK))
-        last -= BLOCK;
-    while (last > first && !differ(v, u, half_damp, last, 1))
-        last--;
-    int64_t lo = 0, hi = 1;
-    if (first <= last) {
-        lo = first > 2 ? first - 2 : 0;
-        hi = last + 4 < n ? last + 4 : n;
-    }
-    st->lo = lo;
-    st->hi = hi;
-
-    int64_t m = hi - lo, s = m + 2;
-    /* extended window cell e is domain cell lo + e - 2, the four end cells
-       clamped to the domain */
+    int64_t s = m + 2;
+    /* extended cell e is domain cell lo + e - 2 */
     const int64_t ends[4] = {0, 1, m + 2, m + 3};
     for (int r = 0; r < 2; r++) {
         double *w = REGION(FLUX + r, m);
@@ -192,6 +299,14 @@ CLONED void dw_edges(int64_t n, const double *v, const double *u, double half_da
     }
 }
 
+/* Stage 1: the window and its edge values. */
+CLONED void dw_edges(int64_t n, const double *v, const double *u, double half_damp,
+                     double *buf, dw_status *st)
+{
+    window(n, v, u, half_damp, st);
+    edges(n, v, u, half_damp, st->lo, st->hi - st->lo, buf);
+}
+
 /* k edge values evolved by half a step, lam = dt/(2 dx); the volume flux is -u */
 static inline void predictor(int64_t k, double lam, double *restrict vl,
                              double *restrict ul, double *restrict vr,
@@ -208,12 +323,13 @@ static inline void predictor(int64_t k, double lam, double *restrict vl,
     }
 }
 
-/* the predictor on the 2s edge values, whose momentum flux is in mf, and the
- * reconstruction check: when the NaN-propagating minimum of either face
- * row's v is <= 0, the first face with a v <= 0 */
-static inline void predict(double lam, const double *mf, double *buf, dw_status *st)
+/* The predictor on the m + 2 edge values of m cells in buf, whose momentum
+ * flux is in mf, and the reconstruction check of their m + 1 faces, which
+ * are the window's faces from first on. */
+static inline void predict(int64_t m, double lam, const double *mf, double *buf,
+                           int64_t first, partial *acc)
 {
-    int64_t m = st->hi - st->lo, s = m + 2;
+    int64_t s = m + 2;
     double *vl = REGION(V, m), *vr = vl + s, *ul = REGION(U, m), *ur = ul + s;
     predictor(s, lam, vl, ul, vr, ur, mf, mf + s);
     int64_t nan_l = 0, nan_r = 0, le0_l = 0, le0_r = 0;
@@ -223,11 +339,14 @@ static inline void predict(double lam, const double *mf, double *buf, dw_status 
         le0_l |= vr[k] <= 0.0;
         le0_r |= vl[k + 1] <= 0.0;
     }
-    st->thin_face = -1;
-    if ((le0_l && !nan_l) || (le0_r && !nan_r))
+    acc->nan_l |= nan_l;
+    acc->nan_r |= nan_r;
+    acc->le0_l |= le0_l;
+    acc->le0_r |= le0_r;
+    if (le0_l | le0_r)
         for (int64_t k = 0; k < m + 1; k++)
             if (vr[k] <= 0.0 || vl[k + 1] <= 0.0) {
-                st->thin_face = k;
+                acc->thin = min64(acc->thin, first + k);
                 break;
             }
 }
@@ -245,7 +364,9 @@ CLONED void dw_predict(double lam, const double *p, const double *g, const doubl
             out[i] = p[i] - g[i] * f[i];
         mf = out;
     }
-    predict(lam, mf, buf, st);
+    partial acc = NONE;
+    predict(m, lam, mf, buf, 0, &acc);
+    st->thin_face = thin_face(&acc);
 }
 
 /* The speed (|b| + sqrt(b^2 - 4c))/2 = max |lam| bit for bit, b = g' f and
@@ -303,20 +424,6 @@ static inline void face_fluxes(int64_t k, double half_kappa,
     }
 }
 
-/* The largest of k >= 1 face speeds, as a scan with ``a > max`` from -inf
- * finds it, or NaN when any is NaN.  The speeds lie in {-0} u [+0, inf], so
- * a positive largest speed has the largest bit pattern as a signed integer;
- * when every speed is a zero, the scan keeps the first. */
-static inline double largest(int64_t k, const double *restrict a)
-{
-    int64_t nan = 0, top = INT64_MIN;
-    for (int64_t i = 0; i < k; i++) {
-        nan |= (int64_t)(a[i] != a[i]);
-        top = (int64_t)bits(a[i]) > top ? (int64_t)bits(a[i]) : top;
-    }
-    return nan ? NAN : top > 0 ? from_bits(top) : a[0];
-}
-
 /* cells j < k: the flux difference by dt_dx = dt/dx, then the second damping
  * half-step on u */
 static inline void cell_update(int64_t k, double half_damp, double dt_dx,
@@ -330,52 +437,74 @@ static inline void cell_update(int64_t k, double half_damp, double dt_dx,
     }
 }
 
-/* The faces from the face combine in FLUX and SPEED, the update of window
- * cells lo .. hi-1, the state checks, and the far fields, each filled with
- * its end cell's value, into rows = (v, u) of n cells.  NaN face speeds give
- * a NaN speed bound. */
-static inline void update(int64_t n, const double *v, const double *u,
-                          double half_damp, double dt_dx, double half_kappa,
-                          double *buf, double *rows, dw_status *st)
+/* One step's inputs and output: the domain's n cells, the window lo .. lo + m - 1
+ * and the chunk size. */
+typedef struct {
+    int64_t n, lo, m, chunk;
+    const double *v, *u;
+    double half_damp, lam, dt_dx, half_kappa;
+    double *rows; /* the successor's (v, u) */
+} job;
+
+/* The faces of the m cells in buf from window cell first, from the face
+ * combine in FLUX and SPEED; the update of those cells into rows; the state
+ * checks; and the far field next to the window's first or last cell, filled
+ * with its value.  NaN face speeds give a NaN speed bound. */
+static inline void update(const job *j, int64_t first, int64_t m, double *buf,
+                          partial *acc)
 {
-    int64_t lo = st->lo, hi = st->hi, m = hi - lo, s = m + 2;
+    int64_t s = m + 2;
     const double *vr = REGION(V, m) + s, *ur = REGION(U, m) + s;
     const double *vl = REGION(V, m) + 1, *ul = REGION(U, m) + 1;
     double *fu = REGION(FLUX, m), *a = REGION(SPEED, m);
     double *flux_v = REGION(FLUXES, m), *flux_u = flux_v + s;
     /* right states first, then left states (header) */
-    face_fluxes(m + 1, half_kappa, vr, ur, vl, ul, fu + m + 1, a + m + 1, fu, a,
+    face_fluxes(m + 1, j->half_kappa, vr, ur, vl, ul, fu + m + 1, a + m + 1, fu, a,
                 flux_v, flux_u);
-    st->speed_bound = largest(m + 1, a + m + 1);
+    const double *speed = a + m + 1;
+    int64_t nan = 0, top = INT64_MIN;
+    for (int64_t k = 0; k < m + 1; k++) {
+        nan |= (int64_t)(speed[k] != speed[k]);
+        top = (int64_t)bits(speed[k]) > top ? (int64_t)bits(speed[k]) : top;
+    }
+    acc->speed_nan |= nan;
+    acc->speed_top = max64(acc->speed_top, top);
+    if (first < acc->first_face) {
+        acc->first_face = first;
+        acc->first_speed = speed[0];
+    }
 
-    double *v_new = rows, *u_new = rows + n;
-    cell_update(m, half_damp, dt_dx, v + lo, u + lo, flux_v, flux_u, v_new + lo, u_new + lo);
+    int64_t lo = j->lo + first, n = j->n;
+    double *v_new = j->rows, *u_new = j->rows + n;
+    cell_update(m, j->half_damp, j->dt_dx, j->v + lo, j->u + lo, flux_v, flux_u,
+                v_new + lo, u_new + lo);
     /* |u| has no sign bit, so of two finite |u| the larger has the larger
-       bit pattern; u_max is read only when every cell passes the check */
+       bit pattern */
     int64_t bad = 0, u_max = 0;
-    for (int64_t i = lo; i < hi; i++) {
+    for (int64_t i = lo; i < lo + m; i++) {
         double vn = v_new[i], un = fabs(u_new[i]);
         bad |= (int64_t)!((vn > 0.0) & (vn < INFINITY) & (un < INFINITY));
         u_max = (int64_t)bits(un) > u_max ? (int64_t)bits(un) : u_max;
     }
-    st->u_max = from_bits(u_max);
-    st->nonfinite = st->vacuum = -1;
-    for (int64_t j = 0; bad && j < m; j++) {
-        double vn = v_new[lo + j], un = u_new[lo + j];
-        if (st->nonfinite < 0 && !(fabs(vn) < INFINITY && fabs(un) < INFINITY))
-            st->nonfinite = j;
-        if (st->vacuum < 0 && vn <= 0.0)
-            st->vacuum = j;
+    acc->u_max = max64(acc->u_max, u_max);
+    for (int64_t k = 0; bad && k < m; k++) {
+        double vn = v_new[lo + k], un = u_new[lo + k];
+        if (!(fabs(vn) < INFINITY && fabs(un) < INFINITY))
+            acc->nonfinite = min64(acc->nonfinite, first + k);
+        if (vn <= 0.0)
+            acc->vacuum = min64(acc->vacuum, first + k);
     }
 
-    for (int64_t i = 0; i < lo; i++) {
-        v_new[i] = v_new[lo];
-        u_new[i] = u_new[lo];
-    }
-    for (int64_t i = hi; i < n; i++) {
-        v_new[i] = v_new[hi - 1];
-        u_new[i] = u_new[hi - 1];
-    }
+    if (first == 0)
+        for (int64_t i = 0; i < lo; i++) {
+            v_new[i] = v_new[lo];
+            u_new[i] = u_new[lo];
+        }
+    if (first + m == j->m)
+        for (int64_t i = lo + m; i < n; i++) {
+            v_new[i] = v_new[lo + m - 1];
+            u_new[i] = u_new[lo + m - 1];
+        }
 }
 
 /* Stage 3.  p .. df are the closure's values on the 2 (m + 1) face states
@@ -388,9 +517,13 @@ CLONED void dw_update(int64_t n, const double *v, const double *u, double half_d
                       dw_status *st)
 {
     int64_t m = st->hi - st->lo;
-    st->hyperbolic = dw_face_combine(2 * (m + 1), p, dp, g, dg, f, df,
+    job j = {.n = n, .lo = st->lo, .m = m, .v = v, .u = u, .half_damp = half_damp,
+             .dt_dx = dt_dx, .half_kappa = half_kappa, .rows = rows};
+    partial acc = NONE;
+    acc.hyperbolic = dw_face_combine(2 * (m + 1), p, dp, g, dg, f, df,
                                      REGION(FLUX, m), REGION(SPEED, m));
-    update(n, v, u, half_damp, dt_dx, half_kappa, buf, rows, st);
+    update(&j, 0, m, buf, &acc);
+    finish(&acc, st);
 }
 
 /* The built-in M1 closure: p = 1/(3v), p' = -1/(3v^2), f = 1/v, f' = -1/v^2,
@@ -431,21 +564,256 @@ CLONED int dw_m1_flux_and_speed(int64_t k, const double *restrict v,
     return ok;
 }
 
-/* The whole step with the built-in M1 closure: stage 1, the predictor on
- * the M1 momentum flux, and, unless the reconstruction check fails, the M1
- * face combine and the update. */
-CLONED void dw_step_m1(int64_t n, const double *v, const double *u, double half_damp,
-                       double lam, double dt_dx, double half_kappa, double *buf,
-                       double *rows, dw_status *st)
+/* Chunk c of the M1 step j in the scratch buf: window cells c j->chunk on,
+ * with every stage of the step (header). */
+CLONED static void m1_chunk(const job *j, int64_t c, double *buf, partial *acc)
 {
-    dw_edges(n, v, u, half_damp, buf, st);
-    int64_t m = st->hi - st->lo, s = m + 2;
+    int64_t first = c * j->chunk, m = min64(j->chunk, j->m - first), s = m + 2;
+    edges(j->n, j->v, j->u, j->half_damp, j->lo + first, m, buf);
     double *mf = REGION(FLUX, m);
     dw_m1_momentum_flux(2 * s, REGION(V, m), REGION(U, m), mf);
-    predict(lam, mf, buf, st);
-    if (st->thin_face >= 0)
-        return;
-    st->hyperbolic = dw_m1_flux_and_speed(2 * (m + 1), REGION(V, m) + 1, REGION(U, m) + 1,
-                                          REGION(FLUX, m), REGION(SPEED, m));
-    update(n, v, u, half_damp, dt_dx, half_kappa, buf, rows, st);
+    predict(m, j->lam, mf, buf, first, acc);
+    acc->hyperbolic &= dw_m1_flux_and_speed(2 * (m + 1), REGION(V, m) + 1, REGION(U, m) + 1,
+                                            REGION(FLUX, m), REGION(SPEED, m));
+    update(j, first, m, buf, acc);
+}
+
+/* The chunk pool.  One worker per CPU past the first in the affinity mask
+ * (sched_getaffinity, else the online CPUs), at most MAX_WORKERS, starts on
+ * the first step with more than one chunk.  One step at a time holds the
+ * pool (busy); a step that finds it held runs all its chunks on its own
+ * thread.  The holder publishes its job and a new generation in claim, and
+ * it and the workers take chunks from claim's low half by compare-and-swap,
+ * so a worker still on an old generation claims nothing.  A finished
+ * generation's low half is IDLE.  Each worker folds its chunks into its own
+ * slot; the holder waits for every chunk (done), then folds the slots.  An
+ * idle worker spins for SPIN_NS, then sleeps on wake.  dw_pool_stop ends
+ * the workers, and a forked child starts with a fresh pool. */
+#define MAX_WORKERS 63
+#define SPIN_NS 50000
+#define IDLE 0xffffffffu
+#define SCRATCH (N_REGIONS * 2 * (CHUNK + 2))
+
+typedef struct {
+    _Alignas(64) partial acc;
+} slot;
+
+static struct {
+    pthread_mutex_t lock;
+    pthread_cond_t wake;
+    atomic_int busy;
+    atomic_int stop;
+    atomic_int sleepers;        /* workers waiting on wake */
+    _Atomic uint64_t claim;     /* generation << 32 | next chunk */
+    _Atomic int64_t chunks;     /* chunks of the generation */
+    _Atomic int64_t done;       /* chunks finished in the generation */
+    int workers;                /* -1 until the pool starts */
+    uint32_t spawn_gen;         /* the generation when the workers started */
+    job job;
+    pthread_t thread[MAX_WORKERS];
+    double *scratch[MAX_WORKERS];
+    slot slots[MAX_WORKERS];
+} pool = {
+    .lock = PTHREAD_MUTEX_INITIALIZER, .wake = PTHREAD_COND_INITIALIZER,
+    .claim = IDLE, .workers = -1,
+};
+
+static inline void relax(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+static int64_t now_ns(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
+}
+
+static inline uint32_t generation(void)
+{
+    return (uint32_t)(atomic_load(&pool.claim) >> 32);
+}
+
+/* the next unclaimed chunk of generation gen, or -1 */
+static int64_t claim(uint32_t gen)
+{
+    uint64_t c = atomic_load(&pool.claim);
+    while ((uint32_t)(c >> 32) == gen
+           && (int64_t)(c & IDLE) < atomic_load_explicit(&pool.chunks, memory_order_relaxed))
+        if (atomic_compare_exchange_weak(&pool.claim, &c, c + 1))
+            return (int64_t)(c & IDLE);
+    return -1;
+}
+
+static void run_claims(uint32_t gen, double *scratch, partial *acc)
+{
+    for (int64_t c; (c = claim(gen)) >= 0;) {
+        m1_chunk(&pool.job, c, scratch, acc);
+        atomic_fetch_add_explicit(&pool.done, 1, memory_order_release);
+    }
+}
+
+/* the generation after gen, once it is published or the pool stops */
+static uint32_t await(uint32_t gen)
+{
+    int64_t t0 = now_ns();
+    for (int i = 1; generation() == gen && !atomic_load(&pool.stop); i++) {
+        if (i % 64 == 0 && now_ns() - t0 > SPIN_NS) {
+            pthread_mutex_lock(&pool.lock);
+            atomic_fetch_add(&pool.sleepers, 1);
+            while (generation() == gen && !atomic_load(&pool.stop))
+                pthread_cond_wait(&pool.wake, &pool.lock);
+            atomic_fetch_sub(&pool.sleepers, 1);
+            pthread_mutex_unlock(&pool.lock);
+            break;
+        }
+        relax();
+    }
+    return generation();
+}
+
+static void *worker(void *arg)
+{
+    intptr_t w = (intptr_t)arg;
+    for (uint32_t gen = pool.spawn_gen;;) {
+        gen = await(gen);
+        if (atomic_load(&pool.stop))
+            return NULL;
+        run_claims(gen, pool.scratch[w], &pool.slots[w].acc);
+    }
+}
+
+static void wake_all(void)
+{
+    pthread_mutex_lock(&pool.lock);
+    pthread_cond_broadcast(&pool.wake);
+    pthread_mutex_unlock(&pool.lock);
+}
+
+/* in a forked child, whose workers did not survive the fork: a pool that
+   starts afresh, reusing the scratch */
+static void reset(void)
+{
+    pthread_mutex_init(&pool.lock, NULL);
+    pthread_cond_init(&pool.wake, NULL);
+    atomic_store(&pool.busy, 0);
+    atomic_store(&pool.stop, 0);
+    atomic_store(&pool.sleepers, 0);
+    pool.workers = -1;
+}
+
+static int cpus(void)
+{
+#ifdef CPU_COUNT
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        return CPU_COUNT(&set);
+#endif
+    long k = sysconf(_SC_NPROCESSORS_ONLN);
+    return k > 0 ? (int)k : 1;
+}
+
+/* the workers, each with every signal blocked, so signals go to the caller */
+static void start(void)
+{
+    static int fork_handler;
+    if (!fork_handler)
+        fork_handler = !pthread_atfork(NULL, NULL, reset);
+    int want = cpus() - 1, w = 0;
+    want = want < MAX_WORKERS ? want : MAX_WORKERS;
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    pool.spawn_gen = generation();
+    for (; w < want; w++) {
+        if (!pool.scratch[w])
+            pool.scratch[w] = malloc(SCRATCH * sizeof(double));
+        if (!pool.scratch[w]
+            || pthread_create(&pool.thread[w], NULL, worker, (void *)(intptr_t)w))
+            break;
+    }
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    pool.workers = w;
+}
+
+/* Runs the chunks of j on the pool and this thread, folded into acc; 0 when
+ * another step holds the pool or it has no worker. */
+static int pooled(const job *j, int64_t chunks, double *buf, partial *acc)
+{
+    if (atomic_exchange(&pool.busy, 1))
+        return 0;
+    if (pool.workers < 0)
+        start();
+    int workers = pool.workers;
+    if (workers == 0) {
+        atomic_store(&pool.busy, 0);
+        return 0;
+    }
+    pool.job = *j;
+    for (int w = 0; w < workers; w++)
+        pool.slots[w].acc = NONE;
+    atomic_store(&pool.done, 0);
+    atomic_store(&pool.chunks, chunks);
+    uint32_t gen = generation() + 1;
+    atomic_store(&pool.claim, (uint64_t)gen << 32);
+    if (atomic_load(&pool.sleepers))
+        wake_all();
+    run_claims(gen, buf, acc);
+    int64_t t0 = now_ns();
+    while (atomic_load_explicit(&pool.done, memory_order_acquire) < chunks) {
+        if (now_ns() - t0 < SPIN_NS)
+            relax();
+        else
+            sched_yield();
+    }
+    atomic_store(&pool.claim, (uint64_t)gen << 32 | IDLE);
+    for (int w = 0; w < workers; w++)
+        fold(acc, &pool.slots[w].acc);
+    atomic_store(&pool.busy, 0);
+    return 1;
+}
+
+/* the workers running, -1 before the pool starts */
+int dw_pool_workers(void)
+{
+    return pool.workers;
+}
+
+/* Ends and joins the workers; later steps run on their caller's thread.
+ * The Python calls it at exit, before the library can be unloaded. */
+void dw_pool_stop(void)
+{
+    while (atomic_exchange(&pool.busy, 1))
+        sched_yield();
+    atomic_store(&pool.stop, 1);
+    wake_all();
+    for (int w = 0; w < pool.workers; w++) {
+        pthread_join(pool.thread[w], NULL);
+        free(pool.scratch[w]);
+        pool.scratch[w] = NULL;
+    }
+    pool.workers = 0;
+    atomic_store(&pool.busy, 0);
+}
+
+/* The whole step with the built-in M1 closure: the window, then its chunks
+ * (header), or with one_chunk the window as one chunk in buf. */
+CLONED void dw_step_m1(int64_t n, const double *v, const double *u, double half_damp,
+                       double lam, double dt_dx, double half_kappa, int one_chunk,
+                       double *buf, double *rows, dw_status *st)
+{
+    window(n, v, u, half_damp, st);
+    int64_t m = st->hi - st->lo, size = one_chunk ? m : CHUNK;
+    job j = {.n = n, .lo = st->lo, .m = m, .chunk = size, .v = v, .u = u,
+             .half_damp = half_damp, .lam = lam, .dt_dx = dt_dx,
+             .half_kappa = half_kappa, .rows = rows};
+    int64_t chunks = (m + size - 1) / size;
+    partial acc = NONE;
+    if (chunks == 1 || !pooled(&j, chunks, buf, &acc))
+        for (int64_t c = 0; c < chunks; c++)
+            m1_chunk(&j, c, buf, &acc);
+    finish(&acc, st);
 }

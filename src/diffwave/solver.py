@@ -64,8 +64,12 @@ so the step is bit for bit the NumPy formulation that
 When the closure's p, p', g, g', f and f' are the built-in m1 functions
 (``ModelClosure.builtin_m1``), C copies of them run instead, operation for
 operation (they use only +, -, *, / and sqrt, which round correctly on both
-sides), and the whole step is one C call.  Every other closure keeps its
-NumPy callables, and the step makes two closure rounds between the stages:
+sides), and the whole step is one C call.  That call cuts the window into
+chunks of 256 cells and runs each chunk through every stage on its own
+scratch, on the calling thread and on a pool of C threads, one per CPU past
+the first in the process's affinity mask; the chunks' checks fold into the
+same status, so the step keeps its bits on any number of CPUs.  Every other
+closure keeps its NumPy callables, whose ``pow`` stays on one thread, and the step makes two closure rounds between the stages:
 each needed callable is called once on the edge values of both edge rows,
 held back to back in one array, then once on the states of both face rows.
 A correction-free closure (g = 0, f = 1) needs only p, then p and p'.  One

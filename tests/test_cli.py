@@ -248,6 +248,23 @@ def test_rates_on_too_short_series_is_a_usage_error(tmp_path, capsys):
     assert "np.float64" not in err
 
 
+def test_rates_on_a_series_at_one_time_is_a_usage_error(tmp_path, capsys):
+    """end = 1e-300 puts all 101 samples at t = 0: no slope to fit, no SVG."""
+    cfg = tmp_path / "instant.ini"
+    cfg.write_text(TINY_CONFIG.replace("end = 3.0", "end = 1e-300"))
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--config", str(cfg), "--out", out]) == 0
+    capsys.readouterr()
+    series_path = os.path.join(out, "series.csv")
+    assert len(open(series_path).read().splitlines()) == 1 + 101
+    assert main(["rates", "--series", series_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("series too short: need at least two distinct times")
+    assert "found 101 samples at t = 0.0" in err
+    assert not os.path.exists(os.path.join(out, "rates.csv"))
+    assert not os.path.exists(os.path.join(out, "rates.svg"))
+
+
 def test_blowup_exit_code(tiny_config, tmp_path, monkeypatch, capsys):
     from diffwave import solver
 

@@ -3,7 +3,10 @@ the build error."""
 
 import os
 import stat
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -122,7 +125,8 @@ def test_build_prunes_own_stale_libraries_from_the_package_cache(monkeypatch, tm
     cache = tmp_path / "__pycache__"
     cache.mkdir()
     stale = _stale(cache, "_step.0123456789abcdef.so")
-    kept = [_stale(cache, name) for name in ("_step.notahash.so", "other.so")]
+    stale_module = _stale(cache, "_step.0123456789abcdef.py")
+    kept = [_stale(cache, name) for name in ("_step.notahash.so", "other.so", "other.py")]
     elsewhere = _stale(tmp_path, "_step.fedcba9876543210.so")
     link = cache / elsewhere.name
     link.symlink_to(elsewhere)
@@ -133,7 +137,7 @@ def test_build_prunes_own_stale_libraries_from_the_package_cache(monkeypatch, tm
         kept.append(foreign)
     lib = _kernel._build()
     assert lib.parent == cache and _is_library(lib)
-    assert not stale.exists()
+    assert not stale.exists() and not stale_module.exists()
     assert all(os.path.lexists(path) for path in kept) and elsewhere.exists()
 
 
@@ -142,3 +146,30 @@ def test_temporary_cache_is_not_pruned(user_cache):
     other_checkout = _stale(user_cache, "_step.0123456789abcdef.so")
     lib = _kernel._build()
     assert lib.parent == user_cache and other_checkout.exists()
+
+
+def test_warm_import_loads_no_c_parser():
+    """With the library and its emitted module cached, cffi's parser stays out."""
+    src = str(Path(_kernel.__file__).parents[1])
+    code = "import sys, diffwave._kernel; print(sorted({'cffi', 'pycparser'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
+
+
+@pytest.mark.parametrize("spoil", [_foreign_owner, _group_writable, _symlink_to_planted])
+def test_planted_module_is_emitted_again_not_loaded(tmp_path, spoil):
+    module = tmp_path / "_step.0123456789abcdef.py"
+    module.write_text("raise SystemExit('planted')\n")
+    spoil(module)
+    ffi = _kernel._emitted_ffi(module)
+    assert ffi.sizeof("dw_status") == _kernel.ffi.sizeof("dw_status")
+    assert _kernel._private(module) and "planted" not in module.read_text()
+    assert [p.name for p in tmp_path.iterdir() if p.name != "planted"] == [module.name]
+
+
+def test_emitted_module_is_reused():
+    module = _kernel._library.with_suffix(".py")
+    stamp = module.stat().st_mtime_ns
+    assert _kernel._emitted_ffi(module).sizeof("dw_status") == _kernel.ffi.sizeof("dw_status")
+    assert module.stat().st_mtime_ns == stamp

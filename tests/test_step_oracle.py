@@ -24,7 +24,14 @@ from diffwave.closures import (
     wave_speed_bound,
 )
 from diffwave._kernel import minmod as solver_minmod
-from diffwave.solver import PerturbationSpec, SimState, build_initial_data, cfl_dt, step
+from diffwave.solver import (
+    BlowUpError,
+    PerturbationSpec,
+    SimState,
+    build_initial_data,
+    cfl_dt,
+    step,
+)
 
 
 def same_bits(a, b):
@@ -510,3 +517,101 @@ def test_constant_state_still_runs_the_flux():
     state = SimState(-4.0, 4.0, n, np.ones(n), np.zeros(n), 0.0, closure)
     for stepper in (step, reference_step):
         assert np.all(stepper(state, 0.01).u != 0.0)
+
+
+# The built-in m1 step runs its window in chunks of 256 cells, each on its
+# own scratch, and folds what each chunk finds into the status (``_step.c``).
+# The error path runs the window as one chunk.  These cases put each finding
+# next to a chunk edge and compare the two runs field by field.
+
+
+def _m1_step_raw(v, u, one_chunk):
+    """dw_step_m1 on (v, u): the status fields and the successor rows."""
+    v, u = _kernel.as_pair(v, u)
+    n = v.size
+    buf = np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2))
+    rows = np.full((2, n), -7.0)  # shows a cell the step does not write
+    st = _kernel.ffi.new("dw_status *")
+    ptr = _kernel._ptr
+    _kernel.lib.dw_step_m1(n, ptr(v), ptr(u), np.exp(-0.005), 0.02, 0.04, 0.5,
+                           one_chunk, ptr(buf), ptr(rows), st)
+    bits = [np.float64(x).view(np.uint64) for x in (st.speed_bound, st.u_max)]
+    return (st.lo, st.hi, st.thin_face, st.hyperbolic, *bits, st.nonfinite, st.vacuum), rows
+
+
+def _chunked_like_one_chunk(v, u):
+    chunked, rows = _m1_step_raw(v, u, 0)
+    whole, want = _m1_step_raw(v, u, 1)
+    assert chunked == whole and same_bits(rows, want)
+    return chunked
+
+
+def _wavy(n):
+    x = np.linspace(-1.0, 1.0, n)
+    return 1.0 + 0.05 * np.cos(3.0 * x), 0.05 * np.sin(5.0 * x)
+
+
+@pytest.mark.parametrize("cell", [1, 255, 256, 257, 511, 1100, 1398])
+@pytest.mark.parametrize(
+    "row, value, field, found",
+    [("v", -0.5, 2, "thin"), ("u", 1.2, 3, 0), ("v", np.nan, 6, "before"),
+     ("u", np.inf, 6, "before"), ("v", np.inf, 6, "before"), ("v", 1e-3, 7, "before")],
+    ids=["thin", "hyperbolic", "nan", "u-inf", "v-inf", "vacuum"],
+)
+def test_chunked_m1_step_folds_like_one_chunk(cell, row, value, field, found):
+    """Each status field set from one cell in any chunk of a 1400-cell window."""
+    v, u = _wavy(1400)
+    (v if row == "v" else u)[cell] = value
+    status = _chunked_like_one_chunk(v, u)
+    assert status[:2] == (0, 1400)
+    want = {"thin": cell, "before": cell - 1}.get(found, found)
+    assert status[field] == want
+
+
+@pytest.mark.parametrize("nan_cell", [100, 700, 1300])
+def test_chunked_m1_step_keeps_the_row_wide_nan_guard(nan_cell):
+    """A NaN anywhere in the window hides a v <= 0 in any other chunk."""
+    v, u = _wavy(1400)
+    v[600] = -0.5
+    assert _chunked_like_one_chunk(v, u)[2] == 600
+    v[nan_cell] = np.nan
+    status = _chunked_like_one_chunk(v, u)
+    assert status[2] == -1 and status[6] == nan_cell - 1
+
+
+def test_chunked_m1_step_all_zero_speeds():
+    """v near 1e300 and u = 0: every face speed is +0, and so is the bound."""
+    v = 1e300 * (1.0 + 0.01 * (np.arange(1000) % 2))
+    status = _chunked_like_one_chunk(v, np.zeros(1000))
+    assert status[4] == 0 and status[:2] == (0, 1000)
+
+
+@pytest.mark.parametrize("width", [*range(250, 262), *range(506, 518), 1019, 1020, 1021])
+def test_chunked_m1_step_on_windows_about_chunk_edges(width):
+    """Windows of 253 to 1025 cells in a 1200-cell domain, both far fields kept."""
+    n = 1200
+    v, u = np.ones(n), np.full(n, 0.02)
+    x = np.linspace(0.0, np.pi, width)
+    v[100:100 + width] += 0.05 * np.sin(x) ** 2
+    u[100:100 + width] += 0.03 * np.sin(2.0 * x)
+    status = _chunked_like_one_chunk(v, u)
+    assert status[1] - status[0] >= width and status[0] > 0 and status[1] < n
+
+
+@pytest.mark.parametrize("row, value", [("u", 1.2), ("v", np.nan), ("v", 1e-3)],
+                         ids=["hyperbolic", "nonfinite", "vacuum"])
+def test_chunked_m1_step_raises_the_callables_error(row, value):
+    """A failure in a late chunk of the built-in step gives the callable path's message."""
+    n = 1400
+    v, u = _wavy(n)
+    (v if row == "v" else u)[1100] = value
+    state = SimState(-4.0, 4.0, n, v, u, 0.0, m1_closure(1.0))
+    other = dataclasses.replace(state, closure=_user_built(state.closure))
+    messages = []
+    for s in (state, other):
+        with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(
+            (HyperbolicityError, BlowUpError)
+        ) as err:
+            step(s, 0.002)
+        messages.append((type(err.value), str(err.value)))
+    assert messages[0] == messages[1]
