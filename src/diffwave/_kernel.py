@@ -53,7 +53,9 @@ _CC = "cc"
 # so contraction changes bits.  -fno-math-errno lets sqrt compile to one
 # instruction.  Never -ffast-math, which drops IEEE semantics, nor
 # -march=native, which ties the cached library to the building CPU.
-_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared", "-pthread")
+# -pthread: the m1 step's chunk pool.
+_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared",
+          "-pthread")
 
 # the declarations block of the source is the cdef
 _CDEF = _SOURCE.read_text().split("/* --- declarations --- */")[1].split(
@@ -146,8 +148,8 @@ def _prune(cache: Path, keep: Path) -> None:
     of this user, so another checkout's library there may be loaded next.
     """
     for old in cache.iterdir():
-        stale = re.fullmatch(r"_step\.([0-9a-f]{16})\.(so|py)", old.name)
-        if not stale or old.with_suffix(keep.suffix) == keep:
+        ours = re.fullmatch(r"_step\.[0-9a-f]{16}\.(so|py)", old.name)
+        if not ours or old.with_suffix(keep.suffix) == keep:
             continue
         try:
             st = os.lstat(old)
@@ -170,7 +172,7 @@ def _emitted_ffi(path: Path):
 
         builder = cffi.FFI()
         builder.cdef(_CDEF)
-        builder.set_source(f"_step_{path.stem.split('.')[1]}", None, compiler_verbose=False)
+        builder.set_source("_step", None, compiler_verbose=False)
         fd, tmp = tempfile.mkstemp(prefix="_step.", suffix=".py.tmp", dir=path.parent)
         os.close(fd)
         builder.emit_python_code(tmp)

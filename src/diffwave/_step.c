@@ -564,8 +564,8 @@ CLONED int dw_m1_flux_and_speed(int64_t k, const double *restrict v,
     return ok;
 }
 
-/* Chunk c of the M1 step j in the scratch buf: window cells c j->chunk on,
- * with every stage of the step (header). */
+/* Chunk c of the M1 step j, its window cells from c * j->chunk on, through
+ * every stage of the step in the scratch buf (header). */
 CLONED static void m1_chunk(const job *j, int64_t c, double *buf, partial *acc)
 {
     int64_t first = c * j->chunk, m = min64(j->chunk, j->m - first), s = m + 2;

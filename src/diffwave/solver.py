@@ -69,9 +69,10 @@ chunks of 256 cells and runs each chunk through every stage on its own
 scratch, on the calling thread and on a pool of C threads, one per CPU past
 the first in the process's affinity mask; the chunks' checks fold into the
 same status, so the step keeps its bits on any number of CPUs.  Every other
-closure keeps its NumPy callables, whose ``pow`` stays on one thread, and the step makes two closure rounds between the stages:
-each needed callable is called once on the edge values of both edge rows,
-held back to back in one array, then once on the states of both face rows.
+closure keeps its NumPy callables, whose ``pow`` stays on one thread, and
+the step makes two closure rounds between the stages: each needed callable
+is called once on the edge values of both edge rows, held back to back in
+one array, then once on the states of both face rows.
 A correction-free closure (g = 0, f = 1) needs only p, then p and p'.  One
 C face combine turns the second round into fluxes, speeds and the
 hyperbolicity flag; ``closures.wave_speed_bound`` takes its speeds from the

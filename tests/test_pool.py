@@ -56,10 +56,6 @@ def _python(code, before="", timeout=120):
                           capture_output=True, text=True, timeout=timeout, env=env)
 
 
-def _cpus():
-    return len(os.sched_getaffinity(0))
-
-
 def _march(state, cfl, k):
     for _ in range(k):
         state = step(state, cfl_dt(state, cfl))
@@ -96,11 +92,12 @@ def test_concurrent_steps_match_serial_bits(m1_states):
             start.wait()
             got[i] = _march(states[i], cfl, 50)
 
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60.0)
+            assert not thread.is_alive(), "a concurrent step did not finish within 60 s"
         for g, w in zip(got, want):
             assert g is not None and g.t == w.t
             assert same_bits(g.v, w.v) and same_bits(g.u, w.u)
@@ -111,15 +108,21 @@ needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
 
 
 @needs_proc
-def test_workers_start_on_the_first_step_of_several_chunks_and_exit_cleanly():
-    """The last exit handler, registered before the import, finds the workers
-    joined: they end before the library can be unloaded."""
+def test_workers_start_lazily_sleep_when_idle_and_exit_cleanly():
+    """The workers start on the first step with more than one chunk; idle,
+    they spin for about 50 us and then sleep, so a half-second pause costs
+    next to no CPU time; the last exit handler, registered before the
+    import, finds them joined, before the library can be unloaded."""
     proc = _python("""
         at_import = workers(), threads()
         march(wavy(200), 3)  # a window of one chunk
         one_chunk = workers(), threads()
         march(wavy(2048), 3)
-        print(*at_import, *one_chunk, workers(), threads(), len(os.sched_getaffinity(0)))
+        cpu = time.process_time()
+        time.sleep(0.5)
+        idle_cpu = time.process_time() - cpu
+        print(*at_import, *one_chunk, workers(), threads(), len(os.sched_getaffinity(0)),
+              idle_cpu)
     """, before="""
         import atexit, os, sys
         atexit.register(lambda: print(
@@ -127,41 +130,27 @@ def test_workers_start_on_the_first_step_of_several_chunks_and_exit_cleanly():
             len(os.listdir("/proc/self/task"))))
     """)
     assert proc.returncode == 0 and proc.stderr == ""
-    *counts, cpus, at_exit, threads_at_exit = map(int, proc.stdout.split())
+    *counts, cpus, idle_cpu, at_exit, threads_at_exit = proc.stdout.split()
+    counts = [int(k) for k in counts]
     base = counts[1]  # the interpreter's and the BLAS library's threads
-    started = min(cpus - 1, MAX_WORKERS)
+    started = min(int(cpus) - 1, MAX_WORKERS)
     assert counts == [-1, base, -1, base, started, base + started]
-    assert (at_exit, threads_at_exit) == (0, base)
+    assert float(idle_cpu) < 0.1
+    assert (int(at_exit), int(threads_at_exit)) == (0, base)
 
 
 def test_pinned_to_one_cpu_no_worker_starts_and_the_bits_hold():
-    code = """
-        {pin}
+    """One CPU in the mask: no worker, and the bits of this process's steps."""
+    proc = _python("""
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         end = march(wavy(2048), 30)
         print(workers(), digest(end))
-    """
-    pinned = _python(code.format(pin="os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})"))
-    free = _python(code.format(pin=""))
-    assert pinned.returncode == free.returncode == 0, pinned.stderr + free.stderr
-    (pinned_workers, pinned_bits), (free_workers, free_bits) = (
-        proc.stdout.split() for proc in (pinned, free))
-    assert int(pinned_workers) == 0 and int(free_workers) == min(_cpus() - 1, MAX_WORKERS)
-    assert pinned_bits == free_bits
-
-
-def test_idle_workers_sleep():
-    """A worker spins for about 50 us after a step, then sleeps."""
-    if _cpus() < 2:
-        pytest.skip("one CPU: the pool has no worker")
-    proc = _python("""
-        march(wavy(2048), 20)
-        assert workers() >= 1
-        cpu = time.process_time()
-        time.sleep(0.5)
-        print(time.process_time() - cpu)
     """)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 0.1
+    namespace = {}
+    exec(STEPS, namespace)
+    want = namespace["digest"](namespace["march"](namespace["wavy"](2048), 30))
+    assert proc.stdout.split() == ["0", want]
 
 
 @needs_proc
