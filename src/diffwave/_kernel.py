@@ -20,10 +20,10 @@ parses them once (cffi with pycparser) and emits a module
 same ownership check as the library, and needs no C parser.
 
 With the built-in m1 closure the step runs its window in chunks on the
-calling thread and a pool of C threads, one per CPU past the first in the
-process's affinity mask (``taskset`` limits it); the pool starts on the
-first step with more than one chunk, and its workers are stopped and joined
-at exit, before the library can be unloaded.  ``_step.c`` describes it.
+calling thread and one C helper thread, when the process's affinity mask
+holds a second CPU (``taskset`` limits it); the helper starts on the first
+step with more than one chunk, and it is stopped and joined at exit, before
+the library can be unloaded.  ``_step.c`` describes it.
 
 The wrappers take and return NumPy arrays of float64; every input goes
 through ``np.ascontiguousarray(x, dtype=float)`` (``as_pair``, ``_row``).
@@ -175,9 +175,13 @@ def _emitted_ffi(path: Path):
         builder.set_source("_step", None, compiler_verbose=False)
         fd, tmp = tempfile.mkstemp(prefix="_step.", suffix=".py.tmp", dir=path.parent)
         os.close(fd)
-        builder.emit_python_code(tmp)
-        os.chmod(tmp, 0o644)
-        os.replace(tmp, path)
+        try:
+            builder.emit_python_code(tmp)
+            os.chmod(tmp, 0o644)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     namespace = {}
     exec(compile(path.read_bytes(), str(path), "exec"), namespace)
     return namespace["ffi"]
@@ -186,8 +190,8 @@ def _emitted_ffi(path: Path):
 _library = _build()
 ffi = _emitted_ffi(_library.with_suffix(".py"))
 lib = ffi.dlopen(str(_library))
-# the chunk pool's workers run code of the library: end them before it can
-# be unloaded
+# the chunk pool's helper runs code of the library: end it before the library
+# can be unloaded
 atexit.register(lib.dw_pool_stop)
 
 

@@ -42,8 +42,8 @@
  * what it found into a partial status (a first index, a largest bit
  * pattern, a flag); these fold to the same status in any order, so the
  * status is the whole-window step's bit for bit.  The calling thread and a
- * pool of workers claim chunks from one counter (see "the chunk pool"); the
- * caller scratch is the start of buf.  The error path runs the window as
+ * helper thread claim chunks from one counter (see "the chunk pool"); the
+ * caller's scratch is the start of buf.  The error path runs the window as
  * one chunk, which leaves buf in the layout above.
  *
  * A closure round hands in contiguous rows of the closure's values on V and
@@ -578,41 +578,37 @@ CLONED static void m1_chunk(const job *j, int64_t c, double *buf, partial *acc)
     update(j, first, m, buf, acc);
 }
 
-/* The chunk pool.  One worker per CPU past the first in the affinity mask
- * (sched_getaffinity, else the online CPUs), at most MAX_WORKERS, starts on
- * the first step with more than one chunk.  One step at a time holds the
- * pool (busy); a step that finds it held runs all its chunks on its own
- * thread.  The holder publishes its job and a new generation in claim, and
- * it and the workers take chunks from claim's low half by compare-and-swap,
- * so a worker still on an old generation claims nothing.  A finished
- * generation's low half is IDLE.  Each worker folds its chunks into its own
- * slot; the holder waits for every chunk (done), then folds the slots.  An
- * idle worker spins for SPIN_NS, then sleeps on wake.  dw_pool_stop ends
- * the workers, and a forked child starts with a fresh pool. */
-#define MAX_WORKERS 63
+/* The chunk pool: one helper thread, started on the first step with more
+ * than one chunk when the affinity mask (sched_getaffinity, else the online
+ * CPUs) holds a second CPU.  Only a second CPU has been timed, so a larger
+ * mask gets one helper too.  One step at a time holds the pool (busy); a
+ * step that finds it held runs all its chunks on its own thread.  The holder
+ * publishes its job and a new generation in claim, and it and the helper
+ * take chunks from claim's low half by compare-and-swap, so a helper still
+ * on an old generation claims nothing.  A finished generation's low half is
+ * IDLE.  The helper folds its chunks into acc; the holder waits for every
+ * chunk (done), then folds acc.  The idle helper spins for SPIN_NS, then
+ * sleeps on wake.  dw_pool_stop ends the helper, and a forked child starts
+ * with a fresh pool. */
 #define SPIN_NS 50000
 #define IDLE 0xffffffffu
 #define SCRATCH (N_REGIONS * 2 * (CHUNK + 2))
-
-typedef struct {
-    _Alignas(64) partial acc;
-} slot;
 
 static struct {
     pthread_mutex_t lock;
     pthread_cond_t wake;
     atomic_int busy;
     atomic_int stop;
-    atomic_int sleepers;        /* workers waiting on wake */
+    atomic_int sleeping;        /* the helper waits on wake */
     _Atomic uint64_t claim;     /* generation << 32 | next chunk */
     _Atomic int64_t chunks;     /* chunks of the generation */
     _Atomic int64_t done;       /* chunks finished in the generation */
-    int workers;                /* -1 until the pool starts */
-    uint32_t spawn_gen;         /* the generation when the workers started */
+    int workers;                /* 1 with the helper, 0 without, -1 until the pool starts */
+    uint32_t spawn_gen;         /* the generation when the helper started */
     job job;
-    pthread_t thread[MAX_WORKERS];
-    double *scratch[MAX_WORKERS];
-    slot slots[MAX_WORKERS];
+    pthread_t thread;
+    double *scratch;
+    _Alignas(64) partial acc;   /* the helper's chunks of the generation */
 } pool = {
     .lock = PTHREAD_MUTEX_INITIALIZER, .wake = PTHREAD_COND_INITIALIZER,
     .claim = IDLE, .workers = -1,
@@ -663,10 +659,10 @@ static uint32_t await(uint32_t gen)
     for (int i = 1; generation() == gen && !atomic_load(&pool.stop); i++) {
         if (i % 64 == 0 && now_ns() - t0 > SPIN_NS) {
             pthread_mutex_lock(&pool.lock);
-            atomic_fetch_add(&pool.sleepers, 1);
+            atomic_store(&pool.sleeping, 1);
             while (generation() == gen && !atomic_load(&pool.stop))
                 pthread_cond_wait(&pool.wake, &pool.lock);
-            atomic_fetch_sub(&pool.sleepers, 1);
+            atomic_store(&pool.sleeping, 0);
             pthread_mutex_unlock(&pool.lock);
             break;
         }
@@ -675,25 +671,25 @@ static uint32_t await(uint32_t gen)
     return generation();
 }
 
-static void *worker(void *arg)
+static void *helper(void *arg)
 {
-    intptr_t w = (intptr_t)arg;
+    (void)arg;
     for (uint32_t gen = pool.spawn_gen;;) {
         gen = await(gen);
         if (atomic_load(&pool.stop))
             return NULL;
-        run_claims(gen, pool.scratch[w], &pool.slots[w].acc);
+        run_claims(gen, pool.scratch, &pool.acc);
     }
 }
 
-static void wake_all(void)
+static void wake(void)
 {
     pthread_mutex_lock(&pool.lock);
-    pthread_cond_broadcast(&pool.wake);
+    pthread_cond_signal(&pool.wake);
     pthread_mutex_unlock(&pool.lock);
 }
 
-/* in a forked child, whose workers did not survive the fork: a pool that
+/* in a forked child, whose helper did not survive the fork: a pool that
    starts afresh, reusing the scratch */
 static void reset(void)
 {
@@ -701,7 +697,7 @@ static void reset(void)
     pthread_cond_init(&pool.wake, NULL);
     atomic_store(&pool.busy, 0);
     atomic_store(&pool.stop, 0);
-    atomic_store(&pool.sleepers, 0);
+    atomic_store(&pool.sleeping, 0);
     pool.workers = -1;
 }
 
@@ -716,51 +712,47 @@ static int cpus(void)
     return k > 0 ? (int)k : 1;
 }
 
-/* the workers, each with every signal blocked, so signals go to the caller */
+/* the helper, with every signal blocked, so signals go to the caller */
 static void start(void)
 {
     static int fork_handler;
     if (!fork_handler)
         fork_handler = !pthread_atfork(NULL, NULL, reset);
-    int want = cpus() - 1, w = 0;
-    want = want < MAX_WORKERS ? want : MAX_WORKERS;
+    pool.workers = 0;
+    if (cpus() < 2)
+        return;
+    if (!pool.scratch)
+        pool.scratch = malloc(SCRATCH * sizeof(double));
+    if (!pool.scratch)
+        return;
     sigset_t all, old;
     sigfillset(&all);
     pthread_sigmask(SIG_SETMASK, &all, &old);
     pool.spawn_gen = generation();
-    for (; w < want; w++) {
-        if (!pool.scratch[w])
-            pool.scratch[w] = malloc(SCRATCH * sizeof(double));
-        if (!pool.scratch[w]
-            || pthread_create(&pool.thread[w], NULL, worker, (void *)(intptr_t)w))
-            break;
-    }
+    pool.workers = !pthread_create(&pool.thread, NULL, helper, NULL);
     pthread_sigmask(SIG_SETMASK, &old, NULL);
-    pool.workers = w;
 }
 
-/* Runs the chunks of j on the pool and this thread, folded into acc; 0 when
- * another step holds the pool or it has no worker. */
+/* Runs the chunks of j on the helper and this thread, folded into acc; 0
+ * when another step holds the pool or it has no helper. */
 static int pooled(const job *j, int64_t chunks, double *buf, partial *acc)
 {
     if (atomic_exchange(&pool.busy, 1))
         return 0;
     if (pool.workers < 0)
         start();
-    int workers = pool.workers;
-    if (workers == 0) {
+    if (!pool.workers) {
         atomic_store(&pool.busy, 0);
         return 0;
     }
     pool.job = *j;
-    for (int w = 0; w < workers; w++)
-        pool.slots[w].acc = NONE;
+    pool.acc = NONE;
     atomic_store(&pool.done, 0);
     atomic_store(&pool.chunks, chunks);
     uint32_t gen = generation() + 1;
     atomic_store(&pool.claim, (uint64_t)gen << 32);
-    if (atomic_load(&pool.sleepers))
-        wake_all();
+    if (atomic_load(&pool.sleeping))
+        wake();
     run_claims(gen, buf, acc);
     int64_t t0 = now_ns();
     while (atomic_load_explicit(&pool.done, memory_order_acquire) < chunks) {
@@ -770,31 +762,29 @@ static int pooled(const job *j, int64_t chunks, double *buf, partial *acc)
             sched_yield();
     }
     atomic_store(&pool.claim, (uint64_t)gen << 32 | IDLE);
-    for (int w = 0; w < workers; w++)
-        fold(acc, &pool.slots[w].acc);
+    fold(acc, &pool.acc);
     atomic_store(&pool.busy, 0);
     return 1;
 }
 
-/* the workers running, -1 before the pool starts */
+/* the helpers running (0 or 1), -1 before the pool starts */
 int dw_pool_workers(void)
 {
     return pool.workers;
 }
 
-/* Ends and joins the workers; later steps run on their caller's thread.
+/* Ends and joins the helper; later steps run on their caller's thread.
  * The Python calls it at exit, before the library can be unloaded. */
 void dw_pool_stop(void)
 {
     while (atomic_exchange(&pool.busy, 1))
         sched_yield();
     atomic_store(&pool.stop, 1);
-    wake_all();
-    for (int w = 0; w < pool.workers; w++) {
-        pthread_join(pool.thread[w], NULL);
-        free(pool.scratch[w]);
-        pool.scratch[w] = NULL;
-    }
+    wake();
+    if (pool.workers > 0)
+        pthread_join(pool.thread, NULL);
+    free(pool.scratch);
+    pool.scratch = NULL;
     pool.workers = 0;
     atomic_store(&pool.busy, 0);
 }

@@ -66,9 +66,9 @@ When the closure's p, p', g, g', f and f' are the built-in m1 functions
 operation (they use only +, -, *, / and sqrt, which round correctly on both
 sides), and the whole step is one C call.  That call cuts the window into
 chunks of 256 cells and runs each chunk through every stage on its own
-scratch, on the calling thread and on a pool of C threads, one per CPU past
-the first in the process's affinity mask; the chunks' checks fold into the
-same status, so the step keeps its bits on any number of CPUs.  Every other
+scratch, on the calling thread and, when the process's affinity mask holds
+a second CPU, on one C helper thread; the chunks' checks fold into the same
+status, so the step keeps its bits on any number of CPUs.  Every other
 closure keeps its NumPy callables, whose ``pow`` stays on one thread, and
 the step makes two closure rounds between the stages: each needed callable
 is called once on the edge values of both edge rows, held back to back in

@@ -173,3 +173,16 @@ def test_emitted_module_is_reused():
     stamp = module.stat().st_mtime_ns
     assert _kernel._emitted_ffi(module).sizeof("dw_status") == _kernel.ffi.sizeof("dw_status")
     assert module.stat().st_mtime_ns == stamp
+
+
+def test_failed_emission_leaves_no_temporary(monkeypatch, tmp_path):
+    import cffi
+
+    def full_disk(self, path):
+        Path(path).write_text("partial")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cffi.FFI, "emit_python_code", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        _kernel._emitted_ffi(tmp_path / "_step.0123456789abcdef.py")
+    assert list(tmp_path.iterdir()) == []

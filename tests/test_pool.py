@@ -1,9 +1,9 @@
-"""The chunk pool of the compiled m1 step: concurrent steps, and the workers'
+"""The chunk pool of the compiled m1 step: concurrent steps, and the helper's
 start, sleep, exit and fork.
 
-A step's window is cut into chunks of 256 cells, and the pool has one worker
-per CPU past the first in the process's affinity mask.  The subprocess cases
-run a 2048-cell m1 state, whose window spans eight chunks.
+A step's window is cut into chunks of 256 cells, and the pool has one helper
+thread when the process's affinity mask holds a second CPU.  The subprocess
+cases run a 2048-cell m1 state, whose window spans eight chunks.
 """
 
 import os
@@ -21,7 +21,6 @@ from diffwave import config
 from diffwave.solver import advance, build_initial_data, cfl_dt, step
 
 SRC = str(Path(diffwave.__file__).parents[1])
-MAX_WORKERS = 63
 
 STEPS = """
 import hashlib, os, sys, time
@@ -80,7 +79,7 @@ def m1_states():
 
 
 def test_concurrent_steps_match_serial_bits(m1_states):
-    """Two threads step at once, one of them on the pool's workers or both
+    """Two threads step at once, one of them with the pool's helper or both
     alone, and each gets the bits of stepping alone."""
     cfl, states = m1_states
     want = [_march(state, cfl, 50) for state in states]
@@ -109,10 +108,10 @@ needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
 
 @needs_proc
 def test_workers_start_lazily_sleep_when_idle_and_exit_cleanly():
-    """The workers start on the first step with more than one chunk; idle,
-    they spin for about 50 us and then sleep, so a half-second pause costs
+    """The helper starts on the first step with more than one chunk; idle,
+    it spins for about 50 us and then sleeps, so a half-second pause costs
     next to no CPU time; the last exit handler, registered before the
-    import, finds them joined, before the library can be unloaded."""
+    import, finds it joined, before the library can be unloaded."""
     proc = _python("""
         at_import = workers(), threads()
         march(wavy(200), 3)  # a window of one chunk
@@ -133,14 +132,14 @@ def test_workers_start_lazily_sleep_when_idle_and_exit_cleanly():
     *counts, cpus, idle_cpu, at_exit, threads_at_exit = proc.stdout.split()
     counts = [int(k) for k in counts]
     base = counts[1]  # the interpreter's and the BLAS library's threads
-    started = min(int(cpus) - 1, MAX_WORKERS)
+    started = min(int(cpus) - 1, 1)
     assert counts == [-1, base, -1, base, started, base + started]
     assert float(idle_cpu) < 0.1
     assert (int(at_exit), int(threads_at_exit)) == (0, base)
 
 
 def test_pinned_to_one_cpu_no_worker_starts_and_the_bits_hold():
-    """One CPU in the mask: no worker, and the bits of this process's steps."""
+    """One CPU in the mask: no helper, and the bits of this process's steps."""
     proc = _python("""
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         end = march(wavy(2048), 30)
