@@ -4,20 +4,21 @@ The system C compiler builds the library on the first import into the
 package's ``__pycache__/``.  When that directory is not writable, or not this
 user's own, the library goes to ``diffwave-<uid>/`` in the temporary
 directory, made with mode 0o700.  A cache directory, and a library in it, is
-used only when it belongs to this user and no one else can write it: a
-shared cache directory raises ImportError, and a library that fails the
-check is rebuilt over.  The file name carries a hash of the source, of the
-compiler's ``--version`` output and of the flags, and the file appears by
-atomic rename, so an edited source or a new compiler rebuilds and
-concurrent first imports are harmless.  A build into the package's
-``__pycache__/`` deletes this user's libraries and emitted modules of other
-hashes there.  A failed build raises ImportError with the compiler command
-and its stderr.
+used only when it belongs to this user and no one else can write it: a shared
+cache directory raises ImportError, and a library that fails the check is
+rebuilt over.  The file name hashes the source, the flags and the compiler's
+file (``cc`` on PATH through its symlinks: real path, size and mtime), so an
+edited source or a replaced compiler rebuilds, a wrapper such as ccache is
+keyed by its own file, and a warm import starts no process.  The file appears
+by atomic rename (``_atomic``), so concurrent first imports are harmless.  A
+build into the package's ``__pycache__/`` deletes this user's libraries and
+emitted modules of other hashes there.  A failed build, or a PATH without
+``cc``, raises ImportError naming the command.
 
 The declarations reach cffi through out-of-line ABI mode: the first import
 parses them once (cffi with pycparser) and emits a module
-``_step.<hash>.py`` next to the library; a later import loads it, after the
-same ownership check as the library, and needs no C parser.
+``_step.<hash>.py`` next to the library in the same way; a later import
+loads it, after the same ownership check, and needs no C parser.
 
 With the built-in m1 closure the step runs its window in chunks on the
 calling thread and one C helper thread, when the process's affinity mask
@@ -40,6 +41,7 @@ import atexit
 import hashlib
 import os
 import re
+import shutil
 import stat
 import subprocess
 import tempfile
@@ -63,17 +65,14 @@ _CDEF = _SOURCE.read_text().split("/* --- declarations --- */")[1].split(
 )[0]
 
 
-def _run(cmd):
-    try:
-        return subprocess.run(cmd, capture_output=True, text=True)
-    except OSError as exc:
-        raise ImportError(f"cannot run the C compiler: {' '.join(cmd)}: {exc}") from exc
-
-
 def _key() -> str:
-    """The hash of the source, the compiler's version and the flags."""
-    version = _run([_CC, "--version"]).stdout
-    text = "\0".join([_SOURCE.read_text(), _CC, version, *_FLAGS])
+    """The hash of the source, the flags and the compiler's file."""
+    found = shutil.which(_CC)
+    if found is None:
+        raise ImportError(f"cannot find the C compiler {_CC!r} on PATH")
+    real = os.path.realpath(found)
+    st = os.stat(real)
+    text = "\0".join([_SOURCE.read_text(), real, f"{st.st_size} {st.st_mtime_ns}", *_FLAGS])
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -107,34 +106,44 @@ def _cache_dir() -> Path:
     return cache
 
 
+def _atomic(path: Path, make, mode: int) -> bool:
+    """Whether it made path, by make(tmp) on a temporary beside it, chmod and
+    rename; a path that is this user's own is kept, a failure deletes tmp."""
+    try:
+        if _private(path):
+            return False
+    except FileNotFoundError:
+        pass
+    fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        make(tmp)
+        # replaces mkstemp's 0o600 or the linker's umask mode: no one else may write
+        os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return True
+
+
+def _compile(tmp: str) -> None:
+    cmd = [_CC, *_FLAGS, "-o", tmp, str(_SOURCE), "-lm"]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+    except OSError as exc:
+        raise ImportError(f"cannot run the C compiler: {' '.join(cmd)}: {exc}") from exc
+    if proc.returncode != 0:
+        raise ImportError(f"building the compiled step failed (exit {proc.returncode}): "
+                          f"{' '.join(cmd)}\n{proc.stderr}")
+
+
 def _build() -> Path:
     """The path of the compiled library, building it first if it is missing
     or is not this user's own."""
     cache = _cache_dir()
     target = cache / f"_step.{_key()}.so"
-    try:
-        if _private(target):
-            return target
-    except FileNotFoundError:
-        pass
-    fd, tmp = tempfile.mkstemp(prefix="_step.", suffix=".so.tmp", dir=cache)
-    os.close(fd)
-    cmd = [_CC, *_FLAGS, "-o", tmp, str(_SOURCE), "-lm"]
-    try:
-        proc = _run(cmd)
-    except ImportError:
-        os.unlink(tmp)
-        raise
-    if proc.returncode != 0:
-        os.unlink(tmp)
-        raise ImportError(
-            f"building the compiled step failed (exit {proc.returncode}): "
-            f"{' '.join(cmd)}\n{proc.stderr}"
-        )
-    # the linker creates the file under the umask; no one else may write it
-    os.chmod(tmp, 0o755)
-    os.replace(tmp, target)
-    if cache == _SOURCE.parent / "__pycache__":
+    if _atomic(target, _compile, 0o755) and cache == _SOURCE.parent / "__pycache__":
         _prune(cache, target)
     return target
 
@@ -159,29 +168,19 @@ def _prune(cache: Path, keep: Path) -> None:
             pass  # gone already, or not ours to delete
 
 
+def _emit(tmp: str) -> None:
+    import cffi  # pycparser parses the declarations only here
+    builder = cffi.FFI()
+    builder.cdef(_CDEF)
+    builder.set_source("_step", None, compiler_verbose=False)
+    builder.emit_python_code(tmp)
+
+
 def _emitted_ffi(path: Path):
     """The FFI of the declarations from the module cffi emits for them at
     path (out-of-line ABI mode), emitting it first when it is missing or is
     not this user's own.  Loading it needs no C parser."""
-    try:
-        ready = _private(path)
-    except FileNotFoundError:
-        ready = False
-    if not ready:
-        import cffi  # pycparser parses the declarations only here
-
-        builder = cffi.FFI()
-        builder.cdef(_CDEF)
-        builder.set_source("_step", None, compiler_verbose=False)
-        fd, tmp = tempfile.mkstemp(prefix="_step.", suffix=".py.tmp", dir=path.parent)
-        os.close(fd)
-        try:
-            builder.emit_python_code(tmp)
-            os.chmod(tmp, 0o644)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+    _atomic(path, _emit, 0o644)
     namespace = {}
     exec(compile(path.read_bytes(), str(path), "exec"), namespace)
     return namespace["ffi"]

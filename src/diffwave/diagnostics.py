@@ -216,8 +216,8 @@ def fit_decay_rate(t, values, window: tuple[float, float]) -> RateFit:
     """Ordinary least squares of log(values) on log(1+t) over a window.
 
     The fitted slope is the decay exponent; ``rate_row`` judges it.
-    Requires at least 8 samples with positive values in the window, at no
-    fewer than two distinct times.
+    Requires at least 8 samples with finite positive values in the window,
+    at no fewer than two distinct times.
     """
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -234,8 +234,10 @@ def fit_decay_rate(t, values, window: tuple[float, float]) -> RateFit:
             f"({float(window[0])!r}, {float(window[1])!r}), found {found} "
             f"samples at t = {float(t[sel][0])!r}"
         )
-    if np.any(values[sel] <= 0.0):
-        raise FitError("non-positive norm values in fit window (blow-up or underflow)")
+    if not np.all(np.isfinite(values[sel]) & (values[sel] > 0.0)):
+        raise FitError(
+            "non-positive or non-finite norm values in fit window (blow-up or underflow)"
+        )
 
     lt = np.log1p(t[sel])
     lv = np.log(values[sel])

@@ -60,8 +60,9 @@ def read_series_csv(path):
     """Read a series CSV back into a dict of column arrays.
 
     The file must be readable, its header must name ``t`` and every L2 norm
-    that ``rates`` judges, and it must hold at least one row of numbers, each
-    as long as the header.  Otherwise SeriesError names the path and the cause.
+    that ``rates`` judges, and it must hold at least one row of finite
+    numbers, each as long as the header.  Otherwise SeriesError names the
+    path and the cause.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -74,10 +75,12 @@ def read_series_csv(path):
     missing = [name for name in ("t", *BASE_TARGETS) if name not in header]
     if missing:
         raise SeriesError(f"{path!r} lacks the column(s) {', '.join(missing)}")
-    rows = [line.split(",") for line in lines[1:] if line]
+    # blank lines are skipped, so each row keeps its line number
+    numbers = [k for k, line in enumerate(lines, start=1) if line and k > 1]
+    rows = [lines[k - 1].split(",") for k in numbers]
     if not rows:
         raise SeriesError(f"{path!r} holds no samples")
-    for k, row in enumerate(rows, start=2):
+    for k, row in zip(numbers, rows):
         if len(row) != len(header):
             raise SeriesError(
                 f"{path!r} line {k}: {len(row)} values for {len(header)} columns"
@@ -86,6 +89,11 @@ def read_series_csv(path):
         data = np.asarray(rows, dtype=float)
     except ValueError as exc:
         raise SeriesError(f"{path!r} holds a non-numeric value: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise SeriesError(f"{path!r} line {numbers[i]}: non-finite value "
+                          f"{rows[i][j]!r} in column {header[j]}")
     return {name: data[:, j] for j, name in enumerate(header)}
 
 

@@ -291,8 +291,12 @@ GOOD_ROW = "0,1,1,1,1,1,1,1"
          "lacks the column(s) l2_Vx"),
         ("", "is empty"),
         (f"{GOOD_HEADER}\n", "holds no samples"),
+        (f"{GOOD_HEADER}\n{GOOD_ROW}\n\n1,1,1,nan,1,1,1,1\n",
+         "line 4: non-finite value 'nan' in column l2_Vxx"),
+        (f"{GOOD_HEADER}\n{GOOD_ROW}\n1,1,1,1,1,1,1,inf\n",
+         "line 3: non-finite value 'inf' in column l2_zxx"),
     ],
-    ids=["missing", "non-numeric", "ragged", "no-l2_Vx", "empty", "header-only"],
+    ids=["missing", "non-numeric", "ragged", "no-l2_Vx", "empty", "header-only", "nan", "inf"],
 )
 def test_rates_on_a_bad_series_file_is_a_usage_error(tmp_path, capsys, text, cause):
     path = tmp_path / "series.csv"

@@ -175,10 +175,11 @@ def test_fit_decay_rate_errors():
     t = np.linspace(0.0, 400.0, 81)
     with pytest.raises(FitError, match="8 samples"):
         fit_decay_rate(t, (1 + t) ** -1.0, (390.0, 400.0))
-    vals = (1 + t) ** -1.0
-    vals[40] = 0.0
-    with pytest.raises(FitError, match="non-positive"):
-        fit_decay_rate(t, vals, (40.0, 400.0))
+    for bad in (0.0, np.nan, np.inf):
+        vals = (1 + t) ** -1.0
+        vals[40] = bad
+        with pytest.raises(FitError, match="non-positive"):
+            fit_decay_rate(t, vals, (40.0, 400.0))
 
 
 def test_rate_row_verdicts():

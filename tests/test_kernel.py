@@ -2,6 +2,7 @@
 the build error."""
 
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -14,9 +15,20 @@ from diffwave import _kernel
 
 
 @pytest.fixture
-def user_cache(monkeypatch, tmp_path):
-    """The per-user cache in tmp_path, with the package's __pycache__ unwritable."""
-    cache = _kernel._SOURCE.parent / "__pycache__"
+def one_line_source(monkeypatch, tmp_path):
+    """A one-line _step.c in tmp_path/src: the cache's checks do not depend on
+    what it compiles, and this builds in a moment."""
+    source = tmp_path / "src" / "_step.c"
+    source.parent.mkdir()
+    source.write_text("int dw_one_line(void) { return 1; }\n")
+    monkeypatch.setattr(_kernel, "_SOURCE", source)
+    return source
+
+
+@pytest.fixture
+def user_cache(monkeypatch, tmp_path, one_line_source):
+    """The per-user cache in tmp_path, with the source's __pycache__ unwritable."""
+    cache = one_line_source.parent / "__pycache__"
     real_access = os.access
     monkeypatch.setattr(
         os, "access", lambda p, mode: False if p == cache else real_access(p, mode)
@@ -98,18 +110,21 @@ def test_failed_build_names_the_command_and_its_stderr(monkeypatch, tmp_path):
     assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == []
 
 
-def test_cache_key_follows_the_compiler_version(monkeypatch):
+def test_cache_key_follows_the_compiler_version(monkeypatch, tmp_path):
     key = _kernel._key()
-    real_run = _kernel._run
-
-    def other_compiler(cmd):
-        proc = real_run(cmd)
-        if cmd[1:] == ["--version"]:
-            proc.stdout += "a different build\n"
-        return proc
-
-    monkeypatch.setattr(_kernel, "_run", other_compiler)
-    assert _kernel._key() != key
+    assert _kernel._key() == key
+    wrapper = tmp_path / "cc"
+    wrapper.write_text(f'#!/bin/sh\nexec {shutil.which(_kernel._CC)} "$@"\n')
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
+    wrapped = _kernel._key()
+    assert wrapped != key and _kernel._key() == wrapped
+    st = wrapper.stat()
+    os.utime(wrapper, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    assert _kernel._key() not in (key, wrapped)
+    monkeypatch.setenv("PATH", str(tmp_path / "nowhere"))
+    with pytest.raises(ImportError, match="'cc' on PATH"):
+        _kernel._key()
 
 
 def _stale(directory, name):
@@ -118,11 +133,8 @@ def _stale(directory, name):
     return path
 
 
-def test_build_prunes_own_stale_libraries_from_the_package_cache(monkeypatch, tmp_path):
-    source = tmp_path / "_step.c"
-    source.write_text(_kernel._SOURCE.read_text())
-    monkeypatch.setattr(_kernel, "_SOURCE", source)
-    cache = tmp_path / "__pycache__"
+def test_build_prunes_own_stale_libraries_from_the_package_cache(tmp_path, one_line_source):
+    cache = one_line_source.parent / "__pycache__"
     cache.mkdir()
     stale = _stale(cache, "_step.0123456789abcdef.so")
     stale_module = _stale(cache, "_step.0123456789abcdef.py")
@@ -149,12 +161,22 @@ def test_temporary_cache_is_not_pruned(user_cache):
 
 
 def test_warm_import_loads_no_c_parser():
-    """With the library and its emitted module cached, cffi's parser stays out."""
+    """With the library and its emitted module cached, importing the command
+    line starts no process and leaves cffi's parser out."""
     src = str(Path(_kernel.__file__).parents[1])
-    code = "import sys, diffwave._kernel; print(sorted({'cffi', 'pycparser'} & set(sys.modules)))"
+    code = (
+        "import sys\n"
+        "spawned = []\n"
+        "def hook(event, args):\n"
+        "    if event in ('subprocess.Popen', 'os.posix_spawn', 'os.fork', 'os.exec'):\n"
+        "        spawned.append((event, repr(args)[:80]))\n"
+        "sys.addaudithook(hook)\n"
+        "import diffwave.cli\n"
+        "print(sorted({'cffi', 'pycparser'} & set(sys.modules)), spawned)\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
+    assert proc.returncode == 0 and proc.stdout.strip() == "[] []", (proc.stdout, proc.stderr)
 
 
 @pytest.mark.parametrize("spoil", [_foreign_owner, _group_writable, _symlink_to_planted])
