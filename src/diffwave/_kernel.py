@@ -33,6 +33,7 @@ with the built-in m1 closure one C call, with any other the three stages
 and, between them, the closure's two rounds (``closure_round``); ``_step.c``
 says what each stage does.  ``flux_and_speed`` is the same face combine on
 any states, the package's one evaluation of the flux and the wave speed.
+``tridiagonal_solve`` is the profile solver's Newton step.
 """
 
 from __future__ import annotations
@@ -323,6 +324,26 @@ def flux_and_speed(closure, v, u):
         terms = closure_round(closure, v, u, True)
         ok = lib.dw_face_combine(v.size, *terms, _ptr(flux), _ptr(speed))
     return (flux, speed) if ok else None
+
+
+def tridiagonal_solve(lower, diag, upper, rhs):
+    """x with A x = rhs for the tridiagonal A of the given sub-, main and
+    superdiagonal (n - 1, n and n - 1 values), by Gaussian elimination with
+    partial pivoting (``dw_tridiagonal_solve``, LAPACK dgtsv's algorithm).
+
+    Raises ``np.linalg.LinAlgError`` when a pivot is exactly zero.
+    """
+    # copies: the solve overwrites all four
+    d = np.array(diag, dtype=float)
+    dl, du, x = (np.array(a, dtype=float) for a in (lower, upper, rhs))
+    n = d.size
+    if d.ndim != 1 or n == 0 or {dl.shape, du.shape} != {(n - 1,)} or x.shape != (n,):
+        raise ValueError(f"tridiagonal shapes {dl.shape}, {d.shape}, {du.shape}, "
+                         f"right-hand side {x.shape}")
+    k = lib.dw_tridiagonal_solve(n, _ptr(dl), _ptr(d), _ptr(du), _ptr(x))
+    if k:
+        raise np.linalg.LinAlgError(f"singular tridiagonal matrix: zero pivot in row {k - 1}")
+    return x
 
 
 def m1_momentum_flux(v, u):

@@ -50,6 +50,9 @@
  * U (g, g' on u; p, p', f, f' on v).  A correction-free closure (g = 0,
  * f = 1) passes only p, and p' on the faces, with g = NULL.
  *
+ * dw_tridiagonal_solve, the profile solver's Newton step, is the one routine
+ * here that no transport step calls.
+ *
  * The block between the two "declarations" lines is handed to cffi as is.
  */
 
@@ -96,6 +99,7 @@ int dw_m1_flux_and_speed(int64_t k, const double *v, const double *u,
                          double *flux, double *speed);
 int dw_pool_workers(void);
 void dw_pool_stop(void);
+int64_t dw_tridiagonal_solve(int64_t n, double *dl, double *d, double *du, double *b);
 /* --- end of declarations --- */
 
 #if defined(__x86_64__)
@@ -806,4 +810,48 @@ CLONED void dw_step_m1(int64_t n, const double *v, const double *u, double half_
         for (int64_t c = 0; c < chunks; c++)
             m1_chunk(&j, c, buf, &acc);
     finish(&acc, st);
+}
+
+/* Solves the tridiagonal system with subdiagonal dl[0 .. n-1), diagonal
+ * d[0 .. n) and superdiagonal du[0 .. n-1) for the right-hand side b, by
+ * Gaussian elimination with partial pivoting: LAPACK dgtsv's algorithm for
+ * one right-hand side.  A row swap makes a second superdiagonal, kept in dl.
+ * b takes the solution; dl, d and du take the factors.  Returns 0, or k + 1
+ * when the pivot of row k is exactly zero (the matrix is singular), in which
+ * case b is left part-way.  A NaN in the input gives NaN, not an error. */
+int64_t dw_tridiagonal_solve(int64_t n, double *dl, double *d, double *du, double *b)
+{
+    for (int64_t i = 0; i < n - 1; i++) {
+        if (fabs(d[i]) >= fabs(dl[i])) {
+            if (d[i] == 0.0)
+                return i + 1;
+            double fact = dl[i] / d[i];
+            d[i + 1] -= fact * du[i];
+            b[i + 1] -= fact * b[i];
+            dl[i] = 0.0;
+        } else {
+            /* swap rows i and i + 1 */
+            double fact = d[i] / dl[i], temp = d[i + 1];
+            d[i] = dl[i];
+            d[i + 1] = du[i] - fact * temp;
+            if (i < n - 2) {
+                dl[i] = du[i + 1];
+                du[i + 1] = -fact * dl[i];
+            }
+            du[i] = temp;
+            temp = b[i];
+            b[i] = b[i + 1];
+            b[i + 1] = temp - fact * b[i + 1];
+        }
+    }
+    if (n < 1)
+        return 0;
+    if (d[n - 1] == 0.0)
+        return n;
+    b[n - 1] /= d[n - 1];
+    if (n > 1)
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2];
+    for (int64_t i = n - 3; i >= 0; i--)
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i];
+    return 0;
 }

@@ -21,12 +21,12 @@ the mollifier shape, only on its unit mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from .diffusion_wave import WaveProfile, eval_vbar
+from .diffusion_wave import WaveProfile, _cumulative_simpson, eval_vbar
 
 __all__ = [
     "Mollifier",
@@ -103,40 +103,31 @@ def make_mollifier(
     """Build a normalized mollifier of the given shape on the given support.
 
     ``bump``   : exp(-1/(1-s^2)) on |s| < 1, infinitely smooth at the edges;
-                 the normalization constant is computed once by adaptive
-                 quadrature.
+                 the normalization constant is the last value of the
+                 cumulative table.
     ``cosine`` : cos^2(pi s / 2) on |s| < 1, which integrates to half_width
                  exactly; provided for the shape-invariance check of the
                  wave shift.
     """
     if shape not in ("bump", "cosine"):
         raise ValueError(f"unknown mollifier shape {shape!r}")
-    if half_width <= 0.0:
-        raise ValueError("half_width must be positive")
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, not {center}")
+    if not (math.isfinite(half_width) and half_width > 0.0):
+        raise ValueError(f"half_width must be positive and finite, not {half_width}")
 
-    if shape == "bump":
-        raw, _ = quad(lambda s: np.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0)
-        normalization = 1.0 / (raw * half_width)
-    else:
-        normalization = 1.0 / half_width
-
-    moll = Mollifier(
-        shape=shape,
-        normalization=normalization,
-        _center=center,
-        _half_width=half_width,
-    )
-    # Cumulative table by composite Simpson on a fine symmetric grid;
-    # interpolation error is far below the quadrature tolerance used in
-    # the shift computation.
+    # Cumulative table of the unnormalized shape by Simpson's rule on a fine
+    # symmetric grid; interpolation error is far below the quadrature
+    # tolerance used in the shift computation.  Its last value is the
+    # shape's mass: the bump's normalization (the cosine's mass is
+    # half_width exactly).
+    moll = Mollifier(shape=shape, normalization=1.0, _center=center, _half_width=half_width)
     xs = np.linspace(center - half_width, center + half_width, _CUMULATIVE_NODES)
-    ys = moll(xs)
-    from scipy.integrate import cumulative_simpson
-
-    cum = cumulative_simpson(ys, x=xs, initial=0.0)
-    cum /= cum[-1]
+    cum = _cumulative_simpson(moll(xs), 2.0 * half_width / (_CUMULATIVE_NODES - 1))
+    mass = cum[-1] if shape == "bump" else half_width
+    object.__setattr__(moll, "normalization", 1.0 / mass)
     object.__setattr__(moll, "_cum_x", xs)
-    object.__setattr__(moll, "_cum_y", cum)
+    object.__setattr__(moll, "_cum_y", cum / cum[-1])
     return moll
 
 

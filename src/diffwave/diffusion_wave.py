@@ -16,20 +16,21 @@ The associated Darcy velocity is ubar = -p(vbar)_x / alpha.
 
 ``solve_profile`` discretizes the truncated problem with a conservative
 finite-difference stencil and damped Newton iteration (tridiagonal
-Jacobian).  Space-time derivatives of vbar up to total order four are
-assembled from the profile derivatives in ``eval_vbar``.
+Jacobian, solved with partial pivoting in the compiled library).
+``WaveProfile.deriv`` interpolates the profile between the grid nodes by
+cubic Hermite pieces.  Space-time derivatives of vbar up to total order four
+are assembled from the profile derivatives in ``eval_vbar``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
-from scipy.special import erf
 
+from . import _kernel
 from .closures import ModelClosure
 
 __all__ = [
@@ -62,7 +63,7 @@ class WaveProfile:
     v_plus: float
     closure: ModelClosure
     residual: float = 0.0
-    _splines: dict = field(default_factory=dict, repr=False)
+    _hermite: dict = field(default_factory=dict, repr=False)
 
     @property
     def alpha(self) -> float:
@@ -80,22 +81,33 @@ class WaveProfile:
     def deriv(self, xi, order: int = 0):
         """Cubic-interpolated profile derivative of given order at xi.
 
-        Outside the computed window the profile is clamped to its
-        asymptotic constants: phi -> v_minus / v_plus and all
-        derivatives -> 0.
+        The interpolant is cubic Hermite on each grid cell, with the node
+        values and the nodes' slopes from ``_first_derivative``; its
+        coefficients are built once per order, and a point finds its cell
+        by arithmetic on the uniform grid.  Outside the computed window the
+        profile is clamped to its asymptotic constants: phi -> v_minus /
+        v_plus and all derivatives -> 0.  NaN gives NaN.
         """
         if order not in (0, 1, 2, 3, 4):
             raise ValueError("derivative order must be in 0..4")
-        if order not in self._splines:
+        lo, hi = self.xi_grid[0], self.xi_grid[-1]
+        h = (hi - lo) / (self.xi_grid.size - 1)
+        coef = self._hermite.get(order)
+        if coef is None:
             data = (self.phi, self.dphi, self.d2phi, self.d3phi, self.d4phi)[order]
-            self._splines[order] = CubicSpline(self.xi_grid, data)
+            coef = self._hermite[order] = _hermite_coefficients(data, h)
         xi = np.asarray(xi, dtype=float)
         scalar = xi.ndim == 0
         xi = np.atleast_1d(xi)
-        clipped = np.clip(xi, self.xi_grid[0], self.xi_grid[-1])
-        out = self._splines[order](clipped)
-        below = xi < self.xi_grid[0]
-        above = xi > self.xi_grid[-1]
+        s = (np.clip(xi, lo, hi) - lo) / h
+        # s >= 0, so the cast floors; fmin sends NaN to the last cell, where
+        # t stays NaN
+        cell = np.fmin(s, coef.shape[1] - 1).astype(np.intp)
+        t = s - cell
+        c0, c1, c2, c3 = coef[:, cell]
+        out = ((c3 * t + c2) * t + c1) * t + c0
+        below = xi < lo
+        above = xi > hi
         if order == 0:
             out = np.where(below, self.v_minus, out)
             out = np.where(above, self.v_plus, out)
@@ -160,6 +172,40 @@ def _first_derivative(arr: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
+def _hermite_coefficients(y: np.ndarray, h: float) -> np.ndarray:
+    """(4, n - 1) coefficients of the cubic Hermite interpolant of the node
+    values y on a uniform grid of step h, in powers of the cell's local
+    coordinate t in [0, 1]; the node slopes are ``_first_derivative``'s."""
+    m = h * _first_derivative(y, h)
+    dy = np.diff(y)
+    return np.array([y[:-1], m[:-1], 3.0 * dy - 2.0 * m[:-1] - m[1:], m[:-1] + m[1:] - 2.0 * dy])
+
+
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Running integral of the samples y on a uniform grid of step h, 0 at
+    the first node.
+
+    Each cell takes the integral of the quadratic through its nodes and one
+    neighbour: the first cell of each pair through the next node, the
+    second through the previous one.  A pair then sums to Simpson's rule, so
+    the value at every even node is composite Simpson.  With an odd number
+    of cells the last one takes the quadratic through the last three nodes.
+    Two samples take the trapezoid rule.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.size < 3:
+        return np.concatenate(([0.0], np.cumsum(0.5 * h * (y[1:] + y[:-1]))))
+    first = 5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:]  # cell i from nodes i, i+1, i+2
+    second = 8.0 * y[1:-1] + 5.0 * y[2:] - y[:-2]  # cell i+1 from the same nodes
+    cells = np.empty(y.size - 1)
+    paired = cells.size - cells.size % 2
+    cells[:paired:2] = first[:paired:2]
+    cells[1:paired:2] = second[:paired:2]
+    if paired < cells.size:
+        cells[-1] = second[-1]
+    return np.concatenate(([0.0], np.cumsum(cells * (h / 12.0))))
+
+
 def _stencil_residual(closure, alpha, xi, phi, h):
     """Conservative second-order residual at the interior nodes."""
     mid = 0.5 * (phi[1:] + phi[:-1])
@@ -168,8 +214,8 @@ def _stencil_residual(closure, alpha, xi, phi, h):
 
 
 def _stencil_jacobian(closure, alpha, xi, phi, h):
-    """Tridiagonal Jacobian of ``_stencil_residual`` in banded storage."""
-    n = len(phi) - 2
+    """Tridiagonal Jacobian of ``_stencil_residual``: its sub-, main and
+    superdiagonal."""
     mid = 0.5 * (phi[1:] + phi[:-1])
     dpm = closure.dp(mid)
     d2pm = closure.d2p(mid)
@@ -182,12 +228,7 @@ def _stencil_jacobian(closure, alpha, xi, phi, h):
     lower = -dw_left[:-1] / h + conv          # dR_i/dphi_{i-1}
     diag = (dw_left[1:] - dw_right[:-1]) / h  # dR_i/dphi_i
     upper = dw_right[1:] / h - conv           # dR_i/dphi_{i+1}
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return ab
+    return lower[1:], diag, upper[:-1]
 
 
 def _correction_term(closure, alpha, xi, phi, h):
@@ -221,7 +262,8 @@ def solve_profile(
 
     Discretization: conservative second-order finite differences on a
     uniform grid over [-xi_max, xi_max] with Dirichlet data v_minus /
-    v_plus, solved by damped Newton with tridiagonal linear algebra.
+    v_plus, solved by damped Newton with a tridiagonal solve with partial
+    pivoting (the Jacobian is not diagonally dominant).
     With ``defect_correction`` (default) the converged solution is
     polished by defect-corrected Newton sweeps that cancel the leading
     truncation term, raising the solution accuracy to fourth order.
@@ -233,12 +275,21 @@ def solve_profile(
 
     Higher derivatives are produced analytically from the ODE, not by
     repeated differencing of phi.
+
+    A non-finite v_minus or v_plus, or an xi_max that is not positive and
+    finite, raises ValueError; a Newton iteration that does not converge
+    (a NaN residual included) raises ProfileSolverError.
     """
     alpha = closure.alpha
     if n_cells < 64:
         raise ValueError("n_cells must be at least 64")
+    for name, value in (("v_minus", v_minus), ("v_plus", v_plus)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
     if xi_max is None:
         xi_max = 12.0 / np.sqrt(alpha)
+    elif not (math.isfinite(xi_max) and xi_max > 0.0):
+        raise ValueError(f"xi_max must be positive and finite, not {xi_max}")
 
     n_nodes = n_cells + 1
     xi = np.linspace(-xi_max, xi_max, n_nodes)
@@ -269,7 +320,8 @@ def solve_profile(
     # erf-shaped initial guess with the linearized similarity width
     diffusivity = -closure.dp(0.5 * (v_minus + v_plus))
     c0 = np.sqrt(alpha / (4.0 * diffusivity))
-    phi = v_minus + (v_plus - v_minus) * 0.5 * (1.0 + erf(c0 * xi))
+    erf = np.array([math.erf(z) for z in (c0 * xi).tolist()])
+    phi = v_minus + (v_plus - v_minus) * 0.5 * (1.0 + erf)
     phi[0] = v_minus
     phi[-1] = v_plus
 
@@ -284,8 +336,8 @@ def solve_profile(
         for _ in range(max_iter):
             if rnorm < tol_eff:
                 return phi, rnorm
-            ab = _stencil_jacobian(closure, alpha, xi, phi, h)
-            delta = solve_banded((1, 1), ab, -res)
+            jac = _stencil_jacobian(closure, alpha, xi, phi, h)
+            delta = _kernel.tridiagonal_solve(*jac, -res)
             step = 1.0
             while step >= 1e-6:
                 cand = phi.copy()
@@ -299,7 +351,7 @@ def solve_profile(
                 step *= 0.5
             else:
                 break
-        if rnorm >= tol_eff:
+        if not rnorm < tol_eff:
             raise ProfileSolverError(
                 f"Newton failed to reach tol={tol_eff:g}; last residual {rnorm:.3e}"
             )
@@ -343,7 +395,7 @@ def flux_relation_check(profile: WaveProfile, xi0: float, xi1: float) -> float:
                     * exp( int_{xi0}^{xi1} alpha*eta / (2 p'(phi(eta))) deta ),
 
     an identity any valid profile must satisfy.  The integral is taken by
-    composite Simpson on the solver grid (endpoints snapped to nodes).
+    ``_cumulative_simpson`` on the solver grid (endpoints snapped to nodes).
     Returns |lhs - rhs| / max(|lhs|, |rhs|); a constant profile returns 0
     by convention.
     """
@@ -356,12 +408,10 @@ def flux_relation_check(profile: WaveProfile, xi0: float, xi1: float) -> float:
         return 0.0
     if i0 > i1:
         i0, i1 = i1, i0
-    from scipy.integrate import simpson
-
     closure = profile.closure
     seg = xi[i0 : i1 + 1]
     integrand = 0.5 * profile.alpha * seg / closure.dp(profile.phi[i0 : i1 + 1])
-    integral = simpson(integrand, x=seg)
+    integral = _cumulative_simpson(integrand, xi[1] - xi[0])[-1]
     lhs = profile.dphi[i1]
     rhs = (
         profile.dphi[i0]

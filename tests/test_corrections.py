@@ -80,6 +80,18 @@ def test_make_mollifier_validation():
         make_mollifier("bump", 0.0, -1.0)
 
 
+@pytest.mark.parametrize("shape", ["bump", "cosine"])
+def test_make_mollifier_rejects_non_finite_support(shape):
+    for center, half_width, name in [
+        (np.nan, 1.0, "center"),
+        (np.inf, 1.0, "center"),
+        (0.0, np.nan, "half_width"),
+        (0.0, np.inf, "half_width"),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            make_mollifier(shape, center, half_width)
+
+
 def test_vhat_formula_and_limits(corr, bump):
     assert eval_vhat(corr, 0.0, 0.0) == pytest.approx(-0.1 * bump(0.0), rel=1e-14)
     zero = CorrectionField(0.2, 0.2, 1.0, bump)

@@ -1,10 +1,20 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson, simpson
+from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 from scipy.special import erf
 
 from diffwave import (
     ProfileSolverError,
     WaveProfile,
+    _kernel,
     eval_ubar,
     eval_vbar,
     flux_relation_check,
@@ -13,6 +23,8 @@ from diffwave import (
     solve_profile,
     verify_gaussian_tail,
 )
+from diffwave.config import build_scenario, parse_config
+from diffwave.diffusion_wave import _cumulative_simpson, _stencil_jacobian
 
 # phi(0) for the M1 closure (alpha=1, v: 1 -> 1.2), frozen from two
 # independent solves: the defect-corrected stencil at n=8192 and a
@@ -217,3 +229,154 @@ def test_gaussian_tail_rejects_constant(m1):
     prof = solve_profile(m1, 1.1, 1.1, n_cells=128)
     with pytest.raises(ValueError):
         verify_gaussian_tail(prof)
+
+
+def test_nonfinite_states_and_bad_xi_max_are_rejected(m1):
+    for kwargs, name in [
+        (dict(v_minus=1.0, v_plus=np.nan), "v_plus"),
+        (dict(v_minus=np.nan, v_plus=1.2), "v_minus"),
+        (dict(v_minus=np.inf, v_plus=1.2), "v_minus"),
+        (dict(v_minus=1.0, v_plus=-np.inf), "v_plus"),
+        (dict(v_minus=1.0, v_plus=1.2, xi_max=-1.0), "xi_max"),
+        (dict(v_minus=1.0, v_plus=1.2, xi_max=0.0), "xi_max"),
+        (dict(v_minus=1.0, v_plus=1.2, xi_max=np.nan), "xi_max"),
+        (dict(v_minus=1.0, v_plus=1.2, xi_max=np.inf), "xi_max"),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            solve_profile(m1, n_cells=128, **kwargs)
+
+
+def test_nan_residual_is_a_solver_failure(linear):
+    """A closure whose p' turns NaN inside the ramp must not come back as a
+    converged profile."""
+    broken = replace(linear, dp=lambda v: np.where(np.asarray(v) > 1.15, np.nan, -1.0))
+    with pytest.raises(ProfileSolverError):
+        solve_profile(broken, 1.0, 1.2, n_cells=128)
+
+
+def _banded(lower, diag, upper):
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+    return ab
+
+
+def _assert_solves_like_lapack(lower, diag, upper, rhs):
+    x = _kernel.tridiagonal_solve(lower, diag, upper, rhs)
+    ref = solve_banded((1, 1), _banded(lower, diag, upper), rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_tridiagonal_solve_matches_lapack_on_random_systems(rng):
+    for n in (1, 2, 3, 4, 17, 1000):
+        lower, upper = rng.uniform(-1.0, 1.0, (2, n - 1))
+        diag = rng.uniform(-1.0, 1.0, n) + 3.0 * rng.choice([-1.0, 1.0], n)
+        _assert_solves_like_lapack(lower, diag, upper, rng.uniform(-1.0, 1.0, n))
+
+
+def test_tridiagonal_solve_pivots(rng):
+    """Systems that elimination without row swaps gets wrong or cannot do:
+    a zero or tiny leading diagonal, and sub-diagonals larger than the
+    diagonal throughout."""
+    n = 64
+    lower, upper = rng.uniform(0.5, 1.0, (2, n - 1))
+    rhs = rng.uniform(-1.0, 1.0, n)
+    for lead in (0.0, 1e-14, -1e-300):
+        diag = rng.uniform(0.5, 1.0, n)
+        diag[0] = lead
+        _assert_solves_like_lapack(lower, diag, upper, rhs)
+    _assert_solves_like_lapack(4.0 * lower, 0.1 * rng.uniform(-1.0, 1.0, n), upper, rhs)
+
+
+def test_tridiagonal_solve_matches_lapack_on_profile_jacobians():
+    """The Newton Jacobians of both presets are not diagonally dominant."""
+    for preset in ("gamma-default", "m1-default"):
+        spec, prof = build_scenario(parse_config(f"[scenario]\npreset = {preset}\n"))
+        h = prof.xi_grid[1] - prof.xi_grid[0]
+        lower, diag, upper = _stencil_jacobian(spec.closure, prof.alpha, prof.xi_grid, prof.phi, h)
+        assert np.any(np.abs(diag[1:-1]) < np.abs(lower[:-1]) + np.abs(upper[1:]))
+        _assert_solves_like_lapack(lower, diag, upper, np.sin(prof.xi_grid[1:-1]))
+
+
+def test_tridiagonal_solve_rejects_singular_and_misshapen_systems():
+    # rows 0 and 1 of [[1, 2, 0], [2, 4, 0], [0, 0, 1]] are parallel
+    lower, diag, upper = np.array([2.0, 0.0]), np.array([1.0, 4.0, 1.0]), np.array([2.0, 0.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_banded((1, 1), _banded(lower, diag, upper), np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        _kernel.tridiagonal_solve(lower, diag, upper, np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        _kernel.tridiagonal_solve(np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4))
+    with pytest.raises(ValueError):
+        _kernel.tridiagonal_solve(lower, diag, upper, np.ones(4))
+    with pytest.raises(ValueError):
+        _kernel.tridiagonal_solve(lower[:1], diag, upper, np.ones(3))
+
+
+@pytest.fixture(scope="module")
+def preset_profiles():
+    return [
+        build_scenario(parse_config(f"[scenario]\npreset = {preset}\n"))[1]
+        for preset in ("gamma-default", "m1-default")
+    ]
+
+
+def test_deriv_matches_cubic_spline(preset_profiles, rng):
+    """Within 2e-9 of max|data|: 8.8e-10 measured, on the fourth derivative
+    of m1's profile.  Hermite slopes from second-order differences reach
+    1e-8 there."""
+    for prof in preset_profiles:
+        xi = prof.xi_grid
+        points = np.concatenate([
+            0.5 * (xi[1:] + xi[:-1]),
+            xi[::7],
+            rng.uniform(xi[0], xi[-1], 1000),
+            [xi[0], xi[-1]],
+        ])
+        for order, data in enumerate((prof.phi, prof.dphi, prof.d2phi, prof.d3phi, prof.d4phi)):
+            want = CubicSpline(xi, data)(points)
+            got = prof.deriv(points, order)
+            assert np.max(np.abs(got - want)) <= 2e-9 * np.max(np.abs(data)), order
+            assert prof.deriv(float(xi[100]), order) == pytest.approx(data[100], rel=1e-12)
+
+
+def test_deriv_nan_and_infinite_arguments(preset_profiles):
+    for prof in preset_profiles:
+        for order in range(5):
+            got = prof.deriv(np.array([np.nan, -np.inf, np.inf, 0.0]), order)
+            assert np.isnan(got[0]) and np.isfinite(got[3])
+            far = (prof.v_minus, prof.v_plus) if order == 0 else (0.0, 0.0)
+            assert (got[1], got[2]) == far
+            assert np.isnan(prof.deriv(np.nan, order))
+
+
+def test_cumulative_simpson_matches_scipy():
+    for n in (2, 3, 4, 5, 101, 102):
+        x = np.linspace(-1.0, 2.0, n)
+        y = np.exp(np.sin(3.0 * x))
+        got = _cumulative_simpson(y, x[1] - x[0])
+        want = cumulative_simpson(y, x=x, initial=0.0)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got[::2] - want[::2])) <= 1e-13 * np.max(np.abs(want)), n
+        if n % 2:  # an even number of cells: plain composite Simpson
+            assert got[-1] == pytest.approx(simpson(y, x=x), rel=1e-14)
+        assert got[-1] == pytest.approx(simpson(y, x=x), rel=1e-2 if n < 6 else 1e-6)
+
+
+def test_profile_work_imports_no_scipy():
+    """Importing the command line, solving a profile, building a bump and
+    evaluating the profile load no SciPy module."""
+    src = str(Path(_kernel.__file__).parents[1])
+    code = (
+        "import sys\n"
+        "import diffwave.cli\n"
+        "from diffwave import flux_relation_check, m1_closure, solve_profile\n"
+        "from diffwave.corrections import make_mollifier\n"
+        "prof = solve_profile(m1_closure(1.0), 1.0, 1.2, n_cells=256)\n"
+        "make_mollifier('bump', 0.5, 2.0)\n"
+        "prof.deriv([0.0, 1.0], 2)\n"
+        "flux_relation_check(prof, -1.0, 1.0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", (proc.stdout, proc.stderr)
