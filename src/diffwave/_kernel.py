@@ -20,26 +20,33 @@ parses them once (cffi with pycparser) and emits a module
 ``_step.<hash>.py`` next to the library in the same way; a later import
 loads it, after the same ownership check, and needs no C parser.
 
-With the built-in m1 closure the step runs its window in chunks on the
-calling thread and one C helper thread, when the process's affinity mask
-holds a second CPU (``taskset`` limits it); the helper starts on the first
-step with more than one chunk, and it is stopped and joined at exit, before
-the library can be unloaded.  ``_step.c`` describes it.
+With a built-in closure, m1 or the gamma law, the step runs its window in
+chunks on the calling thread and one C helper thread, when the process's
+affinity mask holds a second CPU (``taskset`` limits it); the helper starts
+on the first step with more than one chunk, and it is stopped and joined at
+exit, before the library can be unloaded.  ``_step.c`` describes it.
 
 The wrappers take and return NumPy arrays of float64; every input goes
 through ``np.ascontiguousarray(x, dtype=float)`` (``as_pair``, ``_row``).
 ``step`` runs one transport step and alone knows the layout of its buffer:
-with the built-in m1 closure one C call, with any other the three stages
-and, between them, the closure's two rounds (``closure_round``); ``_step.c``
-says what each stage does.  ``flux_and_speed`` is the same face combine on
-any states, the package's one evaluation of the flux and the wave speed.
-``tridiagonal_solve`` is the profile solver's Newton step.
+with a built-in closure (``ModelClosure.builtin_m1``, ``builtin_gamma``)
+one C call, with any other the three stages and, between them, the
+closure's two rounds (``closure_round``); ``_step.c`` says what each stage
+does.  ``flux_and_speed`` is the same face combine on any states, the
+package's one evaluation of the flux and the wave speed.
+
+``power`` and ``exp`` are the package's own pow and exp, within 1 ulp and
+the same bits on every CPU and under any NumPy dispatch: the gamma law's
+callables are ``power``, and ``damping`` gives the step's two scalars e^-h
+and sinh(h)/h from the same exp.  ``erf`` is the C library's erf in one
+loop, ``tridiagonal_solve`` the profile solver's Newton step.
 """
 
 from __future__ import annotations
 
 import atexit
 import hashlib
+import math
 import os
 import re
 import shutil
@@ -56,7 +63,7 @@ _CC = "cc"
 # so contraction changes bits.  -fno-math-errno lets sqrt compile to one
 # instruction.  Never -ffast-math, which drops IEEE semantics, nor
 # -march=native, which ties the cached library to the building CPU.
-# -pthread: the m1 step's chunk pool.
+# -pthread: the built-in step's chunk pool.
 _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared",
           "-pthread")
 
@@ -283,11 +290,14 @@ def step(closure, v, u, half_damp, lam, dt_dx, half_kappa):
     st = ffi.new(_STATUS)
     cells = (n, _ptr(v), _ptr(u))
     out = (_ptr(buf), _ptr(rows), st)
-    if closure.builtin_m1:
-        lib.dw_step_m1(*cells, half_damp, lam, dt_dx, half_kappa, 0, *out)
+    builtin = ((lib.DW_M1, 0.0) if closure.builtin_m1
+               else (lib.DW_GAMMA, closure.p.gamma) if closure.builtin_gamma else None)
+    if builtin:
+        scalars = (*builtin, half_damp, lam, dt_dx, half_kappa)
+        lib.dw_step(*cells, *scalars, 0, *out)
         if not st.hyperbolic and st.thin_face < 0:
             # the window as one chunk leaves the face states in buf
-            lib.dw_step_m1(*cells, half_damp, lam, dt_dx, half_kappa, 1, *out)
+            lib.dw_step(*cells, *scalars, 1, *out)
         return st, rows, buf
     lib.dw_edges(*cells, half_damp, out[0], st)
     edge_v, edge_u = _edge_rows(st, buf)
@@ -344,6 +354,50 @@ def tridiagonal_solve(lower, diag, upper, rhs):
     if k:
         raise np.linalg.LinAlgError(f"singular tridiagonal matrix: zero pivot in row {k - 1}")
     return x
+
+
+def power(v, y: float, order: int = 0, coef: float = 1.0):
+    """coef * v**(y - order) elementwise on the package's pow (``dw_pow``):
+    e**(y log v) / v**order in double-double, rounded once, so within 1 ulp
+    and the same bits on every CPU.  y is finite, order 0 .. 4, and y <= 0
+    when order > 0.  v = +-0 gives the limit at +0, a negative v or a NaN
+    gives NaN.  Returns v's shape; a scalar gives a float64 scalar."""
+    if not (math.isfinite(y) and order in range(5) and (order == 0 or y <= 0.0)):
+        raise ValueError(f"power needs a finite y, order 0 .. 4 and y <= 0 for "
+                         f"order > 0, not y={y}, order={order}")
+    shape = np.shape(v)
+    v = np.ascontiguousarray(v, dtype=float).ravel()
+    out = np.empty_like(v)
+    lib.dw_pow(v.size, _ptr(v), y, order, coef, _ptr(out))
+    return out.reshape(shape)[()]
+
+
+def exp(x):
+    """e**x elementwise on the package's exp (``dw_exp``), within 1 ulp."""
+    x = np.ascontiguousarray(x, dtype=float)
+    out = np.empty_like(x)
+    lib.dw_exp(x.size, _ptr(x), _ptr(out))
+    return out
+
+
+def erf(x):
+    """erf elementwise, by the C library's erf (``dw_erf``) in one loop: the
+    function ``math.erf`` calls, to the bit."""
+    x = np.ascontiguousarray(x, dtype=float)
+    out = np.empty_like(x)
+    lib.dw_erf(x.size, _ptr(x), _ptr(out))
+    return out
+
+
+_SCALARS = ffi.typeof("double[2]")
+
+
+def damping(h: float):
+    """(e**-h, sinh(h)/h) on the package's exp (``dw_damping``): the step's
+    damping factor and its mean over the step, for h = alpha dt / 2."""
+    out = ffi.new(_SCALARS)
+    lib.dw_damping(h, out, out + 1)
+    return out[0], out[1]
 
 
 def m1_momentum_flux(v, u):

@@ -4,11 +4,15 @@
  * elementwise in the same order (+, -, *, /, sqrt, fabs, compares), so each
  * result is correctly rounded and equal to NumPy's bits.  The library is
  * built with -ffp-contract=off: a fused multiply-add rounds once where NumPy
- * rounds twice.
+ * rounds twice.  The exceptions are the package's own exp and pow (see "the
+ * package's exp and pow"): they are built from the same operations and
+ * explicit fused multiply-adds, each correctly rounded, so they give the same
+ * bits in every clone and on every IEEE-754 machine, and the gamma law's
+ * callables (closures._PowerLaw) call them too.
  *
- * A step with the built-in M1 closure is one call, dw_step_m1.  With any
- * other closure the step makes two closure rounds, and these three stages
- * run before, between and after them:
+ * A step with a built-in closure, M1 or the gamma law, is one call,
+ * dw_step.  With any other closure the step makes two closure rounds, and
+ * these three stages run before, between and after them:
  *
  *   dw_edges    ghost cells, the bitwise window, the minmod edge values;
  *   dw_predict  the momentum flux p - g f of the closure's first round, the
@@ -32,26 +36,27 @@
  * window and every check go into a dw_status.  Of the Python, only
  * _kernel.step knows this layout.
  *
- * dw_step_m1 runs as a chunk pipeline.  The window search is serial; then
- * the window is cut into chunks of CHUNK cells, and each chunk runs every
- * stage on its own scratch, laid out as above for a window of its size: the
- * edge values of its cells and a one-cell halo, the M1 momentum flux, the
- * predictor, the M1 face combine, its faces (a face between two chunks is
- * computed by both, to the same bits), the update of its cells, and the
- * checks.  The first and last chunks fill the far fields.  Each chunk folds
- * what it found into a partial status (a first index, a largest bit
- * pattern, a flag); these fold to the same status in any order, so the
- * status is the whole-window step's bit for bit.  The calling thread and a
- * helper thread claim chunks from one counter (see "the chunk pool"); the
- * caller's scratch is the start of buf.  The error path runs the window as
- * one chunk, which leaves buf in the layout above.
+ * dw_step runs as a chunk pipeline.  The window search is serial; then the
+ * window is cut into chunks of CHUNK cells, and each chunk runs every stage
+ * on its own scratch, laid out as above for a window of its size: the edge
+ * values of its cells and a one-cell halo, the closure's momentum flux, the
+ * predictor, the closure's face combine, its faces (a face between two
+ * chunks is computed by both, to the same bits), the update of its cells,
+ * and the checks.  Only the two closure evaluations depend on the closure.
+ * The first and last chunks fill the far fields.  Each chunk folds what it
+ * found into a partial status (a first index, a largest bit pattern, a
+ * flag); these fold to the same status in any order, so the status is the
+ * whole-window step's bit for bit.  The calling thread and a helper thread
+ * claim chunks from one counter (see "the chunk pool"); the caller's scratch
+ * is the start of buf.  The error path runs the window as one chunk, which
+ * leaves buf in the layout above.
  *
  * A closure round hands in contiguous rows of the closure's values on V and
  * U (g, g' on u; p, p', f, f' on v).  A correction-free closure (g = 0,
  * f = 1) passes only p, and p' on the faces, with g = NULL.
  *
- * dw_tridiagonal_solve, the profile solver's Newton step, is the one routine
- * here that no transport step calls.
+ * dw_tridiagonal_solve, the profile solver's Newton step, and dw_erf, its
+ * initial guess, are the routines here that no transport step calls.
  *
  * The block between the two "declarations" lines is handed to cffi as is.
  */
@@ -88,15 +93,20 @@ void dw_update(int64_t n, const double *v, const double *u, double half_damp,
                double dt_dx, double half_kappa, const double *p, const double *dp,
                const double *g, const double *dg, const double *f, const double *df,
                double *buf, double *rows, dw_status *st);
-void dw_step_m1(int64_t n, const double *v, const double *u, double half_damp,
-                double lam, double dt_dx, double half_kappa, int one_chunk,
-                double *buf, double *rows, dw_status *st);
+enum { DW_M1, DW_GAMMA };
+void dw_step(int64_t n, const double *v, const double *u, int closure, double gamma,
+             double half_damp, double lam, double dt_dx, double half_kappa, int one_chunk,
+             double *buf, double *rows, dw_status *st);
 int dw_face_combine(int64_t k, const double *p, const double *dp, const double *g,
                     const double *dg, const double *f, const double *df,
                     double *flux, double *speed);
 void dw_m1_momentum_flux(int64_t k, const double *v, const double *u, double *out);
 int dw_m1_flux_and_speed(int64_t k, const double *v, const double *u,
                          double *flux, double *speed);
+void dw_pow(int64_t k, const double *v, double y, int order, double coef, double *out);
+void dw_exp(int64_t k, const double *x, double *out);
+void dw_damping(double h, double *decay, double *kappa);
+void dw_erf(int64_t k, const double *x, double *out);
 int dw_pool_workers(void);
 void dw_pool_stop(void);
 int64_t dw_tridiagonal_solve(int64_t n, double *dl, double *d, double *du, double *b);
@@ -105,10 +115,13 @@ int64_t dw_tridiagonal_solve(int64_t n, double *dl, double *d, double *du, doubl
 #if defined(__x86_64__)
 /* each stage's entry point also gets an AVX2 clone, chosen at load time; the scalar
    operations and their order are the same in both clones, and with
-   -ffp-contract=off neither fuses a multiply-add */
+   -ffp-contract=off neither fuses a multiply-add.  The loops of the package's
+   pow and exp get an AVX-512 clone too (POW_CLONED). */
 #define CLONED __attribute__((target_clones("arch=x86-64-v3", "default")))
+#define POW_CLONED __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
 #else
 #define CLONED
+#define POW_CLONED
 #endif
 
 /* the start of region r for a window of m cells */
@@ -117,7 +130,7 @@ int64_t dw_tridiagonal_solve(int64_t n, double *dl, double *d, double *du, doubl
 /* the neighbour pairs the window search tests at once */
 #define BLOCK 64
 
-/* the window cells of one chunk of dw_step_m1 */
+/* the window cells of one chunk of dw_step */
 #define CHUNK 256
 
 static inline uint64_t bits(double x)
@@ -142,6 +155,182 @@ static inline int64_t min64(int64_t a, int64_t b)
 static inline int64_t max64(int64_t a, int64_t b)
 {
     return a > b ? a : b;
+}
+
+/* The package's exp and pow: IEEE basic operations and explicit fused
+ * multiply-adds only, each of which rounds correctly, so every clone and
+ * every IEEE-754 machine computes the same bits.  Within 1 ulp of the exact
+ * value, by a double-double log and an exp that rounds once at its end
+ * (tests/test_elementary.py checks them against 40-digit decimal). */
+#define FMA __builtin_fma
+/* inlined into each clone, so that every clone vectorizes them with its own
+   instructions (a call would reach the baseline code and a library fma) */
+#define INLINE static inline __attribute__((always_inline))
+#define SHIFT 0x1.8p52 /* x + SHIFT - SHIFT rounds x to an integer */
+static const double LN2_HI = 0x1.62e42fee00000p-1; /* 32 bits: k LN2_HI is exact */
+static const double LN2_LO = 0x1.a39ef35793c76p-33;
+static const double INV_LN2 = 0x1.71547652b82fep0;
+
+/* a + b = s + *e exactly; fast_two_sum needs |a| >= |b| or a = 0 */
+INLINE double two_sum(double a, double b, double *e)
+{
+    double s = a + b, bb = s - a;
+    *e = (a - (s - bb)) + (b - bb);
+    return s;
+}
+
+INLINE double fast_two_sum(double a, double b, double *e)
+{
+    double s = a + b;
+    *e = b - (s - a);
+    return s;
+}
+
+/* c ? a : b through bit masks: no branch for the compiler to sink work into,
+   so the loops vectorize */
+INLINE double pick(int64_t c, double a, double b)
+{
+    uint64_t mask = -(uint64_t)c;
+    return from_bits((bits(a) & mask) | (bits(b) & ~mask));
+}
+
+/* 2^k for an integer k in [-1022, 1023] */
+INLINE double pow2(double k)
+{
+    return from_bits(bits(k + (SHIFT + 1023.0)) << 52);
+}
+
+/* log v = hi + *lo to about 2^-59, for finite v > 0 (subnormals too), and
+ * v = 2^*k_out *m_out exactly with m in [sqrt(1/2), sqrt(2)).
+ * log m = 2 atanh f with
+ * f = (m - 1)/(m + 1), |f| < 0.172: 2f in double-double, then 2f^3/3 and
+ * f^5 R(f^2) in double.  R is a Chebyshev fit (mpmath.chebyfit, 7 terms) of
+ * (2 atanh f - 2f - 2f^3/3)/f^5 on f^2 in [0, 0.0295]: 2^-64 on f^5 R. */
+INLINE double log_dd(double v, double *lo, double *k_out, double *m_out)
+{
+    int64_t tiny = v < 0x1p-1022;
+    double w = pick(tiny, v * 0x1p54, v);
+    uint64_t t = bits(w) - 0x3fe6a09e667f3bcdULL; /* the bits of sqrt(1/2) */
+    double m = from_bits(bits(w) - (t & 0xfff0000000000000ULL));
+    /* k + 2048 is the top 12 bits of t, with bit 11 flipped */
+    double k = from_bits(0x4330000000000000ULL | ((t >> 52) ^ 0x800)) - (0x1p52 + 2048.0);
+    k -= pick(tiny, 54.0, 0.0);
+
+    double a = m - 1.0, b = m + 1.0, b_lo = m - (b - 1.0); /* all exact */
+    double inv = 1.0 / b, f = a * inv;
+    double f_lo = (FMA(-f, b, a) - f * b_lo) * inv;
+
+    /* by Estrin's scheme: short dependency chains */
+    double s = f * f, s2 = s * s;
+    double r = FMA(s2 * s2,
+                   FMA(0x1.0877e906b72d3p-3, s2, FMA(0x1.1018bb6af787ep-3, s, 0x1.3b18b888c578fp-3)),
+                   FMA(FMA(0x1.745d09f1d2e07p-3, s, 0x1.c71c71d7e5cbbp-3), s2,
+                       FMA(0x1.249249248e53bp-2, s, 0x1.999999999999ap-2)));
+    double c = s * f, d = 0x1.5555555555555p-1 * c; /* 2f^3/3 */
+
+    double e, x = fast_two_sum(2.0 * f, d, &e);
+    /* 2 f_lo (1 + f^2): the low part of f in 2f + 2f^3/3 */
+    double small = (FMA(2.0 * f_lo, s, 2.0 * f_lo) + (c * s) * r) + e;
+    double hi = fast_two_sum(k * LN2_HI, x, &e);
+    *lo = e + (k * LN2_LO + small);
+    *k_out = k;
+    *m_out = m;
+    return hi;
+}
+
+/* e^(z + z_lo) = 2^*k (hi + *lo), hi + lo in [0.70, 1.42] to about
+ * 2^-60 before its one rounding.  z = k ln 2 + r, |r| <= ln(2)/2:
+ * e^r = 1 + r + r^2/2 in double-double, and r^3 P(r) in double, P a
+ * Chebyshev fit (10 terms) of (e^r - 1 - r - r^2/2)/r^3 on |r| <= 0.3466:
+ * 2^-60 on r^3 P.  z is clamped to [-746, 710], where e^z rounds to 0 and
+ * to inf; a NaN z stays NaN. */
+INLINE double exp_dd(double z, double z_lo, double *lo, double *k)
+{
+    z = pick(z > 710.0, 710.0, pick(z < -746.0, -746.0, z));
+    double kd = (z * INV_LN2 + SHIFT) - SHIFT;
+    /* |z_lo - kd LN2_LO| < 2^-21: when it is the larger part, |r| < 2^-20 and
+       the sum's error is below 2^-70 */
+    double r_lo, r = fast_two_sum(z - kd * LN2_HI, z_lo - kd * LN2_LO, &r_lo);
+    double s_lo, s = fast_two_sum(1.0, r, &s_lo);
+    double h = 0.5 * r, q = r * h, q_lo = FMA(r, h, -q); /* r^2/2 */
+    double u_lo, u = fast_two_sum(s, q, &u_lo);
+    double r2 = r * r, r4 = r2 * r2;
+    double p = FMA(r4 * r4, FMA(0x1.1f66d9746ca33p-29, r, 0x1.af389f1c678b1p-26),
+                   FMA(r4,
+                       FMA(FMA(0x1.27e4e1f70fc4ep-22, r, 0x1.71de0db2d67a1p-19), r2,
+                           FMA(0x1.a01a01a47a5ddp-16, r, 0x1.a01a01a7c2f83p-13)),
+                       FMA(FMA(0x1.6c16c16c167e2p-10, r, 0x1.11111111109b5p-7), r2,
+                           FMA(0x1.5555555555555p-5, r, 0x1.5555555555556p-3))));
+    /* r_lo (1 + r + r^2/2) carries the low part of r */
+    *lo = u_lo + (s_lo + (q_lo + FMA(r * q, 2.0 * p, FMA(r_lo, r + q, r_lo))));
+    *k = kd;
+    return u;
+}
+
+/* m 2^k for m in [2^-4, 2^4], through two exact scalings; a result below the
+ * normal range rounds a second time, and k beyond +-1100 gives 0 or inf */
+INLINE double scaled(double m, double k)
+{
+    k = pick(k > 1100.0, 1100.0, pick(k < -1100.0, -1100.0, k));
+    double k1 = (0.5 * k + SHIFT) - SHIFT;
+    return m * pow2(k1) * pow2(k - k1);
+}
+
+/* e^(y (l + l_lo)) = 2^*k (hi + *lo) before its one rounding, with
+   log v = l + l_lo */
+INLINE double exp_of_log(double y, double l, double l_lo, double *lo, double *k)
+{
+    double z = y * l, z_lo = FMA(y, l, -z) + y * l_lo;
+    return exp_dd(z, z_lo, lo, k);
+}
+
+/* (hi + *lo) / m in double-double, with inv = 1/m */
+INLINE double over(double hi, double *lo, double m, double inv)
+{
+    double q = hi * inv;
+    *lo = (FMA(-q, m, hi) + *lo) * inv;
+    return q;
+}
+
+/* The limits of v^y at v = +0 and v = +inf, for a finite exponent y.  The
+ * package's pow is v^y for v in (0, inf); v = -0 gives the limit at +0, and
+ * a negative v or a NaN gives NaN. */
+typedef struct {
+    double at_zero, at_inf;
+} limits;
+
+INLINE limits limits_of(double y)
+{
+    limits w = {y < 0.0 ? INFINITY : (y > 0.0 ? 0.0 : 1.0),
+                y < 0.0 ? 0.0 : (y > 0.0 ? INFINITY : 1.0)};
+    return w;
+}
+
+/* 2^k (hi + lo) rounded, or v^y's limit when v is not in (0, inf) */
+INLINE double power_at(const limits *w, double v, double hi, double lo, double k)
+{
+    double x = scaled(hi + lo, k);
+    double edge = pick(v == 0.0, w->at_zero, pick(v == INFINITY, w->at_inf, NAN));
+    return pick((v > 0.0) & (v < INFINITY), x, edge);
+}
+
+/* out = coef v^(y - order) on k values: e^(y log v) / v^order in
+ * double-double, rounded once, with v = 2^kv m divided as m^order and
+ * 2^(-order kv).  So p and its derivatives (closures._PowerLaw) share one
+ * routine, and p' = -gamma v^(-gamma-1) shares p's log and exp.  An order
+ * above 0 needs y <= 0: e^(y log v) saturates where v^y's range ends. */
+INLINE void power_row(int64_t k, const double *restrict v, double y, int order,
+                      double coef, double *restrict out)
+{
+    limits w = limits_of(y - order);
+    for (int64_t i = 0; i < k; i++) {
+        double kv, m, l_lo, l = log_dd(v[i], &l_lo, &kv, &m);
+        double e, lo, hi = exp_of_log(y, l, l_lo, &lo, &e);
+        double inv = 1.0 / m;
+        for (int o = 0; o < order; o++)
+            hi = over(hi, &lo, m, inv);
+        out[i] = coef * power_at(&w, v[i], hi, lo, e - order * kv);
+    }
 }
 
 /* What the cells and faces of a window, or of a chunk of it, tell the
@@ -447,7 +636,9 @@ typedef struct {
     int64_t n, lo, m, chunk;
     const double *v, *u;
     double half_damp, lam, dt_dx, half_kappa;
-    double *rows; /* the successor's (v, u) */
+    int closure;      /* DW_M1 or DW_GAMMA */
+    double neg_gamma; /* -gamma of DW_GAMMA */
+    double *rows;     /* the successor's (v, u) */
 } job;
 
 /* The faces of the m cells in buf from window cell first, from the face
@@ -568,17 +759,107 @@ CLONED int dw_m1_flux_and_speed(int64_t k, const double *restrict v,
     return ok;
 }
 
-/* Chunk c of the M1 step j, its window cells from c * j->chunk on, through
- * every stage of the step in the scratch buf (header). */
-CLONED static void m1_chunk(const job *j, int64_t c, double *buf, partial *acc)
+/* out = coef v^(y - order) on k values, with the package's pow (power_row);
+ * order is 0 .. 4, each inlined with its own constant */
+POW_CLONED void dw_pow(int64_t k, const double *restrict v, double y, int order,
+                       double coef, double *restrict out)
+{
+    switch (order) {
+    case 0: power_row(k, v, y, 0, coef, out); break;
+    case 1: power_row(k, v, y, 1, coef, out); break;
+    case 2: power_row(k, v, y, 2, coef, out); break;
+    case 3: power_row(k, v, y, 3, coef, out); break;
+    default: power_row(k, v, y, 4, coef, out); break;
+    }
+}
+
+/* out = e^x on k values, with the package's exp */
+POW_CLONED void dw_exp(int64_t k, const double *restrict x, double *restrict out)
+{
+    for (int64_t i = 0; i < k; i++) {
+        double e, lo, hi = exp_dd(x[i], 0.0, &lo, &e);
+        out[i] = scaled(hi + lo, e);
+    }
+}
+
+/* The step's damping factor e^-h and its mean over the step,
+ * kappa = sinh(h)/h, for h = alpha dt/2.  Below 0.5 kappa is its Taylor
+ * series in h^2 (no cancellation); above, (e^h - e^-h)/(2h) in
+ * double-double.  kappa overflows to inf above h = 709.7. */
+void dw_damping(double h, double *decay, double *kappa)
+{
+    double e, lo, hi = exp_dd(-h, 0.0, &lo, &e);
+    *decay = scaled(hi + lo, e);
+    double a = fabs(h), a2 = a * a;
+    if (a < 0.5) {
+        double p = 0x1.ae7f3e733b81fp-41; /* 1/15! .. 1/3! */
+        p = FMA(p, a2, 0x1.6124613a86d09p-33);
+        p = FMA(p, a2, 0x1.ae64567f544e4p-26);
+        p = FMA(p, a2, 0x1.71de3a556c734p-19);
+        p = FMA(p, a2, 0x1.a01a01a01a01ap-13);
+        p = FMA(p, a2, 0x1.1111111111111p-7);
+        p = FMA(p, a2, 0x1.5555555555555p-3);
+        *kappa = 1.0 + a2 * p;
+        return;
+    }
+    hi = exp_dd(a, 0.0, &lo, &e);
+    hi = fast_two_sum(hi, lo, &lo);
+    double big = scaled(hi, e), big_lo = scaled(lo, e);     /* e^a */
+    double inv = 1.0 / big;                                  /* e^-a */
+    double inv_lo = (FMA(-inv, big, 1.0) - inv * big_lo) * inv;
+    double d_lo, d = two_sum(big, -inv, &d_lo);
+    d_lo += big_lo - inv_lo;                                 /* 2 sinh a */
+    double q = d / (2.0 * a);
+    *kappa = q + (FMA(-q, 2.0 * a, d) + d_lo) / (2.0 * a);
+}
+
+/* out = erf(x) on k values: the C library's erf, which Python's math.erf calls */
+void dw_erf(int64_t k, const double *x, double *out)
+{
+    for (int64_t i = 0; i < k; i++)
+        out[i] = erf(x[i]);
+}
+
+/* The built-in gamma law: p = v^-gamma and p' = -gamma v^(-gamma-1), the
+ * closure's callables (closures._PowerLaw of orders 0 and 1) to the bit.
+ * Correction-free: the momentum flux is p, and the face combine is
+ * dw_face_combine's with g = NULL.  p and p' of a face state share one log
+ * and one exp (power_row). */
+POW_CLONED static int gamma_flux_and_speed(int64_t k, double neg_gamma,
+                                           const double *restrict v, double *restrict flux,
+                                           double *restrict speed)
+{
+    limits w0 = limits_of(neg_gamma), w1 = limits_of(neg_gamma - 1.0);
+    int64_t ok = 1;
+    for (int64_t i = 0; i < k; i++) {
+        double kv, m, l_lo, l = log_dd(v[i], &l_lo, &kv, &m);
+        double e, lo, hi = exp_of_log(neg_gamma, l, l_lo, &lo, &e);
+        double lo1 = lo, hi1 = over(hi, &lo1, m, 1.0 / m);
+        double dp = neg_gamma * power_at(&w1, v[i], hi1, lo1, e - kv);
+        ok &= (int64_t)(dp <= 0.0);
+        speed[i] = sqrt(-dp);
+        flux[i] = power_at(&w0, v[i], hi, lo, e); /* coef 1 */
+    }
+    return ok;
+}
+
+/* Chunk c of the step j, its window cells from c * j->chunk on, through
+ * every stage of the step in the scratch buf (header), with the evaluators
+ * of the job's closure. */
+CLONED static void chunk(const job *j, int64_t c, double *buf, partial *acc)
 {
     int64_t first = c * j->chunk, m = min64(j->chunk, j->m - first), s = m + 2;
     edges(j->n, j->v, j->u, j->half_damp, j->lo + first, m, buf);
-    double *mf = REGION(FLUX, m);
-    dw_m1_momentum_flux(2 * s, REGION(V, m), REGION(U, m), mf);
+    double *v = REGION(V, m), *u = REGION(U, m), *mf = REGION(FLUX, m);
+    if (j->closure == DW_GAMMA)
+        dw_pow(2 * s, v, j->neg_gamma, 0, 1.0, mf);
+    else
+        dw_m1_momentum_flux(2 * s, v, u, mf);
     predict(m, j->lam, mf, buf, first, acc);
-    acc->hyperbolic &= dw_m1_flux_and_speed(2 * (m + 1), REGION(V, m) + 1, REGION(U, m) + 1,
-                                            REGION(FLUX, m), REGION(SPEED, m));
+    acc->hyperbolic &= j->closure == DW_GAMMA
+        ? gamma_flux_and_speed(2 * (m + 1), j->neg_gamma, v + 1, REGION(FLUX, m),
+                               REGION(SPEED, m))
+        : dw_m1_flux_and_speed(2 * (m + 1), v + 1, u + 1, REGION(FLUX, m), REGION(SPEED, m));
     update(j, first, m, buf, acc);
 }
 
@@ -651,7 +932,7 @@ static int64_t claim(uint32_t gen)
 static void run_claims(uint32_t gen, double *scratch, partial *acc)
 {
     for (int64_t c; (c = claim(gen)) >= 0;) {
-        m1_chunk(&pool.job, c, scratch, acc);
+        chunk(&pool.job, c, scratch, acc);
         atomic_fetch_add_explicit(&pool.done, 1, memory_order_release);
     }
 }
@@ -793,22 +1074,24 @@ void dw_pool_stop(void)
     atomic_store(&pool.busy, 0);
 }
 
-/* The whole step with the built-in M1 closure: the window, then its chunks
- * (header), or with one_chunk the window as one chunk in buf. */
-CLONED void dw_step_m1(int64_t n, const double *v, const double *u, double half_damp,
-                       double lam, double dt_dx, double half_kappa, int one_chunk,
-                       double *buf, double *rows, dw_status *st)
+/* The whole step with a built-in closure, DW_M1 or DW_GAMMA with exponent
+ * gamma: the window, then its chunks (header), or with one_chunk the window
+ * as one chunk in buf. */
+CLONED void dw_step(int64_t n, const double *v, const double *u, int closure, double gamma,
+                    double half_damp, double lam, double dt_dx, double half_kappa,
+                    int one_chunk, double *buf, double *rows, dw_status *st)
 {
     window(n, v, u, half_damp, st);
     int64_t m = st->hi - st->lo, size = one_chunk ? m : CHUNK;
     job j = {.n = n, .lo = st->lo, .m = m, .chunk = size, .v = v, .u = u,
              .half_damp = half_damp, .lam = lam, .dt_dx = dt_dx,
-             .half_kappa = half_kappa, .rows = rows};
+             .half_kappa = half_kappa, .closure = closure, .neg_gamma = -gamma,
+             .rows = rows};
     int64_t chunks = (m + size - 1) / size;
     partial acc = NONE;
     if (chunks == 1 || !pooled(&j, chunks, buf, &acc))
         for (int64_t c = 0; c < chunks; c++)
-            m1_chunk(&j, c, buf, &acc);
+            chunk(&j, c, buf, &acc);
     finish(&acc, st);
 }
 

@@ -12,12 +12,21 @@ physical presets are provided: the two-moment radiative-transfer closure
 
 All evaluators accept scalars or numpy arrays and are pure functions, so a
 closure may be shared freely between concurrent workers.
+
+The gamma law's p and its derivatives are ``_PowerLaw`` callables on the
+package's own ``pow`` (``_kernel.power``, in ``_step.c``), which gives the
+same bits on every CPU.  The transport step recognizes them
+(``ModelClosure.builtin_gamma``) and evaluates p and p' in C with the same
+routine, so the built-in step, the callables and the profile solver agree to
+the bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
+
+import math
 
 import numpy as np
 
@@ -66,8 +75,8 @@ class ModelClosure:
     u_range: tuple[float, float]
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError("damping constant alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"damping constant alpha must be positive and finite, not {self.alpha}")
         if self.v_range[0] <= 0.0 or self.v_range[0] >= self.v_range[1]:
             raise ValueError("v_range must be a nonempty interval of positive v")
 
@@ -96,6 +105,23 @@ class ModelClosure:
             and self.dg is _zero
             and self.f is _one
             and self.df is _zero
+        )
+
+    @property
+    def builtin_gamma(self) -> bool:
+        """True when the closure is correction-free and p, p' are the built-in
+        gamma-law functions of one exponent (``_PowerLaw`` of orders 0 and 1).
+
+        The compiled step then evaluates them in C on the same ``pow`` and
+        reads the exponent from ``p.gamma``.  As for ``builtin_m1``, the test
+        is on the callables themselves: any other p or p' is called.
+        """
+        return (
+            self.correction_free
+            and type(self.p) is _PowerLaw
+            and type(self.dp) is _PowerLaw
+            and (self.p.order, self.dp.order) == (0, 1)
+            and self.p.gamma == self.dp.gamma
         )
 
     @property
@@ -208,8 +234,7 @@ def m1_closure(sigma: float = 1.0) -> ModelClosure:
     The default box keeps v away from vacuum and |u| away from the square
     root singularity at |u| = 2/sqrt(3).
     """
-    if sigma <= 0.0:
-        raise ValueError("opacity sigma must be positive")
+    _require_positive("opacity sigma", sigma)
     return ModelClosure(
         name="m1",
         alpha=sigma,
@@ -235,6 +260,27 @@ def _one(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, not {value}")
+
+
+@dataclass(frozen=True)
+class _PowerLaw:
+    """The order-th derivative of v^-gamma: c v^(-gamma - order), with
+    c = (-gamma)(-gamma - 1) .. (-gamma - order + 1), on the package's pow:
+    e^(-gamma log v) / v^order, so every order shares p's log and exp."""
+
+    gamma: float
+    order: int
+
+    def __call__(self, v):
+        coef = 1.0
+        for i in range(self.order):
+            coef *= -(self.gamma + i)
+        return _kernel.power(v, -self.gamma, self.order, coef)
+
+
 def gamma_law_closure(gamma: float = 2.0, alpha: float = 1.0) -> ModelClosure:
     """Polytropic gas closure p(v) = v^-gamma with g == 0 and f == 1.
 
@@ -242,35 +288,10 @@ def gamma_law_closure(gamma: float = 2.0, alpha: float = 1.0) -> ModelClosure:
     system is exactly the compressible Euler equations with linear
     damping; the sign assumption on g*f' - p' then reduces to -p' > 0.
     """
-    if gamma < 1.0:
-        raise ValueError("adiabatic exponent gamma must be >= 1")
-
-    def p(v):
-        return np.asarray(v, dtype=float) ** (-gamma)
-
-    def dp(v):
-        return -gamma * np.asarray(v, dtype=float) ** (-gamma - 1.0)
-
-    def d2p(v):
-        return gamma * (gamma + 1.0) * np.asarray(v, dtype=float) ** (-gamma - 2.0)
-
-    def d3p(v):
-        return (
-            -gamma
-            * (gamma + 1.0)
-            * (gamma + 2.0)
-            * np.asarray(v, dtype=float) ** (-gamma - 3.0)
-        )
-
-    def d4p(v):
-        return (
-            gamma
-            * (gamma + 1.0)
-            * (gamma + 2.0)
-            * (gamma + 3.0)
-            * np.asarray(v, dtype=float) ** (-gamma - 4.0)
-        )
-
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"adiabatic exponent gamma must be finite and >= 1, not {gamma}")
+    _require_positive("damping constant alpha", alpha)
+    p, dp, d2p, d3p, d4p = (_PowerLaw(float(gamma), order) for order in range(5))
     return ModelClosure(
         name="gamma_law",
         alpha=alpha,
@@ -295,6 +316,7 @@ def linear_closure(alpha: float = 1.0) -> ModelClosure:
     closed form, which makes this closure the reference case for solver
     validation.
     """
+    _require_positive("damping constant alpha", alpha)
 
     def p(v):
         return -np.asarray(v, dtype=float)

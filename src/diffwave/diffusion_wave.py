@@ -320,8 +320,7 @@ def solve_profile(
     # erf-shaped initial guess with the linearized similarity width
     diffusivity = -closure.dp(0.5 * (v_minus + v_plus))
     c0 = np.sqrt(alpha / (4.0 * diffusivity))
-    erf = np.array([math.erf(z) for z in (c0 * xi).tolist()])
-    phi = v_minus + (v_plus - v_minus) * 0.5 * (1.0 + erf)
+    phi = v_minus + (v_plus - v_minus) * 0.5 * (1.0 + _kernel.erf(c0 * xi))
     phi[0] = v_minus
     phi[-1] = v_plus
 

@@ -61,28 +61,34 @@ operation NumPy performs, in the same order and without fused multiply-adds,
 so the step is bit for bit the NumPy formulation that
 ``tests/test_step_oracle.py`` keeps as its oracle.
 
-When the closure's p, p', g, g', f and f' are the built-in m1 functions
-(``ModelClosure.builtin_m1``), C copies of them run instead, operation for
-operation (they use only +, -, *, / and sqrt, which round correctly on both
-sides), and the whole step is one C call.  That call cuts the window into
-chunks of 256 cells and runs each chunk through every stage on its own
-scratch, on the calling thread and, when the process's affinity mask holds
-a second CPU, on one C helper thread; the chunks' checks fold into the same
-status, so the step keeps its bits on any number of CPUs.  Every other
-closure keeps its NumPy callables, whose ``pow`` stays on one thread, and
-the step makes two closure rounds between the stages: each needed callable
-is called once on the edge values of both edge rows, held back to back in
-one array, then once on the states of both face rows.
+When the closure is built in, the whole step is one C call.  For the m1
+closure (``ModelClosure.builtin_m1``) C copies of p, p', g, g', f and f' run,
+operation for operation (they use only +, -, *, / and sqrt, which round
+correctly on both sides).  For the gamma law (``ModelClosure.builtin_gamma``)
+p = v^-gamma and p' = -gamma v^(-gamma-1) run on the package's own ``pow``
+in ``_step.c``, the routine the closure's callables call
+(``_kernel.power``), with p and p' of a face state sharing one log and one
+exp.  That ``pow`` is built from IEEE operations and explicit fused
+multiply-adds, within 1 ulp, so its bits are the same on every CPU, unlike
+NumPy's SIMD ``pow``.  The one call cuts the window into chunks of 256
+cells and runs each chunk through every stage on its own scratch, on the
+calling thread and, when the process's affinity mask holds a second CPU, on
+one C helper thread; the chunks' checks fold into the same status, so the
+step keeps its bits on any number of CPUs.  Every other closure (the linear
+one, or one a user builds) keeps its callables, and the step makes two
+closure rounds between the stages: each needed callable is called once on
+the edge values of both edge rows, held back to back in one array, then
+once on the states of both face rows.
 A correction-free closure (g = 0, f = 1) needs only p, then p and p'.  One
 C face combine turns the second round into fluxes, speeds and the
 hyperbolicity flag; ``closures.wave_speed_bound`` takes its speeds from the
 same combine (``_kernel.flux_and_speed``).  When a discriminant is lost,
 ``closures.characteristic_speeds`` on the face states raises the error.
 ``_kernel.step`` runs the stages and alone knows the step's buffer;
-``step`` keeps the scheme's scalars and turns the status into errors.  The
-gamma law needs ``pow``, and NumPy's SIMD ``pow`` differs from libm's in the
-last bit for about 5 % of values of v in [0.9, 1.2], so a C copy would
-change the results.
+``step`` keeps the scheme's scalars and turns the status into errors.  Its
+two scalars, the damping factor exp(-alpha dt/2) and kappa, come from the
+package's ``exp`` too (``_kernel.damping``), so a step's bits do not depend
+on NumPy's dispatch.
 
 The solver works in the mass (Lagrangian) coordinate throughout;
 ``lagrangian_transform`` maps Eulerian initial data into that frame.
@@ -361,11 +367,9 @@ def step(state: SimState, dt: float) -> SimState:
     alpha = closure.alpha
     dx = state.dx
 
-    half_damp = np.exp(-0.5 * alpha * dt)
     # kappa = sinh(h)/h is the mean of exp(-alpha (s - t_mid)) over the step,
     # so the volume flux carries the far-field decay exactly (module docstring)
-    h = 0.5 * alpha * dt
-    kappa = np.sinh(h) / h if h > 0.0 else 1.0
+    half_damp, kappa = _kernel.damping(0.5 * alpha * dt)
     st, rows, buf = _kernel.step(
         closure, state.v, state.u, half_damp, 0.5 * dt / dx, dt / dx, 0.5 * kappa
     )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from diffwave import (
     check_assumptions,
     eddington_factor,
     gamma_law_closure,
+    linear_closure,
     m1_closure,
     radiative_pressure_1d,
 )
@@ -191,3 +194,36 @@ def test_closure_constructor_validation():
         m1_closure(-1.0)
     with pytest.raises(ValueError):
         gamma_law_closure(0.5, 1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "make, args, name",
+    [
+        (gamma_law_closure, (NAN,), "gamma"),
+        (gamma_law_closure, (INF,), "gamma"),
+        (gamma_law_closure, (-INF,), "gamma"),
+        (gamma_law_closure, (2.0, NAN), "alpha"),
+        (gamma_law_closure, (2.0, INF), "alpha"),
+        (m1_closure, (NAN,), "sigma"),
+        (m1_closure, (INF,), "sigma"),
+        (linear_closure, (INF,), "alpha"),
+        (linear_closure, (NAN,), "alpha"),
+    ],
+    ids=["gamma-nan", "gamma-inf", "gamma-minus-inf", "gas-alpha-nan", "gas-alpha-inf",
+         "sigma-nan", "sigma-inf", "linear-alpha-inf", "linear-alpha-nan"],
+)
+def test_closure_factories_reject_non_finite_parameters(make, args, name):
+    """NaN passes ``x < 1`` and ``x <= 0`` unnoticed; each factory names the
+    argument instead."""
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        make(*args)
+
+
+def test_model_closure_rejects_non_finite_alpha():
+    gas = gamma_law_closure(2.0, 1.0)
+    for alpha in (NAN, INF):
+        with pytest.raises(ValueError, match="alpha"):
+            dataclasses.replace(gas, alpha=alpha)

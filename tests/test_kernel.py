@@ -9,6 +9,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diffwave import _kernel
@@ -208,3 +209,56 @@ def test_failed_emission_leaves_no_temporary(monkeypatch, tmp_path):
     with pytest.raises(OSError, match="No space left"):
         _kernel._emitted_ffi(tmp_path / "_step.0123456789abcdef.py")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_baseline_build_gives_the_loaded_librarys_bits(monkeypatch, tmp_path):
+    """A copy of _step.c with no target clones (the baseline x86-64 code,
+    whose fma is the C library's) against the loaded library, which runs its
+    AVX2 or AVX-512 clones: pow, exp, the damping scalars and the gamma step
+    give the same bits, as explicit fused multiply-adds round once in both."""
+    text = _kernel._SOURCE.read_text()
+    start, end = text.index("#if defined(__x86_64__)"), text.index("#endif", text.index("CLONED"))
+    source = tmp_path / "_step.c"
+    source.write_text(text[:start] + "#define CLONED\n#define POW_CLONED\n" + text[end + 6:])
+    assert "target_clones" not in source.read_text()
+    monkeypatch.setattr(_kernel, "_SOURCE", source)
+    path = _kernel._build()
+    baseline = _kernel.ffi.dlopen(str(path))
+    try:
+        _compare_libraries(baseline)
+    finally:
+        baseline.dw_pool_stop()
+
+
+def _compare_libraries(baseline):
+    loaded, ptr = _kernel.lib, _kernel._ptr
+    rng = np.random.default_rng(3)
+    v = np.concatenate([rng.uniform(0.05, 20.0, 3000), rng.uniform(0.9, 1.2, 3000),
+                        [1.0, 0.0, -1.0, np.inf, np.nan, 5e-324]])
+    x = np.concatenate([rng.uniform(-700.0, 700.0, 3000), rng.uniform(-1.0, 1.0, 3000)])
+
+    def run(lib, fn, *args, arg):
+        out = np.empty_like(arg)
+        getattr(lib, fn)(arg.size, ptr(arg), *args, ptr(out))
+        return out.view(np.uint64)
+
+    for gamma in (1.0, 1.4, 2.0):
+        for order in (0, 1, 4):
+            args = (-gamma, order, 1.0)
+            assert np.array_equal(run(loaded, "dw_pow", *args, arg=v),
+                                  run(baseline, "dw_pow", *args, arg=v))
+    assert np.array_equal(run(loaded, "dw_exp", arg=x), run(baseline, "dw_exp", arg=x))
+    out = _kernel.ffi.new("double[4]")
+    for h in (0.0, 1e-3, 0.2, 0.5, 0.9, 7.0):
+        loaded.dw_damping(h, out, out + 1)
+        baseline.dw_damping(h, out + 2, out + 3)
+        assert list(out[0:2]) == list(out[2:4])
+
+    from test_step_oracle import GAMMA2, _step_raw, _wavy
+
+    wave_v, wave_u = _wavy(1400)
+    for one_chunk in (0, 1):
+        want = _step_raw(wave_v, wave_u, one_chunk, GAMMA2)
+        got = _step_raw(wave_v, wave_u, one_chunk, GAMMA2, lib=baseline)
+        assert want[0] == got[0] and np.array_equal(want[1].view(np.uint64),
+                                                    got[1].view(np.uint64))

@@ -1,5 +1,5 @@
-"""The chunk pool of the compiled m1 step: concurrent steps, and the helper's
-start, sleep, exit and fork.
+"""The chunk pool of the compiled m1 and gamma steps: concurrent steps, and
+the helper's start, sleep, exit and fork.
 
 A step's window is cut into chunks of 256 cells, and the pool has one helper
 thread when the process's affinity mask holds a second CPU.  The subprocess
@@ -27,10 +27,10 @@ import hashlib, os, sys, time
 import numpy as np
 from diffwave import _kernel, closures, solver
 
-def wavy(n):
+def wavy(n, closure=closures.m1_closure(1.0)):
     x = np.linspace(-1.0, 1.0, n)
     return solver.SimState(-8.0, 8.0, n, 1.0 + 0.05 * np.cos(3.0 * x),
-                           0.05 * np.sin(5.0 * x), 0.0, closures.m1_closure(1.0))
+                           0.05 * np.sin(5.0 * x), 0.0, closure)
 
 def march(state, k):
     for _ in range(k):
@@ -181,3 +181,29 @@ def test_forked_child_steps_to_the_parents_bits():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0"]
 
+
+
+def test_gamma_chunks_keep_their_bits_on_one_cpu_and_on_two():
+    """The built-in gamma step runs on the same pool: pinned to one CPU (no
+    helper) and unpinned it gives the same bits, and its chunked step gives
+    the one-chunk step's bits."""
+    code = """
+        gas = closures.gamma_law_closure(2.0, 1.0)
+        end = march(wavy(2048, gas), 30)
+
+        def raw(one_chunk):
+            n, ptr = end.v.size, _kernel._ptr
+            buf, rows = np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2)), np.empty((2, n))
+            st = _kernel.ffi.new("dw_status *")
+            _kernel.lib.dw_step(n, ptr(end.v), ptr(end.u), _kernel.lib.DW_GAMMA, 2.0, 0.999,
+                                0.02, 0.04, 0.5, one_chunk, ptr(buf), ptr(rows), st)
+            return rows.tobytes(), st.speed_bound, st.hi - st.lo
+
+        print(workers(), digest(end), raw(0) == raw(1), raw(0)[2] > 256)
+    """
+    pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})"
+    pinned, here = (_python(first + textwrap.dedent(code)) for first in (pin, ""))
+    assert pinned.returncode == 0 and here.returncode == 0, pinned.stderr + here.stderr
+    pinned, here = pinned.stdout.split(), here.stdout.split()
+    assert pinned[0] == "0" and pinned[2:] == here[2:] == ["True", "True"]
+    assert pinned[1] == here[1]

@@ -73,7 +73,9 @@ def reference_step(state, dt):
     alpha = closure.alpha
     dx = state.dx
 
-    half_damp = np.exp(-0.5 * alpha * dt)
+    # e^-h and kappa = sinh(h)/h, h = alpha dt/2, from the package's exp: the
+    # step's own two scalars, the same bits under any NumPy dispatch
+    half_damp, kappa = _kernel.damping(0.5 * alpha * dt)
     u = state.u * half_damp
     v = state.v
 
@@ -109,8 +111,6 @@ def reference_step(state, dt):
     fvL, fuL = _flux(closure, vL, uL)
     fvR, fuR = _flux(closure, vR, uR)
     # the central volume flux carries the step's mean damping factor
-    h = 0.5 * alpha * dt
-    kappa = np.sinh(h) / h
     flux_v = (0.5 * kappa) * (fvL + fvR) - 0.5 * a_face * (vR - vL)
     flux_u = 0.5 * (fuL + fuR) - 0.5 * a_face * (uR - uL)
 
@@ -519,29 +519,34 @@ def test_constant_state_still_runs_the_flux():
         assert np.all(stepper(state, 0.01).u != 0.0)
 
 
-# The built-in m1 step runs its window in chunks of 256 cells, each on its
-# own scratch, and folds what each chunk finds into the status (``_step.c``).
-# The error path runs the window as one chunk.  These cases put each finding
-# next to a chunk edge and compare the two runs field by field.
+# The built-in m1 and gamma steps run their window in chunks of 256 cells,
+# each on its own scratch, and fold what each chunk finds into the status
+# (``_step.c``).  The error path runs the window as one chunk.  These cases
+# put each finding next to a chunk edge and compare the two runs field by
+# field.
+
+M1 = (_kernel.lib.DW_M1, 0.0)
+GAMMA2 = (_kernel.lib.DW_GAMMA, 2.0)
 
 
-def _m1_step_raw(v, u, one_chunk):
-    """dw_step_m1 on (v, u): the status fields and the successor rows."""
+def _step_raw(v, u, one_chunk, builtin=M1, lib=_kernel.lib):
+    """dw_step on (v, u) with a built-in closure: the status fields and the
+    successor rows."""
     v, u = _kernel.as_pair(v, u)
     n = v.size
     buf = np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2))
     rows = np.full((2, n), -7.0)  # shows a cell the step does not write
     st = _kernel.ffi.new("dw_status *")
     ptr = _kernel._ptr
-    _kernel.lib.dw_step_m1(n, ptr(v), ptr(u), np.exp(-0.005), 0.02, 0.04, 0.5,
-                           one_chunk, ptr(buf), ptr(rows), st)
+    lib.dw_step(n, ptr(v), ptr(u), *builtin, 0.995, 0.02, 0.04, 0.5,
+                one_chunk, ptr(buf), ptr(rows), st)
     bits = [np.float64(x).view(np.uint64) for x in (st.speed_bound, st.u_max)]
     return (st.lo, st.hi, st.thin_face, st.hyperbolic, *bits, st.nonfinite, st.vacuum), rows
 
 
-def _chunked_like_one_chunk(v, u):
-    chunked, rows = _m1_step_raw(v, u, 0)
-    whole, want = _m1_step_raw(v, u, 1)
+def _chunked_like_one_chunk(v, u, builtin=M1):
+    chunked, rows = _step_raw(v, u, 0, builtin)
+    whole, want = _step_raw(v, u, 1, builtin)
     assert chunked == whole and same_bits(rows, want)
     return chunked
 
@@ -615,3 +620,87 @@ def test_chunked_m1_step_raises_the_callables_error(row, value):
             step(s, 0.002)
         messages.append((type(err.value), str(err.value)))
     assert messages[0] == messages[1]
+
+
+# The built-in gamma law runs through the same chunk pipeline; only each
+# chunk's closure evaluators differ.  The same findings, and the callables'
+# errors, with the gamma chunks.
+
+
+@pytest.mark.parametrize("cell", [1, 255, 256, 257, 511, 1100, 1398])
+@pytest.mark.parametrize(
+    "row, value, field",
+    [("v", -0.5, 2), ("v", np.nan, 6), ("u", np.inf, 6), ("v", np.inf, 6), ("v", 1e-3, 7)],
+    ids=["thin", "nan", "u-inf", "v-inf", "vacuum"],
+)
+def test_chunked_gamma_step_folds_like_one_chunk(cell, row, value, field):
+    v, u = _wavy(1400)
+    (v if row == "v" else u)[cell] = value
+    status = _chunked_like_one_chunk(v, u, GAMMA2)
+    assert status[:2] == (0, 1400)
+    assert status[field] == (cell if field == 2 else cell - 1)
+
+
+def test_chunked_gamma_step_on_windows_about_chunk_edges():
+    n = 1200
+    for width in (250, 255, 256, 257, 511, 512, 513, 1021):
+        v, u = np.ones(n), np.full(n, 0.02)
+        x = np.linspace(0.0, np.pi, width)
+        v[100:100 + width] += 0.05 * np.sin(x) ** 2
+        u[100:100 + width] += 0.03 * np.sin(2.0 * x)
+        status = _chunked_like_one_chunk(v, u, GAMMA2)
+        assert status[1] - status[0] >= width and status[0] > 0 and status[1] < n
+
+
+@pytest.mark.parametrize("value", [-0.5, np.nan, 1e-3], ids=["thin", "nonfinite", "vacuum"])
+def test_chunked_gamma_step_raises_the_callables_error(value):
+    n = 1400
+    v, u = _wavy(n)
+    messages = []
+    for closure in (gamma_law_closure(2.0, 1.0), _user_built(gamma_law_closure(2.0, 1.0))):
+        state = SimState(-4.0, 4.0, n, v.copy(), u, 0.0, closure)
+        state.v[1100] = value  # past the constructor's positivity check
+        with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(
+            (HyperbolicityError, BlowUpError)
+        ) as err:
+            step(state, 0.002)
+        messages.append((type(err.value), str(err.value)))
+    assert messages[0] == messages[1]
+
+
+def test_builtin_gamma_keyed_on_callables():
+    for gamma in (1.0, 1.4, 2.0, 3.0):
+        closure = gamma_law_closure(gamma, 1.0)
+        assert closure.builtin_gamma and not closure.builtin_m1
+        assert closure.p.gamma == gamma
+    gas = gamma_law_closure(2.0, 1.0)
+    assert dataclasses.replace(gas, name="m1").builtin_gamma
+    assert not _user_built(gas).builtin_gamma
+    assert not dataclasses.replace(gas, dp=gamma_law_closure(3.0, 1.0).dp).builtin_gamma
+    assert not dataclasses.replace(gas, p=gas.d2p).builtin_gamma
+    assert not dataclasses.replace(gas, g=lambda u: 0.0 * u).builtin_gamma
+    for closure in (m1_closure(1.0), linear_closure(1.0)):
+        assert not closure.builtin_gamma
+
+
+def test_builtin_gamma_step_calls_no_callable(monkeypatch):
+    calls = []
+    power = _kernel.power
+    monkeypatch.setattr(_kernel, "power", lambda *a: calls.append(a) or power(*a))
+    n = 600
+    v, u = _wavy(n)
+    state = SimState(-4.0, 4.0, n, v, u, 0.0, gamma_law_closure(2.0, 1.0))
+    for _ in range(3):
+        state = step(state, 0.002)
+    assert calls == []
+    gamma_law_closure(2.0, 1.0).p(v)  # the callables do go through it
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("gamma, alpha", [(1.4, 0.5), (3.0, 2.0)])
+def test_builtin_gamma_step_reads_the_exponent(gamma, alpha):
+    """A non-integer and a larger exponent against the oracle on the callables."""
+    n = 700
+    v, u = _wavy(n)
+    state = SimState(-4.0, 4.0, n, v, u, 0.0, gamma_law_closure(gamma, alpha))
+    assert _match_reference(state, 30).t > 0.0
