@@ -116,7 +116,9 @@ int64_t dw_tridiagonal_solve(int64_t n, double *dl, double *d, double *du, doubl
 /* each stage's entry point also gets an AVX2 clone, chosen at load time; the scalar
    operations and their order are the same in both clones, and with
    -ffp-contract=off neither fuses a multiply-add.  The loops of the package's
-   pow and exp get an AVX-512 clone too (POW_CLONED). */
+   pow and exp get an AVX-512 clone too (POW_CLONED), and so do dw_step and
+   its chunks: a clone calls another function's clone of its own
+   architecture directly, so only an AVX-512 chunk reaches the AVX-512 pow. */
 #define CLONED __attribute__((target_clones("arch=x86-64-v3", "default")))
 #define POW_CLONED __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
 #else
@@ -846,7 +848,7 @@ POW_CLONED static int gamma_flux_and_speed(int64_t k, double neg_gamma,
 /* Chunk c of the step j, its window cells from c * j->chunk on, through
  * every stage of the step in the scratch buf (header), with the evaluators
  * of the job's closure. */
-CLONED static void chunk(const job *j, int64_t c, double *buf, partial *acc)
+POW_CLONED static void chunk(const job *j, int64_t c, double *buf, partial *acc)
 {
     int64_t first = c * j->chunk, m = min64(j->chunk, j->m - first), s = m + 2;
     edges(j->n, j->v, j->u, j->half_damp, j->lo + first, m, buf);
@@ -1077,7 +1079,7 @@ void dw_pool_stop(void)
 /* The whole step with a built-in closure, DW_M1 or DW_GAMMA with exponent
  * gamma: the window, then its chunks (header), or with one_chunk the window
  * as one chunk in buf. */
-CLONED void dw_step(int64_t n, const double *v, const double *u, int closure, double gamma,
+POW_CLONED void dw_step(int64_t n, const double *v, const double *u, int closure, double gamma,
                     double half_damp, double lam, double dt_dx, double half_kappa,
                     int one_chunk, double *buf, double *rows, dw_status *st)
 {
