@@ -35,11 +35,11 @@ closure's two rounds (``closure_round``); ``_step.c`` says what each stage
 does.  ``flux_and_speed`` is the same face combine on any states, the
 package's one evaluation of the flux and the wave speed.
 
-``power`` and ``exp`` are the package's own pow and exp, within 1 ulp and
-the same bits on every CPU and under any NumPy dispatch: the gamma law's
-callables are ``power``, and ``damping`` gives the step's two scalars e^-h
-and sinh(h)/h from the same exp.  ``erf`` is the C library's erf in one
-loop, ``tridiagonal_solve`` the profile solver's Newton step.
+``power`` is the package's own pow, within 1 ulp and the same bits on
+every CPU and under any NumPy dispatch: the gamma law's callables call it.
+``damping`` gives the step's two scalars e^-h and sinh(h)/h from the same
+routine's exp.  ``erf`` is the C library's erf in one loop,
+``tridiagonal_solve`` the profile solver's Newton step.
 """
 
 from __future__ import annotations
@@ -204,6 +204,7 @@ atexit.register(lib.dw_pool_stop)
 
 _DOUBLES = ffi.typeof("double[]")
 _STATUS = ffi.typeof("dw_status *")
+_SCALARS = ffi.typeof("double[2]")
 
 
 def _ptr(a):
@@ -372,14 +373,6 @@ def power(v, y: float, order: int = 0, coef: float = 1.0):
     return out.reshape(shape)[()]
 
 
-def exp(x):
-    """e**x elementwise on the package's exp (``dw_exp``), within 1 ulp."""
-    x = np.ascontiguousarray(x, dtype=float)
-    out = np.empty_like(x)
-    lib.dw_exp(x.size, _ptr(x), _ptr(out))
-    return out
-
-
 def erf(x):
     """erf elementwise, by the C library's erf (``dw_erf``) in one loop: the
     function ``math.erf`` calls, to the bit."""
@@ -389,12 +382,10 @@ def erf(x):
     return out
 
 
-_SCALARS = ffi.typeof("double[2]")
-
-
 def damping(h: float):
-    """(e**-h, sinh(h)/h) on the package's exp (``dw_damping``): the step's
-    damping factor and its mean over the step, for h = alpha dt / 2."""
+    """(e**-h, sinh(h)/h) on the package's exp (``dw_damping``), within 1 ulp:
+    the step's damping factor and its mean over the step, for
+    h = alpha dt / 2.  e**-h is the package's exp for any h."""
     out = ffi.new(_SCALARS)
     lib.dw_damping(h, out, out + 1)
     return out[0], out[1]

@@ -104,7 +104,6 @@ void dw_m1_momentum_flux(int64_t k, const double *v, const double *u, double *ou
 int dw_m1_flux_and_speed(int64_t k, const double *v, const double *u,
                          double *flux, double *speed);
 void dw_pow(int64_t k, const double *v, double y, int order, double coef, double *out);
-void dw_exp(int64_t k, const double *x, double *out);
 void dw_damping(double h, double *decay, double *kappa);
 void dw_erf(int64_t k, const double *x, double *out);
 int dw_pool_workers(void);
@@ -116,7 +115,7 @@ int64_t dw_tridiagonal_solve(int64_t n, double *dl, double *d, double *du, doubl
 /* each stage's entry point also gets an AVX2 clone, chosen at load time; the scalar
    operations and their order are the same in both clones, and with
    -ffp-contract=off neither fuses a multiply-add.  The loops of the package's
-   pow and exp get an AVX-512 clone too (POW_CLONED), and so do dw_step and
+   pow get an AVX-512 clone too (POW_CLONED), and so do dw_step and
    its chunks: a clone calls another function's clone of its own
    architecture directly, so only an AVX-512 chunk reaches the AVX-512 pow. */
 #define CLONED __attribute__((target_clones("arch=x86-64-v3", "default")))
@@ -775,19 +774,11 @@ POW_CLONED void dw_pow(int64_t k, const double *restrict v, double y, int order,
     }
 }
 
-/* out = e^x on k values, with the package's exp */
-POW_CLONED void dw_exp(int64_t k, const double *restrict x, double *restrict out)
-{
-    for (int64_t i = 0; i < k; i++) {
-        double e, lo, hi = exp_dd(x[i], 0.0, &lo, &e);
-        out[i] = scaled(hi + lo, e);
-    }
-}
-
 /* The step's damping factor e^-h and its mean over the step,
- * kappa = sinh(h)/h, for h = alpha dt/2.  Below 0.5 kappa is its Taylor
- * series in h^2 (no cancellation); above, (e^h - e^-h)/(2h) in
- * double-double.  kappa overflows to inf above h = 709.7. */
+ * kappa = sinh(h)/h, for h = alpha dt/2: e^-h is the package's exp, for any
+ * h.  Below 0.5 kappa is its Taylor series in h^2 (no cancellation); above,
+ * (e^h - e^-h)/(2h) in double-double.  kappa overflows to inf above
+ * h = 709.7. */
 void dw_damping(double h, double *decay, double *kappa)
 {
     double e, lo, hi = exp_dd(-h, 0.0, &lo, &e);

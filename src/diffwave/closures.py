@@ -23,10 +23,9 @@ the bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
-
-import math
 
 import numpy as np
 
@@ -75,8 +74,7 @@ class ModelClosure:
     u_range: tuple[float, float]
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"damping constant alpha must be positive and finite, not {self.alpha}")
+        _require_positive("damping constant alpha", self.alpha)
         if self.v_range[0] <= 0.0 or self.v_range[0] >= self.v_range[1]:
             raise ValueError("v_range must be a nonempty interval of positive v")
 
@@ -290,7 +288,6 @@ def gamma_law_closure(gamma: float = 2.0, alpha: float = 1.0) -> ModelClosure:
     """
     if not 1.0 <= gamma < math.inf:
         raise ValueError(f"adiabatic exponent gamma must be finite and >= 1, not {gamma}")
-    _require_positive("damping constant alpha", alpha)
     p, dp, d2p, d3p, d4p = (_PowerLaw(float(gamma), order) for order in range(5))
     return ModelClosure(
         name="gamma_law",
@@ -316,7 +313,6 @@ def linear_closure(alpha: float = 1.0) -> ModelClosure:
     closed form, which makes this closure the reference case for solver
     validation.
     """
-    _require_positive("damping constant alpha", alpha)
 
     def p(v):
         return -np.asarray(v, dtype=float)

@@ -49,10 +49,15 @@ def test_pow_within_one_ulp_of_decimal(gamma):
         assert worst_ulps(got, [lambda v=v: (Decimal(v).ln() * y).exp() for v in V]) < 1
 
 
+def exp(x):
+    """The package's exp: the damping factor e^-h of h = -x."""
+    return np.array([_kernel.damping(-a)[0] for a in np.ravel(x).tolist()])
+
+
 def test_exp_within_one_ulp_of_decimal():
     x = np.concatenate([np.linspace(-700.0, 700.0, 1001),
                         np.random.default_rng(8).uniform(-1.0, 1.0, 500)])
-    assert worst_ulps(_kernel.exp(x), [lambda a=a: Decimal(a).exp() for a in x]) < 1
+    assert worst_ulps(exp(x), [lambda a=a: Decimal(a).exp() for a in x]) < 1
 
 
 def test_damping_scalars_within_one_ulp_of_decimal():
@@ -105,7 +110,7 @@ def test_pow_keeps_the_shape_and_a_scalar():
 
 def test_exp_special_values():
     x = np.array([np.nan, np.inf, -np.inf, 710.0, -746.0, 0.0, -0.0, -740.0])
-    got = _kernel.exp(x)
+    got = exp(x)
     assert np.isnan(got[0]) and list(got[1:7]) == [np.inf, 0.0, np.inf, 0.0, 1.0, 1.0]
     assert got[7] == math.exp(-740.0)  # subnormal: one rounding of the tiny result
     assert all(np.isnan(_kernel.damping(np.nan)))

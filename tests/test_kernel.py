@@ -235,7 +235,7 @@ def _compare_libraries(baseline):
     rng = np.random.default_rng(3)
     v = np.concatenate([rng.uniform(0.05, 20.0, 3000), rng.uniform(0.9, 1.2, 3000),
                         [1.0, 0.0, -1.0, np.inf, np.nan, 5e-324]])
-    x = np.concatenate([rng.uniform(-700.0, 700.0, 3000), rng.uniform(-1.0, 1.0, 3000)])
+    x = np.concatenate([rng.uniform(-700.0, 700.0, 300), rng.uniform(-1.0, 1.0, 300)])
 
     def run(lib, fn, *args, arg):
         out = np.empty_like(arg)
@@ -247,9 +247,8 @@ def _compare_libraries(baseline):
             args = (-gamma, order, 1.0)
             assert np.array_equal(run(loaded, "dw_pow", *args, arg=v),
                                   run(baseline, "dw_pow", *args, arg=v))
-    assert np.array_equal(run(loaded, "dw_exp", arg=x), run(baseline, "dw_exp", arg=x))
     out = _kernel.ffi.new("double[4]")
-    for h in (0.0, 1e-3, 0.2, 0.5, 0.9, 7.0):
+    for h in (*x, 0.0, 1e-3, 0.2, 0.5, 0.9, 7.0):  # e^-h over exp's range, and kappa
         loaded.dw_damping(h, out, out + 1)
         baseline.dw_damping(h, out + 2, out + 3)
         assert list(out[0:2]) == list(out[2:4])

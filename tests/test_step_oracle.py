@@ -704,3 +704,24 @@ def test_builtin_gamma_step_reads_the_exponent(gamma, alpha):
     v, u = _wavy(n)
     state = SimState(-4.0, 4.0, n, v, u, 0.0, gamma_law_closure(gamma, alpha))
     assert _match_reference(state, 30).t > 0.0
+
+
+def test_builtin_gamma_face_values_are_the_callables_bits():
+    """The built-in gamma step's p and sqrt(-p') on its face states against
+    the closure's callables, on states across the closure's v range: a step
+    as one chunk leaves the right states' momentum flux and speed in buf."""
+    gas = gamma_law_closure(2.0, 1.0)
+    n = 1500
+    x = np.linspace(-1.0, 1.0, n)
+    v, u = 0.06 * 300.0 ** (0.5 + 0.5 * np.sin(7.0 * x)), 0.3 * np.cos(5.0 * x)
+    buf = np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2))
+    st = _kernel.ffi.new("dw_status *")
+    ptr = _kernel._ptr
+    _kernel.lib.dw_step(n, ptr(v), ptr(u), *GAMMA2, 0.995, 0.02, 0.04, 0.5, 1, ptr(buf),
+                        ptr(np.empty((2, n))), st)
+    m, region = st.hi - st.lo, 2 * (st.hi - st.lo + 2)
+    right_v = _kernel.face_states(st, buf)[1][0]
+    flux = buf[_kernel.lib.FLUX * region:][: m + 1]
+    speed = buf[_kernel.lib.SPEED * region:][: m + 1]
+    assert st.thin_face == -1 and right_v.min() < 0.1 and right_v.max() > 10.0
+    assert same_bits(flux, gas.p(right_v)) and same_bits(speed, np.sqrt(-gas.dp(right_v)))
