@@ -27,9 +27,10 @@ on the first step with more than one chunk, and it is stopped and joined at
 exit, before the library can be unloaded.  ``_step.c`` describes it.
 
 The wrappers take and return NumPy arrays of float64; every input goes
-through ``np.ascontiguousarray(x, dtype=float)`` (``as_pair``, ``_row``).
-``step`` runs one transport step and alone knows the layout of its buffer:
-with a built-in closure (``ModelClosure.builtin_m1``, ``builtin_gamma``)
+through ``np.ascontiguousarray(x, dtype=float)`` (``as_pair``, ``_row``),
+except ``step``'s cells, which ``SimState`` keeps contiguous float64.
+``step`` runs one transport step from (alpha, dt, dx) and alone knows the
+layout of its buffer: with a built-in closure (``ModelClosure.builtin``)
 one C call, with any other the three stages and, between them, the
 closure's two rounds (``closure_round``); ``_step.c`` says what each stage
 does.  ``flux_and_speed`` is the same face combine on any states, the
@@ -37,14 +38,15 @@ package's one evaluation of the flux and the wave speed.
 
 ``power`` is the package's own pow, within 1 ulp and the same bits on
 every CPU and under any NumPy dispatch: the gamma law's callables call it.
-``damping`` gives the step's two scalars e^-h and sinh(h)/h from the same
-routine's exp.  ``erf`` is the C library's erf in one loop,
-``tridiagonal_solve`` the profile solver's Newton step.
+``damping`` gives a step's two scalars e^-h and sinh(h)/h from the same
+routine's exp, as the step computes them in C.  ``erf`` is the C library's
+erf in one loop, ``tridiagonal_solve`` the profile solver's Newton step.
 """
 
 from __future__ import annotations
 
 import atexit
+import functools
 import hashlib
 import math
 import os
@@ -204,11 +206,14 @@ atexit.register(lib.dw_pool_stop)
 
 _DOUBLES = ffi.typeof("double[]")
 _STATUS = ffi.typeof("dw_status *")
-_SCALARS = ffi.typeof("double[2]")
+_STEP_SCALARS = ffi.typeof("dw_scalars *")
+_PAIR = ffi.typeof("double[2]")
+_FLOAT64 = np.dtype(float)
+_ORDERS = range(5)
 
 
-def _ptr(a):
-    return ffi.from_buffer(_DOUBLES, a)
+# a double * to the contiguous array's data; a partial, so no Python frame per call
+_ptr = functools.partial(ffi.from_buffer, _DOUBLES)
 
 
 def as_pair(v, u):
@@ -271,43 +276,61 @@ def _edge_rows(st, buf):
     return buf[: 2 * s], buf[2 * s: 4 * s]
 
 
-def step(closure, v, u, half_damp, lam, dt_dx, half_kappa):
-    """The transport step's stages on the cells (v, u): (st, rows, buf).
+def _buffer(n: int):
+    return np.empty(lib.N_REGIONS * 2 * (n + 2))
 
-    ``st`` is the ``dw_status``, ``rows`` the successor's (v, u) once the step
-    has run through, ``buf`` the step's buffer for ``face_states``.  Each call
-    makes its own, so concurrent steps share nothing but the chunk pool,
+
+def step(closure, v, u, dt: float, dx: float):
+    """One transport step of dt on the contiguous float64 cells (v, u) of
+    width dx: (ok, st, rows, buf).
+
+    ``ok`` is 1 when every check of the step passed (``_step.c``), and then
+    only ``st.speed_bound`` and ``st.u_max`` of the ``dw_status`` ``st`` need
+    reading; ``rows`` is the successor's (v, u) once the step has run
+    through, ``buf`` the step's buffer for ``face_states``, or None.  Each
+    call makes its own, so concurrent steps share nothing but the chunk pool,
     which one step holds at a time; a step that finds it held runs alone.
-    With the built-in m1 closure the step is one C call, run in chunks, and
-    when a face loses hyperbolicity once more as one chunk, which leaves the
-    face states in ``buf``.  With any other closure it runs the three stages
-    and, between them, the closure's two rounds; ``st.thin_face >= 0`` stops
-    it after the predictor.
+    With a built-in closure the step is one C call, run in chunks on scratch
+    of its own, and when a face loses hyperbolicity once more as one chunk
+    in ``buf``, which leaves the face states there.  With any other closure
+    it runs the three stages on the same C scalars and, between them, the
+    closure's two rounds; ``st.thin_face >= 0`` stops it after the
+    predictor.  Raises MemoryError when C cannot allocate its scratch.
     """
-    v, u = as_pair(v, u)
-    n = v.size
-    buf = np.empty(lib.N_REGIONS * 2 * (n + 2))
+    n, pv, pu = v.size, _ptr(v), _ptr(u)
+    if len(pv) != n or len(pu) != n:  # C reads n doubles of each
+        raise ValueError(f"the cells must be float64 rows of one size, not "
+                         f"{v.dtype} {v.shape} and {u.dtype} {u.shape}")
     rows = np.empty((2, n))
     st = ffi.new(_STATUS)
-    cells = (n, _ptr(v), _ptr(u))
-    out = (_ptr(buf), _ptr(rows), st)
-    builtin = ((lib.DW_M1, 0.0) if closure.builtin_m1
-               else (lib.DW_GAMMA, closure.p.gamma) if closure.builtin_gamma else None)
+    builtin = closure.builtin
     if builtin:
-        scalars = (*builtin, half_damp, lam, dt_dx, half_kappa)
-        lib.dw_step(*cells, *scalars, 0, *out)
-        if not st.hyperbolic and st.thin_face < 0:
-            # the window as one chunk leaves the face states in buf
-            lib.dw_step(*cells, *scalars, 1, *out)
-        return st, rows, buf
-    lib.dw_edges(*cells, half_damp, out[0], st)
+        kind, gamma = builtin
+        ok = lib.dw_step(n, pv, pu, kind, gamma, closure.alpha, dt, dx, ffi.NULL,
+                         _ptr(rows), st)
+        buf = None
+        if ok != 1:
+            if ok < 0:
+                raise MemoryError("cannot allocate the transport step's scratch")
+            if not st.hyperbolic and st.thin_face < 0:
+                buf = _buffer(n)
+                lib.dw_step(n, pv, pu, kind, gamma, closure.alpha, dt, dx, _ptr(buf),
+                            _ptr(rows), st)
+        return ok, st, rows, buf
+    sc = ffi.new(_STEP_SCALARS)
+    lib.dw_step_scalars(closure.alpha, dt, dx, sc)
+    cells = (n, pv, pu, sc)
+    buf = _buffer(n)
+    out = (_ptr(buf), _ptr(rows), st)
+    lib.dw_edges(*cells, out[0], st)
     edge_v, edge_u = _edge_rows(st, buf)
     p, _, g, _, f, _ = closure_round(closure, edge_v, edge_u, False)
-    lib.dw_predict(lam, p, g, f, out[0], st)
+    lib.dw_predict(sc, p, g, f, out[0], st)
+    ok = 0
     if st.thin_face < 0:
         terms = closure_round(closure, edge_v[1:-1], edge_u[1:-1], True)
-        lib.dw_update(*cells, half_damp, dt_dx, half_kappa, *terms, *out)
-    return st, rows, buf
+        ok = lib.dw_update(*cells, *terms, *out)
+    return ok, st, rows, buf
 
 
 def face_states(st, buf):
@@ -363,14 +386,16 @@ def power(v, y: float, order: int = 0, coef: float = 1.0):
     and the same bits on every CPU.  y is finite, order 0 .. 4, and y <= 0
     when order > 0.  v = +-0 gives the limit at +0, a negative v or a NaN
     gives NaN.  Returns v's shape; a scalar gives a float64 scalar."""
-    if not (math.isfinite(y) and order in range(5) and (order == 0 or y <= 0.0)):
+    if not (math.isfinite(y) and order in _ORDERS and (order == 0 or y <= 0.0)):
         raise ValueError(f"power needs a finite y, order 0 .. 4 and y <= 0 for "
                          f"order > 0, not y={y}, order={order}")
-    shape = np.shape(v)
-    v = np.ascontiguousarray(v, dtype=float).ravel()
-    out = np.empty_like(v)
-    lib.dw_pow(v.size, _ptr(v), y, order, coef, _ptr(out))
-    return out.reshape(shape)[()]
+    # a contiguous float64 row, the closure rounds' input, goes in as it is
+    row = (type(v) is np.ndarray and v.ndim == 1 and v.dtype == _FLOAT64
+           and v.flags.c_contiguous)
+    x = v if row else np.ascontiguousarray(v, dtype=float).ravel()
+    out = np.empty(x.size)
+    lib.dw_pow(x.size, _ptr(x), y, order, coef, _ptr(out))
+    return out if row else out.reshape(np.shape(v))[()]
 
 
 def erf(x):
@@ -386,7 +411,7 @@ def damping(h: float):
     """(e**-h, sinh(h)/h) on the package's exp (``dw_damping``), within 1 ulp:
     the step's damping factor and its mean over the step, for
     h = alpha dt / 2.  e**-h is the package's exp for any h."""
-    out = ffi.new(_SCALARS)
+    out = ffi.new(_PAIR)
     lib.dw_damping(h, out, out + 1)
     return out[0], out[1]
 

@@ -21,6 +21,11 @@
  *               Lax-Friedrichs faces, the update, the second damping
  *               half-step, the state checks, the far-field fill.
  *
+ * Both take the step's scalars from dw_step_scalars, which computes them from
+ * (alpha, dt, dx) with the operations the NumPy formulation uses, and both
+ * return 1 when every check of the step passed (finish): then the caller
+ * needs no status field but the speed bound and the largest |u|.
+ *
  * A step works in one buffer of N_REGIONS * 2 (n + 2) values.  For a window
  * of m cells, s = m + 2 is the number of edge positions: the window's cells
  * and one cell a side.  Region V holds the left edge values vl[0 .. s) and
@@ -48,8 +53,9 @@
  * flag); these fold to the same status in any order, so the status is the
  * whole-window step's bit for bit.  The calling thread and a helper thread
  * claim chunks from one counter (see "the chunk pool"); the caller's scratch
- * is the start of buf.  The error path runs the window as one chunk, which
- * leaves buf in the layout above.
+ * is allocated per call, for at most one chunk.  The error path runs the
+ * window as one chunk in a buffer the caller hands in, which it leaves in
+ * the layout above.
  *
  * A closure round hands in contiguous rows of the closure's values on V and
  * U (g, g' on u; p, p', f, f' on v).  A correction-free closure (g = 0,
@@ -84,19 +90,25 @@ typedef struct {
     int64_t nonfinite;  /* first window cell with a non-finite v or u, or -1 */
     int64_t vacuum;     /* first window cell with v <= 0, or -1 */
 } dw_status;
+typedef struct {
+    double dt, dx;
+    double half_damp;   /* e^-h, h = alpha dt / 2: the damping half-step */
+    double lam;         /* dt / (2 dx): the predictor */
+    double dt_dx;       /* dt / dx: the update */
+    double half_kappa;  /* kappa / 2, kappa = sinh(h) / h: the central volume flux */
+} dw_scalars;
+void dw_step_scalars(double alpha, double dt, double dx, dw_scalars *sc);
 void dw_minmod(int64_t len, const double *d, double *out);
-void dw_edges(int64_t n, const double *v, const double *u, double half_damp,
+void dw_edges(int64_t n, const double *v, const double *u, const dw_scalars *sc,
               double *buf, dw_status *st);
-void dw_predict(double lam, const double *p, const double *g, const double *f,
+void dw_predict(const dw_scalars *sc, const double *p, const double *g, const double *f,
                 double *buf, dw_status *st);
-void dw_update(int64_t n, const double *v, const double *u, double half_damp,
-               double dt_dx, double half_kappa, const double *p, const double *dp,
-               const double *g, const double *dg, const double *f, const double *df,
-               double *buf, double *rows, dw_status *st);
+int dw_update(int64_t n, const double *v, const double *u, const dw_scalars *sc,
+              const double *p, const double *dp, const double *g, const double *dg,
+              const double *f, const double *df, double *buf, double *rows, dw_status *st);
 enum { DW_M1, DW_GAMMA };
-void dw_step(int64_t n, const double *v, const double *u, int closure, double gamma,
-             double half_damp, double lam, double dt_dx, double half_kappa, int one_chunk,
-             double *buf, double *rows, dw_status *st);
+int dw_step(int64_t n, const double *v, const double *u, int closure, double gamma,
+            double alpha, double dt, double dx, double *buf, double *rows, dw_status *st);
 int dw_face_combine(int64_t k, const double *p, const double *dp, const double *g,
                     const double *dg, const double *f, const double *df,
                     double *flux, double *speed);
@@ -387,8 +399,11 @@ static inline int64_t thin_face(const partial *p)
  * finds it, or NaN when any is NaN.  The speeds lie in {-0} u [+0, inf], so
  * a positive largest speed has the largest bit pattern as a signed integer;
  * when every speed is a zero, the scan keeps the first.  u_max is read only
- * when every cell passes the state checks. */
-static void finish(const partial *p, dw_status *st)
+ * when every cell passes the state checks.  Returns 1 when every check of
+ * the step passes: no thin face, every face hyperbolic, a Courant number
+ * dt speed_bound / dx not above 1 (a NaN one passes, as in the Python
+ * check), and no non-finite or vacuum cell; else 0. */
+static int finish(const partial *p, const dw_scalars *sc, dw_status *st)
 {
     st->thin_face = thin_face(p);
     st->hyperbolic = (int)p->hyperbolic;
@@ -398,6 +413,9 @@ static void finish(const partial *p, dw_status *st)
     st->u_max = from_bits((uint64_t)p->u_max);
     st->nonfinite = p->nonfinite == INT64_MAX ? -1 : p->nonfinite;
     st->vacuum = p->vacuum == INT64_MAX ? -1 : p->vacuum;
+    double courant = sc->dt * st->speed_bound / sc->dx;
+    return st->thin_face < 0 && st->hyperbolic && !(courant > 1.0) && st->nonfinite < 0
+           && st->vacuum < 0;
 }
 
 /* a * b > 0 ? (|a| < |b| ? a : b) : 0.0, selected through bit masks so that
@@ -433,13 +451,16 @@ static inline uint64_t differ(const double *v, const double *u, double half_damp
 /* The window is every cell whose 5-cell stencil holds two different bit
  * patterns, plus one uniform cell at each end; a bitwise uniform state takes
  * the one-cell window 0 .. 1.  The search skips BLOCK uniform pairs at a
- * time from each end. */
+ * time from each end, and the pairs left over at once when they are uniform
+ * too. */
 static inline void window(int64_t n, const double *v, const double *u, double half_damp,
                           dw_status *st)
 {
     int64_t first = 0, last = n - 2;
     while (first + BLOCK <= last && !differ(v, u, half_damp, first, BLOCK))
         first += BLOCK;
+    if (first <= last && !differ(v, u, half_damp, first, last - first + 1))
+        first = last + 1;
     while (first <= last && !differ(v, u, half_damp, first, 1))
         first++;
     while (last - BLOCK >= first && !differ(v, u, half_damp, last - BLOCK + 1, BLOCK))
@@ -494,11 +515,11 @@ static inline void edges(int64_t n, const double *v, const double *u, double hal
 }
 
 /* Stage 1: the window and its edge values. */
-CLONED void dw_edges(int64_t n, const double *v, const double *u, double half_damp,
+CLONED void dw_edges(int64_t n, const double *v, const double *u, const dw_scalars *sc,
                      double *buf, dw_status *st)
 {
-    window(n, v, u, half_damp, st);
-    edges(n, v, u, half_damp, st->lo, st->hi - st->lo, buf);
+    window(n, v, u, sc->half_damp, st);
+    edges(n, v, u, sc->half_damp, st->lo, st->hi - st->lo, buf);
 }
 
 /* k edge values evolved by half a step, lam = dt/(2 dx); the volume flux is -u */
@@ -547,8 +568,8 @@ static inline void predict(int64_t m, double lam, const double *mf, double *buf,
 
 /* Stage 2.  p, g and f are the closure's values on the 2s edge values (V for
  * p and f, U for g); g = NULL for a correction-free closure. */
-CLONED void dw_predict(double lam, const double *p, const double *g, const double *f,
-                       double *buf, dw_status *st)
+CLONED void dw_predict(const dw_scalars *sc, const double *p, const double *g,
+                       const double *f, double *buf, dw_status *st)
 {
     int64_t m = st->hi - st->lo;
     const double *mf = p;
@@ -559,7 +580,7 @@ CLONED void dw_predict(double lam, const double *p, const double *g, const doubl
         mf = out;
     }
     partial acc = NONE;
-    predict(m, lam, mf, buf, 0, &acc);
+    predict(m, sc->lam, mf, buf, 0, &acc);
     st->thin_face = thin_face(&acc);
 }
 
@@ -636,11 +657,22 @@ static inline void cell_update(int64_t k, double half_damp, double dt_dx,
 typedef struct {
     int64_t n, lo, m, chunk;
     const double *v, *u;
-    double half_damp, lam, dt_dx, half_kappa;
+    dw_scalars sc;
     int closure;      /* DW_M1 or DW_GAMMA */
     double neg_gamma; /* -gamma of DW_GAMMA */
     double *rows;     /* the successor's (v, u) */
 } job;
+
+/* v_new and u_new from from to to - 1 set to (fv, fu): held in registers,
+   the stores vectorize */
+static inline void fill(double *v_new, double *u_new, int64_t from, int64_t to, double fv,
+                        double fu)
+{
+    for (int64_t i = from; i < to; i++) {
+        v_new[i] = fv;
+        u_new[i] = fu;
+    }
+}
 
 /* The faces of the m cells in buf from window cell first, from the face
  * combine in FLUX and SPEED; the update of those cells into rows; the state
@@ -655,7 +687,7 @@ static inline void update(const job *j, int64_t first, int64_t m, double *buf,
     double *fu = REGION(FLUX, m), *a = REGION(SPEED, m);
     double *flux_v = REGION(FLUXES, m), *flux_u = flux_v + s;
     /* right states first, then left states (header) */
-    face_fluxes(m + 1, j->half_kappa, vr, ur, vl, ul, fu + m + 1, a + m + 1, fu, a,
+    face_fluxes(m + 1, j->sc.half_kappa, vr, ur, vl, ul, fu + m + 1, a + m + 1, fu, a,
                 flux_v, flux_u);
     const double *speed = a + m + 1;
     int64_t nan = 0, top = INT64_MIN;
@@ -672,7 +704,7 @@ static inline void update(const job *j, int64_t first, int64_t m, double *buf,
 
     int64_t lo = j->lo + first, n = j->n;
     double *v_new = j->rows, *u_new = j->rows + n;
-    cell_update(m, j->half_damp, j->dt_dx, j->v + lo, j->u + lo, flux_v, flux_u,
+    cell_update(m, j->sc.half_damp, j->sc.dt_dx, j->v + lo, j->u + lo, flux_v, flux_u,
                 v_new + lo, u_new + lo);
     /* |u| has no sign bit, so of two finite |u| the larger has the larger
        bit pattern */
@@ -692,34 +724,26 @@ static inline void update(const job *j, int64_t first, int64_t m, double *buf,
     }
 
     if (first == 0)
-        for (int64_t i = 0; i < lo; i++) {
-            v_new[i] = v_new[lo];
-            u_new[i] = u_new[lo];
-        }
+        fill(v_new, u_new, 0, lo, v_new[lo], u_new[lo]);
     if (first + m == j->m)
-        for (int64_t i = lo + m; i < n; i++) {
-            v_new[i] = v_new[lo + m - 1];
-            u_new[i] = u_new[lo + m - 1];
-        }
+        fill(v_new, u_new, lo + m, n, v_new[lo + m - 1], u_new[lo + m - 1]);
 }
 
 /* Stage 3.  p .. df are the closure's values on the 2 (m + 1) face states
  * (V and U from offset 1); g = NULL for a correction-free closure, which
- * passes no g, g', f or f'. */
-CLONED void dw_update(int64_t n, const double *v, const double *u, double half_damp,
-                      double dt_dx, double half_kappa, const double *p,
-                      const double *dp, const double *g, const double *dg,
-                      const double *f, const double *df, double *buf, double *rows,
-                      dw_status *st)
+ * passes no g, g', f or f'.  Returns finish's flag. */
+CLONED int dw_update(int64_t n, const double *v, const double *u, const dw_scalars *sc,
+                     const double *p, const double *dp, const double *g,
+                     const double *dg, const double *f, const double *df, double *buf,
+                     double *rows, dw_status *st)
 {
     int64_t m = st->hi - st->lo;
-    job j = {.n = n, .lo = st->lo, .m = m, .v = v, .u = u, .half_damp = half_damp,
-             .dt_dx = dt_dx, .half_kappa = half_kappa, .rows = rows};
+    job j = {.n = n, .lo = st->lo, .m = m, .v = v, .u = u, .sc = *sc, .rows = rows};
     partial acc = NONE;
     acc.hyperbolic = dw_face_combine(2 * (m + 1), p, dp, g, dg, f, df,
                                      REGION(FLUX, m), REGION(SPEED, m));
     update(&j, 0, m, buf, &acc);
-    finish(&acc, st);
+    return finish(&acc, sc, st);
 }
 
 /* The built-in M1 closure: p = 1/(3v), p' = -1/(3v^2), f = 1/v, f' = -1/v^2,
@@ -806,6 +830,20 @@ void dw_damping(double h, double *decay, double *kappa)
     *kappa = q + (FMA(-q, 2.0 * a, d) + d_lo) / (2.0 * a);
 }
 
+/* The scalars of a step of dt on cells of width dx, damping alpha, in the
+ * IEEE operations of the NumPy formulation: h = 0.5 alpha dt, then e^-h and
+ * kappa from dw_damping, lam = 0.5 dt / dx, dt / dx and 0.5 kappa. */
+void dw_step_scalars(double alpha, double dt, double dx, dw_scalars *sc)
+{
+    double kappa;
+    dw_damping(0.5 * alpha * dt, &sc->half_damp, &kappa);
+    sc->dt = dt;
+    sc->dx = dx;
+    sc->lam = 0.5 * dt / dx;
+    sc->dt_dx = dt / dx;
+    sc->half_kappa = 0.5 * kappa;
+}
+
 /* out = erf(x) on k values: the C library's erf, which Python's math.erf calls */
 void dw_erf(int64_t k, const double *x, double *out)
 {
@@ -842,13 +880,13 @@ POW_CLONED static int gamma_flux_and_speed(int64_t k, double neg_gamma,
 POW_CLONED static void chunk(const job *j, int64_t c, double *buf, partial *acc)
 {
     int64_t first = c * j->chunk, m = min64(j->chunk, j->m - first), s = m + 2;
-    edges(j->n, j->v, j->u, j->half_damp, j->lo + first, m, buf);
+    edges(j->n, j->v, j->u, j->sc.half_damp, j->lo + first, m, buf);
     double *v = REGION(V, m), *u = REGION(U, m), *mf = REGION(FLUX, m);
     if (j->closure == DW_GAMMA)
         dw_pow(2 * s, v, j->neg_gamma, 0, 1.0, mf);
     else
         dw_m1_momentum_flux(2 * s, v, u, mf);
-    predict(m, j->lam, mf, buf, first, acc);
+    predict(m, j->sc.lam, mf, buf, first, acc);
     acc->hyperbolic &= j->closure == DW_GAMMA
         ? gamma_flux_and_speed(2 * (m + 1), j->neg_gamma, v + 1, REGION(FLUX, m),
                                REGION(SPEED, m))
@@ -1067,25 +1105,34 @@ void dw_pool_stop(void)
     atomic_store(&pool.busy, 0);
 }
 
-/* The whole step with a built-in closure, DW_M1 or DW_GAMMA with exponent
- * gamma: the window, then its chunks (header), or with one_chunk the window
- * as one chunk in buf. */
-POW_CLONED void dw_step(int64_t n, const double *v, const double *u, int closure, double gamma,
-                    double half_damp, double lam, double dt_dx, double half_kappa,
-                    int one_chunk, double *buf, double *rows, dw_status *st)
+/* The whole step of dt on cells of width dx with a built-in closure, DW_M1,
+ * or DW_GAMMA with exponent gamma, and damping alpha: the scalars
+ * (dw_step_scalars), the window, then its chunks (header) on a scratch of
+ * one chunk allocated here, or with a buf the window as one chunk in buf, of
+ * N_REGIONS * 2 (n + 2) values.  Returns finish's flag, or -1 when the
+ * scratch cannot be allocated. */
+POW_CLONED int dw_step(int64_t n, const double *v, const double *u, int closure,
+                       double gamma, double alpha, double dt, double dx, double *buf,
+                       double *rows, dw_status *st)
 {
-    window(n, v, u, half_damp, st);
-    int64_t m = st->hi - st->lo, size = one_chunk ? m : CHUNK;
-    job j = {.n = n, .lo = st->lo, .m = m, .chunk = size, .v = v, .u = u,
-             .half_damp = half_damp, .lam = lam, .dt_dx = dt_dx,
-             .half_kappa = half_kappa, .closure = closure, .neg_gamma = -gamma,
+    job j = {.n = n, .v = v, .u = u, .closure = closure, .neg_gamma = -gamma,
              .rows = rows};
-    int64_t chunks = (m + size - 1) / size;
+    dw_step_scalars(alpha, dt, dx, &j.sc);
+    window(n, v, u, j.sc.half_damp, st);
+    j.lo = st->lo;
+    j.m = st->hi - st->lo;
+    j.chunk = buf ? j.m : CHUNK;
+    double *scratch = buf;
+    if (!buf && !(scratch = malloc(N_REGIONS * 2 * (min64(j.m, CHUNK) + 2) * sizeof *scratch)))
+        return -1;
+    int64_t chunks = (j.m + j.chunk - 1) / j.chunk;
     partial acc = NONE;
-    if (chunks == 1 || !pooled(&j, chunks, buf, &acc))
+    if (chunks == 1 || !pooled(&j, chunks, scratch, &acc))
         for (int64_t c = 0; c < chunks; c++)
-            chunk(&j, c, buf, &acc);
-    finish(&acc, st);
+            chunk(&j, c, scratch, &acc);
+    if (!buf)
+        free(scratch);
+    return finish(&acc, &j.sc, st);
 }
 
 /* Solves the tridiagonal system with subdiagonal dl[0 .. n-1), diagonal

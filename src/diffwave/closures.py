@@ -18,7 +18,8 @@ package's own ``pow`` (``_kernel.power``, in ``_step.c``), which gives the
 same bits on every CPU.  The transport step recognizes them
 (``ModelClosure.builtin_gamma``) and evaluates p and p' in C with the same
 routine, so the built-in step, the callables and the profile solver agree to
-the bit.
+the bit.  A closure resolves which built-in step it takes, if any, once, when
+it is made (``ModelClosure.builtin``).
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ class ModelClosure:
     ``p``/``dp``/``d2p`` act on v, ``g``/``dg`` on u, ``f``/``df``
     on v.  ``d3p``/``d4p`` give the third and fourth profile derivatives
     analytically; every closure supplies them.
+
+    ``builtin`` is the compiled step's closure and exponent, (DW_M1, 0.0)
+    when ``builtin_m1`` holds and (DW_GAMMA, gamma) when ``builtin_gamma``
+    does, else None.  It is resolved once, when the closure is made (and
+    again by ``dataclasses.replace``), and takes no part in ``==`` or
+    ``repr``.
     """
 
     name: str
@@ -72,11 +79,16 @@ class ModelClosure:
     df: Callable
     v_range: tuple[float, float]
     u_range: tuple[float, float]
+    builtin: tuple[int, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_positive("damping constant alpha", self.alpha)
         if self.v_range[0] <= 0.0 or self.v_range[0] >= self.v_range[1]:
             raise ValueError("v_range must be a nonempty interval of positive v")
+        lib = _kernel.lib
+        builtin = ((lib.DW_M1, 0.0) if self.builtin_m1
+                   else (lib.DW_GAMMA, self.p.gamma) if self.builtin_gamma else None)
+        object.__setattr__(self, "builtin", builtin)
 
     def admissible(self, v, u) -> bool:
         """True when every (v, u) sample lies inside the admissible box."""

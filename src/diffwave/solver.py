@@ -96,6 +96,7 @@ The solver works in the mass (Lagrangian) coordinate throughout;
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -161,7 +162,12 @@ class InitialDataError(ValueError):
 
 @dataclass
 class SimState:
-    """Cell-averaged (v, u) on a uniform grid at one instant."""
+    """Cell-averaged (v, u) on a uniform grid at one instant.
+
+    The ends are finite floats with x_left < x_right, and v and u are
+    contiguous float64 rows of n_cells values (a list or an integer array is
+    converted), as the compiled step reads them.
+    """
 
     x_left: float
     x_right: float
@@ -177,7 +183,13 @@ class SimState:
     max_abs_u: float = field(init=False)
 
     def __post_init__(self):
-        if len(self.v) != self.n_cells or len(self.u) != self.n_cells:
+        self.x_left, self.x_right = float(self.x_left), float(self.x_right)
+        if not -math.inf < self.x_left < self.x_right < math.inf:
+            raise ValueError(f"the domain ends must be finite with x_left < x_right, "
+                             f"not {self.x_left!r}, {self.x_right!r}")
+        self.v = np.ascontiguousarray(self.v, dtype=float)
+        self.u = np.ascontiguousarray(self.u, dtype=float)
+        if self.v.shape != (self.n_cells,) or self.u.shape != (self.n_cells,):
             raise ValueError("field length must equal n_cells")
         if np.any(self.v <= 0.0):
             raise ValueError("specific volume must stay positive")
@@ -354,7 +366,7 @@ def cfl_dt(state: SimState, cfl: float) -> float:
 
 
 def step(state: SimState, dt: float) -> SimState:
-    """One Strang-split step of size dt.
+    """One Strang-split step of size dt, 0 < dt < inf.
 
     The ghost cells copy the edge cells, so the far field follows its own
     damped law and the step needs no far-field data.  Only the window of
@@ -363,16 +375,43 @@ def step(state: SimState, dt: float) -> SimState:
     records the largest face speed of the step as its ``speed_bound`` and
     carries the running ``max_abs_u`` forward.
     """
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"the time step dt must be positive and finite, not {dt!r}")
     closure = state.closure
-    alpha = closure.alpha
-    dx = state.dx
+    ok, st, rows, buf = _kernel.step(closure, state.v, state.u, dt, state.dx)
+    if not ok:
+        _raise_failed_check(state, dt, st, buf)
+    t_new = state.t + dt
+    u_max = st.u_max
+    if closure.name == "m1" and u_max > 1.0:
+        warnings.warn(
+            f"|u| exceeded 1 at t={t_new:.6g}; the state has left the closure "
+            f"box |u| <= {closure.u_range[1]:g} and the physical flux limit",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
-    # kappa = sinh(h)/h is the mean of exp(-alpha (s - t_mid)) over the step,
-    # so the volume flux carries the far-field decay exactly (module docstring)
-    half_damp, kappa = _kernel.damping(0.5 * alpha * dt)
-    st, rows, buf = _kernel.step(
-        closure, state.v, state.u, half_damp, 0.5 * dt / dx, dt / dx, 0.5 * kappa
-    )
+    # the step's checks cover what SimState.__post_init__ would re-scan
+    new = object.__new__(SimState)
+    new.__dict__ = fields = state.__dict__.copy()
+    fields["v"] = rows[0]
+    fields["u"] = rows[1]
+    fields["t"] = t_new
+    fields["speed_bound"] = st.speed_bound
+    if u_max > state.max_abs_u:
+        fields["max_abs_u"] = u_max
+    return new
+
+
+def _raise_failed_check(state: SimState, dt: float, st, buf) -> None:
+    """Raise the error of the first check the step of dt from state failed.
+
+    The checks run in the order of the scheme: the reconstruction, the
+    faces' hyperbolicity (the NumPy eigen-solve on the face states raises
+    the same error), the Courant number dt * speed_bound / dx, then the new
+    cells.  The compiled step's flag (``_kernel.step``) is clear only when
+    one of them fails.
+    """
     lo = st.lo
 
     def cell(k):
@@ -385,44 +424,30 @@ def step(state: SimState, dt: float) -> SimState:
             f"negative specific volume in reconstruction near cell {bad} "
             f"at t={state.t:.6g}"
         )
-    if not st.hyperbolic:  # the NumPy eigen-solve raises the same error
+    if not st.hyperbolic:
         for face in _kernel.face_states(st, buf):
-            characteristic_speeds(closure, *face)
-    speed_bound = st.speed_bound
-    courant = dt * speed_bound / dx
+            characteristic_speeds(state.closure, *face)
+    courant = dt * st.speed_bound / state.dx
     if courant > 1.0:
         raise BlowUpError(f"Courant number {courant:.6g} exceeds 1 at t={state.t:.6g}")
-
     t_new = state.t + dt
     if st.nonfinite >= 0:
         bad = cell(st.nonfinite)
         raise BlowUpError(f"non-finite state in cell {bad} at t={t_new:.6g}")
     if st.vacuum >= 0:
         raise BlowUpError(f"vacuum reached in cell {cell(st.vacuum)} at t={t_new:.6g}")
-    u_max = st.u_max
-    if closure.name == "m1" and u_max > 1.0:
-        warnings.warn(
-            f"|u| exceeded 1 at t={t_new:.6g}; the state has left the closure "
-            f"box |u| <= {closure.u_range[1]:g} and the physical flux limit",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    # the checks above cover what SimState.__post_init__ would re-scan
-    new = object.__new__(SimState)
-    new.__dict__.update(
-        state.__dict__, v=rows[0], u=rows[1], t=t_new, speed_bound=speed_bound,
-        max_abs_u=max(state.max_abs_u, u_max),
-    )
-    return new
 
 
 def advance(state: SimState, t_end: float, cfl: float) -> SimState:
-    """Step ``state`` to ``t_end`` at the CFL time step.
+    """Step ``state`` to a finite ``t_end`` at the CFL time step, 0 < cfl < 1.
 
     The last step is shortened to land on ``t_end``; a state already
     within 1e-12 of it is returned as is.
     """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, not {t_end!r}")
+    if not 0.0 < cfl < 1.0:
+        raise ValueError(f"cfl must lie in (0, 1), not {cfl!r}")
     while state.t < t_end - 1e-12:
         state = step(state, min(cfl_dt(state, cfl), t_end - state.t))
     return state

@@ -65,11 +65,10 @@ def same_bits(a, b):
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-@pytest.fixture(scope="module")
-def m1_states():
-    """m1-default at t = 20 and t = 50, and its cfl."""
+def _preset_states(preset):
+    """The preset at t = 20 and t = 50, and its cfl."""
     spec, profile = config.build_scenario(
-        config.parse_config("[scenario]\npreset = m1-default\n"))
+        config.parse_config(f"[scenario]\npreset = {preset}\n"))
     state = build_initial_data(spec, profile)
     states = []
     for t in (20.0, 50.0):
@@ -78,10 +77,21 @@ def m1_states():
     return spec.cfl, states
 
 
-def test_concurrent_steps_match_serial_bits(m1_states):
+@pytest.fixture(scope="module")
+def preset_states():
+    """m1-default and gamma-default, the two built-in closures: each step
+    makes its own scratch in C, so concurrent steps share no buffer."""
+    return [_preset_states(preset) for preset in ("m1-default", "gamma-default")]
+
+
+def test_concurrent_steps_match_serial_bits(preset_states):
     """Two threads step at once, one of them with the pool's helper or both
     alone, and each gets the bits of stepping alone."""
-    cfl, states = m1_states
+    for cfl, states in preset_states:
+        _concurrent_steps_match_serial_bits(cfl, states)
+
+
+def _concurrent_steps_match_serial_bits(cfl, states):
     want = [_march(state, cfl, 50) for state in states]
     for _ in range(3):
         got = [None, None]
@@ -193,10 +203,11 @@ def test_gamma_chunks_keep_their_bits_on_one_cpu_and_on_two():
 
         def raw(one_chunk):
             n, ptr = end.v.size, _kernel._ptr
-            buf, rows = np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2)), np.empty((2, n))
+            buf = ptr(np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2))) if one_chunk else _kernel.ffi.NULL
+            rows = np.empty((2, n))
             st = _kernel.ffi.new("dw_status *")
-            _kernel.lib.dw_step(n, ptr(end.v), ptr(end.u), _kernel.lib.DW_GAMMA, 2.0, 0.999,
-                                0.02, 0.04, 0.5, one_chunk, ptr(buf), ptr(rows), st)
+            _kernel.lib.dw_step(n, ptr(end.v), ptr(end.u), _kernel.lib.DW_GAMMA, 2.0, 0.2,
+                                0.01, 0.25, buf, ptr(rows), st)
             return rows.tobytes(), st.speed_bound, st.hi - st.lo
 
         print(workers(), digest(end), raw(0) == raw(1), raw(0)[2] > 256)

@@ -176,6 +176,66 @@ def test_step_above_courant_one_raises(gamma_closure):
         step(state, 1.01 * courant_one)
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, -0.05, 0.0, -0.0])
+@pytest.mark.parametrize("closure", ["gamma_closure", "m1", "linear"])
+def test_step_rejects_a_dt_that_is_not_positive_and_finite(request, closure, dt):
+    """A NaN or infinite dt used to surface as a hyperbolicity or non-finite
+    error, and a negative one returned a state at a negative time."""
+    n = 16
+    state = SimState(-1.0, 1.0, n, np.ones(n), np.full(n, 0.01), 0.0,
+                     request.getfixturevalue(closure))
+    with pytest.raises(ValueError, match=r"time step dt must be positive and finite") as err:
+        step(state, dt)
+    assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "t_end, cfl, name",
+    [(np.nan, 0.45, "t_end"), (np.inf, 0.45, "t_end"), (-np.inf, 0.45, "t_end"),
+     (1.0, np.nan, "cfl"), (1.0, -0.2, "cfl"), (1.0, 0.0, "cfl"), (1.0, 1.0, "cfl"),
+     (1.0, 1.5, "cfl")],
+)
+def test_advance_rejects_bad_arguments(gamma_closure, t_end, cfl, name):
+    """A NaN t_end used to return the state unchanged, and a bad cfl to run
+    backwards, lose hyperbolicity or blow up."""
+    n = 16
+    state = SimState(-1.0, 1.0, n, np.ones(n), np.full(n, 0.01), 0.0, gamma_closure)
+    with pytest.raises(ValueError, match=rf"^{name} must") as err:
+        advance(state, t_end, cfl)
+    assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("ends", [(1.0, -1.0), (1.0, 1.0), (np.nan, 1.0), (-1.0, np.inf),
+                                  (-np.inf, 1.0)])
+def test_sim_state_rejects_bad_domain_ends(gamma_closure, ends):
+    with pytest.raises(ValueError, match="domain ends must be finite with x_left < x_right"):
+        SimState(*ends, 3, np.ones(3), np.zeros(3), 0.0, gamma_closure)
+
+
+@pytest.mark.parametrize("closure", ["gamma_closure", "m1", "linear"])
+def test_sim_state_takes_lists_and_ints_as_float64(request, closure):
+    """List, integer and strided input become contiguous float64 rows, and
+    step to the bits of the same float64 arrays."""
+    closure = request.getfixturevalue(closure)
+    n = 40
+    v = [1 + (k % 7 == 3) for k in range(n)]  # ints: 1 and 2
+    u = [0.01 * (k % 5) for k in range(n)]
+    want = SimState(-4.0, 4.0, n, np.array(v, dtype=float), np.array(u), 0.0, closure)
+    strided = np.repeat(np.array(u), 2)[::2]
+    for got in (SimState(-4, 4, n, v, u, 0, closure),
+                SimState(-4, 4.0, n, np.array(v), strided, 0.0, closure)):
+        assert type(got.x_left) is float and got.dx == want.dx
+        for row in (got.v, got.u):
+            assert row.dtype == np.float64 and row.flags.c_contiguous
+        ref = want
+        for _ in range(3):
+            got, ref = step(got, 0.01), step(ref, 0.01)
+            assert np.array_equal(got.v.view(np.uint64), ref.v.view(np.uint64))
+            assert np.array_equal(got.u.view(np.uint64), ref.u.view(np.uint64))
+    with pytest.raises(ValueError, match="field length"):
+        SimState(-4.0, 4.0, n, np.ones((2, n // 2)), np.zeros(n), 0.0, closure)
+
+
 def test_constant_state_is_exact_equilibrium(gamma_closure):
     n = 256
     state = SimState(-10.0, 10.0, n, np.ones(n), np.zeros(n), 0.0, gamma_closure)

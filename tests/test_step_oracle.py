@@ -521,27 +521,62 @@ def test_constant_state_still_runs_the_flux():
 
 # The built-in m1 and gamma steps run their window in chunks of 256 cells,
 # each on its own scratch, and fold what each chunk finds into the status
-# (``_step.c``).  The error path runs the window as one chunk.  These cases
-# put each finding next to a chunk edge and compare the two runs field by
-# field.
+# (``_step.c``).  The error path runs the window as one chunk, in a buffer it
+# is handed.  These cases put each finding next to a chunk edge and compare
+# the two runs field by field.
 
 M1 = (_kernel.lib.DW_M1, 0.0)
 GAMMA2 = (_kernel.lib.DW_GAMMA, 2.0)
 
 
+# the step's (alpha, dt, dx) in the raw calls: e^-h = 0.995012..., dt/dx = 0.04
+RAW_STEP = (1.0, 0.01, 0.25)
+
+
 def _step_raw(v, u, one_chunk, builtin=M1, lib=_kernel.lib):
-    """dw_step on (v, u) with a built-in closure: the status fields and the
-    successor rows."""
+    """dw_step on (v, u) with a built-in closure, in chunks or as one chunk:
+    the status fields and the flag, and the successor rows."""
     v, u = _kernel.as_pair(v, u)
     n = v.size
-    buf = np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2))
+    buf = np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2)) if one_chunk else None
     rows = np.full((2, n), -7.0)  # shows a cell the step does not write
     st = _kernel.ffi.new("dw_status *")
     ptr = _kernel._ptr
-    lib.dw_step(n, ptr(v), ptr(u), *builtin, 0.995, 0.02, 0.04, 0.5,
-                one_chunk, ptr(buf), ptr(rows), st)
+    ok = lib.dw_step(n, ptr(v), ptr(u), *builtin, *RAW_STEP,
+                     _kernel.ffi.NULL if buf is None else ptr(buf), ptr(rows), st)
     bits = [np.float64(x).view(np.uint64) for x in (st.speed_bound, st.u_max)]
-    return (st.lo, st.hi, st.thin_face, st.hyperbolic, *bits, st.nonfinite, st.vacuum), rows
+    return (st.lo, st.hi, st.thin_face, st.hyperbolic, *bits, st.nonfinite, st.vacuum,
+            ok), rows
+
+
+@pytest.mark.parametrize(
+    "closure", [m1_closure(1.0), gamma_law_closure(2.0, 1.0),
+                _user_built(gamma_law_closure(2.0, 1.0))],
+    ids=["m1", "gamma2", "gamma2-rewrapped"],
+)
+def test_step_flag_is_set_only_when_every_check_passes(closure):
+    """The flag ``_kernel.step`` returns, on the built-in and the callable
+    path: 1 on a clean step, 0 on a Courant number above 1 that every other
+    check passes, and 0 on each failing cell check."""
+    n = 300
+    v, u = _wavy(n)
+    dx = 8.0 / n
+    courant_one = dx / float(np.max(wave_speed_bound(closure, v, u)))
+
+    def run(v, u, dt):
+        ok, st, _, _ = _kernel.step(closure, v, u, dt, dx)
+        return ok, (st.thin_face, st.hyperbolic, st.nonfinite, st.vacuum)
+
+    clean = (-1, 1, -1, -1)
+    assert run(v, u, 0.5 * courant_one) == (1, clean)
+    ok, checks = run(v, u, 1.2 * courant_one)  # the face speeds grow by less than 20 %
+    assert ok == 0 and checks == clean
+    for row, value in (("v", np.nan), ("v", 1e-3)):
+        bad_v, bad_u = v.copy(), u.copy()
+        (bad_v if row == "v" else bad_u)[150] = value
+        with np.errstate(all="ignore"):
+            ok, checks = run(bad_v, bad_u, 0.1 * courant_one)
+        assert ok == 0 and checks != clean
 
 
 def _chunked_like_one_chunk(v, u, builtin=M1):
@@ -568,7 +603,7 @@ def test_chunked_m1_step_folds_like_one_chunk(cell, row, value, field, found):
     v, u = _wavy(1400)
     (v if row == "v" else u)[cell] = value
     status = _chunked_like_one_chunk(v, u)
-    assert status[:2] == (0, 1400)
+    assert status[:2] == (0, 1400) and status[-1] == 0  # the flag
     want = {"thin": cell, "before": cell - 1}.get(found, found)
     assert status[field] == want
 
@@ -601,6 +636,7 @@ def test_chunked_m1_step_on_windows_about_chunk_edges(width):
     u[100:100 + width] += 0.03 * np.sin(2.0 * x)
     status = _chunked_like_one_chunk(v, u)
     assert status[1] - status[0] >= width and status[0] > 0 and status[1] < n
+    assert status[-1] == 1  # every check passed
 
 
 @pytest.mark.parametrize("row, value", [("u", 1.2), ("v", np.nan), ("v", 1e-3)],
@@ -637,7 +673,7 @@ def test_chunked_gamma_step_folds_like_one_chunk(cell, row, value, field):
     v, u = _wavy(1400)
     (v if row == "v" else u)[cell] = value
     status = _chunked_like_one_chunk(v, u, GAMMA2)
-    assert status[:2] == (0, 1400)
+    assert status[:2] == (0, 1400) and status[-1] == 0
     assert status[field] == (cell if field == 2 else cell - 1)
 
 
@@ -650,6 +686,7 @@ def test_chunked_gamma_step_on_windows_about_chunk_edges():
         u[100:100 + width] += 0.03 * np.sin(2.0 * x)
         status = _chunked_like_one_chunk(v, u, GAMMA2)
         assert status[1] - status[0] >= width and status[0] > 0 and status[1] < n
+        assert status[-1] == 1
 
 
 @pytest.mark.parametrize("value", [-0.5, np.nan, 1e-3], ids=["thin", "nonfinite", "vacuum"])
@@ -717,7 +754,7 @@ def test_builtin_gamma_face_values_are_the_callables_bits():
     buf = np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2))
     st = _kernel.ffi.new("dw_status *")
     ptr = _kernel._ptr
-    _kernel.lib.dw_step(n, ptr(v), ptr(u), *GAMMA2, 0.995, 0.02, 0.04, 0.5, 1, ptr(buf),
+    _kernel.lib.dw_step(n, ptr(v), ptr(u), *GAMMA2, *RAW_STEP, ptr(buf),
                         ptr(np.empty((2, n))), st)
     m, region = st.hi - st.lo, 2 * (st.hi - st.lo + 2)
     right_v = _kernel.face_states(st, buf)[1][0]
