@@ -38,9 +38,9 @@ package's one evaluation of the flux and the wave speed.
 
 ``power`` is the package's own pow, within 1 ulp and the same bits on
 every CPU and under any NumPy dispatch: the gamma law's callables call it.
-``damping`` gives a step's two scalars e^-h and sinh(h)/h from the same
-routine's exp, as the step computes them in C.  ``erf`` is the C library's
-erf in one loop, ``tridiagonal_solve`` the profile solver's Newton step.
+The step's damping scalars e^-h and sinh(h)/h come from the same routine's
+exp, in C (``dw_step_scalars``).  ``erf`` is the C library's erf in one
+loop, ``tridiagonal_solve`` the profile solver's Newton step.
 """
 
 from __future__ import annotations
@@ -207,7 +207,6 @@ atexit.register(lib.dw_pool_stop)
 _DOUBLES = ffi.typeof("double[]")
 _STATUS = ffi.typeof("dw_status *")
 _STEP_SCALARS = ffi.typeof("dw_scalars *")
-_PAIR = ffi.typeof("double[2]")
 _FLOAT64 = np.dtype(float)
 _ORDERS = range(5)
 
@@ -297,10 +296,11 @@ def step(closure, v, u, dt: float, dx: float):
     closure's two rounds; ``st.thin_face >= 0`` stops it after the
     predictor.  Raises MemoryError when C cannot allocate its scratch.
     """
-    n, pv, pu = v.size, _ptr(v), _ptr(u)
-    if len(pv) != n or len(pu) != n:  # C reads n doubles of each
+    n = v.size
+    if v.dtype != _FLOAT64 or u.dtype != _FLOAT64 or u.size != n:  # C reads n doubles of each
         raise ValueError(f"the cells must be float64 rows of one size, not "
                          f"{v.dtype} {v.shape} and {u.dtype} {u.shape}")
+    pv, pu = _ptr(v), _ptr(u)  # raises unless contiguous
     rows = np.empty((2, n))
     st = ffi.new(_STATUS)
     builtin = closure.builtin
@@ -405,15 +405,6 @@ def erf(x):
     out = np.empty_like(x)
     lib.dw_erf(x.size, _ptr(x), _ptr(out))
     return out
-
-
-def damping(h: float):
-    """(e**-h, sinh(h)/h) on the package's exp (``dw_damping``), within 1 ulp:
-    the step's damping factor and its mean over the step, for
-    h = alpha dt / 2.  e**-h is the package's exp for any h."""
-    out = ffi.new(_PAIR)
-    lib.dw_damping(h, out, out + 1)
-    return out[0], out[1]
 
 
 def m1_momentum_flux(v, u):

@@ -663,17 +663,6 @@ typedef struct {
     double *rows;     /* the successor's (v, u) */
 } job;
 
-/* v_new and u_new from from to to - 1 set to (fv, fu): held in registers,
-   the stores vectorize */
-static inline void fill(double *v_new, double *u_new, int64_t from, int64_t to, double fv,
-                        double fu)
-{
-    for (int64_t i = from; i < to; i++) {
-        v_new[i] = fv;
-        u_new[i] = fu;
-    }
-}
-
 /* The faces of the m cells in buf from window cell first, from the face
  * combine in FLUX and SPEED; the update of those cells into rows; the state
  * checks; and the far field next to the window's first or last cell, filled
@@ -724,9 +713,15 @@ static inline void update(const job *j, int64_t first, int64_t m, double *buf,
     }
 
     if (first == 0)
-        fill(v_new, u_new, 0, lo, v_new[lo], u_new[lo]);
+        for (int64_t i = 0; i < lo; i++) {
+            v_new[i] = v_new[lo];
+            u_new[i] = u_new[lo];
+        }
     if (first + m == j->m)
-        fill(v_new, u_new, lo + m, n, v_new[lo + m - 1], u_new[lo + m - 1]);
+        for (int64_t i = lo + m; i < n; i++) {
+            v_new[i] = v_new[lo + m - 1];
+            u_new[i] = u_new[lo + m - 1];
+        }
 }
 
 /* Stage 3.  p .. df are the closure's values on the 2 (m + 1) face states

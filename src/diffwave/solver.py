@@ -61,7 +61,8 @@ operation NumPy performs, in the same order and without fused multiply-adds,
 so the step is bit for bit the NumPy formulation that
 ``tests/test_step_oracle.py`` keeps as its oracle.
 
-When the closure is built in, the whole step is one C call.  For the m1
+When the closure is built in (``ModelClosure.builtin``, resolved once
+when the closure is made), the whole step is one C call.  For the m1
 closure (``ModelClosure.builtin_m1``) C copies of p, p', g, g', f and f' run,
 operation for operation (they use only +, -, *, / and sqrt, which round
 correctly on both sides).  For the gamma law (``ModelClosure.builtin_gamma``)
@@ -85,10 +86,13 @@ hyperbolicity flag; ``closures.wave_speed_bound`` takes its speeds from the
 same combine (``_kernel.flux_and_speed``).  When a discriminant is lost,
 ``closures.characteristic_speeds`` on the face states raises the error.
 ``_kernel.step`` runs the stages and alone knows the step's buffer;
-``step`` keeps the scheme's scalars and turns the status into errors.  Its
-two scalars, the damping factor exp(-alpha dt/2) and kappa, come from the
-package's ``exp`` too (``_kernel.damping``), so a step's bits do not depend
-on NumPy's dispatch.
+``step`` checks dt and turns a failed check into its error.  C computes the
+step's scalars from (alpha, dt, dx) (``dw_step_scalars``, for both paths):
+the damping factor exp(-alpha dt/2) and kappa come from the package's
+``exp`` too, so a step's bits do not depend on NumPy's dispatch, and
+dt/(2 dx) and dt/dx are the NumPy formulation's operations.  C also returns
+one flag that says every check passed; only when it is clear does ``step``
+read the rest of the status and raise.
 
 The solver works in the mass (Lagrangian) coordinate throughout;
 ``lagrangian_transform`` maps Eulerian initial data into that frame.
@@ -383,7 +387,7 @@ def step(state: SimState, dt: float) -> SimState:
         _raise_failed_check(state, dt, st, buf)
     t_new = state.t + dt
     u_max = st.u_max
-    if closure.name == "m1" and u_max > 1.0:
+    if u_max > 1.0 and closure.name == "m1":
         warnings.warn(
             f"|u| exceeded 1 at t={t_new:.6g}; the state has left the closure "
             f"box |u| <= {closure.u_range[1]:g} and the physical flux limit",
