@@ -203,7 +203,9 @@ def test_gamma_chunks_keep_their_bits_on_one_cpu_and_on_two():
 
         def raw(one_chunk):
             n, ptr = end.v.size, _kernel._ptr
-            buf = ptr(np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2))) if one_chunk else _kernel.ffi.NULL
+            buf = _kernel.ffi.NULL  # chunked: the step makes its own scratch
+            if one_chunk:
+                buf = ptr(np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2)))
             rows = np.empty((2, n))
             st = _kernel.ffi.new("dw_status *")
             _kernel.lib.dw_step(n, ptr(end.v), ptr(end.u), _kernel.lib.DW_GAMMA, 2.0, 0.2,

@@ -24,7 +24,6 @@ from diffwave.closures import (
     wave_speed_bound,
 )
 from diffwave._kernel import minmod as solver_minmod
-from test_elementary import damping
 from diffwave.solver import (
     BlowUpError,
     PerturbationSpec,
@@ -33,6 +32,7 @@ from diffwave.solver import (
     cfl_dt,
     step,
 )
+from test_elementary import damping
 
 
 def same_bits(a, b):
@@ -572,11 +572,11 @@ def test_step_flag_is_set_only_when_every_check_passes(closure):
     assert run(v, u, 0.5 * courant_one) == (1, clean)
     ok, checks = run(v, u, 1.2 * courant_one)  # the face speeds grow by less than 20 %
     assert ok == 0 and checks == clean
-    for row, value in (("v", np.nan), ("v", 1e-3)):
-        bad_v, bad_u = v.copy(), u.copy()
-        (bad_v if row == "v" else bad_u)[150] = value
+    for value in (np.nan, 1e-3):  # a non-finite cell, a vacuum
+        bad_v = v.copy()
+        bad_v[150] = value
         with np.errstate(all="ignore"):
-            ok, checks = run(bad_v, bad_u, 0.1 * courant_one)
+            ok, checks = run(bad_v, u, 0.1 * courant_one)
         assert ok == 0 and checks != clean
 
 
