@@ -223,16 +223,6 @@ def as_pair(v, u):
     return v, u
 
 
-def minmod(d):
-    """Minmod slopes of the adjacent difference pairs of the 1-D array d."""
-    d = np.ascontiguousarray(d, dtype=float)
-    if d.ndim != 1:
-        raise ValueError(f"minmod takes one row, not shape {d.shape}")
-    out = np.empty(max(d.size - 1, 0))
-    lib.dw_minmod(d.size, _ptr(d), _ptr(out))
-    return out
-
-
 def _row(x, size: int):
     """x as a contiguous float64 row of size values, broadcast if it is smaller."""
     x = np.ascontiguousarray(x, dtype=float)

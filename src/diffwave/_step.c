@@ -14,7 +14,7 @@
  * dw_step.  With any other closure the step makes two closure rounds, and
  * these three stages run before, between and after them:
  *
- *   dw_edges    ghost cells, the bitwise window, the minmod edge values;
+ *   dw_edges    ghost cells, the bitwise window, the edge values;
  *   dw_predict  the momentum flux p - g f of the closure's first round, the
  *               MUSCL-Hancock predictor and the reconstruction check;
  *   dw_update   the face combine of the closure's second round, the local
@@ -98,7 +98,6 @@ typedef struct {
     double half_kappa;  /* kappa / 2, kappa = sinh(h) / h: the central volume flux */
 } dw_scalars;
 void dw_step_scalars(double alpha, double dt, double dx, dw_scalars *sc);
-void dw_minmod(int64_t len, const double *d, double *out);
 void dw_edges(int64_t n, const double *v, const double *u, const dw_scalars *sc,
               double *buf, dw_status *st);
 void dw_predict(const dw_scalars *sc, const double *p, const double *g, const double *f,
@@ -418,24 +417,6 @@ static int finish(const partial *p, const dw_scalars *sc, dw_status *st)
            && st->vacuum < 0;
 }
 
-/* a * b > 0 ? (|a| < |b| ? a : b) : 0.0, selected through bit masks so that
- * the slope loops vectorize.  The ``a * b > 0`` test keeps the slope at +0
- * when the product underflows or a difference is a signed zero; a tie
- * returns b. */
-static inline double minmod(double a, double b)
-{
-    uint64_t take_a = -(uint64_t)(fabs(a) < fabs(b));
-    uint64_t same_sign = -(uint64_t)(a * b > 0.0);
-    return from_bits(((bits(a) & take_a) | (bits(b) & ~take_a)) & same_sign);
-}
-
-/* minmod of the len - 1 adjacent pairs of d, for the tests' pinned cases */
-void dw_minmod(int64_t len, const double *d, double *out)
-{
-    for (int64_t k = 0; k + 1 < len; k++)
-        out[k] = minmod(d[k], d[k + 1]);
-}
-
 /* nonzero when any of the k pairs i, i + 1 from i = first of the extended
  * rows (v, u half_damp) differ in bits */
 static inline uint64_t differ(const double *v, const double *u, double half_damp,
@@ -475,12 +456,15 @@ static inline void window(int64_t n, const double *v, const double *u, double ha
     }
 }
 
-/* the minmod edge values of cells 1 .. k of the extended row w */
+/* the edge values of cells 1 .. k of the extended row w, from Fromm's
+   unlimited central slope (w[i + 2] - w[i]) / 2.  A quarter of the
+   difference rounds as the NumPy formulation's two halvings do, also below
+   the normal range, so it is their bits. */
 static inline void edge_values(int64_t k, const double *restrict w,
                                double *restrict at_l, double *restrict at_r)
 {
     for (int64_t i = 0; i < k; i++) {
-        double half_slope = 0.5 * minmod(w[i + 1] - w[i], w[i + 2] - w[i + 1]);
+        double half_slope = 0.25 * (w[i + 2] - w[i]);
         at_l[i] = w[i + 1] - half_slope;
         at_r[i] = w[i + 1] + half_slope;
     }

@@ -332,8 +332,8 @@ def residual_check(
     Takes three consecutive states at uniform spacing; time derivatives
     are centered at the middle state (V_tt as the centered difference of
     z, which is V_t, so only one numerical time-derivative order is
-    ever applied to a field; slope-limiter chatter would otherwise be
-    amplified by the second difference), spatial derivatives are
+    ever applied to a field; the scheme's grid-scale error would otherwise
+    be amplified by the second difference), spatial derivatives are
     centered stencils.  The forcings are
 
         F1 = (1/alpha) p(vbar)_xt
@@ -342,9 +342,8 @@ def residual_check(
 
     with vbar shifted by x0 and (v, u) the actual numerical fields.
     Edge cells where the stencils degrade are excluded from the norms.
-    The rms residual refines at the scheme's order; the max residual is
-    dominated by the cells where the limiter clips smooth extrema and
-    refines more slowly.
+    The rms residual refines at the scheme's order; the max residual sits
+    in a few cells of the steepest gradients and need not.
     """
     sm, s0, sp = states
     dt1 = s0.t - sm.t

@@ -335,8 +335,9 @@ def check_m1_run(series, spec, profile) -> CriterionResult:
     u_max = float(series.final_state.max_abs_u)
 
     # residual refinement at a post-transient time: snapshots spaced
-    # wider than the CFL step so limiter chatter is not amplified by the
-    # time difference, and measured in rms where the scheme order shows
+    # wider than the CFL step so the scheme's grid-scale error is not
+    # amplified by the time difference, and measured in rms where the
+    # scheme order shows
     def resid_at(n_cells, t_snap=80.0, spacing=1.0):
         sp = replace(spec, n_cells=n_cells, x_max=60.0, end_time=t_snap + 2 * spacing)
         st = build_initial_data(sp, profile)

@@ -5,10 +5,13 @@ and asserts each result; one PASS/FAIL line per criterion goes to
 stdout (visible with ``pytest -s`` or through ``diffwave verify``).
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from diffwave import diagnostics, verify
+from diffwave.cli import main
 from diffwave.verify import run_acceptance
 
 
@@ -37,9 +40,13 @@ def test_gates_are_fixed_points():
 
 
 @pytest.fixture(scope="module")
-def acceptance(tmp_path_factory):
-    out = str(tmp_path_factory.mktemp("verify_out"))
-    results, artifacts = run_acceptance(fast=False, out_dir=out)
+def verify_out(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("verify_out"))
+
+
+@pytest.fixture(scope="module")
+def acceptance(verify_out):
+    results, artifacts = run_acceptance(fast=False, out_dir=verify_out)
     for res in results:
         print(res.line(), res.details)
     return {r.cid: r for r in results}, artifacts
@@ -131,3 +138,13 @@ def test_monotone_decay_after_transient(acceptance):
         vals = series.series("l2_V")
         late = vals[t >= 10.0]
         assert np.all(np.diff(late) <= 0.01 * late[:-1]), key
+
+
+@pytest.mark.parametrize("name", ["series_gamma", "series_m1"])
+def test_rates_verdict_passes_on_both_series(acceptance, verify_out, tmp_path, name):
+    """``diffwave rates --targets improved`` on each series the run wrote
+    exits 0: all seven improved targets, l2_zxx included, which no gate
+    covers."""
+    series = os.path.join(verify_out, f"{name}.csv")
+    assert main(["rates", "--series", series, "--targets", "improved",
+                 "--out", str(tmp_path)]) == 0

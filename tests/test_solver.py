@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from diffwave import HyperbolicityError, gamma_law_closure, solve_profile
+from diffwave import HyperbolicityError, config, gamma_law_closure, solve_profile
 from diffwave.solver import (
     BlowUpError,
     PerturbationSpec,
@@ -192,12 +192,12 @@ def test_step_rejects_a_dt_that_is_not_positive_and_finite(request, closure, dt)
 @pytest.mark.parametrize(
     "t_end, cfl, name",
     [(np.nan, 0.45, "t_end"), (np.inf, 0.45, "t_end"), (-np.inf, 0.45, "t_end"),
-     (1.0, np.nan, "cfl"), (1.0, -0.2, "cfl"), (1.0, 0.0, "cfl"), (1.0, 1.0, "cfl"),
-     (1.0, 1.5, "cfl")],
+     (-1.0, 0.45, "t_end"), (1.0, np.nan, "cfl"), (1.0, -0.2, "cfl"), (1.0, 0.0, "cfl"),
+     (1.0, 1.0, "cfl"), (1.0, 1.5, "cfl")],
 )
 def test_advance_rejects_bad_arguments(gamma_closure, t_end, cfl, name):
-    """A NaN t_end used to return the state unchanged, and a bad cfl to run
-    backwards, lose hyperbolicity or blow up."""
+    """A NaN or earlier t_end used to return the state unchanged, and a bad
+    cfl to run backwards, lose hyperbolicity or blow up."""
     n = 16
     state = SimState(-1.0, 1.0, n, np.ones(n), np.full(n, 0.01), 0.0, gamma_closure)
     with pytest.raises(ValueError, match=rf"^{name} must") as err:
@@ -369,11 +369,33 @@ def test_step_against_spectral_reference(gamma_closure):
         ur = np.interp(x, xref, uref)
         err = np.sqrt(np.mean((state.v - vr) ** 2 + (state.u - ur) ** 2))
         errs.append(err)
-    # limiter clipping at the bump crest caps the observed L2 order a
-    # little below 2; the contract is order >= 1.5 against the oracle
+    # Fromm's central slope gives L2 orders of 2.3 and 2.6 here; the
+    # contract is order >= 1.5 against the oracle
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.45)
     assert errs[-1] < 2e-6
+
+
+@pytest.mark.parametrize("amplitude", [0.1, -0.1])
+@pytest.mark.parametrize(
+    "preset, v_plus", [("gamma-default", 1.5), ("m1-default", 1.45)], ids=["gamma", "m1"]
+)
+def test_runs_at_the_smallness_caps_stay_in_the_box(preset, v_plus, amplitude):
+    """Wave strength 0.5 (m1's u_plus = 0.05 counts), the largest bump
+    amplitude and a narrow bump, on 2048 cells to t = 500.  The slope is not
+    limited, so this is the scheme's robustness guard: the run finishes
+    inside the closure's box, with v back between its far-field values."""
+    cfg = config.parse_config(
+        f"[scenario]\npreset = {preset}\nv_plus = {v_plus}\n"
+        f"perturbation_amplitude = {amplitude}\nperturbation_width = 0.5\n"
+        "[grid]\nn_cells = 2048\n"
+    )
+    spec, profile = config.build_scenario(cfg)
+    assert spec.wave_strength == pytest.approx(0.5)
+    state = advance(build_initial_data(spec, profile), spec.end_time, spec.cfl)
+    assert state.t == spec.end_time == 500.0
+    assert spec.closure.admissible(state.v, state.u)
+    assert spec.v_minus - 1e-9 <= state.v.min() and state.v.max() <= v_plus + 1e-9
 
 
 def test_step_blow_up_detection(gamma_closure):
@@ -387,21 +409,25 @@ def test_step_blow_up_detection(gamma_closure):
 
 
 @pytest.mark.parametrize(
-    "u, dt, message",
+    "v, u, dt, message",
     [
-        (np.r_[np.zeros(8), 1e308, -1e308, np.zeros(6)], 0.1,
+        # u rises, so the predictor only widens the cells; the faces right
+        # of cell 8 carry u_L + u_R > DBL_MAX
+        (1.0, np.r_[np.zeros(8), np.full(8, 1e308)], 0.1,
          "non-finite state in cell 8 at t=0.1"),
-        (np.r_[np.full(8, 5.0), np.full(8, -5.0)], 0.6,
-         "vacuum reached in cell 7 at t=0.6"),
-        # the only slope is at cell 10, so the step's window starts at cell 7
-        (np.r_[np.zeros(10), -10.0, -20.0, -10.0, np.zeros(3)], 0.6,
+        # v = 4 keeps the face speeds, and so the Courant number, small
+        (4.0, np.r_[np.full(8, 5.0), np.full(8, -5.0)], 1.7,
+         "vacuum reached in cell 7 at t=1.7"),
+        # the only falling slope, (u[k+1] - u[k-1]) / 2, is at cell 10, and
+        # the step's window starts at cell 8
+        (1.0, np.r_[np.zeros(11), -20.0, np.zeros(4)], 0.6,
          "negative specific volume in reconstruction near cell 10 at t=0$"),
     ],
     ids=["non-finite", "vacuum", "reconstruction"],
 )
-def test_step_names_the_failing_cell(gamma_closure, u, dt, message):
+def test_step_names_the_failing_cell(gamma_closure, v, u, dt, message):
     """The state checks name the domain cell, not the window's."""
-    state = SimState(-8.0, 8.0, 16, np.ones(16), u, 0.0, gamma_closure)
+    state = SimState(-8.0, 8.0, 16, np.full(16, v), u, 0.0, gamma_closure)
     with np.errstate(all="ignore"), pytest.raises(BlowUpError, match=message):
         step(state, dt)
 
@@ -412,12 +438,12 @@ def test_nan_volume_hides_the_reconstruction_check(gamma_closure):
     A face row's minimum propagates the NaN, so the reconstruction check does
     not fire and the hyperbolicity check names the first failing face state.
     """
-    u = np.r_[np.zeros(10), -10.0, -20.0, -10.0, np.zeros(3)]
+    u = np.r_[np.zeros(11), -20.0, np.zeros(4)]
     v = np.ones(16)
     v[14] = np.nan
     state = SimState(-8.0, 8.0, 16, v, u, 0.0, gamma_closure)
     with np.errstate(all="ignore"), pytest.raises(
-        HyperbolicityError, match=r"state \(v=-1.22245, u=-11.1123\)"
+        HyperbolicityError, match=r"state \(v=-1.22245, u=-3.70409\)"
     ):
         step(state, 0.6)
 
@@ -438,6 +464,18 @@ def test_run_end_time_zero(gamma_closure):
     )
     series = run(spec, profile, [0.0])
     assert series.t == [0.0]
+
+
+def test_run_rejects_a_negative_sample_time(gamma_closure):
+    """Two negative sample times used to record the t = 0 state twice."""
+    profile = solve_profile(gamma_closure, 1.0, 1.0, n_cells=128)
+    spec = ScenarioSpec(
+        closure=gamma_closure, v_minus=1.0, v_plus=1.0,
+        perturbation=PerturbationSpec(amplitude=0.0),
+        n_cells=64, x_max=20.0, end_time=1.0,
+    )
+    with pytest.raises(ValueError, match=r"^sample times must be >= 0, not -2.0$"):
+        run(spec, profile, [-2.0, -1.0, 0.5])
 
 
 def test_run_constant_state_norms_vanish(gamma_closure):

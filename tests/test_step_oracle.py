@@ -23,7 +23,6 @@ from diffwave.closures import (
     m1_closure,
     wave_speed_bound,
 )
-from diffwave._kernel import minmod as solver_minmod
 from diffwave.solver import (
     BlowUpError,
     PerturbationSpec,
@@ -54,10 +53,6 @@ def reference_wave_speed_bound(closure, v, u):
     return np.maximum(np.abs(lam_minus), np.abs(lam_plus))
 
 
-def _minmod(a, b):
-    return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
-
-
 def _flux(closure, v, u):
     return -u, closure.p(v) - closure.g(u) * closure.f(v)
 
@@ -67,6 +62,32 @@ def reference_cfl_dt(state, cfl):
     if amax is None:
         amax = float(np.max(reference_wave_speed_bound(state.closure, state.v, state.u)))
     return cfl * state.dx / amax
+
+
+def reference_faces(closure, v, u, lam):
+    """((vL, uL), (vR, uR)): the left and right states of the n + 1 faces of
+    the rows (v, u) after the MUSCL-Hancock predictor, lam = dt / (2 dx)."""
+    # transmissive boundary: the ghost cells copy the edge cells
+    ve = np.concatenate(([v[0], v[0]], v, [v[-1], v[-1]]))
+    ue = np.concatenate(([u[0], u[0]], u, [u[-1], u[-1]]))
+
+    # Fromm's unlimited central slopes
+    sv = 0.5 * (ve[2:] - ve[:-2])
+    su = 0.5 * (ue[2:] - ue[:-2])
+
+    vl = ve[1:-1] - 0.5 * sv
+    vr = ve[1:-1] + 0.5 * sv
+    ul = ue[1:-1] - 0.5 * su
+    ur = ue[1:-1] + 0.5 * su
+    fvl, ful = _flux(closure, vl, ul)
+    fvr, fur = _flux(closure, vr, ur)
+    dv_pred = lam * (fvl - fvr)
+    du_pred = lam * (ful - fur)
+    vl = vl + dv_pred
+    vr = vr + dv_pred
+    ul = ul + du_pred
+    ur = ur + du_pred
+    return (vr[:-1], ur[:-1]), (vl[1:], ul[1:])
 
 
 def reference_step(state, dt):
@@ -80,31 +101,7 @@ def reference_step(state, dt):
     u = state.u * half_damp
     v = state.v
 
-    # transmissive boundary: the ghost cells copy the edge cells
-    ve = np.concatenate(([v[0], v[0]], v, [v[-1], v[-1]]))
-    ue = np.concatenate(([u[0], u[0]], u, [u[-1], u[-1]]))
-
-    dv = np.diff(ve)
-    du = np.diff(ue)
-    sv = _minmod(dv[:-1], dv[1:])
-    su = _minmod(du[:-1], du[1:])
-
-    vl = ve[1:-1] - 0.5 * sv
-    vr = ve[1:-1] + 0.5 * sv
-    ul = ue[1:-1] - 0.5 * su
-    ur = ue[1:-1] + 0.5 * su
-    fvl, ful = _flux(closure, vl, ul)
-    fvr, fur = _flux(closure, vr, ur)
-    lam = 0.5 * dt / dx
-    dv_pred = lam * (fvl - fvr)
-    du_pred = lam * (ful - fur)
-    vl = vl + dv_pred
-    vr = vr + dv_pred
-    ul = ul + du_pred
-    ur = ur + du_pred
-
-    vL, uL = vr[:-1], ur[:-1]
-    vR, uR = vl[1:], ul[1:]
+    (vL, uL), (vR, uR) = reference_faces(closure, v, u, 0.5 * dt / dx)
     a_face = np.maximum(
         reference_wave_speed_bound(closure, vL, uL),
         reference_wave_speed_bound(closure, vR, uR),
@@ -151,10 +148,14 @@ def test_step_and_cfl_match_reference_bitwise(preset):
 @pytest.mark.parametrize("n_cells", [1024, 2048])
 @pytest.mark.parametrize("preset", ["gamma-default", "m1-default"])
 def test_face_rule_dt_tracks_cell_rule(preset, n_cells):
-    """The lagged face-speed step stays within 2e-3 of the cell-speed step.
+    """The lagged face-speed step stays within 2e-3 of the cell-speed step,
+    and each step runs at the Courant number cfl asks for, to 1e-3.
 
-    On these runs it is never the larger of the two beyond rounding: the
-    face speeds bound the cell speeds of the state they produce.
+    The unlimited slope lets a step's face speeds fall below the cell speeds
+    of the state they produce, so the face step may exceed the cell step (by
+    up to 4.6e-11 of it on these runs).  What the solver relies on is the
+    Courant number: the lagged step runs above cfl by at most 2.1e-5 of it
+    here (m1-default, 1024 cells).
     """
     spec, state = _preset_state(preset, n_cells)
     steps = 0
@@ -162,30 +163,10 @@ def test_face_rule_dt_tracks_cell_rule(preset, n_cells):
         dt = cfl_dt(state, spec.cfl)
         dt_cells = cfl_dt(dataclasses.replace(state), spec.cfl)
         assert abs(dt - dt_cells) <= 2e-3
-        assert dt <= dt_cells * (1.0 + 1e-15)
         state = step(state, dt)
+        assert dt * state.speed_bound / state.dx <= spec.cfl * (1.0 + 1e-3)
         steps += 1
     assert steps >= n_cells // 25
-
-
-def test_minmod_pins_underflow_ties_and_signed_zeros():
-    """The compiled step's minmod against _minmod."""
-    vals = np.array([0.0, -0.0, 1e-200, -1e-200, 1e-160, -1e-160, 0.3, -0.3,
-                     2.0, -2.0, np.inf, -np.inf])
-    a, b = (g.ravel() for g in np.meshgrid(vals, vals))
-    row = np.column_stack([a, b]).ravel()  # (a_i, b_i) sits at offsets 2i, 2i + 1
-    with np.errstate(invalid="ignore"):  # inf * 0
-        want = _minmod(a, b)
-        assert same_bits(solver_minmod(row)[::2], want)
-
-    def one(x, y):
-        return solver_minmod(np.array([x, y]))[0]
-
-    assert same_bits(one(1e-200, 1e-200), 0.0)  # the product underflows to 0
-    assert same_bits(one(1e-160, 2e-160), 1e-160)  # a subnormal product is > 0
-    assert same_bits(one(-0.3, -0.3), -0.3)  # ties, |a| == |b|, return b
-    assert same_bits(one(-0.0, -2.0), 0.0) and same_bits(one(0.3, -0.0), 0.0)
-    assert same_bits(one(-2.0, -0.3), -0.3)
 
 
 def _user_built(closure):
@@ -550,6 +531,58 @@ def _step_raw(v, u, one_chunk, builtin=M1, lib=_kernel.lib):
             ok), rows
 
 
+def _same_bits_or_nan(a, b):
+    """same_bits, except that any NaN matches any NaN: C and NumPy need not
+    carry the same NaN payload."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and same_bits(a[~nan], b[~nan])
+
+
+# u rows of 16 cells whose ends differ, so the window is the whole domain;
+# with v = 1 the predictor leaves the u edge values as the slope made them
+SLOPE_ROWS = {
+    # differences that are signed zeros or subnormal, which the quarter of
+    # the central difference rounds
+    "signed-zeros": np.array([0.0, -0.0, -0.0, 0.0, 5e-324, 1e-323, -0.0, 3e-323,
+                              0.0, -5e-324, -0.0, 0.0, 7e-323, -2e-323, 0.0, -0.0]),
+    # neighbour differences of about 1e308 each, whose sum passes DBL_MAX:
+    # the slope of cell 8 is inf
+    "overflow": np.r_[-0.0, np.zeros(6), -1e308, 0.0, 1e308, np.zeros(5), -0.0],
+}
+
+
+@pytest.mark.parametrize("row", SLOPE_ROWS, ids=list(SLOPE_ROWS))
+@pytest.mark.parametrize(
+    "builtin, closure", [(M1, m1_closure(1.0)), (GAMMA2, gamma_law_closure(2.0, 1.0))],
+    ids=["m1", "gamma2"],
+)
+def test_slope_matches_reference_on_signed_zeros_and_overflow(builtin, closure, row):
+    """dw_step's slope, Fromm's (w[k+1] - w[k-1]) / 2, against reference_step's:
+    the face states a one-chunk step leaves in its buffer, and the successor
+    rows of the chunked and the one-chunk step."""
+    alpha, dt, dx = RAW_STEP
+    assert closure.alpha == alpha
+    u = SLOPE_ROWS[row]
+    n = u.size
+    v = np.ones(n)
+    buf = np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2))
+    st = _kernel.ffi.new("dw_status *")
+    ptr = _kernel._ptr
+    with np.errstate(all="ignore"):
+        _kernel.lib.dw_step(n, ptr(v), ptr(u), *builtin, *RAW_STEP, ptr(buf),
+                            ptr(np.empty((2, n))), st)
+        assert (st.lo, st.hi) == (0, n)
+        want = reference_faces(closure, v, u * damping(0.5 * alpha * dt)[0], 0.5 * dt / dx)
+        for got_face, want_face in zip(_kernel.face_states(st, buf), want):
+            assert all(map(_same_bits_or_nan, got_face, want_face))
+        assert np.isfinite(want[0][1]).all() == (row != "overflow")
+        ref = reference_step(SimState(-0.5 * n * dx, 0.5 * n * dx, n, v, u, 0.0, closure), dt)
+        for one_chunk in (0, 1):
+            rows = _step_raw(v, u, one_chunk, builtin)[1]
+            assert _same_bits_or_nan(rows, [ref.v, ref.u])
+
+
 @pytest.mark.parametrize(
     "closure", [m1_closure(1.0), gamma_law_closure(2.0, 1.0),
                 _user_built(gamma_law_closure(2.0, 1.0))],
@@ -592,21 +625,32 @@ def _wavy(n):
     return 1.0 + 0.05 * np.cos(3.0 * x), 0.05 * np.sin(5.0 * x)
 
 
+def _found_at(field, cell):
+    """The window index each status field names for a bad value in cell.
+
+    The thin face is the bad cell's left face.  A non-finite value enters the
+    slope (w[k+1] - w[k-1]) / 2 of its left neighbour, so that cell's edge
+    values and its left face are non-finite, and the first non-finite new
+    cell is cell - 2 (cell 0 at the domain's left end).  A vacuum shows first
+    in the left neighbour, which the low cell drains.
+    """
+    return {2: cell, 6: max(cell - 2, 0), 7: cell - 1}[field]
+
+
 @pytest.mark.parametrize("cell", [1, 255, 256, 257, 511, 1100, 1398])
 @pytest.mark.parametrize(
-    "row, value, field, found",
-    [("v", -0.5, 2, "thin"), ("u", 1.2, 3, 0), ("v", np.nan, 6, "before"),
-     ("u", np.inf, 6, "before"), ("v", np.inf, 6, "before"), ("v", 1e-3, 7, "before")],
+    "row, value, field",
+    [("v", -0.5, 2), ("u", 1.2, 3), ("v", np.nan, 6), ("u", np.inf, 6), ("v", np.inf, 6),
+     ("v", 2e-3, 7)],
     ids=["thin", "hyperbolic", "nan", "u-inf", "v-inf", "vacuum"],
 )
-def test_chunked_m1_step_folds_like_one_chunk(cell, row, value, field, found):
+def test_chunked_m1_step_folds_like_one_chunk(cell, row, value, field):
     """Each status field set from one cell in any chunk of a 1400-cell window."""
     v, u = _wavy(1400)
     (v if row == "v" else u)[cell] = value
     status = _chunked_like_one_chunk(v, u)
     assert status[:2] == (0, 1400) and status[-1] == 0  # the flag
-    want = {"thin": cell, "before": cell - 1}.get(found, found)
-    assert status[field] == want
+    assert status[field] == (0 if field == 3 else _found_at(field, cell))
 
 
 @pytest.mark.parametrize("nan_cell", [100, 700, 1300])
@@ -617,7 +661,7 @@ def test_chunked_m1_step_keeps_the_row_wide_nan_guard(nan_cell):
     assert _chunked_like_one_chunk(v, u)[2] == 600
     v[nan_cell] = np.nan
     status = _chunked_like_one_chunk(v, u)
-    assert status[2] == -1 and status[6] == nan_cell - 1
+    assert status[2] == -1 and status[6] == _found_at(6, nan_cell)
 
 
 def test_chunked_m1_step_all_zero_speeds():
@@ -675,7 +719,7 @@ def test_chunked_gamma_step_folds_like_one_chunk(cell, row, value, field):
     (v if row == "v" else u)[cell] = value
     status = _chunked_like_one_chunk(v, u, GAMMA2)
     assert status[:2] == (0, 1400) and status[-1] == 0
-    assert status[field] == (cell if field == 2 else cell - 1)
+    assert status[field] == _found_at(field, cell)
 
 
 def test_chunked_gamma_step_on_windows_about_chunk_edges():
