@@ -342,8 +342,8 @@ def residual_check(
 
     with vbar shifted by x0 and (v, u) the actual numerical fields.
     Edge cells where the stencils degrade are excluded from the norms.
-    The rms residual refines at the scheme's order; the max residual sits
-    in a few cells of the steepest gradients and need not.
+    The rms residual refines at the scheme's order, and P7 gates that
+    refinement; the max residual is reported beside it.
     """
     sm, s0, sp = states
     dt1 = s0.t - sm.t

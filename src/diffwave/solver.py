@@ -8,9 +8,10 @@ The state (v, u) obeys
 and is advanced by Strang splitting: an exact exponential half-step for
 the damping source, one full MUSCL-Hancock transport step with Fromm's
 unlimited central slopes, (w[k+1] - w[k-1]) / 2, and a local
-Lax-Friedrichs flux, and a second exact source half-step.  Exact source integration matters here: alpha*t grows to
-several hundred over a decay-rate run and any source stiffness error
-would pollute the measured exponents.
+Lax-Friedrichs flux, and a second exact source half-step.  Exact source
+integration matters here: alpha*t grows to several hundred over a
+decay-rate run and any source stiffness error would pollute the measured
+exponents.
 
 The boundary is transmissive: after the first source half-step the ghost
 cells copy the edge cells.  The domain is sized so that the wave reaches
@@ -464,8 +465,8 @@ def run(spec: ScenarioSpec, profile: WaveProfile, sample_times, store_z: bool = 
     Builds the initial data, fixes the wave shift x0 from it, then
     advances to ``end_time`` recording norms of the anti-derivative
     field V and the velocity perturbation z at every requested time, none
-    of them negative.  With ``store_z`` the z field itself is kept per sample so the
-    time-derivative family can be differenced afterwards.
+    of them negative.  With ``store_z`` the z field itself is kept per
+    sample so the time-derivative family can be differenced afterwards.
 
     Returns a DiagnosticsSeries.
     """
@@ -473,8 +474,9 @@ def run(spec: ScenarioSpec, profile: WaveProfile, sample_times, store_z: bool = 
     from .diagnostics import DiagnosticsSeries, build_fields, conserved_mass, field_norms
 
     sample_times = np.sort(np.unique(np.asarray(sample_times, dtype=float)))
-    if sample_times.size and sample_times[0] < 0.0:
-        raise ValueError(f"sample times must be >= 0, not {float(sample_times[0])!r}")
+    bad = sample_times[~(sample_times >= 0.0)]  # negative, or NaN (sorted last)
+    if bad.size:
+        raise ValueError(f"sample times must be >= 0, not {float(bad[0])!r}")
     if sample_times.size == 0 or sample_times[0] > 0.0:
         sample_times = np.concatenate(([0.0], sample_times))
 

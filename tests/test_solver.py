@@ -466,16 +466,18 @@ def test_run_end_time_zero(gamma_closure):
     assert series.t == [0.0]
 
 
-def test_run_rejects_a_negative_sample_time(gamma_closure):
-    """Two negative sample times used to record the t = 0 state twice."""
+@pytest.mark.parametrize("times, bad", [([-2.0, -1.0, 0.5], "-2.0"), ([0.5, np.nan], "nan")])
+def test_run_rejects_a_negative_sample_time(gamma_closure, times, bad):
+    """Two negative sample times used to record the t = 0 state twice, and
+    a NaN one surfaced as advance's t_end error."""
     profile = solve_profile(gamma_closure, 1.0, 1.0, n_cells=128)
     spec = ScenarioSpec(
         closure=gamma_closure, v_minus=1.0, v_plus=1.0,
         perturbation=PerturbationSpec(amplitude=0.0),
         n_cells=64, x_max=20.0, end_time=1.0,
     )
-    with pytest.raises(ValueError, match=r"^sample times must be >= 0, not -2.0$"):
-        run(spec, profile, [-2.0, -1.0, 0.5])
+    with pytest.raises(ValueError, match=rf"^sample times must be >= 0, not {bad}$"):
+        run(spec, profile, times)
 
 
 def test_run_constant_state_norms_vanish(gamma_closure):
