@@ -2,7 +2,7 @@
  *
  * Every operation here is one IEEE-754 double operation that NumPy performs
  * elementwise in the same order (+, -, *, /, sqrt, fabs, compares), so each
- * result is correctly rounded and equal to NumPy's bits.  The library is
+ * result is correctly rounded and equal to NumPy's bits.  The module is
  * built with -ffp-contract=off: a fused multiply-add rounds once where NumPy
  * rounds twice.  The exceptions are the package's own exp and pow (see "the
  * package's exp and pow"): they are built from the same operations and
@@ -61,13 +61,16 @@
  * U (g, g' on u; p, p', f, f' on v).  A correction-free closure (g = 0,
  * f = 1) passes only p, and p' on the faces, with g = NULL.
  *
- * dw_tridiagonal_solve, the profile solver's Newton step, and dw_erf, its
- * initial guess, are the routines here that no transport step calls.
+ * dw_tridiagonal_solve, the profile solver's Newton step, dw_erf, its
+ * initial guess, and dw_hermite, the profile's interpolant, are the routines
+ * here that no transport step calls.
  *
  * The block between the two "declarations" lines is handed to cffi as is.
  */
 
+#ifndef _GNU_SOURCE /* the module's Python.h defines it first */
 #define _GNU_SOURCE /* sched_getaffinity, CPU_COUNT */
+#endif
 #include <math.h>
 #include <pthread.h>
 #include <sched.h>
@@ -120,6 +123,8 @@ void dw_erf(int64_t k, const double *x, double *out);
 int dw_pool_workers(void);
 void dw_pool_stop(void);
 int64_t dw_tridiagonal_solve(int64_t n, double *dl, double *d, double *du, double *b);
+void dw_hermite(int64_t k, const double *xi, int64_t cells, const double *coef, double lo,
+                double hi, double h, double below, double above, double *out);
 /* --- end of declarations --- */
 
 #if defined(__x86_64__)
@@ -1069,7 +1074,7 @@ int dw_pool_workers(void)
 }
 
 /* Ends and joins the helper; later steps run on their caller's thread.
- * The Python calls it at exit, before the library can be unloaded. */
+ * The Python calls it at exit. */
 void dw_pool_stop(void)
 {
     while (atomic_exchange(&pool.busy, 1))
@@ -1156,4 +1161,28 @@ int64_t dw_tridiagonal_solve(int64_t n, double *dl, double *d, double *du, doubl
     for (int64_t i = n - 3; i >= 0; i--)
         b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i];
     return 0;
+}
+
+/* The profile's cubic Hermite interpolant (diffusion_wave.WaveProfile.deriv)
+ * at k points xi, with the coefficients coef[4][cells] in powers of t on the
+ * uniform grid lo + i h, lo .. hi: the NumPy formula's operations in its
+ * order.  The point is clipped to [lo, hi] as np.clip does (a NaN stays NaN),
+ * s = (clip - lo) / h, its cell is fmin(s, cells - 1) truncated (a NaN finds
+ * the last cell), t = s - cell, and the value ((c3 t + c2) t + c1) t + c0;
+ * a point below lo takes below, one above hi takes above. */
+void dw_hermite(int64_t k, const double *xi, int64_t cells, const double *coef, double lo,
+                double hi, double h, double below, double above, double *out)
+{
+    const double *c0 = coef, *c1 = c0 + cells, *c2 = c1 + cells, *c3 = c2 + cells;
+    double last = (double)(cells - 1);
+    for (int64_t i = 0; i < k; i++) {
+        double x = xi[i];
+        double y = isnan(x) ? x : (x > lo ? x : lo);
+        y = isnan(y) ? y : (y < hi ? y : hi);
+        double s = (y - lo) / h;
+        int64_t c = (int64_t)fmin(s, last);
+        double t = s - (double)c;
+        double value = ((c3[c] * t + c2[c]) * t + c1[c]) * t + c0[c];
+        out[i] = x < lo ? below : x > hi ? above : value;
+    }
 }

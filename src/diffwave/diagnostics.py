@@ -228,18 +228,19 @@ def fit_decay_rate(t, values, window: tuple[float, float]) -> RateFit:
             f"need at least 8 samples in window "
             f"({float(window[0])!r}, {float(window[1])!r}), found {found}"
         )
-    if np.unique(t[sel]).size < 2:
+    times = t[sel]
+    if not times.max() > times.min():
         raise FitWindowError(
             f"need at least two distinct times in window "
             f"({float(window[0])!r}, {float(window[1])!r}), found {found} "
-            f"samples at t = {float(t[sel][0])!r}"
+            f"samples at t = {float(times[0])!r}"
         )
     if not np.all(np.isfinite(values[sel]) & (values[sel] > 0.0)):
         raise FitError(
             "non-positive or non-finite norm values in fit window (blow-up or underflow)"
         )
 
-    lt = np.log1p(t[sel])
+    lt = np.log1p(times)
     lv = np.log(values[sel])
     a = np.vstack([lt, np.ones_like(lt)]).T
     (slope, intercept), *_ = np.linalg.lstsq(a, lv, rcond=None)

@@ -84,36 +84,24 @@ class WaveProfile:
         The interpolant is cubic Hermite on each grid cell, with the node
         values and the nodes' slopes from ``_first_derivative``; its
         coefficients are built once per order, and a point finds its cell
-        by arithmetic on the uniform grid.  Outside the computed window the
-        profile is clamped to its asymptotic constants: phi -> v_minus /
-        v_plus and all derivatives -> 0.  NaN gives NaN.
+        by arithmetic on the uniform grid, in one C loop
+        (``_kernel.hermite``) with the operations of the NumPy formula
+        ``tests/test_diffusion_wave.py`` keeps as its oracle.  Outside the
+        computed window the profile is clamped to its asymptotic constants:
+        phi -> v_minus / v_plus and all derivatives -> 0.  NaN gives NaN.
+        Returns xi's shape; a scalar gives a float.
         """
         if order not in (0, 1, 2, 3, 4):
             raise ValueError("derivative order must be in 0..4")
-        lo, hi = self.xi_grid[0], self.xi_grid[-1]
-        h = (hi - lo) / (self.xi_grid.size - 1)
-        coef = self._hermite.get(order)
-        if coef is None:
+        args = self._hermite.get(order)
+        if args is None:
+            lo, hi = float(self.xi_grid[0]), float(self.xi_grid[-1])
+            h = (hi - lo) / (self.xi_grid.size - 1)
             data = (self.phi, self.dphi, self.d2phi, self.d3phi, self.d4phi)[order]
-            coef = self._hermite[order] = _hermite_coefficients(data, h)
-        xi = np.asarray(xi, dtype=float)
-        scalar = xi.ndim == 0
-        xi = np.atleast_1d(xi)
-        s = (np.clip(xi, lo, hi) - lo) / h
-        # s >= 0, so the cast floors; fmin sends NaN to the last cell, where
-        # t stays NaN
-        cell = np.fmin(s, coef.shape[1] - 1).astype(np.intp)
-        t = s - cell
-        c0, c1, c2, c3 = coef[:, cell]
-        out = ((c3 * t + c2) * t + c1) * t + c0
-        below = xi < lo
-        above = xi > hi
-        if order == 0:
-            out = np.where(below, self.v_minus, out)
-            out = np.where(above, self.v_plus, out)
-        else:
-            out = np.where(below | above, 0.0, out)
-        return float(out[0]) if scalar else out
+            coef = _hermite_coefficients(data, h)
+            far = (self.v_minus, self.v_plus) if order == 0 else (0.0, 0.0)
+            args = self._hermite[order] = (coef.shape[1], coef, lo, hi, h, *far)
+        return _kernel.hermite(xi, *args)
 
 
 @dataclass(frozen=True)

@@ -87,11 +87,13 @@ hyperbolicity flag; ``closures.wave_speed_bound`` takes its speeds from the
 same combine (``_kernel.flux_and_speed``).  When a discriminant is lost,
 ``closures.characteristic_speeds`` on the face states raises the error.
 ``_kernel.step`` runs the stages and alone knows the step's buffer;
-``step`` checks dt and turns a failed check into its error.  C computes the
-step's scalars from (alpha, dt, dx) (``dw_step_scalars``, for both paths):
-the damping factor exp(-alpha dt/2) and kappa come from the package's
-``exp`` too, so a step's bits do not depend on NumPy's dispatch, and
-dt/(2 dx) and dt/dx are the NumPy formulation's operations.  C also returns
+``step`` checks dt and turns a failed check into its error.  A state a
+step made keeps the C pointers to its rows (``SimState._cells``), and the
+next step reuses them while its ``v`` and ``u`` are still those rows.  C
+computes the step's scalars from (alpha, dt, dx) (``dw_step_scalars``, for
+both paths): the damping factor exp(-alpha dt/2) and kappa come from the
+package's ``exp`` too, so a step's bits do not depend on NumPy's dispatch,
+and dt/(2 dx) and dt/dx are the NumPy formulation's operations.  C also returns
 one flag that says every check passed; only when it is clear does ``step``
 read the rest of the status and raise.
 
@@ -186,6 +188,11 @@ class SimState:
     speed_bound: float | None = field(default=None, init=False)
     # largest |u| over this state and every step that led to it
     max_abs_u: float = field(init=False)
+    # a stepped state's (v, u, pv, pu): the rows ``step`` made and the C
+    # pointers to them, which the next step reuses while v and u are still
+    # those rows (``_kernel.step``); not a field, so a state built any other
+    # way, or copied, or unpickled, has None
+    _cells = None
 
     def __post_init__(self):
         self.x_left, self.x_right = float(self.x_left), float(self.x_right)
@@ -199,6 +206,11 @@ class SimState:
         if np.any(self.v <= 0.0):
             raise ValueError("specific volume must stay positive")
         self.max_abs_u = float(np.max(np.abs(self.u)))
+
+    def __getstate__(self):
+        fields = self.__dict__.copy()
+        fields.pop("_cells", None)  # cffi pointers do not pickle
+        return fields
 
     @property
     def dx(self) -> float:
@@ -377,13 +389,14 @@ def step(state: SimState, dt: float) -> SimState:
     damped law and the step needs no far-field data.  Only the window of
     cells whose stencil is not bitwise uniform is computed (module
     docstring); error messages name domain cells.  The successor state
-    records the largest face speed of the step as its ``speed_bound`` and
-    carries the running ``max_abs_u`` forward.
+    records the largest face speed of the step as its ``speed_bound``,
+    carries the running ``max_abs_u`` forward, and keeps the pointers to
+    its rows for the next step.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"the time step dt must be positive and finite, not {dt!r}")
     closure = state.closure
-    ok, st, rows, buf = _kernel.step(closure, state.v, state.u, dt, state.dx)
+    ok, st, cells, buf = _kernel.step(closure, state.v, state.u, dt, state.dx, state._cells)
     if not ok:
         _raise_failed_check(state, dt, st, buf)
     t_new = state.t + dt
@@ -399,8 +412,8 @@ def step(state: SimState, dt: float) -> SimState:
     # the step's checks cover what SimState.__post_init__ would re-scan
     new = object.__new__(SimState)
     new.__dict__ = fields = state.__dict__.copy()
-    fields["v"] = rows[0]
-    fields["u"] = rows[1]
+    fields["v"], fields["u"] = cells[0], cells[1]
+    fields["_cells"] = cells
     fields["t"] = t_new
     fields["speed_bound"] = st.speed_bound
     if u_max > state.max_abs_u:
@@ -473,7 +486,13 @@ def run(spec: ScenarioSpec, profile: WaveProfile, sample_times, store_z: bool = 
     from .corrections import compute_shift_x0
     from .diagnostics import DiagnosticsSeries, build_fields, conserved_mass, field_norms
 
-    sample_times = np.sort(np.unique(np.asarray(sample_times, dtype=float)))
+    sample_times = np.sort(np.asarray(sample_times, dtype=float), axis=None)
+    # the first of each run of equal times, as np.unique keeps them (np.unique
+    # itself imports numpy.ma, about 10 ms)
+    distinct = np.empty(sample_times.shape, dtype=bool)
+    distinct[:1] = True
+    distinct[1:] = sample_times[1:] != sample_times[:-1]
+    sample_times = sample_times[distinct]
     bad = sample_times[~(sample_times >= 0.0)]  # negative, or NaN (sorted last)
     if bad.size:
         raise ValueError(f"sample times must be >= 0, not {float(bad[0])!r}")

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diffwave
 from diffwave.cli import main
 
 TINY_CONFIG = """
@@ -65,6 +69,32 @@ def test_simulate_deterministic_bytes(tiny_config, tmp_path):
     blob_a = open(os.path.join(out_a, "series.csv"), "rb").read()
     blob_b = open(os.path.join(out_b, "series.csv"), "rb").read()
     assert blob_a == blob_b
+
+
+def test_simulate_rates_and_fast_verify_leave_numpy_ma_out(tmp_path):
+    """np.unique imports numpy.ma on its first call, about 10 ms; no step of
+    simulate, rates (whose fits need 8 samples in the window) or
+    verify --fast imports it."""
+    cfg = tmp_path / "short.ini"
+    cfg.write_text("[scenario]\npreset = gamma-default\n\n[grid]\nn_cells = 512\n\n"
+                   "[time]\nend = 60.0\n")
+    out = tmp_path / "out"
+    code = (
+        "import sys\n"
+        "from diffwave.cli import main\n"
+        f"codes = [main(['simulate', '--config', {str(cfg)!r}, '--out', {str(out)!r}]),\n"
+        f"         main(['rates', '--series', {str(out / 'series.csv')!r},\n"
+        f"               '--out', {str(out)!r}]),\n"
+        f"         main(['verify', '--fast', '--out', {str(out / 'verify')!r}])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(diffwave.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    assert proc.returncode == 0 and last in ("[0, 0, 0] False", "[0, 1, 0] False"), (
+        proc.stdout[-2000:], proc.stderr[-2000:])
+    assert (out / "rates.csv").read_text().count("\n") == 8  # a header and seven fits
 
 
 def test_config_error_exit_code(tmp_path):

@@ -24,7 +24,12 @@ from diffwave import (
     verify_gaussian_tail,
 )
 from diffwave.config import build_scenario, parse_config
-from diffwave.diffusion_wave import _cumulative_simpson, _stencil_jacobian
+from diffwave.diffusion_wave import (
+    _cumulative_simpson,
+    _hermite_coefficients,
+    _stencil_jacobian,
+)
+from test_step_oracle import same_bits
 
 # phi(0) for the M1 closure (alpha=1, v: 1 -> 1.2), frozen from two
 # independent solves: the defect-corrected stencil at n=8192 and a
@@ -347,6 +352,59 @@ def test_deriv_nan_and_infinite_arguments(preset_profiles):
             far = (prof.v_minus, prof.v_plus) if order == 0 else (0.0, 0.0)
             assert (got[1], got[2]) == far
             assert np.isnan(prof.deriv(np.nan, order))
+
+
+def _deriv_oracle(prof, xi, order):
+    """``WaveProfile.deriv``'s NumPy formula: the oracle of its C loop."""
+    lo, hi = prof.xi_grid[0], prof.xi_grid[-1]
+    h = (hi - lo) / (prof.xi_grid.size - 1)
+    data = (prof.phi, prof.dphi, prof.d2phi, prof.d3phi, prof.d4phi)[order]
+    coef = _hermite_coefficients(data, h)
+    xi = np.asarray(xi, dtype=float)
+    scalar = xi.ndim == 0
+    xi = np.atleast_1d(xi)
+    s = (np.clip(xi, lo, hi) - lo) / h
+    cell = np.fmin(s, coef.shape[1] - 1).astype(np.intp)
+    t = s - cell
+    c0, c1, c2, c3 = coef[:, cell]
+    out = ((c3 * t + c2) * t + c1) * t + c0
+    below, above = xi < lo, xi > hi
+    if order == 0:
+        out = np.where(below, prof.v_minus, out)
+        out = np.where(above, prof.v_plus, out)
+    else:
+        out = np.where(below | above, 0.0, out)
+    return float(out[0]) if scalar else out
+
+
+def _edge_points(prof, rng):
+    """NaN, the infinities, signed zeros, the window's ends and their
+    neighbours on both sides, every node, and points inside the cells."""
+    xi = prof.xi_grid
+    lo, hi = xi[0], xi[-1]
+    ends = [np.nextafter(e, d) for e in (lo, hi) for d in (-np.inf, np.inf)]
+    return np.concatenate([
+        [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, lo, hi, *ends, 2 * lo, 2 * hi],
+        xi, 0.5 * (xi[1:] + xi[:-1]), rng.uniform(1.1 * lo, 1.1 * hi, 2000),
+    ])
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_deriv_is_the_numpy_formula_to_the_bit(preset_profiles, rng, order):
+    """The C loop against the NumPy formula, bit for bit, on flat, 0-d, 2-D
+    and strided input."""
+    for prof in preset_profiles:
+        points = _edge_points(prof, rng)
+        got, want = prof.deriv(points, order), _deriv_oracle(prof, points, order)
+        assert got.shape == want.shape and same_bits(got, want)
+        for x in points[:14]:
+            one = prof.deriv(x, order)
+            assert type(one) is float and same_bits(one, _deriv_oracle(prof, x, order))
+        grid = points[: points.size // 9 * 9].reshape(-1, 9)
+        for arg in (grid, grid.T, points[::3], points[::-2]):  # 2-D, then strided
+            got, want = prof.deriv(arg, order), _deriv_oracle(prof, arg, order)
+            assert got.shape == arg.shape and same_bits(got, want)
+        assert np.isnan(prof.deriv(np.nan, order))
 
 
 def test_cumulative_simpson_matches_scipy():

@@ -1,5 +1,5 @@
-"""Building the compiled step: the cache location, its ownership checks and
-the build error."""
+"""Building the compiled step: the cache location, its ownership checks, the
+build error and the extension module it loads."""
 
 import os
 import shutil
@@ -15,13 +15,21 @@ import pytest
 from diffwave import _kernel
 
 
+# a source with its own declarations block, which the build hands to cffi
+ONE_LINE = """/* --- declarations --- */
+int dw_one_line(void);
+/* --- end of declarations --- */
+int dw_one_line(void) { return 1; }
+"""
+
+
 @pytest.fixture
 def one_line_source(monkeypatch, tmp_path):
-    """A one-line _step.c in tmp_path/src: the cache's checks do not depend on
-    what it compiles, and this builds in a moment."""
+    """A one-function _step.c in tmp_path/src: the cache's checks do not
+    depend on what it compiles, and this builds in a moment."""
     source = tmp_path / "src" / "_step.c"
     source.parent.mkdir()
-    source.write_text("int dw_one_line(void) { return 1; }\n")
+    source.write_text(ONE_LINE)
     monkeypatch.setattr(_kernel, "_SOURCE", source)
     return source
 
@@ -42,9 +50,14 @@ def _is_library(path):
     return path.read_bytes()[:4] == b"\x7fELF"
 
 
+def _module_name(key):
+    return f"_step_{key}{_kernel._SUFFIX}"
+
+
 def test_unwritable_cache_builds_in_a_private_temporary_directory(user_cache):
     lib = _kernel._build()
-    assert lib.parent == user_cache and lib.name.startswith("_step.") and _is_library(lib)
+    assert lib.parent == user_cache and lib.name == _module_name(_kernel._key())
+    assert _is_library(lib) and _kernel._load(lib).lib.dw_one_line() == 1
     assert stat.S_IMODE(user_cache.stat().st_mode) == 0o700
     assert [p.name for p in user_cache.iterdir()] == [lib.name]  # no temporary left
     assert _kernel._build() == lib  # the second call finds it
@@ -69,7 +82,7 @@ def _symlink_to_planted(path):
 @pytest.mark.parametrize("spoil", [_foreign_owner, _group_writable, _symlink_to_planted])
 def test_planted_library_is_rebuilt_not_loaded(user_cache, spoil):
     user_cache.mkdir(mode=0o700)
-    target = user_cache / f"_step.{_kernel._key()}.so"
+    target = user_cache / _module_name(_kernel._key())
     target.write_bytes(b"planted")
     spoil(target)
     assert _kernel._build() == target
@@ -101,14 +114,22 @@ def test_cache_directory_others_can_write_is_refused(user_cache, make):
 
 def test_failed_build_names_the_command_and_its_stderr(monkeypatch, tmp_path):
     broken = tmp_path / "_step.c"
-    broken.write_text("int broken(void) { return missing_name; }\n")
+    broken.write_text(ONE_LINE.replace("return 1;", "return missing_name;"))
     monkeypatch.setattr(_kernel, "_SOURCE", broken)
     with pytest.raises(ImportError) as err:
         _kernel._build()
     message = str(err.value)
     assert f"{_kernel._CC} -O3 -ffp-contract=off -fno-math-errno" in message
     assert str(broken) in message and "missing_name" in message
-    assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == []
+    assert f"-I{_kernel._INCLUDE}" in message
+    assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == []  # nor the emitted C
+
+
+def test_missing_python_headers_name_the_directory(monkeypatch, tmp_path, one_line_source):
+    monkeypatch.setattr(_kernel, "_INCLUDE", str(tmp_path / "include"))
+    with pytest.raises(ImportError, match=f"cannot find Python.h in {tmp_path / 'include'}"):
+        _kernel._build()
+    assert [p.name for p in (one_line_source.parent / "__pycache__").iterdir()] == []
 
 
 def test_cache_key_follows_the_compiler_version(monkeypatch, tmp_path):
@@ -128,6 +149,15 @@ def test_cache_key_follows_the_compiler_version(monkeypatch, tmp_path):
         _kernel._key()
 
 
+@pytest.mark.parametrize("name, other", [("_INCLUDE", "/elsewhere/include/python3.99"),
+                                         ("_SUFFIX", ".cpython-399-x86_64-linux-gnu.so")])
+def test_cache_key_follows_the_interpreter(monkeypatch, name, other):
+    """Another interpreter's headers or extension suffix build their own module."""
+    key = _kernel._key()
+    monkeypatch.setattr(_kernel, name, other)
+    assert _kernel._key() != key
+
+
 def _stale(directory, name):
     path = directory / name
     path.write_bytes(b"\x7fELF stale")
@@ -135,11 +165,15 @@ def _stale(directory, name):
 
 
 def test_build_prunes_own_stale_libraries_from_the_package_cache(tmp_path, one_line_source):
+    """Other hashes' modules go, and so do the ABI-mode build's libraries
+    and emitted modules; another interpreter's modules stay."""
     cache = one_line_source.parent / "__pycache__"
     cache.mkdir()
-    stale = _stale(cache, "_step.0123456789abcdef.so")
-    stale_module = _stale(cache, "_step.0123456789abcdef.py")
-    kept = [_stale(cache, name) for name in ("_step.notahash.so", "other.so", "other.py")]
+    stale = [_stale(cache, name) for name in (_module_name("0123456789abcdef"),
+                                              "_step.0123456789abcdef.so",
+                                              "_step.0123456789abcdef.py")]
+    kept = [_stale(cache, name) for name in ("_step.notahash.so", "other.so", "other.py",
+                                             "_step_0123456789abcdef.cpython-399-x.so")]
     elsewhere = _stale(tmp_path, "_step.fedcba9876543210.so")
     link = cache / elsewhere.name
     link.symlink_to(elsewhere)
@@ -150,20 +184,20 @@ def test_build_prunes_own_stale_libraries_from_the_package_cache(tmp_path, one_l
         kept.append(foreign)
     lib = _kernel._build()
     assert lib.parent == cache and _is_library(lib)
-    assert not stale.exists() and not stale_module.exists()
+    assert not any(path.exists() for path in stale)
     assert all(os.path.lexists(path) for path in kept) and elsewhere.exists()
 
 
 def test_temporary_cache_is_not_pruned(user_cache):
     user_cache.mkdir(mode=0o700)
-    other_checkout = _stale(user_cache, "_step.0123456789abcdef.so")
+    other_checkout = _stale(user_cache, _module_name("0123456789abcdef"))
     lib = _kernel._build()
     assert lib.parent == user_cache and other_checkout.exists()
 
 
 def test_warm_import_loads_no_c_parser():
-    """With the library and its emitted module cached, importing the command
-    line starts no process and leaves cffi's parser out."""
+    """With the compiled module cached, importing the command line starts no
+    process and leaves cffi's parser and numpy.ma out."""
     src = str(Path(_kernel.__file__).parents[1])
     code = (
         "import sys\n"
@@ -173,7 +207,7 @@ def test_warm_import_loads_no_c_parser():
         "        spawned.append((event, repr(args)[:80]))\n"
         "sys.addaudithook(hook)\n"
         "import diffwave.cli\n"
-        "print(sorted({'cffi', 'pycparser'} & set(sys.modules)), spawned)\n"
+        "print(sorted({'cffi', 'pycparser', 'numpy.ma'} & set(sys.modules)), spawned)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
@@ -181,34 +215,39 @@ def test_warm_import_loads_no_c_parser():
 
 
 @pytest.mark.parametrize("spoil", [_foreign_owner, _group_writable, _symlink_to_planted])
-def test_planted_module_is_emitted_again_not_loaded(tmp_path, spoil):
-    module = tmp_path / "_step.0123456789abcdef.py"
-    module.write_text("raise SystemExit('planted')\n")
-    spoil(module)
-    ffi = _kernel._emitted_ffi(module)
-    assert ffi.sizeof("dw_status") == _kernel.ffi.sizeof("dw_status")
-    assert _kernel._private(module) and "planted" not in module.read_text()
-    assert [p.name for p in tmp_path.iterdir() if p.name != "planted"] == [module.name]
+def test_planted_module_is_emitted_again_not_loaded(user_cache, spoil):
+    """A planted file where the module belongs is never imported: cffi emits
+    the module's C again, and the rebuilt module loads and runs."""
+    user_cache.mkdir(mode=0o700)
+    target = user_cache / _module_name(_kernel._key())
+    target.write_text("raise SystemExit('planted')\n")
+    spoil(target)
+    module = _kernel._load(_kernel._build())
+    assert module.lib.dw_one_line() == 1 and module.__file__ == str(target)
+    assert _kernel._private(target) and _is_library(target)
+    assert [p.name for p in user_cache.iterdir() if p.name != "planted"] == [target.name]
 
 
 def test_emitted_module_is_reused():
-    module = _kernel._library.with_suffix(".py")
-    stamp = module.stat().st_mtime_ns
-    assert _kernel._emitted_ffi(module).sizeof("dw_status") == _kernel.ffi.sizeof("dw_status")
-    assert module.stat().st_mtime_ns == stamp
+    """The loaded step is the module of today's key, and a second build finds
+    it without compiling."""
+    path = _kernel._build()
+    assert _kernel._module.__file__ == str(path) and path.name == _module_name(_kernel._key())
+    stamp = path.stat().st_mtime_ns
+    assert _kernel._build() == path and path.stat().st_mtime_ns == stamp
 
 
-def test_failed_emission_leaves_no_temporary(monkeypatch, tmp_path):
+def test_failed_emission_leaves_no_temporary(monkeypatch, user_cache):
     import cffi
 
     def full_disk(self, path):
         Path(path).write_text("partial")
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cffi.FFI, "emit_python_code", full_disk)
-    with pytest.raises(OSError, match="No space left"):
-        _kernel._emitted_ffi(tmp_path / "_step.0123456789abcdef.py")
-    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(cffi.FFI, "emit_c_code", full_disk)
+    with pytest.raises(ImportError, match="No space left"):
+        _kernel._build()
+    assert list(user_cache.iterdir()) == []
 
 
 def test_baseline_build_gives_the_loaded_librarys_bits(monkeypatch, tmp_path):
@@ -222,16 +261,15 @@ def test_baseline_build_gives_the_loaded_librarys_bits(monkeypatch, tmp_path):
     source.write_text(text[:start] + "#define CLONED\n#define POW_CLONED\n" + text[end + 6:])
     assert "target_clones" not in source.read_text()
     monkeypatch.setattr(_kernel, "_SOURCE", source)
-    path = _kernel._build()
-    baseline = _kernel.ffi.dlopen(str(path))
+    baseline = _kernel._load(_kernel._build())
     try:
         _compare_libraries(baseline)
     finally:
-        baseline.dw_pool_stop()
+        baseline.lib.dw_pool_stop()
 
 
-def _compare_libraries(baseline):
-    loaded, ptr = _kernel.lib, _kernel._ptr
+def _compare_libraries(module):
+    loaded, baseline, ptr = _kernel.lib, module.lib, _kernel._ptr
     rng = np.random.default_rng(3)
     v = np.concatenate([rng.uniform(0.05, 20.0, 3000), rng.uniform(0.9, 1.2, 3000),
                         [1.0, 0.0, -1.0, np.inf, np.nan, 5e-324]])
@@ -247,17 +285,24 @@ def _compare_libraries(baseline):
             args = (-gamma, order, 1.0)
             assert np.array_equal(run(loaded, "dw_pow", *args, arg=v),
                                   run(baseline, "dw_pow", *args, arg=v))
-    out = _kernel.ffi.new("double[4]")
+    out = _kernel.ffi.new("double[4]")  # a double * goes into either module
     for h in (*x, 0.0, 1e-3, 0.2, 0.5, 0.9, 7.0):  # e^-h over exp's range, and kappa
         loaded.dw_damping(h, out, out + 1)
         baseline.dw_damping(h, out + 2, out + 3)
         assert list(out[0:2]) == list(out[2:4])
 
-    from test_step_oracle import GAMMA2, _step_raw, _wavy
+    from test_step_oracle import GAMMA2, RAW_STEP, _step_raw, _wavy
 
     wave_v, wave_u = _wavy(1400)
+    n = wave_v.size
     for one_chunk in (0, 1):
         want = _step_raw(wave_v, wave_u, one_chunk, GAMMA2)
-        got = _step_raw(wave_v, wave_u, one_chunk, GAMMA2, lib=baseline)
-        assert want[0] == got[0] and np.array_equal(want[1].view(np.uint64),
-                                                    got[1].view(np.uint64))
+        # a struct's type belongs to its module's ffi
+        st = module.ffi.new("dw_status *")
+        buf = ptr(np.empty(baseline.N_REGIONS * 2 * (n + 2))) if one_chunk else module.ffi.NULL
+        rows = np.full((2, n), -7.0)
+        ok = baseline.dw_step(n, ptr(wave_v), ptr(wave_u), *GAMMA2, *RAW_STEP, buf,
+                              ptr(rows), st)
+        bits = [np.float64(x).view(np.uint64) for x in (st.speed_bound, st.u_max)]
+        got = (st.lo, st.hi, st.thin_face, st.hyperbolic, *bits, st.nonfinite, st.vacuum, ok)
+        assert want[0] == got and np.array_equal(want[1].view(np.uint64), rows.view(np.uint64))

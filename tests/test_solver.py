@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -234,6 +236,59 @@ def test_sim_state_takes_lists_and_ints_as_float64(request, closure):
             assert np.array_equal(got.u.view(np.uint64), ref.u.view(np.uint64))
     with pytest.raises(ValueError, match="field length"):
         SimState(-4.0, 4.0, n, np.ones((2, n // 2)), np.zeros(n), 0.0, closure)
+
+
+def _same_cells(a, b):
+    return all(np.array_equal(x.view(np.uint64), y.view(np.uint64))
+               for x, y in ((a.v, b.v), (a.u, b.u)))
+
+
+def _wave_state(closure, n=600):
+    """A state of n cells (more than two of the step's chunks) two steps on."""
+    x = np.linspace(-1.0, 1.0, n)
+    state = SimState(-4.0, 4.0, n, 1.0 + 0.05 * np.cos(3.0 * x), 0.05 * np.sin(5.0 * x),
+                     0.0, closure)
+    return step(step(state, 0.004), 0.004)
+
+
+@pytest.mark.parametrize("closure", ["gamma_closure", "m1", "linear"])
+def test_step_after_replacing_the_cells_is_a_fresh_states_step(request, closure):
+    """A step reuses the C pointers of the rows its predecessor made only
+    while the state's v and u are those rows: a state whose v or u is
+    replaced, or changed in place, steps to the bits of a freshly built
+    state with the same cells, and a replaced row is checked again."""
+    closure = request.getfixturevalue(closure)
+    x = np.linspace(-1.0, 1.0, 600)
+    other = {"v": 1.0 + 0.04 * np.cos(2.0 * x), "u": 0.03 * np.sin(3.0 * x)}
+    for names in (["v"], ["u"], ["v", "u"], []):
+        state = _wave_state(closure)
+        for name in names:
+            setattr(state, name, other[name].copy())
+        if not names:
+            state.v[300] += 0.01  # the same row, changed in place
+        fresh = SimState(state.x_left, state.x_right, state.n_cells, state.v, state.u,
+                         state.t, closure)
+        assert _same_cells(step(state, 0.004), step(fresh, 0.004)), names
+    for name, bad in (("v", np.ones(600, dtype=np.float32)), ("u", np.zeros(599))):
+        state = _wave_state(closure)
+        setattr(state, name, bad)
+        with pytest.raises(ValueError, match="float64 rows of one size"):
+            step(state, 0.004)
+
+
+def test_stepped_state_copies_and_pickles_without_its_pointers(m1):
+    """A stepped state pickles and copies as before; the copy, and a state
+    from dataclasses.replace, holds no pointer and steps to the same bits."""
+    state = _wave_state(m1)
+    assert state._cells is not None and state._cells[0] is state.v
+    twins = [pickle.loads(pickle.dumps(state)), copy.deepcopy(state), copy.copy(state),
+             dataclasses.replace(state)]
+    assert twins[-1].v is state.v  # the same row, yet no pointer
+    want = step(state, 0.004)
+    for twin in twins:
+        assert twin._cells is None and "_cells" not in twin.__dict__
+        assert (twin.t, twin.speed_bound) == (state.t, state.speed_bound) or twin is twins[-1]
+        assert _same_cells(twin, state) and _same_cells(step(twin, 0.004), want)
 
 
 def test_constant_state_is_exact_equilibrium(gamma_closure):
