@@ -100,7 +100,7 @@ class WaveProfile:
             data = (self.phi, self.dphi, self.d2phi, self.d3phi, self.d4phi)[order]
             coef = _hermite_coefficients(data, h)
             far = (self.v_minus, self.v_plus) if order == 0 else (0.0, 0.0)
-            args = self._hermite[order] = (coef.shape[1], coef, lo, hi, h, *far)
+            args = self._hermite[order] = (coef, lo, hi, h, *far)
         return _kernel.hermite(xi, *args)
 
 
