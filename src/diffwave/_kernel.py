@@ -39,7 +39,9 @@ one C call, with any other the three stages and, between them, the
 closure's two rounds (``closure_round``); ``_step.c`` says what each stage
 does.  It hands back the successor's rows with their pointers, which the
 next step reuses.  ``flux_and_speed`` is the same face combine on any
-states, the package's one evaluation of the flux and the wave speed.
+states, the package's one evaluation of the flux and the wave speed: with a
+built-in closure the step's own C evaluators (``dw_flux_and_speed``), with
+any other the closure's callables.
 
 ``power`` is the package's own pow, within 1 ulp and the same bits on
 every CPU and under any NumPy dispatch: the gamma law's callables call it.
@@ -254,22 +256,17 @@ def closure_round(closure, v, u, speed: bool):
     p, p', g, g', f, f' as the stages take them (g, g' on u, the rest on v).
 
     Each callable is called once: p, g and f, and with ``speed`` also p', g'
-    and f'.  A correction-free closure evaluates only p, and p' with
-    ``speed``.  A row not evaluated is NULL.
+    and f'.  A row not evaluated is NULL.
     """
-    size, null = v.size, _NULL
+    size = v.size
 
     def row(fn, x):
         return _ptr(_row(fn(x), size))
 
-    p = row(closure.p, v)
-    dp = row(closure.dp, v) if speed else null
-    if closure.correction_free:
-        return p, dp, null, null, null, null
-    g, f = row(closure.g, u), row(closure.f, v)
+    p, g, f = row(closure.p, v), row(closure.g, u), row(closure.f, v)
     if not speed:
-        return p, null, g, null, f, null
-    return p, dp, g, row(closure.dg, u), f, row(closure.df, v)
+        return p, _NULL, g, _NULL, f, _NULL
+    return p, row(closure.dp, v), g, row(closure.dg, u), f, row(closure.df, v)
 
 
 def _edge_rows(st, buf):
@@ -359,13 +356,16 @@ def flux_and_speed(closure, v, u):
     b = g' f and c = p' - g f'.  The speed is max(|lam-|, |lam+|) bit for
     bit: the larger root magnitude is the rounded sum of |b| and the root,
     the smaller the rounded difference, which rounding keeps no larger.
+    A built-in closure (``ModelClosure.builtin``) is evaluated in C by the
+    built-in step's own evaluators, any other by its callables.
 
     Returns None when a discriminant is not >= 0 (NaN included).
     """
     v, u = as_pair(v, u)
     flux, speed = np.empty_like(v), np.empty_like(v)
-    if closure.builtin_m1:
-        ok = lib.dw_m1_flux_and_speed(v.size, _ptr(v), _ptr(u), _ptr(flux), _ptr(speed))
+    builtin = closure.builtin
+    if builtin:
+        ok = lib.dw_flux_and_speed(v.size, *builtin, _ptr(v), _ptr(u), _ptr(flux), _ptr(speed))
     else:
         terms = closure_round(closure, v, u, True)
         ok = lib.dw_face_combine(v.size, *terms, _ptr(flux), _ptr(speed))
@@ -431,11 +431,3 @@ def hermite(xi, coef, lo: float, hi: float, h: float, below: float, above: float
     lib.dw_hermite(row.size, _ptr(row), coef.shape[1], _ptr(coef), lo, hi, h, below, above,
                    _ptr(out))
     return out.item() if x.ndim == 0 else out
-
-
-def m1_momentum_flux(v, u):
-    """p(v) - g(u) f(v) of the built-in m1 closure, as the step evaluates it."""
-    v, u = as_pair(v, u)
-    out = np.empty_like(v)
-    lib.dw_m1_momentum_flux(v.size, _ptr(v), _ptr(u), _ptr(out))
-    return out

@@ -35,11 +35,10 @@
  * U[1 .. 2s - 1): the right states of faces 0 .. m, then their left states,
  * each a contiguous array the closure takes in one call.  Stage 1 keeps the
  * ghost-extended rows of m + 4 cells in regions FLUX and SPEED.  FLUX then
- * takes the momentum flux of the edge values (a correction-free closure's p
- * is read in place), and FLUX and SPEED the momentum flux and wave speed of
- * the face states; FLUXES takes the faces' volume and momentum fluxes.  The
- * window and every check go into a dw_status.  Of the Python, only
- * _kernel.step knows this layout.
+ * takes the momentum flux of the edge values, and FLUX and SPEED the
+ * momentum flux and wave speed of the face states; FLUXES takes the faces'
+ * volume and momentum fluxes.  The window and every check go into a
+ * dw_status.  Of the Python, only _kernel.step knows this layout.
  *
  * dw_step runs as a chunk pipeline.  The window search is serial; then the
  * window is cut into chunks of CHUNK cells, and each chunk runs every stage
@@ -58,8 +57,9 @@
  * the layout above.
  *
  * A closure round hands in contiguous rows of the closure's values on V and
- * U (g, g' on u; p, p', f, f' on v).  A correction-free closure (g = 0,
- * f = 1) passes only p, and p' on the faces, with g = NULL.
+ * U (g, g' on u; p, p', f, f' on v): p, g and f on the edge values, all six
+ * on the face states.  dw_flux_and_speed is the face combine of a built-in
+ * closure on any states, by the chunks' own evaluators.
  *
  * dw_tridiagonal_solve, the profile solver's Newton step, dw_erf, its
  * initial guess, and dw_hermite, the profile's interpolant, are the routines
@@ -114,9 +114,8 @@ int dw_step(int64_t n, const double *v, const double *u, int closure, double gam
 int dw_face_combine(int64_t k, const double *p, const double *dp, const double *g,
                     const double *dg, const double *f, const double *df,
                     double *flux, double *speed);
-void dw_m1_momentum_flux(int64_t k, const double *v, const double *u, double *out);
-int dw_m1_flux_and_speed(int64_t k, const double *v, const double *u,
-                         double *flux, double *speed);
+int dw_flux_and_speed(int64_t k, int closure, double gamma, const double *v,
+                      const double *u, double *flux, double *speed);
 void dw_pow(int64_t k, const double *v, double y, int order, double coef, double *out);
 void dw_damping(double h, double *decay, double *kappa);
 void dw_erf(int64_t k, const double *x, double *out);
@@ -556,18 +555,14 @@ static inline void predict(int64_t m, double lam, const double *mf, double *buf,
 }
 
 /* Stage 2.  p, g and f are the closure's values on the 2s edge values (V for
- * p and f, U for g); g = NULL for a correction-free closure. */
+ * p and f, U for g). */
 CLONED void dw_predict(const dw_scalars *sc, const double *p, const double *g,
                        const double *f, double *buf, dw_status *st)
 {
     int64_t m = st->hi - st->lo;
-    const double *mf = p;
-    if (g) {
-        double *out = REGION(FLUX, m);
-        for (int64_t i = 0; i < 2 * (m + 2); i++)
-            out[i] = p[i] - g[i] * f[i];
-        mf = out;
-    }
+    double *mf = REGION(FLUX, m);
+    for (int64_t i = 0; i < 2 * (m + 2); i++)
+        mf[i] = p[i] - g[i] * f[i];
     partial acc = NONE;
     predict(m, sc->lam, mf, buf, 0, &acc);
     st->thin_face = thin_face(&acc);
@@ -586,9 +581,7 @@ static inline int64_t combine(double p, double dp, double g, double dg, double f
     return disc >= 0.0;
 }
 
-/* The face combine of k states.  g = NULL is a correction-free closure:
- * b = 0, c = p', so the flux is p, the speed sqrt(-p') = 0.5 sqrt(-4p')
- * exactly, and hyperbolicity p' <= 0.  Returns 0 unless all are hyperbolic. */
+/* The face combine of k states.  Returns 0 unless all are hyperbolic. */
 CLONED int dw_face_combine(int64_t k, const double *restrict p,
                            const double *restrict dp, const double *restrict g,
                            const double *restrict dg, const double *restrict f,
@@ -596,14 +589,6 @@ CLONED int dw_face_combine(int64_t k, const double *restrict p,
                            double *restrict speed)
 {
     int64_t ok = 1;
-    if (!g) {
-        for (int64_t i = 0; i < k; i++) {
-            ok &= (int64_t)(dp[i] <= 0.0);
-            speed[i] = sqrt(-dp[i]);
-            flux[i] = p[i];
-        }
-        return ok;
-    }
     for (int64_t i = 0; i < k; i++)
         ok &= combine(p[i], dp[i], g[i], dg[i], f[i], df[i], &flux[i], &speed[i]);
     return ok;
@@ -714,8 +699,7 @@ static inline void update(const job *j, int64_t first, int64_t m, double *buf,
 }
 
 /* Stage 3.  p .. df are the closure's values on the 2 (m + 1) face states
- * (V and U from offset 1); g = NULL for a correction-free closure, which
- * passes no g, g', f or f'.  Returns finish's flag. */
+ * (V and U from offset 1).  Returns finish's flag. */
 CLONED int dw_update(int64_t n, const double *v, const double *u, const dw_scalars *sc,
                      const double *p, const double *dp, const double *g,
                      const double *dg, const double *f, const double *df, double *buf,
@@ -743,9 +727,9 @@ static inline double m1_g(double u, double s)
     return u * u * s / (2.0 + s);
 }
 
-/* p(v) - g(u) f(v) */
-CLONED void dw_m1_momentum_flux(int64_t k, const double *restrict v,
-                                 const double *restrict u, double *restrict out)
+/* the momentum flux p(v) - g(u) f(v) of k states */
+CLONED static void m1_flux(int64_t k, const double *restrict v, const double *restrict u,
+                           double *restrict out)
 {
     for (int64_t i = 0; i < k; i++)
         out[i] = 1.0 / (3.0 * v[i]) - m1_g(u[i], m1_s(u[i])) * (1.0 / v[i]);
@@ -753,9 +737,9 @@ CLONED void dw_m1_momentum_flux(int64_t k, const double *restrict v,
 
 /* the face combine of k states with the M1 closure's values.  Returns 0 when
  * a discriminant is not >= 0 (NaN included), else 1. */
-CLONED int dw_m1_flux_and_speed(int64_t k, const double *restrict v,
-                                const double *restrict u, double *restrict flux,
-                                double *restrict speed)
+CLONED static int m1_flux_and_speed(int64_t k, const double *restrict v,
+                                    const double *restrict u, double *restrict flux,
+                                    double *restrict speed)
 {
     int64_t ok = 1;
     for (int64_t i = 0; i < k; i++) {
@@ -837,9 +821,9 @@ void dw_erf(int64_t k, const double *x, double *out)
 
 /* The built-in gamma law: p = v^-gamma and p' = -gamma v^(-gamma-1), the
  * closure's callables (closures._PowerLaw of orders 0 and 1) to the bit.
- * Correction-free: the momentum flux is p, and the face combine is
- * dw_face_combine's with g = NULL.  p and p' of a face state share one log
- * and one exp (power_row). */
+ * With g = 0 and f = 1 the momentum flux is p, the speed sqrt(-p'), which is
+ * combine's 0.5 (0 + sqrt(0 - 4 (p' - 0))) exactly, and hyperbolicity
+ * p' <= 0.  p and p' of a face state share one log and one exp (power_row). */
 POW_CLONED static int gamma_flux_and_speed(int64_t k, double neg_gamma,
                                            const double *restrict v, double *restrict flux,
                                            double *restrict speed)
@@ -869,13 +853,23 @@ POW_CLONED static void chunk(const job *j, int64_t c, double *buf, partial *acc)
     if (j->closure == DW_GAMMA)
         dw_pow(2 * s, v, j->neg_gamma, 0, 1.0, mf);
     else
-        dw_m1_momentum_flux(2 * s, v, u, mf);
+        m1_flux(2 * s, v, u, mf);
     predict(m, j->sc.lam, mf, buf, first, acc);
     acc->hyperbolic &= j->closure == DW_GAMMA
         ? gamma_flux_and_speed(2 * (m + 1), j->neg_gamma, v + 1, REGION(FLUX, m),
                                REGION(SPEED, m))
-        : dw_m1_flux_and_speed(2 * (m + 1), v + 1, u + 1, REGION(FLUX, m), REGION(SPEED, m));
+        : m1_flux_and_speed(2 * (m + 1), v + 1, u + 1, REGION(FLUX, m), REGION(SPEED, m));
     update(j, first, m, buf, acc);
+}
+
+/* The flux and speed of k states with a built-in closure, DW_M1, or DW_GAMMA
+ * with exponent gamma, by the chunks' own evaluators: the face combine's
+ * bits.  Returns 0 unless all are hyperbolic. */
+POW_CLONED int dw_flux_and_speed(int64_t k, int closure, double gamma, const double *v,
+                                 const double *u, double *flux, double *speed)
+{
+    return closure == DW_GAMMA ? gamma_flux_and_speed(k, -gamma, v, flux, speed)
+                               : m1_flux_and_speed(k, v, u, flux, speed);
 }
 
 /* The chunk pool: one helper thread, started on the first step with more

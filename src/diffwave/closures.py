@@ -15,11 +15,12 @@ closure may be shared freely between concurrent workers.
 
 The gamma law's p and its derivatives are ``_PowerLaw`` callables on the
 package's own ``pow`` (``_kernel.power``, in ``_step.c``), which gives the
-same bits on every CPU.  The transport step recognizes them
-(``ModelClosure.builtin_gamma``) and evaluates p and p' in C with the same
-routine, so the built-in step, the callables and the profile solver agree to
-the bit.  A closure resolves which built-in step it takes, if any, once, when
-it is made (``ModelClosure.builtin``).
+same bits on every CPU.  The transport step recognizes them and evaluates p
+and p' in C with the same routine, so the built-in step, the callables and
+the profile solver agree to the bit.  A closure resolves which built-in
+evaluation it takes, if any, once, when it is made (``ModelClosure.builtin``,
+from ``_builtin``); every layer reads that one field.  Any other closure,
+the linear one included, is evaluated through all its callables.
 """
 
 from __future__ import annotations
@@ -59,11 +60,10 @@ class ModelClosure:
     on v.  ``d3p``/``d4p`` give the third and fourth profile derivatives
     analytically; every closure supplies them.
 
-    ``builtin`` is the compiled step's closure and exponent, (DW_M1, 0.0)
-    when ``builtin_m1`` holds and (DW_GAMMA, gamma) when ``builtin_gamma``
-    does, else None.  It is resolved once, when the closure is made (and
-    again by ``dataclasses.replace``), and takes no part in ``==`` or
-    ``repr``.
+    ``builtin`` is the compiled step's closure and exponent, (DW_M1, 0.0),
+    (DW_GAMMA, gamma) or None (``_builtin``).  It is resolved once, when the
+    closure is made (and again by ``dataclasses.replace``), and takes no part
+    in ``==`` or ``repr``.
     """
 
     name: str
@@ -85,10 +85,7 @@ class ModelClosure:
         _require_positive("damping constant alpha", self.alpha)
         if self.v_range[0] <= 0.0 or self.v_range[0] >= self.v_range[1]:
             raise ValueError("v_range must be a nonempty interval of positive v")
-        lib = _kernel.lib
-        builtin = ((lib.DW_M1, 0.0) if self.builtin_m1
-                   else (lib.DW_GAMMA, self.p.gamma) if self.builtin_gamma else None)
-        object.__setattr__(self, "builtin", builtin)
+        object.__setattr__(self, "builtin", _builtin(self))
 
     def admissible(self, v, u) -> bool:
         """True when every (v, u) sample lies inside the admissible box."""
@@ -99,57 +96,6 @@ class ModelClosure:
             and np.all(v <= self.v_range[1])
             and np.all(u >= self.u_range[0])
             and np.all(u <= self.u_range[1])
-        )
-
-    @property
-    def correction_free(self) -> bool:
-        """True when g, g' are the built-in zero and f, f' the built-in one and zero.
-
-        Then g f, g' f and g f' vanish identically, so p - g f = p and
-        p' - g f' = p' hold bit for bit and the solver skips those terms.
-        The test is on the callables themselves: a closure built or rebuilt
-        with any other g, g', f or f' takes the general path.
-        """
-        return (
-            self.g is _zero
-            and self.dg is _zero
-            and self.f is _one
-            and self.df is _zero
-        )
-
-    @property
-    def builtin_gamma(self) -> bool:
-        """True when the closure is correction-free and p, p' are the built-in
-        gamma-law functions of one exponent (``_PowerLaw`` of orders 0 and 1).
-
-        The compiled step then evaluates them in C on the same ``pow`` and
-        reads the exponent from ``p.gamma``.  As for ``builtin_m1``, the test
-        is on the callables themselves: any other p or p' is called.
-        """
-        return (
-            self.correction_free
-            and type(self.p) is _PowerLaw
-            and type(self.dp) is _PowerLaw
-            and (self.p.order, self.dp.order) == (0, 1)
-            and self.p.gamma == self.dp.gamma
-        )
-
-    @property
-    def builtin_m1(self) -> bool:
-        """True when p, p', g, g', f and f' are the built-in m1 functions.
-
-        The compiled step then evaluates them in C, operation for operation
-        the same formulas.  As for ``correction_free``, the test is on the
-        callables themselves, not on the name: a closure built or rebuilt
-        with any other p, p', g, g', f or f' has the step call them.
-        """
-        return (
-            self.p is _m1_p
-            and self.dp is _m1_dp
-            and self.g is _m1_g
-            and self.dg is _m1_dg
-            and self.f is _m1_f
-            and self.df is _m1_df
         )
 
 
@@ -192,8 +138,8 @@ def radiative_pressure_1d(rho, u):
 
 
 # The M1 constitutive functions.  None depends on sigma, so every m1 closure
-# shares them and ``ModelClosure.builtin_m1`` can recognise them by identity;
-# the compiled step evaluates p, p', g, g', f and f' operation for operation.
+# shares them and ``_builtin`` can recognise them by identity; the compiled
+# step evaluates p, p', g, g', f and f' operation for operation.
 def _m1_p(v):
     return 1.0 / (3.0 * v)
 
@@ -289,6 +235,27 @@ class _PowerLaw:
         for i in range(self.order):
             coef *= -(self.gamma + i)
         return _kernel.power(v, -self.gamma, self.order, coef)
+
+
+def _builtin(c: ModelClosure) -> tuple[int, float] | None:
+    """The compiled step's closure and exponent for the closure's callables.
+
+    (DW_M1, 0.0) when p, p', g, g', f and f' are the m1 functions; the step
+    then evaluates them in C, operation for operation the same formulas.
+    (DW_GAMMA, gamma) when p and p' are ``_PowerLaw`` of orders 0 and 1 of
+    one exponent, and g, g', f and f' the built-in zero, zero, one and zero;
+    the step then evaluates p and p' in C on the same ``pow``.  Else None.
+    The test is on the callables themselves, not on the name: a closure
+    built or rebuilt with any other callable has the step call them all.
+    """
+    terms = (c.p, c.dp, c.g, c.dg, c.f, c.df)
+    if all(a is b for a, b in zip(terms, (_m1_p, _m1_dp, _m1_g, _m1_dg, _m1_f, _m1_df))):
+        return (_kernel.lib.DW_M1, 0.0)
+    if (type(c.p) is _PowerLaw and type(c.dp) is _PowerLaw
+            and (c.p.order, c.dp.order) == (0, 1) and c.p.gamma == c.dp.gamma
+            and all(a is b for a, b in zip(terms[2:], (_zero, _zero, _one, _zero)))):
+        return (_kernel.lib.DW_GAMMA, c.p.gamma)
+    return None
 
 
 def gamma_law_closure(gamma: float = 2.0, alpha: float = 1.0) -> ModelClosure:

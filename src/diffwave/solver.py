@@ -64,13 +64,12 @@ so the step is bit for bit the NumPy formulation that
 
 When the closure is built in (``ModelClosure.builtin``, resolved once
 when the closure is made), the whole step is one C call.  For the m1
-closure (``ModelClosure.builtin_m1``) C copies of p, p', g, g', f and f' run,
-operation for operation (they use only +, -, *, / and sqrt, which round
-correctly on both sides).  For the gamma law (``ModelClosure.builtin_gamma``)
-p = v^-gamma and p' = -gamma v^(-gamma-1) run on the package's own ``pow``
-in ``_step.c``, the routine the closure's callables call
-(``_kernel.power``), with p and p' of a face state sharing one log and one
-exp.  That ``pow`` is built from IEEE operations and explicit fused
+closure C copies of p, p', g, g', f and f' run, operation for operation
+(they use only +, -, *, / and sqrt, which round correctly on both sides).
+For the gamma law p = v^-gamma and p' = -gamma v^(-gamma-1) run on the
+package's own ``pow`` in ``_step.c``, the routine the closure's callables
+call (``_kernel.power``), with p and p' of a face state sharing one log and
+one exp.  That ``pow`` is built from IEEE operations and explicit fused
 multiply-adds, within 1 ulp, so its bits are the same on every CPU, unlike
 NumPy's SIMD ``pow``.  The one call cuts the window into chunks of 256
 cells and runs each chunk through every stage on its own scratch, on the
@@ -78,13 +77,13 @@ calling thread and, when the process's affinity mask holds a second CPU, on
 one C helper thread; the chunks' checks fold into the same status, so the
 step keeps its bits on any number of CPUs.  Every other closure (the linear
 one, or one a user builds) keeps its callables, and the step makes two
-closure rounds between the stages: each needed callable is called once on
-the edge values of both edge rows, held back to back in one array, then
-once on the states of both face rows.
-A correction-free closure (g = 0, f = 1) needs only p, then p and p'.  One
-C face combine turns the second round into fluxes, speeds and the
-hyperbolicity flag; ``closures.wave_speed_bound`` takes its speeds from the
-same combine (``_kernel.flux_and_speed``).  When a discriminant is lost,
+closure rounds between the stages: p, g and f are called once on the edge
+values of both edge rows, held back to back in one array, then all six
+callables once on the states of both face rows.  One C face combine turns
+the second round into fluxes, speeds and the hyperbolicity flag;
+``closures.wave_speed_bound`` takes its speeds from the same combine
+(``_kernel.flux_and_speed``), or for a built-in closure from the built-in
+step's own C evaluators.  When a discriminant is lost,
 ``closures.characteristic_speeds`` on the face states raises the error.
 ``_kernel.step`` runs the stages and alone knows the step's buffer;
 ``step`` checks dt and turns a failed check into its error.  A state a
@@ -159,6 +158,11 @@ def smallness_errors(strength: float, amplitude: float) -> list[str]:
     return errors
 
 
+def _require_cells(n_cells) -> None:
+    if not n_cells >= 1:
+        raise ValueError(f"n_cells must be at least 1, not {n_cells!r}")
+
+
 class BlowUpError(RuntimeError):
     """Raised when the numerical solution leaves the physical regime."""
 
@@ -195,6 +199,7 @@ class SimState:
     _cells = None
 
     def __post_init__(self):
+        _require_cells(self.n_cells)
         self.x_left, self.x_right = float(self.x_left), float(self.x_right)
         if not -math.inf < self.x_left < self.x_right < math.inf:
             raise ValueError(f"the domain ends must be finite with x_left < x_right, "
@@ -264,6 +269,7 @@ class ScenarioSpec:
     corr: CorrectionField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_cells(self.n_cells)
         if not 0.0 < self.cfl < 1.0:
             raise ValueError("cfl must lie in (0,1)")
         errors = smallness_errors(self.wave_strength, self.perturbation.amplitude)

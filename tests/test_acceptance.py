@@ -129,6 +129,14 @@ def test_mass_drift_under_gate_on_both_runs(acceptance):
         assert drift < 1e-6, key
 
 
+def test_only_the_gamma_run_keeps_z_snapshots(acceptance):
+    """P8 differences z in time on the gamma series alone, so the m1 run
+    stores no snapshot."""
+    _, artifacts = acceptance
+    assert len(artifacts["series_gamma"].z_fields) == 101
+    assert artifacts["series_m1"].z_fields == []
+
+
 def test_monotone_decay_after_transient(acceptance):
     """No norm increase beyond 1% between consecutive samples past t=10."""
     _, artifacts = acceptance

@@ -250,6 +250,16 @@ def test_failed_emission_leaves_no_temporary(monkeypatch, user_cache):
     assert list(user_cache.iterdir()) == []
 
 
+def test_source_compiles_with_every_warning_an_error():
+    """_step.c alone under -Wall -Wextra -Werror: a static evaluator left
+    unused, or any new warning, fails.  A full compile, not -fsyntax-only,
+    under which GCC reports no unused static function."""
+    cmd = [_kernel._CC, "-Wall", "-Wextra", "-Werror", "-c", "-o", os.devnull,
+           str(_kernel._SOURCE)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_baseline_build_gives_the_loaded_librarys_bits(monkeypatch, tmp_path):
     """A copy of _step.c with no target clones (the baseline x86-64 code,
     whose fma is the C library's) against the loaded library, which runs its

@@ -214,6 +214,18 @@ def test_sim_state_rejects_bad_domain_ends(gamma_closure, ends):
         SimState(*ends, 3, np.ones(3), np.zeros(3), 0.0, gamma_closure)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("make", ["SimState", "build_initial_data"])
+def test_empty_grid_raises_a_value_error_naming_n_cells(gamma_closure, make, n):
+    profile = solve_profile(gamma_closure, 1.0, 1.0, n_cells=128)
+    with pytest.raises(ValueError, match=rf"^n_cells must be at least 1, not {n}$"):
+        if make == "SimState":
+            SimState(-1.0, 1.0, n, [], [], 0.0, gamma_closure)
+        else:
+            build_initial_data(ScenarioSpec(gamma_closure, 1.0, 1.0, n_cells=n, x_max=20.0,
+                                            end_time=1.0), profile)
+
+
 @pytest.mark.parametrize("closure", ["gamma_closure", "m1", "linear"])
 def test_sim_state_takes_lists_and_ints_as_float64(request, closure):
     """List, integer and strided input become contiguous float64 rows, and

@@ -170,7 +170,7 @@ def test_face_rule_dt_tracks_cell_rule(preset, n_cells):
 
 
 def _user_built(closure):
-    """The same closure with every callable rewrapped: not correction-free."""
+    """The same closure with every callable rewrapped: not built in."""
     names = ("p", "dp", "g", "dg", "f", "df")
     return dataclasses.replace(
         closure, **{k: lambda x, fn=getattr(closure, k): fn(x) for k in names}
@@ -192,38 +192,29 @@ def test_wave_speed_bound_matches_reference_bitwise(closure):
     )
 
 
-def test_correction_free_keyed_on_callables():
-    gas = gamma_law_closure(2.0, 1.0)
-    assert gas.correction_free and linear_closure(1.0).correction_free
-    assert not m1_closure(1.0).correction_free
-    assert not _user_built(gas).correction_free
-    assert dataclasses.replace(gas, name="m1").correction_free
-    renamed = dataclasses.replace(m1_closure(1.0), name="gamma_law")
-    assert not renamed.correction_free
-
-
 def test_builtin_m1_keyed_on_callables():
     for sigma in (0.5, 1.0, 2.0):
-        assert m1_closure(sigma).builtin_m1
-    assert dataclasses.replace(m1_closure(1.0), name="gamma_law").builtin_m1
-    assert not _user_built(m1_closure(1.0)).builtin_m1
+        assert m1_closure(sigma).builtin == M1
+    assert dataclasses.replace(m1_closure(1.0), name="gamma_law").builtin == M1
+    assert _user_built(m1_closure(1.0)).builtin is None
     renamed = dataclasses.replace(gamma_law_closure(2.0, 1.0), name="m1")
-    assert not renamed.builtin_m1
+    assert renamed.builtin != M1
     for closure in (gamma_law_closure(2.0, 1.0), linear_closure(1.0)):
-        assert not closure.builtin_m1
+        assert closure.builtin != M1
 
 
 def test_compiled_m1_evaluators_match_numpy_bitwise():
     """The C m1 flux and speed against the NumPy callables on m1's box.
 
     The grid adds u = +-0.0 and the smallest subnormals to 700 x 700 points.
+    The built-in step's edge momentum flux is the same expression as this
+    face flux; the step oracle pins it inside the step.
     """
     m1 = m1_closure(1.0)
     v = np.linspace(0.05, 20.0, 700)
     u = np.r_[np.linspace(-0.99, 0.99, 700), 0.0, -0.0, 5e-324, -5e-324]
     vv, uu = (a.ravel() for a in np.meshgrid(v, u))
     want_flux = _flux(m1, vv, uu)[1]
-    assert same_bits(_kernel.m1_momentum_flux(vv, uu), want_flux)
     flux, speed = _kernel.flux_and_speed(m1, vv, uu)
     assert same_bits(flux, want_flux)
     assert same_bits(speed, reference_wave_speed_bound(m1, vv, uu))
@@ -247,12 +238,13 @@ def test_compiled_m1_loses_hyperbolicity_like_numpy():
 
 
 def test_closure_with_rising_pressure_loses_hyperbolicity_like_numpy():
-    """p' > 0: the correction-free and the general combine raise the callables' error."""
+    """p' > 0: the general combine raises the callables' error, with g and f
+    the built-in zero and one or rewrapped."""
     rising = dataclasses.replace(
         linear_closure(1.0), p=lambda v: np.asarray(v, dtype=float),
         dp=lambda v: np.ones_like(np.asarray(v, dtype=float)),
     )
-    assert rising.correction_free and not _user_built(rising).correction_free
+    assert rising.builtin is None and rising.g is linear_closure(1.0).g
     n = 32
     for closure in (rising, _user_built(rising)):
         state = SimState(-4.0, 4.0, n, np.ones(n), np.zeros(n), 0.0, closure)
@@ -280,7 +272,7 @@ def _calls_per_round(closure, n_steps=3):
             return fn(x)
         return called
 
-    names = ("p", "dp") if closure.correction_free else ("p", "dp", "g", "dg", "f", "df")
+    names = ("p", "dp", "g", "dg", "f", "df")
     closure = dataclasses.replace(
         closure, **{k: recorder(k, getattr(closure, k)) for k in names}
     )
@@ -299,12 +291,11 @@ def _calls_per_round(closure, n_steps=3):
 
 
 def test_each_round_calls_each_callable_once_on_one_array():
-    for closure, first, second in (
-        (gamma_law_closure(2.0, 1.0), ["p"], ["dp", "p"]),
-        (_user_built(gamma_law_closure(2.0, 1.0)), ["f", "g", "p"],
-         ["df", "dg", "dp", "f", "g", "p"]),
-        (_user_built(m1_closure(1.0)), ["f", "g", "p"], ["df", "dg", "dp", "f", "g", "p"]),
-    ):
+    """Every closure off the built-in step, g = 0 and f = 1 included, has its
+    p, g and f called on the edge values and all six on the face states."""
+    first, second = ["f", "g", "p"], ["df", "dg", "dp", "f", "g", "p"]
+    for closure in (gamma_law_closure(2.0, 1.0), linear_closure(1.0),
+                    _user_built(gamma_law_closure(2.0, 1.0)), _user_built(m1_closure(1.0))):
         assert _calls_per_round(closure) == [[first, second]] * 3
 
 
@@ -317,7 +308,7 @@ def test_builtin_m1_step_calls_no_callable(monkeypatch):
         monkeypatch.setattr(closures, f"_m1_{name}",
                             lambda x, fn=fn, name=name: calls.append(name) or fn(x))
     closure = closures.m1_closure(1.0)
-    assert closure.builtin_m1
+    assert closure.builtin == M1
     n = 64
     u = 0.05 * np.sin(np.linspace(0.0, 3.0, n))
     state = SimState(-4.0, 4.0, n, np.ones(n), u, 0.0, closure)
@@ -344,15 +335,15 @@ def test_face_combine_matches_flux_and_speed_bitwise(closure):
 
 
 def test_rewrapped_closure_steps_like_builtin():
-    """The built-in callables' shortcuts (g = 0 in NumPy, m1 in C) and the callables agree.
+    """The built-in steps (the gamma law and m1 in C) and the callables agree.
 
     m1-default has the far-field velocity jump u_plus = 0.05.
     """
     for preset in ("gamma-default", "m1-default"):
         spec, state = _preset_state(preset, 256)
         other = dataclasses.replace(state, closure=_user_built(state.closure))
-        assert not other.closure.correction_free and not other.closure.builtin_m1
-        assert state.closure.builtin_m1 == (preset == "m1-default")
+        assert other.closure.builtin is None
+        assert state.closure.builtin == (M1 if preset == "m1-default" else GAMMA2)
         for _ in range(5):
             dt = cfl_dt(state, spec.cfl)
             assert cfl_dt(other, spec.cfl) == dt
@@ -753,16 +744,17 @@ def test_chunked_gamma_step_raises_the_callables_error(value):
 def test_builtin_gamma_keyed_on_callables():
     for gamma in (1.0, 1.4, 2.0, 3.0):
         closure = gamma_law_closure(gamma, 1.0)
-        assert closure.builtin_gamma and not closure.builtin_m1
+        assert closure.builtin == (_kernel.lib.DW_GAMMA, gamma)
         assert closure.p.gamma == gamma
     gas = gamma_law_closure(2.0, 1.0)
-    assert dataclasses.replace(gas, name="m1").builtin_gamma
-    assert not _user_built(gas).builtin_gamma
-    assert not dataclasses.replace(gas, dp=gamma_law_closure(3.0, 1.0).dp).builtin_gamma
-    assert not dataclasses.replace(gas, p=gas.d2p).builtin_gamma
-    assert not dataclasses.replace(gas, g=lambda u: 0.0 * u).builtin_gamma
-    for closure in (m1_closure(1.0), linear_closure(1.0)):
-        assert not closure.builtin_gamma
+    assert dataclasses.replace(gas, name="m1").builtin == GAMMA2
+    assert _user_built(gas).builtin is None
+    assert dataclasses.replace(gas, dp=gamma_law_closure(3.0, 1.0).dp).builtin is None
+    assert dataclasses.replace(gas, p=gas.d2p).builtin is None
+    assert dataclasses.replace(gas, g=lambda u: 0.0 * u).builtin is None
+    assert dataclasses.replace(gas, f=lambda v: 0.0 * v + 1.0).builtin is None
+    assert linear_closure(1.0).builtin is None
+    assert m1_closure(1.0).builtin == M1
 
 
 def test_builtin_gamma_step_calls_no_callable(monkeypatch):
@@ -777,6 +769,24 @@ def test_builtin_gamma_step_calls_no_callable(monkeypatch):
     assert calls == []
     gamma_law_closure(2.0, 1.0).p(v)  # the callables do go through it
     assert len(calls) == 1
+
+
+def test_builtin_gamma_wave_speed_bound_calls_no_callable(monkeypatch):
+    """The gamma law's wave_speed_bound runs the built-in step's own C
+    evaluator, to the bits of the callables' general combine."""
+    v = np.linspace(0.05, 20.0, 601)
+    u = np.linspace(-0.99, 0.99, 397)
+    vv, uu = np.meshgrid(v, u)
+    for gamma, alpha in ((2.0, 1.0), (1.4, 0.5), (3.0, 2.0)):
+        gas = gamma_law_closure(gamma, alpha)
+        want = wave_speed_bound(_user_built(gas), vv, uu)
+        calls = []
+        power = _kernel.power
+        monkeypatch.setattr(_kernel, "power", lambda *a: calls.append(a) or power(*a))
+        got = wave_speed_bound(gas, vv, uu)
+        monkeypatch.undo()
+        assert calls == []
+        assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("gamma, alpha", [(1.4, 0.5), (3.0, 2.0)])
