@@ -192,6 +192,19 @@ def test_wave_speed_bound_matches_reference_bitwise(closure):
     )
 
 
+def test_correction_free_keyed_on_callables():
+    """The closures without a correction term (g = 0, f = 1) share the same
+    zero and one callables; their kind follows the callables, not the name."""
+    gas, line, m1 = gamma_law_closure(2.0, 1.0), linear_closure(1.0), m1_closure(1.0)
+    assert gas.g is line.g and gas.f is line.f and gas.dg is line.dg and gas.df is line.df
+    assert m1.g is not gas.g and m1.f is not gas.f
+    assert gas.builtin == GAMMA2 and line.builtin is None
+    assert dataclasses.replace(gas, name="m1").builtin == GAMMA2
+    assert _user_built(gas).builtin is None
+    renamed = dataclasses.replace(m1, name="gamma_law")
+    assert renamed.builtin == M1 and renamed.g is m1.g
+
+
 def test_builtin_m1_keyed_on_callables():
     for sigma in (0.5, 1.0, 2.0):
         assert m1_closure(sigma).builtin == M1
