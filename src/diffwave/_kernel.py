@@ -24,31 +24,29 @@ declarations block, emits the C of the module, which includes ``_step.c``,
 and ``cc`` compiles it with the Python headers.  A call into ``lib`` is then
 one C call, with no libffi in between.
 
-With a built-in closure, m1 or the gamma law, the step runs its window in
-chunks on the calling thread and one C helper thread, when the process's
-affinity mask holds a second CPU (``taskset`` limits it); the helper starts
-on the first step with more than one chunk, and it is stopped and joined at
-exit.  ``_step.c`` describes it.
+The step runs its window in chunks on the calling thread and one C helper
+thread, when the process's affinity mask holds a second CPU (``taskset``
+limits it); the helper starts on the first step with more than one chunk,
+and it is stopped and joined at exit.  ``_step.c`` describes it.
 
 The wrappers take and return NumPy arrays of float64; every input goes
-through ``np.ascontiguousarray(x, dtype=float)`` (``as_pair``, ``_row``),
-except ``step``'s cells, which ``SimState`` keeps contiguous float64.
-``step`` runs one transport step from (alpha, dt, dx) and alone knows the
-layout of its buffer: with a built-in closure (``ModelClosure.builtin``)
-one C call, with any other the three stages and, between them, the
-closure's two rounds (``closure_round``); ``_step.c`` says what each stage
-does.  It hands back the successor's rows with their pointers, which the
-next step reuses.  ``flux_and_speed`` is the same face combine on any
-states, the package's one evaluation of the flux and the wave speed: with a
-built-in closure the step's own C evaluators (``dw_flux_and_speed``), with
-any other the closure's callables.
+through ``np.ascontiguousarray(x, dtype=float)`` (``as_pair``), except
+``step``'s cells, which ``SimState`` keeps contiguous float64 and
+``check_cells`` checks.  ``step`` is one transport step with a built-in
+closure (``ModelClosure.builtin``) from (alpha, dt, dx), one C call
+(``dw_step``): its flag, its status (the window, the largest face speed and
+|u|) and the successor's rows with their pointers, which the next step
+reuses.  Where a check failed, and every step of any other closure, is the
+business of ``solver``'s NumPy formulation; no Python here knows how C lays
+out its scratch.  ``flux_and_speed`` is a built-in closure's face combine on
+any states, by the step's own C evaluators (``dw_flux_and_speed``).
 
 ``power`` is the package's own pow, within 1 ulp and the same bits on
 every CPU and under any NumPy dispatch: the gamma law's callables call it.
 The step's damping scalars e^-h and sinh(h)/h come from the same routine's
-exp, in C (``dw_step_scalars``).  ``erf`` is the C library's erf in one
-loop, ``tridiagonal_solve`` the profile solver's Newton step and
-``hermite`` the profile's interpolant.
+exp (``dw_damping``, which C's step calls and ``damping`` wraps).  ``erf``
+is the C library's erf in one loop, ``tridiagonal_solve`` the profile
+solver's Newton step and ``hermite`` the profile's interpolant.
 """
 
 from __future__ import annotations
@@ -224,10 +222,9 @@ atexit.register(lib.dw_pool_stop)
 
 
 _DOUBLES = ffi.typeof("double[]")
+_PAIR = ffi.typeof("double[2]")
 _STATUS = ffi.typeof("dw_status *")
-_STEP_SCALARS = ffi.typeof("dw_scalars *")
 _FLOAT64 = np.dtype(float)
-_NULL = ffi.NULL
 _ORDERS = range(5)
 
 
@@ -243,133 +240,66 @@ def as_pair(v, u):
     return v, u
 
 
-def _row(x, size: int):
-    """x as a contiguous float64 row of size values, broadcast if it is smaller."""
-    x = np.ascontiguousarray(x, dtype=float)
-    if x.shape != (size,):
-        x = np.ascontiguousarray(np.broadcast_to(x, (size,)))
-    return x
-
-
-def closure_round(closure, v, u, speed: bool):
-    """One closure round on the contiguous rows v and u: pointers to the rows
-    p, p', g, g', f, f' as the stages take them (g, g' on u, the rest on v).
-
-    Each callable is called once: p, g and f, and with ``speed`` also p', g'
-    and f'.  A row not evaluated is NULL.
-    """
-    size = v.size
-
-    def row(fn, x):
-        return _ptr(_row(fn(x), size))
-
-    p, g, f = row(closure.p, v), row(closure.g, u), row(closure.f, v)
-    if not speed:
-        return p, _NULL, g, _NULL, f, _NULL
-    return p, row(closure.dp, v), g, row(closure.dg, u), f, row(closure.df, v)
-
-
-def _edge_rows(st, buf):
-    """(v, u) at the window's 2 (m + 2) edge values: the left edge values of
-    its cells and one cell a side, then their right edge values.
-
-    The same rows without their first and last value are the 2 (m + 1) face
-    states (``_step.c``), which the closure's second round takes.
-    """
-    s = st.hi - st.lo + 2
-    return buf[: 2 * s], buf[2 * s: 4 * s]
-
-
-def _buffer(n: int):
-    return np.empty(lib.N_REGIONS * 2 * (n + 2))
+def check_cells(v, u) -> None:
+    """Raise ValueError unless v and u are float64 rows of one size, as a step reads them."""
+    if v.dtype != _FLOAT64 or u.dtype != _FLOAT64 or u.size != v.size:
+        raise ValueError(f"the cells must be float64 rows of one size, not "
+                         f"{v.dtype} {v.shape} and {u.dtype} {u.shape}")
 
 
 def step(closure, v, u, dt: float, dx: float, cells=None):
-    """One transport step of dt on the contiguous float64 cells (v, u) of
-    width dx: (ok, st, successor, buf).
+    """One transport step of dt with the built-in closure on the contiguous
+    float64 cells (v, u) of width dx: (ok, st, successor).
 
-    ``ok`` is 1 when every check of the step passed (``_step.c``), and then
-    only ``st.speed_bound`` and ``st.u_max`` of the ``dw_status`` ``st`` need
-    reading; ``successor`` is (v, u, pv, pu), the successor's rows and
-    pointers to them, once the step has run through, ``buf`` the step's
-    buffer for ``face_states``, or None.  A ``successor`` passed back in as
-    ``cells`` lends its pointers while v and u are still its rows; otherwise
-    v and u are checked and pointed to afresh.  Each call makes its own rows,
-    status and scratch, so concurrent steps share nothing but the chunk pool,
-    which one step holds at a time; a step that finds it held runs alone.
-    With a built-in closure the step is one C call, run in chunks on scratch
-    of its own, and when a face loses hyperbolicity once more as one chunk
-    in ``buf``, which leaves the face states there.  With any other closure
-    it runs the three stages on the same C scalars and, between them, the
-    closure's two rounds; ``st.thin_face >= 0`` stops it after the
-    predictor.  Raises MemoryError when C cannot allocate its scratch.
+    ``ok`` is 1 when every check of the step passed (``_step.c``), else 0;
+    the ``dw_status`` ``st`` holds the window ``st.lo`` .. ``st.hi`` and,
+    when ``ok``, the largest face speed ``st.speed_bound`` and |u|
+    ``st.u_max``; ``successor`` is (v, u, pv, pu), its rows and pointers to
+    them, which lend their pointers while v and u are still those rows when
+    passed back in as ``cells``.  Each call makes its own rows, status and
+    scratch, so concurrent steps share nothing but the chunk pool, which one
+    step holds at a time.  Raises ValueError for a closure that is not built
+    in, MemoryError when C cannot allocate its scratch.
     """
+    builtin = closure.builtin
+    if builtin is None:
+        raise ValueError(f"the compiled step takes a built-in closure, not {closure.name!r}")
     n = v.size
     if cells is not None and cells[0] is v and cells[1] is u:
         pv, pu = cells[2], cells[3]
-    elif v.dtype != _FLOAT64 or u.dtype != _FLOAT64 or u.size != n:  # C reads n doubles of each
-        raise ValueError(f"the cells must be float64 rows of one size, not "
-                         f"{v.dtype} {v.shape} and {u.dtype} {u.shape}")
     else:
+        check_cells(v, u)  # C reads n doubles of each
         pv, pu = _ptr(v), _ptr(u)  # raises unless contiguous
     rows = np.empty((2, n))
     out = _ptr(rows)
     st = ffi.new(_STATUS)
-    builtin = closure.builtin
-    if builtin:
-        ok = lib.dw_step(n, pv, pu, *builtin, closure.alpha, dt, dx, _NULL, out, st)
-        buf = None
-        if ok != 1:
-            if ok < 0:
-                raise MemoryError("cannot allocate the transport step's scratch")
-            if not st.hyperbolic and st.thin_face < 0:
-                buf = _buffer(n)
-                lib.dw_step(n, pv, pu, *builtin, closure.alpha, dt, dx, _ptr(buf), out, st)
-        return ok, st, (rows[0], rows[1], out, out + n), buf
-    sc = ffi.new(_STEP_SCALARS)
-    lib.dw_step_scalars(closure.alpha, dt, dx, sc)
-    inputs = (n, pv, pu, sc)
-    buf = _buffer(n)
-    pbuf = _ptr(buf)
-    lib.dw_edges(*inputs, pbuf, st)
-    edge_v, edge_u = _edge_rows(st, buf)
-    p, _, g, _, f, _ = closure_round(closure, edge_v, edge_u, False)
-    lib.dw_predict(sc, p, g, f, pbuf, st)
-    ok = 0
-    if st.thin_face < 0:
-        terms = closure_round(closure, edge_v[1:-1], edge_u[1:-1], True)
-        ok = lib.dw_update(*inputs, *terms, pbuf, out, st)
-    return ok, st, (rows[0], rows[1], out, out + n), buf
-
-
-def face_states(st, buf):
-    """((v, u) of the left states, (v, u) of the right states) of the
-    window's m + 1 faces: right and left edge values of the window."""
-    edge_v, edge_u = _edge_rows(st, buf)
-    s = st.hi - st.lo + 2
-    return (edge_v[s:-1], edge_u[s:-1]), (edge_v[1:s], edge_u[1:s])
+    ok = lib.dw_step(n, pv, pu, *builtin, closure.alpha, dt, dx, out, st)
+    if ok < 0:
+        raise MemoryError("cannot allocate the transport step's scratch")
+    return ok, st, (rows[0], rows[1], out, out + n)
 
 
 def flux_and_speed(closure, v, u):
-    """(flux, speed) of the closure at the 1-D states (v, u), as the step's
-    face combine computes them: p - g f and (|b| + sqrt(b^2 - 4c)) / 2 with
-    b = g' f and c = p' - g f'.  The speed is max(|lam-|, |lam+|) bit for
-    bit: the larger root magnitude is the rounded sum of |b| and the root,
-    the smaller the rounded difference, which rounding keeps no larger.
-    A built-in closure (``ModelClosure.builtin``) is evaluated in C by the
-    built-in step's own evaluators, any other by its callables.
+    """(flux, speed) of the built-in closure (``ModelClosure.builtin``) at
+    the 1-D states (v, u), by the built-in step's own C evaluators
+    (``dw_flux_and_speed``): the bits of ``closures.face_combine`` on the
+    closure's callables.
 
     Returns None when a discriminant is not >= 0 (NaN included).
     """
     v, u = as_pair(v, u)
     flux, speed = np.empty_like(v), np.empty_like(v)
-    builtin = closure.builtin
-    if builtin:
-        ok = lib.dw_flux_and_speed(v.size, *builtin, _ptr(v), _ptr(u), _ptr(flux), _ptr(speed))
-    else:
-        terms = closure_round(closure, v, u, True)
-        ok = lib.dw_face_combine(v.size, *terms, _ptr(flux), _ptr(speed))
+    ok = lib.dw_flux_and_speed(v.size, *closure.builtin, _ptr(v), _ptr(u), _ptr(flux),
+                               _ptr(speed))
     return (flux, speed) if ok else None
+
+
+def damping(h: float):
+    """(e^-h, sinh(h)/h) by the package's exp (``dw_damping``): a step's
+    damping factor and its mean over the step, for h = alpha dt / 2."""
+    out = ffi.new(_PAIR)
+    lib.dw_damping(h, out, out + 1)
+    return out[0], out[1]
 
 
 def tridiagonal_solve(lower, diag, upper, rhs):
@@ -401,7 +331,7 @@ def power(v, y: float, order: int = 0, coef: float = 1.0):
     if not (math.isfinite(y) and order in _ORDERS and (order == 0 or y <= 0.0)):
         raise ValueError(f"power needs a finite y, order 0 .. 4 and y <= 0 for "
                          f"order > 0, not y={y}, order={order}")
-    # a contiguous float64 row, the closure rounds' input, goes in as it is
+    # a contiguous float64 row, as the NumPy step hands in, goes in as it is
     row = (type(v) is np.ndarray and v.ndim == 1 and v.dtype == _FLOAT64
            and v.flags.c_contiguous)
     x = v if row else np.ascontiguousarray(v, dtype=float).ravel()

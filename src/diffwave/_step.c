@@ -1,4 +1,5 @@
-/* The arithmetic of diffwave.solver.step, bit for bit the NumPy formulation.
+/* The arithmetic of diffwave.solver.step with a built-in closure, bit for
+ * bit the step's NumPy formulation (solver._numpy_step).
  *
  * Every operation here is one IEEE-754 double operation that NumPy performs
  * elementwise in the same order (+, -, *, /, sqrt, fabs, compares), so each
@@ -11,55 +12,41 @@
  * callables (closures._PowerLaw) call them too.
  *
  * A step with a built-in closure, M1 or the gamma law, is one call,
- * dw_step.  With any other closure the step makes two closure rounds, and
- * these three stages run before, between and after them:
- *
- *   dw_edges    ghost cells, the bitwise window, the edge values;
- *   dw_predict  the momentum flux p - g f of the closure's first round, the
- *               MUSCL-Hancock predictor and the reconstruction check;
- *   dw_update   the face combine of the closure's second round, the local
- *               Lax-Friedrichs faces, the update, the second damping
- *               half-step, the state checks, the far-field fill.
- *
- * Both take the step's scalars from dw_step_scalars, which computes them from
- * (alpha, dt, dx) with the operations the NumPy formulation uses, and both
- * return 1 when every check of the step passed (finish): then the caller
- * needs no status field but the speed bound and the largest |u|.
- *
- * A step works in one buffer of N_REGIONS * 2 (n + 2) values.  For a window
- * of m cells, s = m + 2 is the number of edge positions: the window's cells
- * and one cell a side.  Region V holds the left edge values vl[0 .. s) and
- * then the right ones vr[0 .. s), back to back; region U the same for u.
- * Face k (m + 1 faces) has the left state (vr, ur)[k] and the right state
- * (vl, ul)[k + 1], so the 2 (m + 1) face states are V[1 .. 2s - 1) and
- * U[1 .. 2s - 1): the right states of faces 0 .. m, then their left states,
- * each a contiguous array the closure takes in one call.  Stage 1 keeps the
- * ghost-extended rows of m + 4 cells in regions FLUX and SPEED.  FLUX then
- * takes the momentum flux of the edge values, and FLUX and SPEED the
- * momentum flux and wave speed of the face states; FLUXES takes the faces'
- * volume and momentum fluxes.  The window and every check go into a
- * dw_status.  Of the Python, only _kernel.step knows this layout.
+ * dw_step, the only step entry; any other closure steps on the NumPy
+ * formulation.  dw_step returns 1 when every check of the step passed
+ * (finish), else 0, and its status holds only the window, the largest face
+ * speed and the largest |u|.  When the flag is clear, the Python runs the
+ * NumPy formulation on the same state and dt, which finds the check that
+ * failed and raises its error; so nothing here records where a check failed.
  *
  * dw_step runs as a chunk pipeline.  The window search is serial; then the
  * window is cut into chunks of CHUNK cells, and each chunk runs every stage
- * on its own scratch, laid out as above for a window of its size: the edge
- * values of its cells and a one-cell halo, the closure's momentum flux, the
- * predictor, the closure's face combine, its faces (a face between two
- * chunks is computed by both, to the same bits), the update of its cells,
- * and the checks.  Only the two closure evaluations depend on the closure.
- * The first and last chunks fill the far fields.  Each chunk folds what it
- * found into a partial status (a first index, a largest bit pattern, a
- * flag); these fold to the same status in any order, so the status is the
- * whole-window step's bit for bit.  The calling thread and a helper thread
- * claim chunks from one counter (see "the chunk pool"); the caller's scratch
- * is allocated per call, for at most one chunk.  The error path runs the
- * window as one chunk in a buffer the caller hands in, which it leaves in
- * the layout above.
+ * on its own scratch: the edge values of its cells and a one-cell halo, the
+ * closure's momentum flux, the predictor, the closure's face combine, its
+ * faces (a face between two chunks is computed by both, to the same bits),
+ * the update of its cells, and the checks.  Only the two closure
+ * evaluations depend on the closure.  The first and last chunks fill the
+ * far fields.  Each chunk folds what it found into a partial status (flags
+ * and largest bit patterns); these fold to the same status in any order, so
+ * the status is the whole window's bit for bit.  The calling thread and a
+ * helper thread claim chunks from one counter (see "the chunk pool"); the
+ * caller's scratch is allocated per call, for one chunk.
  *
- * A closure round hands in contiguous rows of the closure's values on V and
- * U (g, g' on u; p, p', f, f' on v): p, g and f on the edge values, all six
- * on the face states.  dw_flux_and_speed is the face combine of a built-in
- * closure on any states, by the chunks' own evaluators.
+ * A chunk of m cells works in N_REGIONS regions of 2 (m + 2) values, a
+ * layout private to this file.  s = m + 2 is the number of edge positions:
+ * the chunk's cells and one cell a side.  Region V holds the left edge values
+ * vl[0 .. s) and then the right ones vr[0 .. s), back to back; region U the
+ * same for u.  Face k (m + 1 faces) has the left state (vr, ur)[k] and the
+ * right state (vl, ul)[k + 1], so the 2 (m + 1) face states are V[1 .. 2s - 1)
+ * and U[1 .. 2s - 1): the right states of faces 0 .. m, then their left
+ * states, each a contiguous row for the closure's evaluator.  The edges keep
+ * the ghost-extended rows of m + 4 cells in regions FLUX and SPEED.  FLUX
+ * then takes the momentum flux of the edge values, and FLUX and SPEED the
+ * momentum flux and wave speed of the face states; FLUXES takes the faces'
+ * volume and momentum fluxes.
+ *
+ * dw_flux_and_speed is the face combine of a built-in closure on any
+ * states, by the chunks' own evaluators.
  *
  * dw_tridiagonal_solve, the profile solver's Newton step, dw_erf, its
  * initial guess, and dw_hermite, the profile's interpolant, are the routines
@@ -83,37 +70,14 @@
 #include <unistd.h>
 
 /* --- declarations --- */
-enum { V, U, FLUX, SPEED, FLUXES, N_REGIONS };
 typedef struct {
     int64_t lo, hi;     /* the window: domain cells lo .. hi-1 */
-    int64_t thin_face;  /* first face whose reconstructed v is <= 0, or -1 */
-    int hyperbolic;     /* 0 when a face discriminant is not >= 0 */
     double speed_bound; /* largest face speed; NaN when any is NaN */
-    double u_max;       /* largest |u| of a new window with no nonfinite or vacuum cell */
-    int64_t nonfinite;  /* first window cell with a non-finite v or u, or -1 */
-    int64_t vacuum;     /* first window cell with v <= 0, or -1 */
+    double u_max;       /* largest |u| of the new window, when the step passed */
 } dw_status;
-typedef struct {
-    double dt, dx;
-    double half_damp;   /* e^-h, h = alpha dt / 2: the damping half-step */
-    double lam;         /* dt / (2 dx): the predictor */
-    double dt_dx;       /* dt / dx: the update */
-    double half_kappa;  /* kappa / 2, kappa = sinh(h) / h: the central volume flux */
-} dw_scalars;
-void dw_step_scalars(double alpha, double dt, double dx, dw_scalars *sc);
-void dw_edges(int64_t n, const double *v, const double *u, const dw_scalars *sc,
-              double *buf, dw_status *st);
-void dw_predict(const dw_scalars *sc, const double *p, const double *g, const double *f,
-                double *buf, dw_status *st);
-int dw_update(int64_t n, const double *v, const double *u, const dw_scalars *sc,
-              const double *p, const double *dp, const double *g, const double *dg,
-              const double *f, const double *df, double *buf, double *rows, dw_status *st);
 enum { DW_M1, DW_GAMMA };
 int dw_step(int64_t n, const double *v, const double *u, int closure, double gamma,
-            double alpha, double dt, double dx, double *buf, double *rows, dw_status *st);
-int dw_face_combine(int64_t k, const double *p, const double *dp, const double *g,
-                    const double *dg, const double *f, const double *df,
-                    double *flux, double *speed);
+            double alpha, double dt, double dx, double *rows, dw_status *st);
 int dw_flux_and_speed(int64_t k, int closure, double gamma, const double *v,
                       const double *u, double *flux, double *speed);
 void dw_pow(int64_t k, const double *v, double y, int order, double coef, double *out);
@@ -127,7 +91,7 @@ void dw_hermite(int64_t k, const double *xi, int64_t cells, const double *coef, 
 /* --- end of declarations --- */
 
 #if defined(__x86_64__)
-/* each stage's entry point also gets an AVX2 clone, chosen at load time; the scalar
+/* the m1 evaluators get an AVX2 clone, chosen at load time; the scalar
    operations and their order are the same in both clones, and with
    -ffp-contract=off neither fuses a multiply-add.  The loops of the package's
    pow get an AVX-512 clone too (POW_CLONED), and so do dw_step and
@@ -140,8 +104,18 @@ void dw_hermite(int64_t k, const double *xi, int64_t cells, const double *coef, 
 #define POW_CLONED
 #endif
 
-/* the start of region r for a window of m cells */
+/* a chunk's scratch (header): the start of region r for a chunk of m cells */
+enum { V, U, FLUX, SPEED, FLUXES, N_REGIONS };
 #define REGION(r, m) (buf + (r) * 2 * ((m) + 2))
+
+/* a step's scalars, from (alpha, dt, dx) (step_scalars) */
+typedef struct {
+    double dt, dx;
+    double half_damp;   /* e^-h, h = alpha dt / 2: the damping half-step */
+    double lam;         /* dt / (2 dx): the predictor */
+    double dt_dx;       /* dt / dx: the update */
+    double half_kappa;  /* kappa / 2, kappa = sinh(h) / h: the central volume flux */
+} scalars;
 
 /* the neighbour pairs the window search tests at once */
 #define BLOCK 64
@@ -349,36 +323,25 @@ INLINE void power_row(int64_t k, const double *restrict v, double y, int order,
     }
 }
 
-/* What the cells and faces of a window, or of a chunk of it, tell the
- * status.  Window indices: a first-such field holds the smallest, INT64_MAX
- * for none.  Each field folds by a minimum, maximum, or or and, so partial
- * statuses fold (fold) to the same status (finish) in any order. */
+/* What the cells and faces of a chunk tell the step's flag and status.
+ * Each field folds by an or, an and or a maximum, so partial statuses fold
+ * (fold) to the same status (finish) in any order. */
 typedef struct {
-    int64_t nan_l, nan_r;   /* a face row's reconstructed v has a NaN */
-    int64_t le0_l, le0_r;   /* ... or a v <= 0 */
-    int64_t thin;           /* first face with a v <= 0 in either row */
+    int64_t thin;           /* a face's reconstructed v is <= 0 */
     int64_t hyperbolic;     /* every discriminant is >= 0 */
     int64_t speed_nan;      /* a face speed is NaN */
     int64_t speed_top;      /* the largest face speed's bits as a signed integer */
     int64_t first_face;     /* the first face seen, and its speed */
     double first_speed;
     int64_t u_max;          /* the largest |u|'s bits */
-    int64_t nonfinite;      /* first cell with a non-finite v or u */
-    int64_t vacuum;         /* first cell with v <= 0 */
+    int64_t bad;            /* a new cell is not finite with v > 0 */
 } partial;
 
-static const partial NONE = {
-    .thin = INT64_MAX, .hyperbolic = 1, .speed_top = INT64_MIN,
-    .first_face = INT64_MAX, .nonfinite = INT64_MAX, .vacuum = INT64_MAX,
-};
+static const partial NONE = {.hyperbolic = 1, .speed_top = INT64_MIN, .first_face = INT64_MAX};
 
 static inline void fold(partial *acc, const partial *p)
 {
-    acc->nan_l |= p->nan_l;
-    acc->nan_r |= p->nan_r;
-    acc->le0_l |= p->le0_l;
-    acc->le0_r |= p->le0_r;
-    acc->thin = min64(acc->thin, p->thin);
+    acc->thin |= p->thin;
     acc->hyperbolic &= p->hyperbolic;
     acc->speed_nan |= p->speed_nan;
     acc->speed_top = max64(acc->speed_top, p->speed_top);
@@ -387,15 +350,7 @@ static inline void fold(partial *acc, const partial *p)
         acc->first_speed = p->first_speed;
     }
     acc->u_max = max64(acc->u_max, p->u_max);
-    acc->nonfinite = min64(acc->nonfinite, p->nonfinite);
-    acc->vacuum = min64(acc->vacuum, p->vacuum);
-}
-
-/* The reconstruction check: when the NaN-propagating minimum of either face
- * row's v is <= 0, the first face with a v <= 0, else -1. */
-static inline int64_t thin_face(const partial *p)
-{
-    return (p->le0_l && !p->nan_l) || (p->le0_r && !p->nan_r) ? p->thin : -1;
+    acc->bad |= p->bad;
 }
 
 /* The largest face speed is the largest as a scan with ``a > max`` from -inf
@@ -403,22 +358,19 @@ static inline int64_t thin_face(const partial *p)
  * a positive largest speed has the largest bit pattern as a signed integer;
  * when every speed is a zero, the scan keeps the first.  u_max is read only
  * when every cell passes the state checks.  Returns 1 when every check of
- * the step passes: no thin face, every face hyperbolic, a Courant number
+ * the step passes: no face v <= 0, every face hyperbolic, a Courant number
  * dt speed_bound / dx not above 1 (a NaN one passes, as in the Python
- * check), and no non-finite or vacuum cell; else 0. */
-static int finish(const partial *p, const dw_scalars *sc, dw_status *st)
+ * check), and every new cell finite with v > 0; else 0.  The NumPy
+ * formulation's reconstruction check lets a face row with a NaN v pass, but
+ * a NaN v gives its face a NaN discriminant, so the flag is the same. */
+static int finish(const partial *p, const scalars *sc, dw_status *st)
 {
-    st->thin_face = thin_face(p);
-    st->hyperbolic = (int)p->hyperbolic;
     st->speed_bound = p->speed_nan ? NAN
                       : p->speed_top > 0 ? from_bits((uint64_t)p->speed_top)
                                          : p->first_speed;
     st->u_max = from_bits((uint64_t)p->u_max);
-    st->nonfinite = p->nonfinite == INT64_MAX ? -1 : p->nonfinite;
-    st->vacuum = p->vacuum == INT64_MAX ? -1 : p->vacuum;
     double courant = sc->dt * st->speed_bound / sc->dx;
-    return st->thin_face < 0 && st->hyperbolic && !(courant > 1.0) && st->nonfinite < 0
-           && st->vacuum < 0;
+    return !p->thin && p->hyperbolic && !(courant > 1.0) && !p->bad;
 }
 
 /* nonzero when any of the k pairs i, i + 1 from i = first of the extended
@@ -502,14 +454,6 @@ static inline void edges(int64_t n, const double *v, const double *u, double hal
     }
 }
 
-/* Stage 1: the window and its edge values. */
-CLONED void dw_edges(int64_t n, const double *v, const double *u, const dw_scalars *sc,
-                     double *buf, dw_status *st)
-{
-    window(n, v, u, sc->half_damp, st);
-    edges(n, v, u, sc->half_damp, st->lo, st->hi - st->lo, buf);
-}
-
 /* k edge values evolved by half a step, lam = dt/(2 dx); the volume flux is -u */
 static inline void predictor(int64_t k, double lam, double *restrict vl,
                              double *restrict ul, double *restrict vr,
@@ -527,50 +471,23 @@ static inline void predictor(int64_t k, double lam, double *restrict vl,
 }
 
 /* The predictor on the m + 2 edge values of m cells in buf, whose momentum
- * flux is in mf, and the reconstruction check of their m + 1 faces, which
- * are the window's faces from first on. */
+ * flux is in mf, and the reconstruction check of their m + 1 faces. */
 static inline void predict(int64_t m, double lam, const double *mf, double *buf,
-                           int64_t first, partial *acc)
+                           partial *acc)
 {
     int64_t s = m + 2;
     double *vl = REGION(V, m), *vr = vl + s, *ul = REGION(U, m), *ur = ul + s;
     predictor(s, lam, vl, ul, vr, ur, mf, mf + s);
-    int64_t nan_l = 0, nan_r = 0, le0_l = 0, le0_r = 0;
-    for (int64_t k = 0; k < m + 1; k++) {
-        nan_l |= vr[k] != vr[k];
-        nan_r |= vl[k + 1] != vl[k + 1];
-        le0_l |= vr[k] <= 0.0;
-        le0_r |= vl[k + 1] <= 0.0;
-    }
-    acc->nan_l |= nan_l;
-    acc->nan_r |= nan_r;
-    acc->le0_l |= le0_l;
-    acc->le0_r |= le0_r;
-    if (le0_l | le0_r)
-        for (int64_t k = 0; k < m + 1; k++)
-            if (vr[k] <= 0.0 || vl[k + 1] <= 0.0) {
-                acc->thin = min64(acc->thin, first + k);
-                break;
-            }
-}
-
-/* Stage 2.  p, g and f are the closure's values on the 2s edge values (V for
- * p and f, U for g). */
-CLONED void dw_predict(const dw_scalars *sc, const double *p, const double *g,
-                       const double *f, double *buf, dw_status *st)
-{
-    int64_t m = st->hi - st->lo;
-    double *mf = REGION(FLUX, m);
-    for (int64_t i = 0; i < 2 * (m + 2); i++)
-        mf[i] = p[i] - g[i] * f[i];
-    partial acc = NONE;
-    predict(m, sc->lam, mf, buf, 0, &acc);
-    st->thin_face = thin_face(&acc);
+    int64_t thin = 0;
+    for (int64_t k = 0; k < m + 1; k++)
+        thin |= (vr[k] <= 0.0) | (vl[k + 1] <= 0.0);
+    acc->thin |= thin;
 }
 
 /* The speed (|b| + sqrt(b^2 - 4c))/2 = max |lam| bit for bit, b = g' f and
- * c = p' - g f', and the momentum flux p - g f of one state: the package's
- * one flux and speed.  0 when the discriminant is not >= 0 (NaN included). */
+ * c = p' - g f', and the momentum flux p - g f of one state: the face
+ * combine of closures.face_combine.  0 when the discriminant is not >= 0
+ * (NaN included). */
 static inline int64_t combine(double p, double dp, double g, double dg, double f,
                               double df, double *flux, double *speed)
 {
@@ -579,19 +496,6 @@ static inline int64_t combine(double p, double dp, double g, double dg, double f
     *speed = 0.5 * (fabs(b) + sqrt(disc));
     *flux = p - g * f;
     return disc >= 0.0;
-}
-
-/* The face combine of k states.  Returns 0 unless all are hyperbolic. */
-CLONED int dw_face_combine(int64_t k, const double *restrict p,
-                           const double *restrict dp, const double *restrict g,
-                           const double *restrict dg, const double *restrict f,
-                           const double *restrict df, double *restrict flux,
-                           double *restrict speed)
-{
-    int64_t ok = 1;
-    for (int64_t i = 0; i < k; i++)
-        ok &= combine(p[i], dp[i], g[i], dg[i], f[i], df[i], &flux[i], &speed[i]);
-    return ok;
 }
 
 /* the local Lax-Friedrichs flux on k faces, whose central volume
@@ -626,12 +530,12 @@ static inline void cell_update(int64_t k, double half_damp, double dt_dx,
     }
 }
 
-/* One step's inputs and output: the domain's n cells, the window lo .. lo + m - 1
- * and the chunk size. */
+/* One step's inputs and output: the domain's n cells and the window
+ * lo .. lo + m - 1. */
 typedef struct {
-    int64_t n, lo, m, chunk;
+    int64_t n, lo, m;
     const double *v, *u;
-    dw_scalars sc;
+    scalars sc;
     int closure;      /* DW_M1 or DW_GAMMA */
     double neg_gamma; /* -gamma of DW_GAMMA */
     double *rows;     /* the successor's (v, u) */
@@ -678,13 +582,7 @@ static inline void update(const job *j, int64_t first, int64_t m, double *buf,
         u_max = (int64_t)bits(un) > u_max ? (int64_t)bits(un) : u_max;
     }
     acc->u_max = max64(acc->u_max, u_max);
-    for (int64_t k = 0; bad && k < m; k++) {
-        double vn = v_new[lo + k], un = u_new[lo + k];
-        if (!(fabs(vn) < INFINITY && fabs(un) < INFINITY))
-            acc->nonfinite = min64(acc->nonfinite, first + k);
-        if (vn <= 0.0)
-            acc->vacuum = min64(acc->vacuum, first + k);
-    }
+    acc->bad |= bad;
 
     if (first == 0)
         for (int64_t i = 0; i < lo; i++) {
@@ -696,22 +594,6 @@ static inline void update(const job *j, int64_t first, int64_t m, double *buf,
             v_new[i] = v_new[lo + m - 1];
             u_new[i] = u_new[lo + m - 1];
         }
-}
-
-/* Stage 3.  p .. df are the closure's values on the 2 (m + 1) face states
- * (V and U from offset 1).  Returns finish's flag. */
-CLONED int dw_update(int64_t n, const double *v, const double *u, const dw_scalars *sc,
-                     const double *p, const double *dp, const double *g,
-                     const double *dg, const double *f, const double *df, double *buf,
-                     double *rows, dw_status *st)
-{
-    int64_t m = st->hi - st->lo;
-    job j = {.n = n, .lo = st->lo, .m = m, .v = v, .u = u, .sc = *sc, .rows = rows};
-    partial acc = NONE;
-    acc.hyperbolic = dw_face_combine(2 * (m + 1), p, dp, g, dg, f, df,
-                                     REGION(FLUX, m), REGION(SPEED, m));
-    update(&j, 0, m, buf, &acc);
-    return finish(&acc, sc, st);
 }
 
 /* The built-in M1 closure: p = 1/(3v), p' = -1/(3v^2), f = 1/v, f' = -1/v^2,
@@ -801,7 +683,7 @@ void dw_damping(double h, double *decay, double *kappa)
 /* The scalars of a step of dt on cells of width dx, damping alpha, in the
  * IEEE operations of the NumPy formulation: h = 0.5 alpha dt, then e^-h and
  * kappa from dw_damping, lam = 0.5 dt / dx, dt / dx and 0.5 kappa. */
-void dw_step_scalars(double alpha, double dt, double dx, dw_scalars *sc)
+static void step_scalars(double alpha, double dt, double dx, scalars *sc)
 {
     double kappa;
     dw_damping(0.5 * alpha * dt, &sc->half_damp, &kappa);
@@ -842,19 +724,19 @@ POW_CLONED static int gamma_flux_and_speed(int64_t k, double neg_gamma,
     return ok;
 }
 
-/* Chunk c of the step j, its window cells from c * j->chunk on, through
+/* Chunk c of the step j, its window cells from c * CHUNK on, through
  * every stage of the step in the scratch buf (header), with the evaluators
  * of the job's closure. */
 POW_CLONED static void chunk(const job *j, int64_t c, double *buf, partial *acc)
 {
-    int64_t first = c * j->chunk, m = min64(j->chunk, j->m - first), s = m + 2;
+    int64_t first = c * CHUNK, m = min64(CHUNK, j->m - first), s = m + 2;
     edges(j->n, j->v, j->u, j->sc.half_damp, j->lo + first, m, buf);
     double *v = REGION(V, m), *u = REGION(U, m), *mf = REGION(FLUX, m);
     if (j->closure == DW_GAMMA)
         dw_pow(2 * s, v, j->neg_gamma, 0, 1.0, mf);
     else
         m1_flux(2 * s, v, u, mf);
-    predict(m, j->sc.lam, mf, buf, first, acc);
+    predict(m, j->sc.lam, mf, buf, acc);
     acc->hyperbolic &= j->closure == DW_GAMMA
         ? gamma_flux_and_speed(2 * (m + 1), j->neg_gamma, v + 1, REGION(FLUX, m),
                                REGION(SPEED, m))
@@ -1085,31 +967,28 @@ void dw_pool_stop(void)
 
 /* The whole step of dt on cells of width dx with a built-in closure, DW_M1,
  * or DW_GAMMA with exponent gamma, and damping alpha: the scalars
- * (dw_step_scalars), the window, then its chunks (header) on a scratch of
- * one chunk allocated here, or with a buf the window as one chunk in buf, of
- * N_REGIONS * 2 (n + 2) values.  Returns finish's flag, or -1 when the
- * scratch cannot be allocated. */
+ * (step_scalars), the window, then its chunks (header) on a scratch of one
+ * chunk allocated here.  Returns finish's flag, or -1 when the scratch
+ * cannot be allocated. */
 POW_CLONED int dw_step(int64_t n, const double *v, const double *u, int closure,
-                       double gamma, double alpha, double dt, double dx, double *buf,
-                       double *rows, dw_status *st)
+                       double gamma, double alpha, double dt, double dx, double *rows,
+                       dw_status *st)
 {
     job j = {.n = n, .v = v, .u = u, .closure = closure, .neg_gamma = -gamma,
              .rows = rows};
-    dw_step_scalars(alpha, dt, dx, &j.sc);
+    step_scalars(alpha, dt, dx, &j.sc);
     window(n, v, u, j.sc.half_damp, st);
     j.lo = st->lo;
     j.m = st->hi - st->lo;
-    j.chunk = buf ? j.m : CHUNK;
-    double *scratch = buf;
-    if (!buf && !(scratch = malloc(N_REGIONS * 2 * (min64(j.m, CHUNK) + 2) * sizeof *scratch)))
+    double *scratch = malloc(N_REGIONS * 2 * (min64(j.m, CHUNK) + 2) * sizeof *scratch);
+    if (!scratch)
         return -1;
-    int64_t chunks = (j.m + j.chunk - 1) / j.chunk;
+    int64_t chunks = (j.m + CHUNK - 1) / CHUNK;
     partial acc = NONE;
     if (chunks == 1 || !pooled(&j, chunks, scratch, &acc))
         for (int64_t c = 0; c < chunks; c++)
             chunk(&j, c, scratch, &acc);
-    if (!buf)
-        free(scratch);
+    free(scratch);
     return finish(&acc, &j.sc, st);
 }
 

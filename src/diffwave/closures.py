@@ -20,7 +20,9 @@ and p' in C with the same routine, so the built-in step, the callables and
 the profile solver agree to the bit.  A closure resolves which built-in
 evaluation it takes, if any, once, when it is made (``ModelClosure.builtin``,
 from ``_builtin``); every layer reads that one field.  Any other closure,
-the linear one included, is evaluated through all its callables.
+the linear one included, is evaluated through all its callables
+(``face_combine``).  The characteristic polynomial's coefficients and
+discriminant come from one helper (``_quadratic``) wherever they are needed.
 """
 
 from __future__ import annotations
@@ -342,11 +344,9 @@ def check_assumptions(
     u = np.linspace(u_box[0], u_box[1], n_samples)
     vv, uu = np.meshgrid(v, u, indexing="ij")
 
-    dp = closure.dp(vv)
-    gf_sign = closure.g(uu) * closure.df(vv) - dp
-    disc = (closure.dg(uu) * closure.f(vv)) ** 2 - 4.0 * (
-        dp - closure.g(uu) * closure.df(vv)
-    )
+    dp, g, df = closure.dp(vv), closure.g(uu), closure.df(vv)
+    gf_sign = g * df - dp
+    disc = _quadratic(dp, g, closure.dg(uu), closure.f(vv), df)[1]
 
     min_sign = float(np.min(gf_sign))
     min_disc = float(np.min(disc))
@@ -369,6 +369,27 @@ def check_assumptions(
     )
 
 
+def _quadratic(dp, g, dg, f, df):
+    """(b, b^2 - 4c) from the values p', g, g', f, f': the flux Jacobian's
+    eigenvalues solve lam^2 + b lam + c = 0, b = g' f and c = p' - g f'."""
+    b = dg * f
+    c = dp - g * df
+    return b, b * b - 4.0 * c
+
+
+def _require_real(v, u, disc) -> None:
+    """Raise HyperbolicityError naming the first state (v, u) whose
+    discriminant is not >= 0 (NaN included)."""
+    ok = np.asarray(disc >= 0.0)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        vb, ub, db = (float(np.broadcast_to(a, ok.shape).flat[bad]) for a in (v, u, disc))
+        raise HyperbolicityError(
+            f"hyperbolicity lost at state (v={vb:.6g}, u={ub:.6g}): "
+            f"discriminant {db:.6g} is not >= 0"
+        )
+
+
 def characteristic_speeds(closure: ModelClosure, v, u):
     """Real characteristic speeds (lam_minus, lam_plus) of the flux Jacobian.
 
@@ -380,17 +401,9 @@ def characteristic_speeds(closure: ModelClosure, v, u):
     """
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
-    b = closure.dg(u) * closure.f(v)
-    c = closure.dp(v) - closure.g(u) * closure.df(v)
-    disc = b * b - 4.0 * c
-    ok = np.asarray(disc >= 0.0)
-    if not ok.all():
-        bad = int(np.argmin(ok))
-        vb, ub, db = (float(np.broadcast_to(a, ok.shape).flat[bad]) for a in (v, u, disc))
-        raise HyperbolicityError(
-            f"hyperbolicity lost at state (v={vb:.6g}, u={ub:.6g}): "
-            f"discriminant {db:.6g} is not >= 0"
-        )
+    b, disc = _quadratic(closure.dp(v), closure.g(u), closure.dg(u), closure.f(v),
+                         closure.df(v))
+    _require_real(v, u, disc)
     root = np.sqrt(disc)
     lam_minus = 0.5 * (-b - root)
     lam_plus = 0.5 * (-b + root)
@@ -399,14 +412,33 @@ def characteristic_speeds(closure: ModelClosure, v, u):
     return lam_minus, lam_plus
 
 
+def face_combine(closure: ModelClosure, v, u):
+    """(flux, speed, disc) at the states (v, u) by the closure's callables,
+    each called once, in the operations of ``_step.c``'s face combine:
+    p - g f, (|b| + sqrt(disc)) / 2 and disc = b^2 - 4c (``_quadratic``).
+    The speed, NaN where disc is not >= 0, is max(|lam-|, |lam+|) bit for
+    bit: rounding keeps the smaller root magnitude no larger."""
+    g, f = closure.g(u), closure.f(v)
+    b, disc = _quadratic(closure.dp(v), g, closure.dg(u), f, closure.df(v))
+    with np.errstate(invalid="ignore"):
+        speed = 0.5 * (np.abs(b) + np.sqrt(disc))
+    flux, speed = np.broadcast_arrays(closure.p(v) - g * f, speed, v)[:2]
+    return flux, speed, disc
+
+
 def wave_speed_bound(closure: ModelClosure, v, u):
     """Elementwise max |lambda| over both characteristic families.
 
-    The speeds come from the step's compiled face combine
-    (``_kernel.flux_and_speed``).  Raises HyperbolicityError like
-    ``characteristic_speeds``.
+    The speeds are the step's face combine: a built-in closure's from the
+    built-in step's own C evaluators (``_kernel.flux_and_speed``), any
+    other's from its callables (``face_combine``).  Raises
+    HyperbolicityError like ``characteristic_speeds``.
     """
     v, u = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(u, dtype=float))
+    if closure.builtin is None:
+        _, speed, disc = face_combine(closure, v, u)
+        _require_real(v, u, disc)
+        return speed
     result = _kernel.flux_and_speed(closure, v.ravel(), u.ravel())
     if result is None:
         characteristic_speeds(closure, v, u)  # raises the error

@@ -37,15 +37,15 @@ no step produced takes its speed bound from the cells.  The lag is safe
 because ``step`` checks the Courant number it actually runs at,
 dt * max face speed / dx, and raises ``BlowUpError`` above 1.
 
-``step`` computes only the cells that can change.  A cell's new value
-depends on dt and its stencil alone: the cell and two neighbours a side
-of the ghost-extended rows.  Every operation of the scheme acts elementwise,
-so two cells whose stencils hold the same bits compute the same bits.  The
-step finds the first and last neighbour pairs whose 64-bit patterns differ,
-which tells -0.0 from +0.0 and one NaN from another where ``==`` would not.
-It runs the scheme on the window of cells whose stencil touches such a pair,
-plus one uniform cell at each end, and fills each far field with the value
-its end cell computed.  Outside faces repeat the window's end faces, so the
+With a built-in closure, ``step`` computes only the cells that can change.
+A cell's new value depends on dt and its stencil alone: the cell and two
+neighbours a side of the ghost-extended rows.  Every operation of the scheme
+acts elementwise, so two cells whose stencils hold the same bits compute the
+same bits.  The step finds the first and last neighbour pairs whose 64-bit
+patterns differ, which tells -0.0 from +0.0 and one NaN from another where
+``==`` would not.  It runs the scheme on the window of cells whose stencil
+touches such a pair, plus one uniform cell at each end, and fills each far
+field with the value its end cell computed.  Outside faces repeat the window's end faces, so the
 speed bound and the state checks lose nothing.  The result is the full-width
 step's bit for bit, and a constant state still goes through the flux, on a
 one-cell window.  The decay runs keep their far field bitwise uniform until
@@ -53,48 +53,40 @@ the wave's rounding-level tail reaches it: over a run to t = 100 the window
 averages 55 % of the grid on gamma-default and 63 % on m1-default, and over
 a run to t = 500 74 % and 80 %.
 
-The arithmetic of ``step`` runs in C (``_step.c``, built on first import
-and loaded by ``_kernel``) in three stages: (1) the ghost rows, the bitwise
-window and the edge values; (2) the MUSCL-Hancock predictor; (3) the
-local Lax-Friedrichs faces, the update, the second damping half-step, the
-state checks and the far-field fill.  Each C operation is the IEEE
-operation NumPy performs, in the same order and without fused multiply-adds,
-so the step is bit for bit the NumPy formulation that
-``tests/test_step_oracle.py`` keeps as its oracle.
+The step's formulation is ``_numpy_step``: NumPy on the full width, in the
+operations and order of ``_step.c``, with each C operation the IEEE
+operation NumPy performs, without fused multiply-adds.  Its face states
+are ``tests/test_step_oracle.py``'s ``reference_faces`` bit for bit, and
+its rows that oracle's ``reference_step``.  It steps every closure that is
+not built in (the linear one, or one a user builds): p, g and f are called
+once on the edge values of both edge rows, held back to back in one array,
+then all six callables once on the states of both face rows, whose face
+combine (``closures.face_combine``) gives the fluxes, the speeds and the
+discriminants.  It runs on the full width, whose rows the windowed C step
+gives bit for bit, so it needs no window search of its own.
 
-When the closure is built in (``ModelClosure.builtin``, resolved once
-when the closure is made), the whole step is one C call.  For the m1
-closure C copies of p, p', g, g', f and f' run, operation for operation
-(they use only +, -, *, / and sqrt, which round correctly on both sides).
-For the gamma law p = v^-gamma and p' = -gamma v^(-gamma-1) run on the
-package's own ``pow`` in ``_step.c``, the routine the closure's callables
-call (``_kernel.power``), with p and p' of a face state sharing one log and
-one exp.  That ``pow`` is built from IEEE operations and explicit fused
-multiply-adds, within 1 ulp, so its bits are the same on every CPU, unlike
-NumPy's SIMD ``pow``.  The one call cuts the window into chunks of 256
-cells and runs each chunk through every stage on its own scratch, on the
-calling thread and, when the process's affinity mask holds a second CPU, on
-one C helper thread; the chunks' checks fold into the same status, so the
-step keeps its bits on any number of CPUs.  Every other closure (the linear
-one, or one a user builds) keeps its callables, and the step makes two
-closure rounds between the stages: p, g and f are called once on the edge
-values of both edge rows, held back to back in one array, then all six
-callables once on the states of both face rows.  One C face combine turns
-the second round into fluxes, speeds and the hyperbolicity flag;
-``closures.wave_speed_bound`` takes its speeds from the same combine
-(``_kernel.flux_and_speed``), or for a built-in closure from the built-in
-step's own C evaluators.  When a discriminant is lost,
-``closures.characteristic_speeds`` on the face states raises the error.
-``_kernel.step`` runs the stages and alone knows the step's buffer;
-``step`` checks dt and turns a failed check into its error.  A state a
-step made keeps the C pointers to its rows (``SimState._cells``), and the
-next step reuses them while its ``v`` and ``u`` are still those rows.  C
-computes the step's scalars from (alpha, dt, dx) (``dw_step_scalars``, for
-both paths): the damping factor exp(-alpha dt/2) and kappa come from the
-package's ``exp`` too, so a step's bits do not depend on NumPy's dispatch,
-and dt/(2 dx) and dt/dx are the NumPy formulation's operations.  C also returns
-one flag that says every check passed; only when it is clear does ``step``
-read the rest of the status and raise.
+When the closure is built in (``ModelClosure.builtin``, resolved once when
+the closure is made), the step is one C call on the window
+(``_kernel.step``).  For the m1 closure C copies of p, p', g, g', f and f'
+run, operation for operation (they use only +, -, *, / and sqrt, which
+round correctly on both sides).  For the gamma law p = v^-gamma and
+p' = -gamma v^(-gamma-1) run on the package's own ``pow`` in ``_step.c``,
+the routine the closure's callables call (``_kernel.power``), with p and p'
+of a face state sharing one log and one exp.  That ``pow`` is built from
+IEEE operations and explicit fused multiply-adds, within 1 ulp, so its bits
+are the same on every CPU, unlike NumPy's SIMD ``pow``.  The one call cuts
+the window into chunks of 256 cells and runs each chunk through every stage
+on its own scratch, on the calling thread and, when the process's affinity
+mask holds a second CPU, on one C helper thread; the chunks' checks fold
+into the same status, so the step keeps its bits on any number of CPUs.
+Both take the damping factor exp(-alpha dt/2) and kappa from the package's
+``exp`` (``dw_damping``, which ``_kernel.damping`` wraps), so a step's bits
+do not depend on NumPy's dispatch.  C returns one flag that says every check passed, the window, the
+largest face speed and the largest |u|.  When the flag is clear, ``step``
+runs ``_numpy_step`` on the same state and dt, which raises the error of the
+check that failed, naming its domain cell.  A state a C step made keeps the
+C pointers to its rows (``SimState._cells``), and the next step reuses them
+while its ``v`` and ``u`` are still those rows.
 
 The solver works in the mass (Lagrangian) coordinate throughout;
 ``lagrangian_transform`` maps Eulerian initial data into that frame.
@@ -109,7 +101,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .closures import ModelClosure, characteristic_speeds, wave_speed_bound
+from .closures import ModelClosure, _require_real, face_combine, wave_speed_bound
 from .corrections import CorrectionField, eval_uhat, eval_vhat, make_mollifier
 from .diffusion_wave import WaveProfile, eval_ubar, eval_vbar
 
@@ -233,6 +225,11 @@ class PerturbationSpec:
     amplitude: float = 0.0
     center: float = 0.0
     width: float = 2.0
+
+    def __post_init__(self):
+        if not 0.0 < self.width < math.inf:
+            raise ValueError(f"perturbation width must be positive and finite, not "
+                             f"{self.width!r}")
 
     def __call__(self, x):
         if self.amplitude == 0.0:
@@ -392,21 +389,27 @@ def step(state: SimState, dt: float) -> SimState:
     """One Strang-split step of size dt, 0 < dt < inf.
 
     The ghost cells copy the edge cells, so the far field follows its own
-    damped law and the step needs no far-field data.  Only the window of
-    cells whose stencil is not bitwise uniform is computed (module
-    docstring); error messages name domain cells.  The successor state
-    records the largest face speed of the step as its ``speed_bound``,
-    carries the running ``max_abs_u`` forward, and keeps the pointers to
-    its rows for the next step.
+    damped law and the step needs no far-field data.  A built-in closure
+    steps in C on the window of cells whose stencil is not bitwise uniform,
+    any other on ``_numpy_step`` (module docstring); error messages name
+    domain cells.  The successor state records the largest face speed of the
+    step as its ``speed_bound``, carries the running ``max_abs_u`` forward,
+    and, from a C step, keeps the pointers to its rows for the next step.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"the time step dt must be positive and finite, not {dt!r}")
     closure = state.closure
-    ok, st, cells, buf = _kernel.step(closure, state.v, state.u, dt, state.dx, state._cells)
-    if not ok:
-        _raise_failed_check(state, dt, st, buf)
+    if closure.builtin is None:
+        v, u, speed_bound, u_max = _numpy_step(state, dt)
+        cells = None
+    else:
+        ok, st, cells = _kernel.step(closure, state.v, state.u, dt, state.dx, state._cells)
+        if not ok:
+            _numpy_step(state, dt)  # raises the error of the check that failed
+            raise RuntimeError(f"the compiled step of dt={dt!r} at t={state.t!r} failed a "
+                               f"check that its NumPy formulation passes")
+        v, u, speed_bound, u_max = cells[0], cells[1], st.speed_bound, st.u_max
     t_new = state.t + dt
-    u_max = st.u_max
     if u_max > 1.0 and closure.name == "m1":
         warnings.warn(
             f"|u| exceeded 1 at t={t_new:.6g}; the state has left the closure "
@@ -418,48 +421,80 @@ def step(state: SimState, dt: float) -> SimState:
     # the step's checks cover what SimState.__post_init__ would re-scan
     new = object.__new__(SimState)
     new.__dict__ = fields = state.__dict__.copy()
-    fields["v"], fields["u"] = cells[0], cells[1]
+    fields["v"], fields["u"] = v, u
     fields["_cells"] = cells
     fields["t"] = t_new
-    fields["speed_bound"] = st.speed_bound
+    fields["speed_bound"] = speed_bound
     if u_max > state.max_abs_u:
         fields["max_abs_u"] = u_max
     return new
 
 
-def _raise_failed_check(state: SimState, dt: float, st, buf) -> None:
-    """Raise the error of the first check the step of dt from state failed.
+def _faces(closure: ModelClosure, v, u, lam: float):
+    """The face states of the cells (v, u) after the MUSCL-Hancock
+    predictor, lam = dt / (2 dx): rows (v, u) of the right states of the
+    n + 1 faces, then their left states, as ``_step.c`` lays them out.
 
-    The checks run in the order of the scheme: the reconstruction, the
-    faces' hyperbolicity (the NumPy eigen-solve on the face states raises
-    the same error), the Courant number dt * speed_bound / dx, then the new
-    cells.  The compiled step's flag (``_kernel.step``) is clear only when
-    one of them fails.
+    Fromm's slope gives the left, then the right edge values of the n cells
+    and a ghost cell a side, back to back in one row each, on which p, g and
+    f are called once; the face states are those rows without their ends.
     """
-    lo = st.lo
+    rows = []
+    for w in (v, u):
+        w = np.concatenate((w[:1], w[:1], w, w[-1:], w[-1:]))
+        # a quarter of the difference: the two halvings of Fromm's slope
+        half_slope = 0.25 * (w[2:] - w[:-2])
+        rows.append(np.concatenate((w[1:-1] - half_slope, w[1:-1] + half_slope)))
+    edge_v, edge_u = rows
+    s = v.size + 2
+    flux = closure.p(edge_v) - closure.g(edge_u) * closure.f(edge_v)
+    for row, change in ((edge_v, (edge_u[s:] - edge_u[:s]) * lam),
+                        (edge_u, (flux[:s] - flux[s:]) * lam)):
+        row[:s] += change
+        row[s:] += change
+    return edge_v[1:-1], edge_u[1:-1]
 
-    def cell(k):
-        """Domain index of window cell or face k; left of lo all repeat k = 0."""
-        return lo + k if k else 0
 
-    if st.thin_face >= 0:
-        bad = cell(st.thin_face)
-        raise BlowUpError(
-            f"negative specific volume in reconstruction near cell {bad} "
-            f"at t={state.t:.6g}"
-        )
-    if not st.hyperbolic:
-        for face in _kernel.face_states(st, buf):
-            characteristic_speeds(state.closure, *face)
-    courant = dt * st.speed_bound / state.dx
-    if courant > 1.0:
-        raise BlowUpError(f"Courant number {courant:.6g} exceeds 1 at t={state.t:.6g}")
-    t_new = state.t + dt
-    if st.nonfinite >= 0:
-        bad = cell(st.nonfinite)
-        raise BlowUpError(f"non-finite state in cell {bad} at t={t_new:.6g}")
-    if st.vacuum >= 0:
-        raise BlowUpError(f"vacuum reached in cell {cell(st.vacuum)} at t={t_new:.6g}")
+def _numpy_step(state: SimState, dt: float):
+    """The step of dt from state in NumPy on the full width, in
+    ``_step.c``'s operations and order: the successor's (v, u, speed_bound,
+    u_max), or the error of the first check that fails, in the order of the
+    scheme: the reconstruction (a face row's NaN-propagating minimum of v is
+    <= 0), hyperbolicity (left face states, then right), the Courant number
+    dt * speed_bound / dx, then the new cells, non-finite, then v <= 0.
+    """
+    closure, v, u, dx = state.closure, state.v, state.u, state.dx
+    _kernel.check_cells(v, u)
+    half_damp, kappa = _kernel.damping(0.5 * closure.alpha * dt)
+    dt_dx = dt / dx
+    with np.errstate(all="ignore"):  # the checks below name what went wrong
+        u = u * half_damp
+        face_v, face_u = _faces(closure, v, u, 0.5 * dt / dx)
+        m = v.size + 1
+        v_r, v_l, u_r, u_l = face_v[:m], face_v[m:], face_u[:m], face_u[m:]
+        if v_l.min() <= 0.0 or v_r.min() <= 0.0:
+            face = int(np.argmax((v_l <= 0.0) | (v_r <= 0.0)))
+            raise BlowUpError(f"negative specific volume in reconstruction near cell "
+                              f"{face} at t={state.t:.6g}")
+        flux, speed, disc = face_combine(closure, face_v, face_u)
+        _require_real(v_l, u_l, disc[m:])
+        _require_real(v_r, u_r, disc[:m])
+        # np.maximum(a_l, a_r) as C takes it: NaN propagates, a tie keeps a_r
+        a = np.where((speed[m:] > speed[:m]) | np.isnan(speed[m:]), speed[m:], speed[:m])
+        speed_bound = float(a.max())
+        courant = dt * speed_bound / dx
+        if courant > 1.0:
+            raise BlowUpError(f"Courant number {courant:.6g} exceeds 1 at t={state.t:.6g}")
+        flux_v = (0.5 * kappa) * (-u_l - u_r) - (0.5 * a) * (v_r - v_l)
+        flux_u = 0.5 * (flux[m:] + flux[:m]) - (0.5 * a) * (u_r - u_l)
+        v_new = v - dt_dx * (flux_v[1:] - flux_v[:-1])
+        u_new = (u - dt_dx * (flux_u[1:] - flux_u[:-1])) * half_damp
+        t_new = state.t + dt
+        for bad, what in ((~(np.isfinite(v_new) & np.isfinite(u_new)), "non-finite state in"),
+                          (v_new <= 0.0, "vacuum reached in")):
+            if bad.any():
+                raise BlowUpError(f"{what} cell {int(np.argmax(bad))} at t={t_new:.6g}")
+    return v_new, u_new, speed_bound, float(np.abs(u_new).max())
 
 
 def advance(state: SimState, t_end: float, cfl: float) -> SimState:

@@ -368,17 +368,14 @@ def check_higher_derivatives(series) -> CriterionResult:
     """P8: second-derivative trend gated loosely; time family reported.
 
     The gate is the base ``l2_Vxx`` bound on the exponent alone, without
-    an r^2 floor.
+    an r^2 floor.  The time family comes from the series' z snapshots
+    (``time_derivative_norms``); a fit that fails raises its FitError.
     """
     fit_vxx = fit_decay_rate(series.times(), series.series("l2_Vxx"), RATE_WINDOW)
     details = {"exp_Vxx": fit_vxx.exponent}
-    try:
-        td = time_derivative_norms(series, series.final_state.dx)
-        for key in ("l2_zt", "l2_zxt", "l2_ztt"):
-            f = fit_decay_rate(td["t"], td[key], RATE_WINDOW)
-            details[f"exp_{key[3:]}"] = f.exponent
-    except ValueError:
-        pass  # snapshots not stored; the gated part stands alone
+    td = time_derivative_norms(series, series.final_state.dx)
+    for key in ("l2_zt", "l2_zxt", "l2_ztt"):
+        details[f"exp_{key[3:]}"] = fit_decay_rate(td["t"], td[key], RATE_WINDOW).exponent
     return CriterionResult(
         "P8",
         exponent_within("l2_Vxx", fit_vxx.exponent, l1_condition=False),

@@ -6,6 +6,7 @@ stdout (visible with ``pytest -s`` or through ``diffwave verify``).
 """
 
 import os
+import types
 
 import numpy as np
 import pytest
@@ -116,6 +117,19 @@ def test_p8_higher_derivative_trend(acceptance):
     assert "exp_zt" in res.details
     assert "exp_zxt" in res.details
     assert "exp_ztt" in res.details
+
+
+def test_p8_raises_a_failed_time_derivative_fit():
+    """z snapshots that never change give l2_zt = 0 at every time, which
+    the fit rejects: P8 raises that FitError and does not drop exp_zt."""
+    series = diagnostics.DiagnosticsSeries(x0=0.0)
+    z = np.linspace(-1.0, 1.0, 64)
+    for t in np.linspace(0.0, 500.0, 101):
+        norms = {key: (1.0 + t) ** -1.25 for key in diagnostics.NORM_KEYS}
+        series.append(t, norms, 0.0, z)
+    series.final_state = types.SimpleNamespace(dx=0.1)
+    with pytest.raises(diagnostics.FitError, match="non-positive or non-finite norm"):
+        verify.check_higher_derivatives(series)
 
 
 def test_p9_determinism(acceptance):

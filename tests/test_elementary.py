@@ -51,11 +51,9 @@ def test_pow_within_one_ulp_of_decimal(gamma):
 
 def damping(h):
     """(e^-h, sinh(h)/h) of ``dw_damping``, within 1 ulp: a step's damping
-    factor and its mean over the step for h = alpha dt / 2, which
-    ``dw_step_scalars`` takes from it.  e^-h is the package's exp for any h."""
-    out = _kernel.ffi.new("double[2]")
-    _kernel.lib.dw_damping(h, out, out + 1)
-    return out[0], out[1]
+    factor and its mean over the step for h = alpha dt / 2, which the
+    step's scalars take from it.  e^-h is the package's exp for any h."""
+    return _kernel.damping(h)
 
 
 def exp(x):

@@ -196,23 +196,16 @@ def test_forked_child_steps_to_the_parents_bits():
 def test_gamma_chunks_keep_their_bits_on_one_cpu_and_on_two():
     """The built-in gamma step runs on the same pool: pinned to one CPU (no
     helper) and unpinned it gives the same bits, and its chunked step gives
-    the one-chunk step's bits."""
+    the NumPy formulation's bits."""
     code = """
         gas = closures.gamma_law_closure(2.0, 1.0)
         end = march(wavy(2048, gas), 30)
-
-        def raw(one_chunk):
-            n, ptr = end.v.size, _kernel._ptr
-            buf = _kernel.ffi.NULL  # chunked: the step makes its own scratch
-            if one_chunk:
-                buf = ptr(np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2)))
-            rows = np.empty((2, n))
-            st = _kernel.ffi.new("dw_status *")
-            _kernel.lib.dw_step(n, ptr(end.v), ptr(end.u), _kernel.lib.DW_GAMMA, 2.0, 0.2,
-                                0.01, 0.25, buf, ptr(rows), st)
-            return rows.tobytes(), st.speed_bound, st.hi - st.lo
-
-        print(workers(), digest(end), raw(0) == raw(1), raw(0)[2] > 256)
+        dt = solver.cfl_dt(end, 0.45)
+        ok, st, cells = _kernel.step(gas, end.v, end.u, dt, end.dx)
+        v, u, speed_bound, _ = solver._numpy_step(end, dt)
+        same = (ok == 1 and cells[0].tobytes() + cells[1].tobytes() == v.tobytes() + u.tobytes()
+                and st.speed_bound == speed_bound)
+        print(workers(), digest(end), same, st.hi - st.lo > 256)
     """
     pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})"
     pinned, here = (_python(first + textwrap.dedent(code)) for first in (pin, ""))

@@ -522,6 +522,14 @@ def test_m1_warns_beyond_physical_flux_limit(m1):
         step(state, 1e-4)
 
 
+@pytest.mark.parametrize("width", [0.0, -0.0, -2.0, np.nan, np.inf, -np.inf])
+def test_perturbation_width_must_be_positive_and_finite(width):
+    """Width 0 divided by zero and gave no bump, and a negative width acted
+    as its absolute value."""
+    with pytest.raises(ValueError, match=r"^perturbation width must be positive and finite"):
+        PerturbationSpec(amplitude=0.01, width=width)
+
+
 def test_run_end_time_zero(gamma_closure):
     profile = solve_profile(gamma_closure, 1.0, 1.1, n_cells=2048)
     spec = ScenarioSpec(

@@ -18,6 +18,7 @@ import pytest
 from diffwave import _kernel, config
 from diffwave.closures import (
     HyperbolicityError,
+    face_combine,
     gamma_law_closure,
     linear_closure,
     m1_closure,
@@ -27,6 +28,8 @@ from diffwave.solver import (
     BlowUpError,
     PerturbationSpec,
     SimState,
+    _faces,
+    _numpy_step,
     build_initial_data,
     cfl_dt,
     step,
@@ -337,14 +340,17 @@ def test_builtin_m1_step_calls_no_callable(monkeypatch):
     ids=["gamma2", "gamma1.4", "linear", "m1-rewrapped"],
 )
 def test_face_combine_matches_flux_and_speed_bitwise(closure):
-    """The step's second closure round and C face combine against the NumPy
-    flux and the larger of the two eigen-solves' speed magnitudes."""
+    """The NumPy formulation's face combine on the callables, and a built-in
+    closure's C evaluators, against the NumPy flux and the larger of the two
+    eigen-solves' speed magnitudes."""
     v = np.linspace(0.05, 20.0, 601)
     u = np.r_[np.linspace(-0.99, 0.99, 397), 0.0, -0.0, 5e-324, -5e-324]
     vv, uu = (a.ravel() for a in np.meshgrid(v, u))
-    flux, speed = _kernel.flux_and_speed(closure, vv, uu)
+    flux, speed, _ = face_combine(closure, vv, uu)
     assert same_bits(flux, _flux(closure, vv, uu)[1])
     assert same_bits(speed, reference_wave_speed_bound(closure, vv, uu))
+    if closure.builtin:
+        assert all(map(same_bits, _kernel.flux_and_speed(closure, vv, uu), (flux, speed)))
 
 
 def test_rewrapped_closure_steps_like_builtin():
@@ -375,24 +381,15 @@ def test_successor_state_keeps_grid_and_closure():
     assert nxt.closure is state.closure
 
 
-# The step computes only a window of cells and fills each far field from
-# the window's end cell; these cases pin the window's edges against the
-# full-width reference.
+# The compiled step computes only a window of cells and fills each far
+# field from the window's end cell; these cases pin the window's edges, read
+# from the step's status, against the full-width reference.
 
 
-def _recording(closure, sizes):
-    """The closure with ``p`` appending the size of each argument to ``sizes``.
-
-    Each closure round calls ``p`` once on both rows back to back, so the
-    largest argument of a step is 2 (m + 2), the edge values of a window of
-    m cells.
-    """
-
-    def p(v, fn=closure.p):
-        sizes.append(np.size(v))
-        return fn(v)
-
-    return dataclasses.replace(closure, p=p)
+def _window(state, dt):
+    """The window (lo, hi) of the compiled step of dt from state."""
+    st = _kernel.step(state.closure, state.v, state.u, dt, state.dx)[1]
+    return st.lo, st.hi
 
 
 def _match_reference(state, n_steps):
@@ -410,14 +407,12 @@ def _match_reference(state, n_steps):
     "closure", [gamma_law_closure(2.0, 1.0), m1_closure(1.0)], ids=["gamma2", "m1"]
 )
 def test_constant_state_takes_a_one_cell_window(closure):
-    n, sizes = 256, []
-    state = SimState(-10.0, 10.0, n, np.full(n, 1.1), np.zeros(n), 0.0,
-                     _recording(closure, sizes))
+    n = 256
+    state = SimState(-10.0, 10.0, n, np.full(n, 1.1), np.zeros(n), 0.0, closure)
     ref = state
     for _ in range(5):
-        sizes.clear()
+        assert _window(state, 0.01) == (0, 1)
         state = step(state, 0.01)
-        assert max(sizes) == 2 * 3  # the predictor's edge values of one cell
         ref = reference_step(ref, 0.01)
         assert same_bits(state.v, ref.v) and same_bits(state.u, ref.u)
         assert state.speed_bound == ref.speed_bound
@@ -426,15 +421,14 @@ def test_constant_state_takes_a_one_cell_window(closure):
 @pytest.mark.parametrize("edges", [(True, False), (False, True), (True, True)],
                          ids=["left", "right", "both"])
 def test_window_touching_the_domain_edges(edges):
-    n, sizes = 128, []
+    n = 128
     x = -8.0 + (np.arange(n) + 0.5) * (16.0 / n)
     bump = sum(PerturbationSpec(amplitude=0.05, center=centre, width=2.0)(x)
                for centre, at_edge in zip((-8.0, 8.0), edges) if at_edge)
-    state = SimState(-8.0, 8.0, n, 1.0 + bump, 0.5 * bump, 0.0,
-                     _recording(gamma_law_closure(2.0, 1.0), sizes))
-    step(state, cfl_dt(state, 0.45))
+    state = SimState(-8.0, 8.0, n, 1.0 + bump, 0.5 * bump, 0.0, gamma_law_closure(2.0, 1.0))
     # one edge's bump leaves the far side uniform: the window stops short
-    assert (max(sizes) < 2 * (n + 2)) == (edges != (True, True))
+    lo, hi = _window(state, cfl_dt(state, 0.45))
+    assert (lo == 0, hi == n) == edges
     _match_reference(state, 40)
 
 
@@ -443,21 +437,19 @@ def test_m1_far_field_jump():
 
     The ghost cells copy the edge cells, so only the jump can change the far
     field's bits, and in these 300 steps it does not reach the right edge.
-    The ramp's foot reaches the left edge, so every window starts at cell 0
-    and its size tells where it ends.
+    The ramp's foot reaches the left edge, so every window starts at cell 0.
     """
-    n, sizes = 256, []
+    n = 256
     x = -40.0 + (np.arange(n) + 0.5) * (80.0 / n)
     ramp = 0.5 * (1.0 + np.tanh(x + 25.0))
-    state = SimState(-40.0, 40.0, n, 1.0 + 0.1 * ramp, 0.05 * ramp, 0.0,
-                     _recording(m1_closure(1.0), sizes))
+    state = SimState(-40.0, 40.0, n, 1.0 + 0.1 * ramp, 0.05 * ramp, 0.0, m1_closure(1.0))
     assert state.u[0] != state.u[1] and state.u[-1] == state.u[-2] == 0.05
     ref = state
     for _ in range(300):
         dt = cfl_dt(state, 0.45)
-        sizes.clear()
+        lo, hi = _window(state, dt)
+        assert lo == 0 and hi < n  # the window ends short of the right edge
         state = step(state, dt)
-        assert max(sizes) < 2 * (n + 2)  # the window ends short of the right edge
         ref = reference_step(ref, dt)
         assert state.t == ref.t and state.speed_bound == ref.speed_bound
         assert same_bits(state.v, ref.v) and same_bits(state.u, ref.u)
@@ -506,33 +498,64 @@ def test_constant_state_still_runs_the_flux():
 
 
 # The built-in m1 and gamma steps run their window in chunks of 256 cells,
-# each on its own scratch, and fold what each chunk finds into the status
-# (``_step.c``).  The error path runs the window as one chunk, in a buffer it
-# is handed.  These cases put each finding next to a chunk edge and compare
-# the two runs field by field.
+# each on its own scratch, and fold what each chunk finds into one flag and
+# status (``_step.c``).  When the flag is clear, the NumPy formulation on the
+# same cells raises the error.  These cases put each finding next to a chunk
+# edge and compare the compiled step with the formulation.
 
 M1 = (_kernel.lib.DW_M1, 0.0)
 GAMMA2 = (_kernel.lib.DW_GAMMA, 2.0)
+CLOSURES = {M1: m1_closure(1.0), GAMMA2: gamma_law_closure(2.0, 1.0)}
 
 
 # the step's (alpha, dt, dx) in the raw calls: e^-h = 0.995012..., dt/dx = 0.04
 RAW_STEP = (1.0, 0.01, 0.25)
 
 
-def _step_raw(v, u, one_chunk, builtin=M1, lib=_kernel.lib):
-    """dw_step on (v, u) with a built-in closure, in chunks or as one chunk:
-    the status fields and the flag, and the successor rows."""
+def _step_raw(v, u, builtin=M1, module=_kernel._module):
+    """The module's dw_step on (v, u) with a built-in closure: the status
+    (the window, the bits of the speed bound and of the largest |u|) and the
+    flag, and the successor rows."""
     v, u = _kernel.as_pair(v, u)
     n = v.size
-    buf = np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2)) if one_chunk else None
     rows = np.full((2, n), -7.0)  # shows a cell the step does not write
-    st = _kernel.ffi.new("dw_status *")
+    st = module.ffi.new("dw_status *")  # a struct's type belongs to its module's ffi
     ptr = _kernel._ptr
-    ok = lib.dw_step(n, ptr(v), ptr(u), *builtin, *RAW_STEP,
-                     _kernel.ffi.NULL if buf is None else ptr(buf), ptr(rows), st)
+    ok = module.lib.dw_step(n, ptr(v), ptr(u), *builtin, *RAW_STEP, ptr(rows), st)
     bits = [np.float64(x).view(np.uint64) for x in (st.speed_bound, st.u_max)]
-    return (st.lo, st.hi, st.thin_face, st.hyperbolic, *bits, st.nonfinite, st.vacuum,
-            ok), rows
+    return (st.lo, st.hi, *bits, ok), rows
+
+
+def _raw_state(v, u, builtin=M1):
+    """A state of the cells (v, u) that steps as the raw calls do (the
+    closure's alpha is 1 and dx 0.25); a v <= 0 goes in past the
+    constructor's check."""
+    n = len(v)
+    state = SimState(-0.125 * n, 0.125 * n, n, np.ones(n), np.zeros(n), 0.0, CLOSURES[builtin])
+    state.v[:], state.u[:] = v, u
+    return state
+
+
+def _compiled_like_numpy(v, u, builtin=M1):
+    """The raw step's status and flag on (v, u), checked against the NumPy
+    formulation on the same cells, and ``step``'s error or None.
+
+    Where every check passes, the rows, the speed bound and the largest |u|
+    are the formulation's bit for bit; else the flag is clear and ``step``
+    raises the formulation's error.
+    """
+    status, rows = _step_raw(v, u, builtin)
+    state, dt = _raw_state(v, u, builtin), RAW_STEP[1]
+    with np.errstate(all="ignore"):
+        try:
+            step(state, dt)
+        except (BlowUpError, HyperbolicityError) as err:
+            assert status[-1] == 0
+            return status, err
+        v_new, u_new, speed_bound, u_max = _numpy_step(state, dt)
+    assert status[-1] == 1 and same_bits(rows, [v_new, u_new])
+    assert status[2:4] == tuple(np.float64(x).view(np.uint64) for x in (speed_bound, u_max))
+    return status, None
 
 
 def _same_bits_or_nan(a, b):
@@ -562,29 +585,26 @@ SLOPE_ROWS = {
     ids=["m1", "gamma2"],
 )
 def test_slope_matches_reference_on_signed_zeros_and_overflow(builtin, closure, row):
-    """dw_step's slope, Fromm's (w[k+1] - w[k-1]) / 2, against reference_step's:
-    the face states a one-chunk step leaves in its buffer, and the successor
-    rows of the chunked and the one-chunk step."""
+    """Fromm's slope, (w[k+1] - w[k-1]) / 2: the NumPy formulation's face
+    states against reference_faces', and the compiled step's successor rows
+    against reference_step's."""
     alpha, dt, dx = RAW_STEP
     assert closure.alpha == alpha
     u = SLOPE_ROWS[row]
     n = u.size
     v = np.ones(n)
-    buf = np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2))
-    st = _kernel.ffi.new("dw_status *")
-    ptr = _kernel._ptr
+    u_damped = u * damping(0.5 * alpha * dt)[0]
     with np.errstate(all="ignore"):
-        _kernel.lib.dw_step(n, ptr(v), ptr(u), *builtin, *RAW_STEP, ptr(buf),
-                            ptr(np.empty((2, n))), st)
-        assert (st.lo, st.hi) == (0, n)
-        want = reference_faces(closure, v, u * damping(0.5 * alpha * dt)[0], 0.5 * dt / dx)
-        for got_face, want_face in zip(_kernel.face_states(st, buf), want):
+        face_v, face_u = _faces(closure, v, u_damped, 0.5 * dt / dx)
+        want = reference_faces(closure, v, u_damped, 0.5 * dt / dx)
+        got = ((face_v[n + 1:], face_u[n + 1:]), (face_v[:n + 1], face_u[:n + 1]))
+        for got_face, want_face in zip(got, want):
             assert all(map(_same_bits_or_nan, got_face, want_face))
         assert np.isfinite(want[0][1]).all() == (row != "overflow")
-        ref = reference_step(SimState(-0.5 * n * dx, 0.5 * n * dx, n, v, u, 0.0, closure), dt)
-        for one_chunk in (0, 1):
-            rows = _step_raw(v, u, one_chunk, builtin)[1]
-            assert _same_bits_or_nan(rows, [ref.v, ref.u])
+        status, rows = _step_raw(v, u, builtin)
+        assert status[:2] == (0, n)
+        ref = reference_step(_raw_state(v, u, builtin), dt)
+        assert _same_bits_or_nan(rows, [ref.v, ref.u])
 
 
 @pytest.mark.parametrize(
@@ -593,35 +613,34 @@ def test_slope_matches_reference_on_signed_zeros_and_overflow(builtin, closure, 
     ids=["m1", "gamma2", "gamma2-rewrapped"],
 )
 def test_step_flag_is_set_only_when_every_check_passes(closure):
-    """The flag ``_kernel.step`` returns, on the built-in and the callable
-    path: 1 on a clean step, 0 on a Courant number above 1 that every other
-    check passes, and 0 on each failing cell check."""
+    """The flag ``_kernel.step`` returns for a built-in closure: 1 on a clean
+    step, 0 on a Courant number above 1 that every other check passes, and
+    0 on each failing cell check.  ``step`` then raises the NumPy
+    formulation's error, which a closure off the built-in step raises alone."""
     n = 300
     v, u = _wavy(n)
     dx = 8.0 / n
     courant_one = dx / float(np.max(wave_speed_bound(closure, v, u)))
+    flag = {True: 1, False: 0} if closure.builtin else {True: None, False: None}
 
     def run(v, u, dt):
-        ok, st, _, _ = _kernel.step(closure, v, u, dt, dx)
-        return ok, (st.thin_face, st.hyperbolic, st.nonfinite, st.vacuum)
+        """(the compiled flag or None, the start of step's error or None)"""
+        ok = _kernel.step(closure, v, u, dt, dx)[0] if closure.builtin else None
+        with np.errstate(all="ignore"):
+            try:
+                step(SimState(-4.0, 4.0, n, v, u, 0.0, closure), dt)
+            except (BlowUpError, HyperbolicityError) as err:
+                return ok, str(err)[:15]
+        return ok, None
 
-    clean = (-1, 1, -1, -1)
-    assert run(v, u, 0.5 * courant_one) == (1, clean)
-    ok, checks = run(v, u, 1.2 * courant_one)  # the face speeds grow by less than 20 %
-    assert ok == 0 and checks == clean
+    assert run(v, u, 0.5 * courant_one) == (flag[True], None)
+    # the face speeds grow by less than 20 %
+    assert run(v, u, 1.2 * courant_one) == (flag[False], "Courant number ")
     for value in (np.nan, 1e-3):  # a non-finite cell, a vacuum
         bad_v = v.copy()
         bad_v[150] = value
-        with np.errstate(all="ignore"):
-            ok, checks = run(bad_v, u, 0.1 * courant_one)
-        assert ok == 0 and checks != clean
-
-
-def _chunked_like_one_chunk(v, u, builtin=M1):
-    chunked, rows = _step_raw(v, u, 0, builtin)
-    whole, want = _step_raw(v, u, 1, builtin)
-    assert chunked == whole and same_bits(rows, want)
-    return chunked
+        ok, error = run(bad_v, u, 0.1 * courant_one)
+        assert ok == flag[False] and error is not None
 
 
 def _wavy(n):
@@ -629,50 +648,71 @@ def _wavy(n):
     return 1.0 + 0.05 * np.cos(3.0 * x), 0.05 * np.sin(5.0 * x)
 
 
-def _found_at(field, cell):
-    """The window index each status field names for a bad value in cell.
+def _found_at(check, cell):
+    """The error a bad value in cell raises, by the check it fails first:
+    (type, the start of the message).
 
-    The thin face is the bad cell's left face.  A non-finite value enters the
-    slope (w[k+1] - w[k-1]) / 2 of its left neighbour, so that cell's edge
-    values and its left face are non-finite, and the first non-finite new
-    cell is cell - 2 (cell 0 at the domain's left end).  A vacuum shows first
-    in the left neighbour, which the low cell drains.
+    A v <= 0 thins the cell's left face.  An infinite v enters the slope
+    (w[k+1] - w[k-1]) / 2 of its left neighbour, whose left edge value is
+    then -inf, so the neighbour's left face is thin (face 0 at the domain's
+    left end).  A NaN, an infinite u, or an m1 |u| > 2/sqrt(3) gives a face
+    state a NaN discriminant.  A low v speeds its faces past the Courant
+    number 1 at the raw calls' dt, before its cell empties.  A gamma-law u
+    that rises to 1e308 in the cell gives the faces right of it
+    u_L + u_R = inf, and the cell a non-finite v; a gamma-law u that falls
+    by 100 over the cell's right face drains the cell to a vacuum.
     """
-    return {2: cell, 6: max(cell - 2, 0), 7: cell - 1}[field]
+    return {
+        "thin": (BlowUpError, f"negative specific volume in reconstruction near cell {cell} "),
+        "v-inf": (BlowUpError,
+                  f"negative specific volume in reconstruction near cell {max(cell - 1, 0)} "),
+        "hyperbolic": (HyperbolicityError, "hyperbolicity lost at state ("),
+        "courant": (BlowUpError, "Courant number "),
+        "nonfinite": (BlowUpError, f"non-finite state in cell {cell} "),
+        "vacuum": (BlowUpError, f"vacuum reached in cell {cell} "),
+    }[check]
+
+
+def _raises_at(err, check, cell):
+    kind, start = _found_at(check, cell)
+    return type(err) is kind and str(err).startswith(start)
 
 
 @pytest.mark.parametrize("cell", [1, 255, 256, 257, 511, 1100, 1398])
 @pytest.mark.parametrize(
-    "row, value, field",
-    [("v", -0.5, 2), ("u", 1.2, 3), ("v", np.nan, 6), ("u", np.inf, 6), ("v", np.inf, 6),
-     ("v", 2e-3, 7)],
+    "row, value, check",
+    [("v", -0.5, "thin"), ("u", 1.2, "hyperbolic"), ("v", np.nan, "hyperbolic"),
+     ("u", np.inf, "hyperbolic"), ("v", np.inf, "v-inf"), ("v", 2e-3, "courant")],
     ids=["thin", "hyperbolic", "nan", "u-inf", "v-inf", "vacuum"],
 )
-def test_chunked_m1_step_folds_like_one_chunk(cell, row, value, field):
-    """Each status field set from one cell in any chunk of a 1400-cell window."""
+def test_chunked_m1_step_folds_like_one_chunk(cell, row, value, check):
+    """A bad value in any chunk of a 1400-cell window clears the compiled
+    flag, and ``step`` raises the error of the check it fails first."""
     v, u = _wavy(1400)
     (v if row == "v" else u)[cell] = value
-    status = _chunked_like_one_chunk(v, u)
+    status, err = _compiled_like_numpy(v, u)
     assert status[:2] == (0, 1400) and status[-1] == 0  # the flag
-    assert status[field] == (0 if field == 3 else _found_at(field, cell))
+    assert _raises_at(err, check, cell)
 
 
 @pytest.mark.parametrize("nan_cell", [100, 700, 1300])
 def test_chunked_m1_step_keeps_the_row_wide_nan_guard(nan_cell):
-    """A NaN anywhere in the window hides a v <= 0 in any other chunk."""
+    """A NaN anywhere in the window hides a v <= 0 in any other chunk from
+    the reconstruction check: the NaN's face state fails hyperbolicity."""
     v, u = _wavy(1400)
     v[600] = -0.5
-    assert _chunked_like_one_chunk(v, u)[2] == 600
+    assert _raises_at(_compiled_like_numpy(v, u)[1], "thin", 600)
     v[nan_cell] = np.nan
-    status = _chunked_like_one_chunk(v, u)
-    assert status[2] == -1 and status[6] == _found_at(6, nan_cell)
+    status, err = _compiled_like_numpy(v, u)
+    assert status[-1] == 0 and type(err) is HyperbolicityError
+    assert str(err).startswith("hyperbolicity lost at state (v=nan, ")
 
 
 def test_chunked_m1_step_all_zero_speeds():
     """v near 1e300 and u = 0: every face speed is +0, and so is the bound."""
     v = 1e300 * (1.0 + 0.01 * (np.arange(1000) % 2))
-    status = _chunked_like_one_chunk(v, np.zeros(1000))
-    assert status[4] == 0 and status[:2] == (0, 1000)
+    status, err = _compiled_like_numpy(v, np.zeros(1000))
+    assert err is None and status[2] == 0 and status[:2] == (0, 1000)
 
 
 @pytest.mark.parametrize("width", [*range(250, 262), *range(506, 518), 1019, 1020, 1021])
@@ -683,9 +723,9 @@ def test_chunked_m1_step_on_windows_about_chunk_edges(width):
     x = np.linspace(0.0, np.pi, width)
     v[100:100 + width] += 0.05 * np.sin(x) ** 2
     u[100:100 + width] += 0.03 * np.sin(2.0 * x)
-    status = _chunked_like_one_chunk(v, u)
+    status, err = _compiled_like_numpy(v, u)
     assert status[1] - status[0] >= width and status[0] > 0 and status[1] < n
-    assert status[-1] == 1  # every check passed
+    assert status[-1] == 1 and err is None  # every check passed
 
 
 @pytest.mark.parametrize("row, value", [("u", 1.2), ("v", np.nan), ("v", 1e-3)],
@@ -714,16 +754,34 @@ def test_chunked_m1_step_raises_the_callables_error(row, value):
 
 @pytest.mark.parametrize("cell", [1, 255, 256, 257, 511, 1100, 1398])
 @pytest.mark.parametrize(
-    "row, value, field",
-    [("v", -0.5, 2), ("v", np.nan, 6), ("u", np.inf, 6), ("v", np.inf, 6), ("v", 1e-3, 7)],
+    "row, value, check",
+    [("v", -0.5, "thin"), ("v", np.nan, "hyperbolic"), ("u", np.inf, "hyperbolic"),
+     ("v", np.inf, "v-inf"), ("v", 1e-3, "courant")],
     ids=["thin", "nan", "u-inf", "v-inf", "vacuum"],
 )
-def test_chunked_gamma_step_folds_like_one_chunk(cell, row, value, field):
+def test_chunked_gamma_step_folds_like_one_chunk(cell, row, value, check):
     v, u = _wavy(1400)
     (v if row == "v" else u)[cell] = value
-    status = _chunked_like_one_chunk(v, u, GAMMA2)
+    status, err = _compiled_like_numpy(v, u, GAMMA2)
     assert status[:2] == (0, 1400) and status[-1] == 0
-    assert status[field] == _found_at(field, cell)
+    assert _raises_at(err, check, cell)
+
+
+# the fall at the last cell's right face would meet the ghost cell
+@pytest.mark.parametrize("cell", [1, 255, 256, 257, 511, 1100, 1397])
+@pytest.mark.parametrize("check", ["nonfinite", "vacuum"])
+def test_chunked_gamma_step_names_the_failing_new_cell(cell, check):
+    """A new cell that is not finite, or has v <= 0, in any chunk of a
+    1400-cell window: the flag is clear and the error names the cell."""
+    v, u = _wavy(1400)
+    if check == "nonfinite":
+        u[cell:] = 1e308
+    else:
+        u[cell] += 50.0
+        u[cell + 1] -= 50.0
+    status, err = _compiled_like_numpy(v, u, GAMMA2)
+    assert status[:2] == (0, 1400) and status[-1] == 0
+    assert _raises_at(err, check, cell)
 
 
 def test_chunked_gamma_step_on_windows_about_chunk_edges():
@@ -733,9 +791,9 @@ def test_chunked_gamma_step_on_windows_about_chunk_edges():
         x = np.linspace(0.0, np.pi, width)
         v[100:100 + width] += 0.05 * np.sin(x) ** 2
         u[100:100 + width] += 0.03 * np.sin(2.0 * x)
-        status = _chunked_like_one_chunk(v, u, GAMMA2)
+        status, err = _compiled_like_numpy(v, u, GAMMA2)
         assert status[1] - status[0] >= width and status[0] > 0 and status[1] < n
-        assert status[-1] == 1
+        assert status[-1] == 1 and err is None
 
 
 @pytest.mark.parametrize("value", [-0.5, np.nan, 1e-3], ids=["thin", "nonfinite", "vacuum"])
@@ -812,21 +870,28 @@ def test_builtin_gamma_step_reads_the_exponent(gamma, alpha):
 
 
 def test_builtin_gamma_face_values_are_the_callables_bits():
-    """The built-in gamma step's p and sqrt(-p') on its face states against
-    the closure's callables, on states across the closure's v range: a step
-    as one chunk leaves the right states' momentum flux and speed in buf."""
+    """The built-in gamma step's p and sqrt(-p') (``dw_flux_and_speed``,
+    each chunk's evaluator of its face states) against the closure's
+    callables, on the NumPy formulation's face states across the closure's
+    v range."""
     gas = gamma_law_closure(2.0, 1.0)
     n = 1500
     x = np.linspace(-1.0, 1.0, n)
     v, u = 0.06 * 300.0 ** (0.5 + 0.5 * np.sin(7.0 * x)), 0.3 * np.cos(5.0 * x)
-    buf = np.empty(_kernel.lib.N_REGIONS * 2 * (n + 2))
-    st = _kernel.ffi.new("dw_status *")
-    ptr = _kernel._ptr
-    _kernel.lib.dw_step(n, ptr(v), ptr(u), *GAMMA2, *RAW_STEP, ptr(buf),
-                        ptr(np.empty((2, n))), st)
-    m, region = st.hi - st.lo, 2 * (st.hi - st.lo + 2)
-    right_v = _kernel.face_states(st, buf)[1][0]
-    flux = buf[_kernel.lib.FLUX * region:][: m + 1]
-    speed = buf[_kernel.lib.SPEED * region:][: m + 1]
-    assert st.thin_face == -1 and right_v.min() < 0.1 and right_v.max() > 10.0
-    assert same_bits(flux, gas.p(right_v)) and same_bits(speed, np.sqrt(-gas.dp(right_v)))
+    alpha, dt, dx = RAW_STEP
+    face_v, face_u = _faces(gas, v, u * damping(0.5 * alpha * dt)[0], 0.5 * dt / dx)
+    right_v = face_v[:n + 1]
+    assert 0.0 < right_v.min() < 0.1 and right_v.max() > 10.0
+    flux, speed = _kernel.flux_and_speed(gas, face_v, face_u)
+    assert same_bits(flux, gas.p(face_v)) and same_bits(speed, np.sqrt(-gas.dp(face_v)))
+
+
+def test_a_clear_flag_the_formulation_contradicts_is_a_runtime_error(monkeypatch):
+    """A compiled step whose flag is clear on a step the NumPy formulation
+    passes raises RuntimeError, not a state."""
+    n = 64
+    state = SimState(-4.0, 4.0, n, *_wavy(n), 0.0, m1_closure(1.0))
+    compiled = _kernel.step
+    monkeypatch.setattr(_kernel, "step", lambda *args: (0, *compiled(*args)[1:]))
+    with pytest.raises(RuntimeError, match="NumPy formulation passes$"):
+        step(state, 0.01)
