@@ -26,8 +26,14 @@ one C call, with no libffi in between.
 
 The step runs its window in chunks on the calling thread and one C helper
 thread, when the process's affinity mask holds a second CPU (``taskset``
-limits it); the helper starts on the first step with more than one chunk,
-and it is stopped and joined at exit.  ``_step.c`` describes it.
+limits it): the caller claims chunks from the window's left end and the
+helper from its right end, both from one atomic word on a cache line of its
+own, so each mostly reads back the rows it wrote.  The helper starts on the
+first step with more than one chunk, and it is stopped and joined at exit.
+The window search before it skips uniform neighbour pairs in blocks of 64
+from both ends; it tests the pairs left over at once only when the blocks
+run out, so it reads the window's interior only at its two ends.
+``_step.c`` describes both.
 
 The wrappers take and return NumPy arrays of float64; every input goes
 through ``np.ascontiguousarray(x, dtype=float)`` (``as_pair``), except

@@ -19,18 +19,20 @@
  * NumPy formulation on the same state and dt, which finds the check that
  * failed and raises its error; so nothing here records where a check failed.
  *
- * dw_step runs as a chunk pipeline.  The window search is serial; then the
- * window is cut into chunks of CHUNK cells, and each chunk runs every stage
- * on its own scratch: the edge values of its cells and a one-cell halo, the
- * closure's momentum flux, the predictor, the closure's face combine, its
- * faces (a face between two chunks is computed by both, to the same bits),
- * the update of its cells, and the checks.  Only the two closure
- * evaluations depend on the closure.  The first and last chunks fill the
- * far fields.  Each chunk folds what it found into a partial status (flags
- * and largest bit patterns); these fold to the same status in any order, so
- * the status is the whole window's bit for bit.  The calling thread and a
- * helper thread claim chunks from one counter (see "the chunk pool"); the
- * caller's scratch is allocated per call, for one chunk.
+ * dw_step runs as a chunk pipeline.  The window search is serial and reads
+ * only the uniform ends and a block next to each (see "the window"); then
+ * the window is cut into chunks of CHUNK cells, and each chunk runs every
+ * stage on its own scratch: the edge values of its cells and a one-cell
+ * halo, the closure's momentum flux, the predictor, the closure's face
+ * combine, its faces (a face between two chunks is computed by both, to the
+ * same bits), the update of its cells, and the checks.  Only the two closure
+ * evaluations depend on the closure.  The first and last chunks fill the far
+ * fields.  Each chunk folds what it found into a partial status (flags and
+ * largest bit patterns); these fold to the same status in any order, so the
+ * status is the whole window's bit for bit.  The calling thread claims chunks
+ * from the window's left end and a helper thread from its right end, both
+ * from one atomic word, until they meet (see "the chunk pool"); the caller's
+ * scratch is allocated per call, for one chunk.
  *
  * A chunk of m cells works in N_REGIONS regions of 2 (m + 2) values, a
  * layout private to this file.  s = m + 2 is the number of edge positions:
@@ -56,7 +58,7 @@
  */
 
 #ifndef _GNU_SOURCE /* the module's Python.h defines it first */
-#define _GNU_SOURCE /* sched_getaffinity, CPU_COUNT */
+#define _GNU_SOURCE /* sched_getaffinity, sched_getcpu, CPU_COUNT */
 #endif
 #include <math.h>
 #include <pthread.h>
@@ -388,15 +390,18 @@ static inline uint64_t differ(const double *v, const double *u, double half_damp
 /* The window is every cell whose 5-cell stencil holds two different bit
  * patterns, plus one uniform cell at each end; a bitwise uniform state takes
  * the one-cell window 0 .. 1.  The search skips BLOCK uniform pairs at a
- * time from each end, and the pairs left over at once when they are uniform
- * too. */
+ * time from each end, then goes pair by pair.  When the blocks from the left
+ * run out (at most BLOCK pairs are left), those pairs are tested at once,
+ * so a uniform state is one pass; a differing block stops the skip with no
+ * such test, which would read the whole interior for nothing. */
 static inline void window(int64_t n, const double *v, const double *u, double half_damp,
                           dw_status *st)
 {
     int64_t first = 0, last = n - 2;
     while (first + BLOCK <= last && !differ(v, u, half_damp, first, BLOCK))
         first += BLOCK;
-    if (first <= last && !differ(v, u, half_damp, first, last - first + 1))
+    if (first <= last && last - first < BLOCK
+        && !differ(v, u, half_damp, first, last - first + 1))
         first = last + 1;
     while (first <= last && !differ(v, u, half_damp, first, 1))
         first++;
@@ -758,36 +763,50 @@ POW_CLONED int dw_flux_and_speed(int64_t k, int closure, double gamma, const dou
  * than one chunk when the affinity mask (sched_getaffinity, else the online
  * CPUs) holds a second CPU.  Only a second CPU has been timed, so a larger
  * mask gets one helper too.  One step at a time holds the pool (busy); a
- * step that finds it held runs all its chunks on its own thread.  The holder
- * publishes its job and a new generation in claim, and it and the helper
- * take chunks from claim's low half by compare-and-swap, so a helper still
- * on an old generation claims nothing.  A finished generation's low half is
- * IDLE.  The helper folds its chunks into acc; the holder waits for every
- * chunk (done), then folds acc.  The idle helper spins for SPIN_NS, then
- * sleeps on wake.  dw_pool_stop ends the helper, and a forked child starts
- * with a fresh pool. */
+ * step that finds it held runs all its chunks on its own thread.
+ *
+ * The holder publishes its job, then the claim word: the left cursor (the
+ * next chunk from the left, 0) in the high half and the right one (one past
+ * the next chunk from the right, the chunk count) in the low half.  A window
+ * of up to 2^32 - 1 chunks fits: 2^40 cells, whose rows alone would take
+ * 16 TiB.  The holder claims chunks from the left end and the helper from the
+ * right end, each by compare-and-swap on the word, until the cursors meet; a
+ * met word is idle.  So each thread reads back, next step, mostly the rows
+ * it wrote itself, and each far field is filled by one thread.  The helper
+ * copies the job after each claim that succeeds, never from an earlier one:
+ * the holder publishes no new job while a claimed chunk is outstanding, so a
+ * helper descheduled across any number of steps runs the chunk it claimed
+ * with that chunk's job.  It folds its chunks into acc and counts them in
+ * done; the holder waits for the chunks it did not run, then folds acc.
+ * claim, done, the job and acc each have a cache line of their own, so the
+ * holder's claims do not evict the job the helper reads, nor the helper's
+ * folds the holder's word.
+ *
+ * The idle helper spins for SPIN_NS, then sleeps on wake; it sleeps at once
+ * when it runs on the CPU the holder published from, where its spin would
+ * take the holder's own time.  dw_pool_stop ends the helper, and a forked
+ * child starts with a fresh pool. */
 #define SPIN_NS 50000
-#define IDLE 0xffffffffu
+#define CURSOR 0xffffffffu /* the right cursor's bits in claim */
+#define LEFT ((uint64_t)1 << 32)
 #define SCRATCH (N_REGIONS * 2 * (CHUNK + 2))
 
 static struct {
-    pthread_mutex_t lock;
+    _Alignas(64) _Atomic uint64_t claim; /* left cursor << 32 | right cursor */
+    _Alignas(64) _Atomic int64_t done;   /* chunks the helper finished in the step */
+    _Alignas(64) job job;
+    atomic_int cpu;                      /* the CPU the holder published from */
+    _Alignas(64) partial acc;            /* the helper's chunks of the step */
+    _Alignas(64) pthread_mutex_t lock;
     pthread_cond_t wake;
     atomic_int busy;
     atomic_int stop;
-    atomic_int sleeping;        /* the helper waits on wake */
-    _Atomic uint64_t claim;     /* generation << 32 | next chunk */
-    _Atomic int64_t chunks;     /* chunks of the generation */
-    _Atomic int64_t done;       /* chunks finished in the generation */
-    int workers;                /* 1 with the helper, 0 without, -1 until the pool starts */
-    uint32_t spawn_gen;         /* the generation when the helper started */
-    job job;
+    atomic_int sleeping;                 /* the helper waits on wake */
+    int workers;                         /* 1 with the helper, 0 without, -1 until the pool starts */
     pthread_t thread;
     double *scratch;
-    _Alignas(64) partial acc;   /* the helper's chunks of the generation */
 } pool = {
-    .lock = PTHREAD_MUTEX_INITIALIZER, .wake = PTHREAD_COND_INITIALIZER,
-    .claim = IDLE, .workers = -1,
+    .lock = PTHREAD_MUTEX_INITIALIZER, .wake = PTHREAD_COND_INITIALIZER, .workers = -1,
 };
 
 static inline void relax(void)
@@ -804,39 +823,35 @@ static int64_t now_ns(void)
     return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
 }
 
-static inline uint32_t generation(void)
-{
-    return (uint32_t)(atomic_load(&pool.claim) >> 32);
-}
-
-/* the next unclaimed chunk of generation gen, or -1 */
-static int64_t claim(uint32_t gen)
+/* the next chunk from the right end, or from the left, or -1 once the
+   cursors have met */
+static int64_t claim(int from_right)
 {
     uint64_t c = atomic_load(&pool.claim);
-    while ((uint32_t)(c >> 32) == gen
-           && (int64_t)(c & IDLE) < atomic_load_explicit(&pool.chunks, memory_order_relaxed))
-        if (atomic_compare_exchange_weak(&pool.claim, &c, c + 1))
-            return (int64_t)(c & IDLE);
+    while ((c >> 32) < (c & CURSOR))
+        if (atomic_compare_exchange_weak(&pool.claim, &c, from_right ? c - 1 : c + LEFT))
+            return from_right ? (int64_t)(c & CURSOR) - 1 : (int64_t)(c >> 32);
     return -1;
 }
 
-static void run_claims(uint32_t gen, double *scratch, partial *acc)
+/* whether a published step has chunks left, or the pool stops */
+static inline int ready(void)
 {
-    for (int64_t c; (c = claim(gen)) >= 0;) {
-        chunk(&pool.job, c, scratch, acc);
-        atomic_fetch_add_explicit(&pool.done, 1, memory_order_release);
-    }
+    uint64_t c = atomic_load(&pool.claim);
+    return (c >> 32) < (c & CURSOR) || atomic_load(&pool.stop);
 }
 
-/* the generation after gen, once it is published or the pool stops */
-static uint32_t await(uint32_t gen)
+/* Waits for chunks to claim; 0 once the pool stops. */
+static int await(void)
 {
     int64_t t0 = now_ns();
-    for (int i = 1; generation() == gen && !atomic_load(&pool.stop); i++) {
-        if (i % 64 == 0 && now_ns() - t0 > SPIN_NS) {
+    int cpu = sched_getcpu();
+    int shared = cpu >= 0 && cpu == atomic_load_explicit(&pool.cpu, memory_order_relaxed);
+    for (int i = 1; !ready(); i++) {
+        if (shared || (i % 64 == 0 && now_ns() - t0 > SPIN_NS)) {
             pthread_mutex_lock(&pool.lock);
             atomic_store(&pool.sleeping, 1);
-            while (generation() == gen && !atomic_load(&pool.stop))
+            while (!ready())
                 pthread_cond_wait(&pool.wake, &pool.lock);
             atomic_store(&pool.sleeping, 0);
             pthread_mutex_unlock(&pool.lock);
@@ -844,18 +859,19 @@ static uint32_t await(uint32_t gen)
         }
         relax();
     }
-    return generation();
+    return !atomic_load(&pool.stop);
 }
 
 static void *helper(void *arg)
 {
     (void)arg;
-    for (uint32_t gen = pool.spawn_gen;;) {
-        gen = await(gen);
-        if (atomic_load(&pool.stop))
-            return NULL;
-        run_claims(gen, pool.scratch, &pool.acc);
-    }
+    while (await())
+        for (int64_t c; (c = claim(1)) >= 0;) {
+            job j = pool.job;
+            chunk(&j, c, pool.scratch, &pool.acc);
+            atomic_fetch_add_explicit(&pool.done, 1, memory_order_release);
+        }
+    return NULL;
 }
 
 static void wake(void)
@@ -866,11 +882,12 @@ static void wake(void)
 }
 
 /* in a forked child, whose helper did not survive the fork: a pool that
-   starts afresh, reusing the scratch */
+   starts afresh, reusing the scratch, with an idle claim word */
 static void reset(void)
 {
     pthread_mutex_init(&pool.lock, NULL);
     pthread_cond_init(&pool.wake, NULL);
+    atomic_store(&pool.claim, 0);
     atomic_store(&pool.busy, 0);
     atomic_store(&pool.stop, 0);
     atomic_store(&pool.sleeping, 0);
@@ -904,13 +921,13 @@ static void start(void)
     sigset_t all, old;
     sigfillset(&all);
     pthread_sigmask(SIG_SETMASK, &all, &old);
-    pool.spawn_gen = generation();
     pool.workers = !pthread_create(&pool.thread, NULL, helper, NULL);
     pthread_sigmask(SIG_SETMASK, &old, NULL);
 }
 
-/* Runs the chunks of j on the helper and this thread, folded into acc; 0
- * when another step holds the pool or it has no helper. */
+/* Runs the chunks of j on this thread from the left and the helper from
+ * the right, folded into acc; 0 when another step holds the pool or it has
+ * no helper. */
 static int pooled(const job *j, int64_t chunks, double *buf, partial *acc)
 {
     if (atomic_exchange(&pool.busy, 1))
@@ -923,21 +940,21 @@ static int pooled(const job *j, int64_t chunks, double *buf, partial *acc)
     }
     pool.job = *j;
     pool.acc = NONE;
-    atomic_store(&pool.done, 0);
-    atomic_store(&pool.chunks, chunks);
-    uint32_t gen = generation() + 1;
-    atomic_store(&pool.claim, (uint64_t)gen << 32);
+    atomic_store_explicit(&pool.cpu, sched_getcpu(), memory_order_relaxed);
+    atomic_store_explicit(&pool.done, 0, memory_order_relaxed);
+    atomic_store(&pool.claim, (uint64_t)chunks);
     if (atomic_load(&pool.sleeping))
         wake();
-    run_claims(gen, buf, acc);
+    int64_t own = 0;
+    for (int64_t c; (c = claim(0)) >= 0; own++)
+        chunk(j, c, buf, acc);
     int64_t t0 = now_ns();
-    while (atomic_load_explicit(&pool.done, memory_order_acquire) < chunks) {
+    while (own + atomic_load_explicit(&pool.done, memory_order_acquire) < chunks) {
         if (now_ns() - t0 < SPIN_NS)
             relax();
         else
             sched_yield();
     }
-    atomic_store(&pool.claim, (uint64_t)gen << 32 | IDLE);
     fold(acc, &pool.acc);
     atomic_store(&pool.busy, 0);
     return 1;

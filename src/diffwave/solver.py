@@ -76,9 +76,10 @@ of a face state sharing one log and one exp.  That ``pow`` is built from
 IEEE operations and explicit fused multiply-adds, within 1 ulp, so its bits
 are the same on every CPU, unlike NumPy's SIMD ``pow``.  The one call cuts
 the window into chunks of 256 cells and runs each chunk through every stage
-on its own scratch, on the calling thread and, when the process's affinity
-mask holds a second CPU, on one C helper thread; the chunks' checks fold
-into the same status, so the step keeps its bits on any number of CPUs.
+on its own scratch, on the calling thread from the window's left end and,
+when the process's affinity mask holds a second CPU, on one C helper thread
+from its right end; the chunks' checks fold into the same status, so the
+step keeps its bits on any number of CPUs.
 Both take the damping factor exp(-alpha dt/2) and kappa from the package's
 ``exp`` (``dw_damping``, which ``_kernel.damping`` wraps), so a step's bits
 do not depend on NumPy's dispatch.  C returns one flag that says every check passed, the window, the

@@ -2,8 +2,10 @@
 the helper's start, sleep, exit and fork.
 
 A step's window is cut into chunks of 256 cells, and the pool has one helper
-thread when the process's affinity mask holds a second CPU.  The subprocess
-cases run a 2048-cell m1 state, whose window spans eight chunks.
+thread when the process's affinity mask holds a second CPU.  The caller
+claims chunks from the window's left end and the helper from its right end.
+Most subprocess cases run a 2048-cell m1 state, whose window spans eight
+chunks; the claims from both ends run windows of 2, 3 and 64 chunks.
 """
 
 import os
@@ -213,3 +215,72 @@ def test_gamma_chunks_keep_their_bits_on_one_cpu_and_on_two():
     pinned, here = pinned.stdout.split(), here.stdout.split()
     assert pinned[0] == "0" and pinned[2:] == here[2:] == ["True", "True"]
     assert pinned[1] == here[1]
+
+
+# Windows of exactly 2 and 3 chunks, where the two ends meet at once, and of
+# 64, on both built-in closures: each step's rows and speed bound against the
+# NumPy formulation's, and a digest of the last state.
+BOTH_ENDS = """
+    for closure in (closures.m1_closure(1.0), closures.gamma_law_closure(2.0, 1.0)):
+        for n, chunks in ((300, 2), (700, 3), (16384, 64)):
+            state, same = wavy(n, closure), True
+            for _ in range(10):
+                dt = solver.cfl_dt(state, 0.45)
+                ok, st, cells = _kernel.step(closure, state.v, state.u, dt, state.dx)
+                v, u, speed_bound, _ = solver._numpy_step(state, dt)
+                same &= (ok == 1 and (st.lo, st.hi) == (0, n) and -(-n // 256) == chunks
+                         and cells[0].tobytes() + cells[1].tobytes() == v.tobytes() + u.tobytes()
+                         and st.speed_bound == speed_bound)
+                state = solver.step(state, dt)
+            print(closure.name, chunks, same, digest(state))
+    print(workers())
+"""
+
+
+# run after STEPS: the helper's thread and the caller pinned to one CPU
+COLOCATE = """
+    import threading
+    before = set(os.listdir("/proc/self/task"))
+    march(wavy(2048), 1)  # starts the helper
+    (helper,) = set(os.listdir("/proc/self/task")) - before
+    cpu = min(os.sched_getaffinity(0))
+    for tid in (threading.get_native_id(), int(helper)):
+        os.sched_setaffinity(tid, {cpu})
+"""
+
+
+def _both_ends(setup=""):
+    """BOTH_ENDS's case lines and the helpers running, after setup."""
+    proc = _python(textwrap.dedent(setup) + textwrap.dedent(BOTH_ENDS))
+    assert proc.returncode == 0, proc.stderr
+    *cases, helpers = proc.stdout.splitlines()
+    return cases, int(helpers)
+
+
+@pytest.fixture(scope="module")
+def both_ends():
+    """BOTH_ENDS with the process's own affinity mask."""
+    return _both_ends()
+
+
+def test_claims_from_both_ends_cover_each_chunk_once(both_ends):
+    """The caller claims chunks from the window's left end and the helper
+    from its right end until they meet: on two CPUs and pinned to one, every
+    step has the NumPy formulation's bits, and the states agree."""
+    pinned, pinned_helpers = _both_ends("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})")
+    here, helpers = both_ends
+    assert pinned_helpers == 0 and helpers == min(len(os.sched_getaffinity(0)) - 1, 1)
+    assert len(here) == 6 and all(case.split()[2] == "True" for case in here)
+    assert pinned == here
+
+
+@needs_proc
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs a second CPU")
+def test_helper_on_the_callers_cpu_keeps_the_bits(both_ends):
+    """The helper's thread pinned onto the caller's CPU is descheduled in the
+    middle of steps, holding a claimed chunk or about to claim one; every
+    step still has the NumPy formulation's bits."""
+    here, helpers = both_ends
+    colocated, colocated_helpers = _both_ends(COLOCATE)
+    assert helpers == colocated_helpers == 1
+    assert colocated == here

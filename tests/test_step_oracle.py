@@ -474,6 +474,62 @@ def test_differing_pair_anywhere_sets_the_window(row, anchor):
         assert same_bits(got.v, want.v) and same_bits(got.u, want.u), k
 
 
+# the neighbour pairs the window search skips at a time from each end
+# (BLOCK in _step.c)
+BLOCK = 64
+
+
+def _pair_window(closure, v, u, dt):
+    """The window of a step of dt by its definition: from the first to the
+    last neighbour pair whose 64-bit patterns differ in v or in u e^-h (the
+    first damping half-step), two cells more on the left and three on the
+    right, clipped to the domain; (0, 1) when no pair differs."""
+    w = u * _kernel.damping(0.5 * closure.alpha * dt)[0]
+    v_bits, w_bits = v.view(np.uint64), w.view(np.uint64)
+    pairs = np.flatnonzero((v_bits[:-1] != v_bits[1:]) | (w_bits[:-1] != w_bits[1:]))
+    if pairs.size == 0:
+        return 0, 1
+    return max(int(pairs[0]) - 2, 0), min(int(pairs[-1]) + 4, v.size)
+
+
+def _near_block_edges(n):
+    """Every pair within BLOCK of the first two block edges from each end."""
+    last = n - 2  # the last pair
+    return [*range(0, 3 * BLOCK + 1), *range(last - 3 * BLOCK, last + 1)]
+
+
+@pytest.mark.parametrize("n", [1000, 4096])
+def test_window_is_the_span_of_differing_pairs(n):
+    """The window search skips uniform blocks from both ends, tests the
+    pairs left over at once only when the blocks run out, and then goes
+    pair by pair; its window is the span of the differing pairs wherever
+    they fall relative to the block edges: one pair, two pairs mirrored
+    about the middle, and an interior that differs over many blocks."""
+    rng = np.random.default_rng(26)
+    dt = 0.01
+    noise = 1.0 + 0.01 * rng.random(n)
+    for closure in (gamma_law_closure(2.0, 1.0), m1_closure(1.0)):
+        states = []
+        for k in _near_block_edges(n):
+            mirror = n - 2 - k
+            for row in (0, 1):
+                cells = np.ones(n), np.zeros(n)
+                cells[row][k + 1:] += 0.01
+                states.append(cells)
+            v, u = np.ones(n), np.zeros(n)
+            v[k + 1:] += 0.01
+            u[mirror + 1:] = -0.0  # signed zeros differ in bits
+            states.append((v, u))
+            lo, hi = sorted((k, mirror))
+            v = np.ones(n)
+            v[lo + 1:hi + 1] = noise[lo + 1:hi + 1]
+            states.append((v, np.zeros(n)))
+        states.append((np.ones(n), np.zeros(n)))
+        for v, u in states:
+            st = _kernel.step(closure, v, u, dt, 16.0 / n)[1]
+            assert (st.lo, st.hi) == _pair_window(closure, v, u, dt)
+
+
 def test_signed_zeros_bound_the_window():
     """-0.0 cells next to +0.0 cells differ in bits although they compare equal."""
     n = 64
