@@ -45,7 +45,13 @@ closure (``ModelClosure.builtin``) from (alpha, dt, dx), one C call
 reuses.  Where a check failed, and every step of any other closure, is the
 business of ``solver``'s NumPy formulation; no Python here knows how C lays
 out its scratch.  ``flux_and_speed`` is a built-in closure's face combine on
-any states, by the step's own C evaluators (``dw_flux_and_speed``).
+any states, by the step's own C evaluators (``dw_flux_and_speed``).  The M1
+evaluators are chosen once, when the module loads: on a CPU with AVX-512
+(x86-64-v4) an AVX-512 pair, which takes four of a face state's seven
+divisions as reciprocals that fused multiply-adds round correctly, and the
+u side's divisions and square root off vectors whose 4 - 3u^2 all round to
+4; elsewhere the generic pair.  Both give the divider's bits, and the step
+and ``flux_and_speed`` run the same one.
 
 ``power`` is the package's own pow, within 1 ulp and the same bits on
 every CPU and under any NumPy dispatch: the gamma law's callables call it.

@@ -9,7 +9,12 @@
  * package's exp and pow"): they are built from the same operations and
  * explicit fused multiply-adds, each correctly rounded, so they give the same
  * bits in every clone and on every IEEE-754 machine, and the gamma law's
- * callables (closures._PowerLaw) call them too.
+ * callables (closures._PowerLaw) call them too.  The AVX-512 m1 evaluators
+ * (see "the AVX-512 m1 evaluators") take four of the seven divisions of a
+ * face state off the divider: each reciprocal is correctly rounded by fused
+ * multiply-adds, so it is the quotient's bits; and where every state of a
+ * vector has 4 - 3u^2 rounded to 4, the u-side divisors are powers of two,
+ * and a product by their reciprocals rounds the same.
  *
  * A step with a built-in closure, M1 or the gamma law, is one call,
  * dw_step, the only step entry; any other closure steps on the NumPy
@@ -48,7 +53,8 @@
  * volume and momentum fluxes.
  *
  * dw_flux_and_speed is the face combine of a built-in closure on any
- * states, by the chunks' own evaluators.
+ * states, by the chunks' own evaluators: for M1 the pair select_m1 chose
+ * for this CPU, as in the chunks.
  *
  * dw_tridiagonal_solve, the profile solver's Newton step, dw_erf, its
  * initial guess, and dw_hermite, the profile's interpolant, are the routines
@@ -92,19 +98,25 @@ void dw_hermite(int64_t k, const double *xi, int64_t cells, const double *coef, 
                 double hi, double h, double below, double above, double *out);
 /* --- end of declarations --- */
 
+/* --- x86-64 --- */
 #if defined(__x86_64__)
-/* the m1 evaluators get an AVX2 clone, chosen at load time; the scalar
-   operations and their order are the same in both clones, and with
-   -ffp-contract=off neither fuses a multiply-add.  The loops of the package's
-   pow get an AVX-512 clone too (POW_CLONED), and so do dw_step and
+/* the generic m1 evaluators get an AVX2 clone, chosen at load time; the
+   scalar operations and their order are the same in both clones, and with
+   -ffp-contract=off neither fuses a multiply-add.  On a CPU with AVX-512 the
+   hand-written AVX-512 pair runs instead (select_m1).  The loops of the
+   package's pow get an AVX-512 clone too (POW_CLONED), and so do dw_step and
    its chunks: a clone calls another function's clone of its own
-   architecture directly, so only an AVX-512 chunk reaches the AVX-512 pow. */
+   architecture directly, so only an AVX-512 chunk reaches the AVX-512 pow.
+   The two regions between the "x86-64" lines hold all that is particular to
+   x86-64; without them the module is the baseline build, which
+   tests/test_kernel.py compares bit for bit with the loaded one. */
 #define CLONED __attribute__((target_clones("arch=x86-64-v3", "default")))
 #define POW_CLONED __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
 #else
 #define CLONED
 #define POW_CLONED
 #endif
+/* --- end of x86-64 --- */
 
 /* a chunk's scratch (header): the start of region r for a chunk of m cells */
 enum { V, U, FLUX, SPEED, FLUXES, N_REGIONS };
@@ -603,7 +615,9 @@ static inline void update(const job *j, int64_t first, int64_t m, double *buf,
 
 /* The built-in M1 closure: p = 1/(3v), p' = -1/(3v^2), f = 1/v, f' = -1/v^2,
  * g = u^2 s/(2 + s) and g' = 2u s/(2 + s) - 6u^3/(s (2 + s)^2), with
- * s = sqrt(4 - 3u^2). */
+ * s = sqrt(4 - 3u^2).  A face state takes seven divisions and two square
+ * roots (s and the discriminant's), an edge value three and one; the AVX-512
+ * pair below keeps their bits with fewer. */
 static inline double m1_s(double u)
 {
     return sqrt(4.0 - 3.0 * (u * u));
@@ -638,6 +652,145 @@ CLONED static int m1_flux_and_speed(int64_t k, const double *restrict v,
     }
     return ok;
 }
+
+/* The m1 evaluator pair that chunk and dw_flux_and_speed call: the generic
+ * pair above, or on a CPU with x86-64-v4 the AVX-512 pair below, chosen once
+ * when the module loads (select_m1).  Both give the same bits, and so the
+ * same steps. */
+static struct {
+    void (*flux)(int64_t, const double *restrict, const double *restrict, double *restrict);
+    int (*combine)(int64_t, const double *restrict, const double *restrict,
+                   double *restrict, double *restrict);
+} m1 = {m1_flux, m1_flux_and_speed};
+
+/* --- x86-64 --- */
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+/* The AVX-512 m1 evaluators, 8 states a vector, with the generic pair's bits
+ * on every state.  (Where two different NaNs meet, which one a lane keeps is
+ * the operand order its compiler picks, here as in the generic pair and in
+ * NumPy; a NaN state fails the step whichever it is.)  They move work from
+ * the divider to the FMA units:
+ *  - p, p', f and f', +-1/b with b = 3v, 3v^2, v and v^2, are each RN(+-1/b),
+ *    the divider's result, from fused multiply-adds (recip);
+ *  - in a vector where every state has 4 - 3u^2 rounded to 4, s = 2 and
+ *    t = 2 + s = 4, and a product by 0.25 or 0.03125 rounds the same exact
+ *    value as the generic division by t or by s t^2 = 32 (u_side);
+ *  - every other operation is the generic code's, in its order, one
+ *    multiply, add, subtract, divide or square root each (the module is built
+ *    with -ffp-contract=off, so none fuses).
+ * The unused lanes of a vector past the end load v = 1 and u = 0, which take
+ * neither the divider nor the general u path, and are not stored. */
+#define WIDE __attribute__((target("arch=x86-64-v4")))
+#define MUL _mm512_mul_pd
+#define ADD _mm512_add_pd
+#define SUB _mm512_sub_pd
+#define DIV _mm512_div_pd
+#define SET _mm512_set1_pd
+
+/* RN(c/b) on 8 lanes, for c = 1 or -1.  rcp14 is within 2^-14 of 1/b; each
+ * step e = 1 - b y, y = y + y e is two FMAs.  Two Newton steps bring y within
+ * one ulp of 1/b, and a third, Markstein's, rounds it correctly unless b's
+ * significand is all ones (Markstein, IBM J. Res. Dev. 34, 1990; Muller et
+ * al., Handbook of Floating-Point Arithmetic, 2nd ed., 2018).  -1/b is that
+ * with its sign bit flipped, as rounding to nearest is symmetric (0 - y
+ * would turn -0 into +0).  Lanes with an all-ones b, or a b outside
+ * [2^-1000, 2^1000), where 1/b or the steps leave the normal range (zeros,
+ * subnormals, negatives, infinities and NaN included), take the divider's
+ * c/b, which also keeps a NaN's sign. */
+WIDE static inline __m512d recip(double c, __m512d b)
+{
+    const __m512d one = SET(1.0);
+    __m512d y = _mm512_rcp14_pd(b);
+    for (int i = 0; i < 3; i++) {
+        __m512d e = _mm512_fnmadd_pd(b, y, one);
+        y = _mm512_fmadd_pd(y, e, y);
+    }
+    if (c < 0.0)
+        y = _mm512_xor_pd(y, SET(-0.0));
+    const __m512i frac = _mm512_set1_epi64(0xfffffffffffffLL);
+    __mmask8 odd = _mm512_cmp_pd_mask(b, SET(0x1p-1000), _CMP_NGE_UQ)
+                 | _mm512_cmp_pd_mask(b, SET(0x1p1000), _CMP_NLT_UQ)
+                 | _mm512_cmpeq_epi64_mask(_mm512_and_si512(_mm512_castpd_si512(b), frac), frac);
+    return odd ? _mm512_mask_div_pd(y, odd, SET(c), b) : y;
+}
+
+/* g of 8 states u, and g' in *dg unless dg is NULL, in m1_g's and
+ * m1_flux_and_speed's operations: with s = 2 and t = 4, and no square root or
+ * division, when every lane's RN(4 - RN(3 RN(u u))) is 4 */
+WIDE static inline __m512d u_side(__m512d y, __m512d *dg)
+{
+    const __m512d two = SET(2.0), four = SET(4.0);
+    __m512d y2 = MUL(y, y), w = SUB(four, MUL(SET(3.0), y2));
+    if (_mm512_cmp_pd_mask(w, four, _CMP_EQ_OQ) == 0xff) {
+        if (dg)
+            *dg = SUB(MUL(MUL(MUL(two, y), two), SET(0.25)),
+                      MUL(MUL(SET(6.0), MUL(y2, y)), SET(0.03125)));
+        return MUL(MUL(y2, two), SET(0.25));
+    }
+    __m512d s = _mm512_sqrt_pd(w), t = ADD(two, s);
+    if (dg)
+        *dg = SUB(DIV(MUL(MUL(two, y), s), t), DIV(MUL(SET(6.0), MUL(y2, y)), MUL(s, MUL(t, t))));
+    return DIV(MUL(y2, s), t);
+}
+
+/* the lanes of the vector from i of k states that lie before k */
+static inline __mmask8 active(int64_t k, int64_t i)
+{
+    return k - i >= 8 ? 0xff : (__mmask8)((1u << (k - i)) - 1);
+}
+
+/* m1_flux's bits, 8 states at a time */
+WIDE static void m1_flux_wide(int64_t k, const double *restrict v, const double *restrict u,
+                              double *restrict out)
+{
+    for (int64_t i = 0; i < k; i += 8) {
+        __mmask8 in = active(k, i);
+        __m512d x = _mm512_mask_loadu_pd(SET(1.0), in, v + i);
+        __m512d g = u_side(_mm512_mask_loadu_pd(SET(0.0), in, u + i), NULL);
+        __m512d p = recip(1.0, MUL(SET(3.0), x)), f = recip(1.0, x);
+        _mm512_mask_storeu_pd(out + i, in, SUB(p, MUL(g, f)));
+    }
+}
+
+/* m1_flux_and_speed's bits and flag, 8 states at a time, with combine's
+ * operations in its order */
+WIDE static int m1_flux_and_speed_wide(int64_t k, const double *restrict v,
+                                       const double *restrict u, double *restrict flux,
+                                       double *restrict speed)
+{
+    int ok = 1;
+    for (int64_t i = 0; i < k; i += 8) {
+        __mmask8 in = active(k, i);
+        __m512d x = _mm512_mask_loadu_pd(SET(1.0), in, v + i), x2 = MUL(x, x);
+        __m512d dg, g = u_side(_mm512_mask_loadu_pd(SET(0.0), in, u + i), &dg);
+        __m512d p = recip(1.0, MUL(SET(3.0), x)), dp = recip(-1.0, MUL(SET(3.0), x2));
+        __m512d f = recip(1.0, x), df = recip(-1.0, x2);
+        __m512d b = MUL(dg, f);
+        __m512d disc = SUB(MUL(b, b), MUL(SET(4.0), SUB(dp, MUL(g, df))));
+        _mm512_mask_storeu_pd(speed + i, in,
+                              MUL(SET(0.5), ADD(_mm512_abs_pd(b), _mm512_sqrt_pd(disc))));
+        _mm512_mask_storeu_pd(flux + i, in, SUB(p, MUL(g, f)));
+        ok &= (_mm512_cmp_pd_mask(disc, SET(0.0), _CMP_GE_OQ) & in) == in;
+    }
+    return ok;
+}
+
+/* the AVX-512 pair on a CPU with x86-64-v4's AVX-512 F, BW, CD, DQ and VL,
+   whose registers the OS saves (each test checks both) */
+__attribute__((constructor)) static void select_m1(void)
+{
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")
+        && __builtin_cpu_supports("avx512cd") && __builtin_cpu_supports("avx512dq")
+        && __builtin_cpu_supports("avx512vl")) {
+        m1.flux = m1_flux_wide;
+        m1.combine = m1_flux_and_speed_wide;
+    }
+}
+#endif
+/* --- end of x86-64 --- */
 
 /* out = coef v^(y - order) on k values, with the package's pow (power_row);
  * order is 0 .. 4, each inlined with its own constant */
@@ -740,12 +893,12 @@ POW_CLONED static void chunk(const job *j, int64_t c, double *buf, partial *acc)
     if (j->closure == DW_GAMMA)
         dw_pow(2 * s, v, j->neg_gamma, 0, 1.0, mf);
     else
-        m1_flux(2 * s, v, u, mf);
+        m1.flux(2 * s, v, u, mf);
     predict(m, j->sc.lam, mf, buf, acc);
     acc->hyperbolic &= j->closure == DW_GAMMA
         ? gamma_flux_and_speed(2 * (m + 1), j->neg_gamma, v + 1, REGION(FLUX, m),
                                REGION(SPEED, m))
-        : m1_flux_and_speed(2 * (m + 1), v + 1, u + 1, REGION(FLUX, m), REGION(SPEED, m));
+        : m1.combine(2 * (m + 1), v + 1, u + 1, REGION(FLUX, m), REGION(SPEED, m));
     update(j, first, m, buf, acc);
 }
 
@@ -756,7 +909,7 @@ POW_CLONED int dw_flux_and_speed(int64_t k, int closure, double gamma, const dou
                                  const double *u, double *flux, double *speed)
 {
     return closure == DW_GAMMA ? gamma_flux_and_speed(k, -gamma, v, flux, speed)
-                               : m1_flux_and_speed(k, v, u, flux, speed);
+                               : m1.combine(k, v, u, flux, speed);
 }
 
 /* The chunk pool: one helper thread, started on the first step with more

@@ -2,6 +2,7 @@
 build error and the extension module it loads."""
 
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -261,15 +262,19 @@ def test_source_compiles_with_every_warning_an_error():
 
 
 def test_baseline_build_gives_the_loaded_librarys_bits(monkeypatch, tmp_path):
-    """A copy of _step.c with no target clones (the baseline x86-64 code,
-    whose fma is the C library's) against the loaded library, which runs its
-    AVX2 or AVX-512 clones: pow, exp, the damping scalars and the gamma step
-    give the same bits, as explicit fused multiply-adds round once in both."""
+    """A copy of _step.c without its two x86-64 regions, so with no target
+    clones and no AVX-512 m1 evaluators (the baseline x86-64 code, whose fma
+    is the C library's, and the generic m1 pair), against the loaded library,
+    which runs its AVX2 or AVX-512 clones and, on an AVX-512 CPU, the AVX-512
+    m1 pair: pow, exp, the damping scalars, the gamma and m1 steps and the m1
+    face combine give the same bits, as explicit fused multiply-adds round
+    once in both and the reciprocals round correctly."""
     text = _kernel._SOURCE.read_text()
-    start, end = text.index("#if defined(__x86_64__)"), text.index("#endif", text.index("CLONED"))
+    region = re.compile(r"/\* --- x86-64 --- \*/\n.*?/\* --- end of x86-64 --- \*/\n", re.S)
+    assert len(region.findall(text)) == 2
     source = tmp_path / "_step.c"
-    source.write_text(text[:start] + "#define CLONED\n#define POW_CLONED\n" + text[end + 6:])
-    assert "target_clones" not in source.read_text()
+    source.write_text("#define CLONED\n#define POW_CLONED\n" + region.sub("", text))
+    assert not re.search("target|immintrin|_mm512", source.read_text())
     monkeypatch.setattr(_kernel, "_SOURCE", source)
     baseline = _kernel._load(_kernel._build())
     try:
@@ -301,10 +306,24 @@ def _compare_libraries(module):
         baseline.dw_damping(h, out + 2, out + 3)
         assert list(out[0:2]) == list(out[2:4])
 
-    from test_step_oracle import GAMMA2, _step_raw, _wavy
+    from test_step_oracle import GAMMA2, M1, U_SMALL, _step_raw, _wavy
 
     wave_v, wave_u = _wavy(1400)
-    want_status, want_rows = _step_raw(wave_v, wave_u, GAMMA2)
-    status, rows = _step_raw(wave_v, wave_u, GAMMA2, module)
-    assert status == want_status
-    assert np.array_equal(want_rows.view(np.uint64), rows.view(np.uint64))
+    # m1 also where u falls past U_SMALL, so that the AVX-512 pair takes s = 2
+    for closure, u in ((GAMMA2, wave_u), (M1, wave_u), (M1, wave_u * (4.0 * U_SMALL / 0.05))):
+        want_status, want_rows = _step_raw(wave_v, u, closure)
+        status, rows = _step_raw(wave_v, u, closure, module)
+        assert status == want_status
+        assert np.array_equal(want_rows.view(np.uint64), rows.view(np.uint64))
+
+    # the m1 face combine in m1's box, |u| sorted down to 2^-40 so that whole
+    # vectors take s = 2
+    face_u = rng.uniform(-0.99, 0.99, 6000) * np.exp2(rng.integers(-40, 1, 6000))
+    face_v, face_u = v[:6000], face_u[np.argsort(np.abs(face_u))]
+    combined = []
+    for lib in (loaded, baseline):
+        rows = np.empty((2, face_v.size))
+        assert lib.dw_flux_and_speed(face_v.size, *M1, ptr(face_v), ptr(face_u), ptr(rows[0]),
+                                     ptr(rows[1])) == 1
+        combined.append(rows.view(np.uint64))
+    assert np.array_equal(*combined)

@@ -161,7 +161,7 @@ def test_speed_bound_is_set_only_by_step(gamma_closure):
     n = 64
     state = SimState(-1.0, 1.0, n, np.ones(n), np.zeros(n), 0.0, gamma_closure)
     assert state.speed_bound is None
-    nxt = step(state, 0.4 * cfl_dt(state, 1.0))
+    nxt = step(state, cfl_dt(state, 0.4))
     assert nxt.speed_bound == np.sqrt(2.0)  # sqrt(-p'(1)) on every face
     assert cfl_dt(nxt, 0.45) == 0.45 * nxt.dx / nxt.speed_bound
     assert dataclasses.replace(nxt).speed_bound is None
@@ -205,6 +205,32 @@ def test_advance_rejects_bad_arguments(gamma_closure, t_end, cfl, name):
     with pytest.raises(ValueError, match=rf"^{name} must") as err:
         advance(state, t_end, cfl)
     assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("cfl", [0.0, -0.2, np.nan, 1.0, np.inf])
+def test_cfl_outside_the_unit_interval_is_rejected_alike(gamma_closure, cfl):
+    """cfl_dt, advance and ScenarioSpec raise one message.  cfl_dt(state,
+    0.0) returned 0.0 and a NaN cfl NaN, and the step then named dt."""
+    n = 16
+    state = SimState(-1.0, 1.0, n, np.ones(n), np.zeros(n), 0.0, gamma_closure)
+    calls = (lambda: cfl_dt(state, cfl), lambda: advance(state, 1.0, cfl),
+             lambda: ScenarioSpec(closure=gamma_closure, v_minus=1.0, v_plus=1.1, cfl=cfl))
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^cfl must lie in \(0, 1\), not {cfl!r}$"):
+            call()
+
+
+@pytest.mark.parametrize("row, value", [("v", np.nan), ("v", np.inf), ("v", -np.inf),
+                                        ("u", np.nan), ("u", -np.inf)])
+def test_sim_state_rejects_a_non_finite_cell(gamma_closure, row, value):
+    """A NaN cell used to build: a NaN u made ``max_abs_u`` NaN, and the first
+    step named a lost hyperbolicity, not the input.  The error names the
+    first bad cell."""
+    cells = {"v": np.ones(6), "u": np.zeros(6)}
+    cells[row][[2, 4]] = value
+    v, u = (f"{float(cells[k][2])!r}" for k in "vu")
+    with pytest.raises(ValueError, match=rf"^cell 2 is not finite: v={v}, u={u}$"):
+        SimState(-1.0, 1.0, 6, cells["v"], cells["u"], 0.0, gamma_closure)
 
 
 @pytest.mark.parametrize("ends", [(1.0, -1.0), (1.0, 1.0), (np.nan, 1.0), (-1.0, np.inf),
@@ -506,9 +532,8 @@ def test_nan_volume_hides_the_reconstruction_check(gamma_closure):
     not fire and the hyperbolicity check names the first failing face state.
     """
     u = np.r_[np.zeros(11), -20.0, np.zeros(4)]
-    v = np.ones(16)
-    v[14] = np.nan
-    state = SimState(-8.0, 8.0, 16, v, u, 0.0, gamma_closure)
+    state = SimState(-8.0, 8.0, 16, np.ones(16), u, 0.0, gamma_closure)
+    state.v[14] = np.nan  # past the constructor's check, as a step could leave it
     with np.errstate(all="ignore"), pytest.raises(
         HyperbolicityError, match=r"state \(v=-1.22245, u=-3.70409\)"
     ):

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from diffwave import _kernel, config
+from diffwave import _kernel, config, solver
 from diffwave.closures import (
     HyperbolicityError,
     face_combine,
@@ -251,6 +251,93 @@ def test_compiled_m1_loses_hyperbolicity_like_numpy():
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("hyperbolicity lost at state")
+
+
+# the largest |u| whose RN(4 - RN(3 RN(u u))) is 4: the AVX-512 evaluator
+# takes s = 2 on a vector of such states
+U_SMALL = float.fromhex("0x1.279a74590331cp-27")
+
+
+def _m1_combine_matches_numpy(v, u):
+    """The compiled m1 face combine (``dw_flux_and_speed``, on this CPU's
+    evaluator) against ``closures.face_combine``: the flag is NumPy's
+    all(disc >= 0), and flux and speed have NumPy's bits, lane by lane, also
+    where a state is not hyperbolic.  Any NaN matches any NaN: where two
+    different NaNs meet, which one a lane keeps is its compiler's choice of
+    operand order, and NumPy's own differs between the body and the tail of
+    its SIMD loops."""
+    v, u = _kernel.as_pair(v, u)
+    flux, speed = np.empty_like(v), np.empty_like(v)
+    ptr = _kernel._ptr
+    ok = _kernel.lib.dw_flux_and_speed(v.size, *M1, ptr(v), ptr(u), ptr(flux), ptr(speed))
+    with np.errstate(all="ignore"):
+        want_flux, want_speed, disc = face_combine(m1_closure(1.0), v, u)
+    return (ok == int(np.all(disc >= 0.0)) and _same_bits_or_nan(flux, want_flux)
+            and _same_bits_or_nan(speed, want_speed))
+
+
+def _around(x):
+    return np.r_[np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+def test_m1_combine_matches_numpy_on_directed_lanes():
+    """v where a reciprocal's divisor b (3v, v, 3v^2 or v^2) has an all-ones
+    significand, is a power of two, or sits at 2^-1000 or 2^1000, which bound
+    the FMA reciprocal, or is subnormal, zero, negative, infinite or NaN;
+    against u that takes s = 2 (zeros, subnormals, U_SMALL) or not (the next
+    double up, 1.2, NaN).  Each u fills whole vectors."""
+    all_ones = np.ldexp(np.nextafter(1.0, 0.0), np.arange(-1021, 1025))
+    bounds = np.ldexp(1.0, [-1000, 1000])
+    v = np.concatenate([
+        all_ones, all_ones / 3.0, np.sqrt(all_ones), np.sqrt(all_ones / 3.0),
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        *(_around(b) for b in (bounds, bounds / 3.0, np.sqrt(bounds), np.sqrt(bounds / 3.0))),
+        [5e-324, 1e-310, np.nextafter(2.0**-1022, 0.0), 0.0, -0.0, -1.0, -all_ones[1000],
+         np.inf, -np.inf, np.nan],
+    ])
+    small = np.nextafter(U_SMALL, np.inf)
+    assert 4.0 - 3.0 * (U_SMALL * U_SMALL) == 4.0 != 4.0 - 3.0 * (small * small)
+    for u in (0.0, -0.0, 5e-324, -1e-310, U_SMALL, -U_SMALL, small, -small, 0.3, 1.2,
+              np.nan):
+        assert _m1_combine_matches_numpy(v, np.full(v.size, u)), u
+
+
+def test_m1_combine_mixes_small_and_general_u_at_every_length():
+    """Vectors with both kinds of u lane, and every length 1 .. 17, so that
+    each partial vector at the end runs."""
+    rng = np.random.default_rng(27)
+    for n in range(1, 18):
+        for _ in range(40):
+            v = rng.uniform(0.05, 20.0, n)
+            tiny = rng.choice([0.0, -0.0, 5e-324, U_SMALL, -U_SMALL, 1e-12], n)
+            u = np.where(rng.random(n) < 0.5, tiny, rng.uniform(-0.99, 0.99, n))
+            assert _m1_combine_matches_numpy(v, u), (v, u)
+            assert _m1_combine_matches_numpy(v, tiny), (v, tiny)
+
+
+def test_m1_combine_matches_numpy_on_random_states():
+    """2 x 10^5 states near the presets, whose u runs from 0.99 down past
+    U_SMALL as a far field decays, and 10^5 v over all exponents, where every
+    reciprocal's last step decides its rounding."""
+    rng = np.random.default_rng(11)
+    k = 200_000
+    v = rng.uniform(0.5, 2.0, k)
+    u = rng.choice([-1.0, 1.0], k) * np.where(rng.random(k) < 0.5, rng.uniform(0.0, 0.99, k),
+                                              0.05 * np.exp(-rng.uniform(0.0, 100.0, k)))
+    assert _m1_combine_matches_numpy(v, u)
+    assert _m1_combine_matches_numpy(np.sort(v), u[np.argsort(np.abs(u))])
+    wide = rng.uniform(1.0, 2.0, k // 2) * np.exp2(rng.integers(-400, 400, k // 2))
+    assert _m1_combine_matches_numpy(wide, u[: k // 2])
+
+
+def test_m1_step_with_small_and_general_u_matches_numpy():
+    """The compiled m1 step, edge flux included, on a wave whose u falls past
+    U_SMALL toward both ends: the NumPy formulation's rows, bit for bit."""
+    v, u = _wavy(1400)
+    x = np.linspace(-1.0, 1.0, 1400)
+    for scale in (1.0, 1e-7, 1e-9):
+        status, error = _compiled_like_numpy(v, scale * u * np.exp(-40.0 * x * x))
+        assert error is None and status[:2] == (0, 1400)
 
 
 def test_closure_with_rising_pressure_loses_hyperbolicity_like_numpy():
@@ -659,7 +746,12 @@ def test_slope_matches_reference_on_signed_zeros_and_overflow(builtin, closure, 
         assert np.isfinite(want[0][1]).all() == (row != "overflow")
         status, rows = _step_raw(v, u, builtin)
         assert status[:2] == (0, n)
-        ref = reference_step(_raw_state(v, u, builtin), dt)
+        # reference_step builds its successor through dataclasses.replace, and
+        # so through SimState's check, which the overflow row's non-finite
+        # cells fail; its rows are what this compares
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_require_finite", lambda v, u: None)
+            ref = reference_step(_raw_state(v, u, builtin), dt)
         assert _same_bits_or_nan(rows, [ref.v, ref.u])
 
 
@@ -682,9 +774,11 @@ def test_step_flag_is_set_only_when_every_check_passes(closure):
     def run(v, u, dt):
         """(the compiled flag or None, the start of step's error or None)"""
         ok = _kernel.step(closure, v, u, dt, dx)[0] if closure.builtin else None
+        state = SimState(-4.0, 4.0, n, np.ones(n), np.zeros(n), 0.0, closure)
+        state.v[:], state.u[:] = v, u  # a NaN cell goes in past the constructor's check
         with np.errstate(all="ignore"):
             try:
-                step(SimState(-4.0, 4.0, n, v, u, 0.0, closure), dt)
+                step(state, dt)
             except (BlowUpError, HyperbolicityError) as err:
                 return ok, str(err)[:15]
         return ok, None
@@ -789,12 +883,11 @@ def test_chunked_m1_step_on_windows_about_chunk_edges(width):
 def test_chunked_m1_step_raises_the_callables_error(row, value):
     """A failure in a late chunk of the built-in step gives the callable path's message."""
     n = 1400
-    v, u = _wavy(n)
-    (v if row == "v" else u)[1100] = value
-    state = SimState(-4.0, 4.0, n, v, u, 0.0, m1_closure(1.0))
+    state = SimState(-4.0, 4.0, n, *_wavy(n), 0.0, m1_closure(1.0))
     other = dataclasses.replace(state, closure=_user_built(state.closure))
     messages = []
     for s in (state, other):
+        getattr(s, row)[1100] = value  # a NaN goes in past the constructor's check
         with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(
             (HyperbolicityError, BlowUpError)
         ) as err:
