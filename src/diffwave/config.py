@@ -1,16 +1,27 @@
 """Run configuration: INI-style parsing, presets and validation.
 
 A config is a small INI document with sections [closure], [scenario],
-[grid] and [time]; `#` starts a comment.  Unknown keys are rejected with
-the nearest valid key suggested, and validation collects every error
-before failing.  Scenario presets expand to the full parameter set of
-the built-in verification scenarios and can be overridden key by key.
+[grid] and [time]; `#` starts a comment.  Scenario presets expand to the
+full parameter set of the built-in verification scenarios and can be
+overridden key by key.
+
+Each input rule has one owner.  This module owns the document's rules:
+unknown sections, keys and presets (with the nearest valid name
+suggested), values that do not parse, a non-finite float (named by its
+key), ``closure.name``, and ``gamma`` given with ``name = m1``.  The
+objects built from the document own the rest: the closure constructors
+own alpha and gamma, ``PerturbationSpec`` the bump width, ``ScenarioSpec``
+n_cells >= 1, cfl, end, x_max and the smallness caps, and
+``check_profile_arguments`` n_cells >= 64 and finite far fields inside
+the closure's v_range.  Validation builds what ``build_scenario`` builds,
+short of the profile solve, and collects every owner's error into one
+ConfigError; a rule that needs the closure is skipped only when the
+closure itself failed.
 
 Each scenario input has one key: ``[closure] alpha`` is the damping of
-both closures (for m1 it is the opacity sigma), and a key the chosen
-closure has no use for, such as ``gamma`` with ``name = m1``, is an
-error.  The correction pair is not configured: ``ScenarioSpec`` derives
-it from the far-field velocities and alpha.
+both closures (for m1 it is the opacity sigma).  The correction pair is
+not configured: ``ScenarioSpec`` derives it from the far-field
+velocities and alpha.
 """
 
 from __future__ import annotations
@@ -21,8 +32,8 @@ import math
 from dataclasses import dataclass
 
 from .closures import gamma_law_closure, m1_closure
-from .diffusion_wave import solve_profile
-from .solver import PerturbationSpec, ScenarioSpec, smallness_errors, wave_strength
+from .diffusion_wave import check_profile_arguments, solve_profile
+from .solver import PerturbationSpec, ScenarioSpec
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "PRESETS"]
 
@@ -126,46 +137,45 @@ PRESETS = {
 }
 
 
-def _validate(cfg: RunConfig, errors: list):
-    # NaN fails no comparison below, so every float is first checked finite
-    for (section, key), (name, _) in _SCHEMA.items():
-        value = getattr(cfg, name)
-        if isinstance(value, float) and not math.isfinite(value):
-            errors.append(f"{section}.{key} must be finite, got {value!r}")
-    if cfg.closure_name not in ("m1", "gamma_law"):
-        errors.append(
-            f"closure.name must be 'm1' or 'gamma_law', got {cfg.closure_name!r}"
-        )
-    if not 0.0 < cfg.cfl < 1.0:
-        errors.append("cfl must lie in (0,1)")
-    if cfg.n_cells < 64:
-        errors.append("grid.n_cells must be at least 64")
-    if cfg.end_time < 0.0:
-        errors.append("time.end must be nonnegative")
-    if cfg.alpha <= 0.0:
-        errors.append("closure.alpha must be positive")
-    if cfg.gamma < 1.0:
-        errors.append("closure.gamma must be >= 1")
-    if cfg.v_minus <= 0.0 or cfg.v_plus <= 0.0:
-        errors.append("far-field volumes must be positive")
-    if cfg.perturbation_width <= 0.0:
-        errors.append("scenario.perturbation_width must be positive")
-    if cfg.x_max is not None and cfg.x_max <= 0.0:
-        errors.append("grid.x_max must be positive or 'auto'")
-    errors.extend(
-        smallness_errors(
-            wave_strength(cfg.v_minus, cfg.v_plus, cfg.u_minus, cfg.u_plus),
-            cfg.perturbation_amplitude,
-        )
+def _construct(cfg: RunConfig, errors: list):
+    """``build_scenario``'s spec, the profile's arguments checked, not solved.
+
+    Each owner's ValueError becomes an entry of ``errors``.  The spec's rules
+    read neither the closure nor the bump's width, so where either failed a
+    default stands in; only the far fields' v_range, which needs the
+    closure, is then skipped.
+    """
+    def owned(make, *args, **kwargs):
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            errors.append(str(exc))
+
+    closure = None
+    if cfg.closure_name == "m1":
+        closure = owned(m1_closure, cfg.alpha)
+    elif cfg.closure_name == "gamma_law":
+        closure = owned(gamma_law_closure, cfg.gamma, cfg.alpha)
+    else:
+        errors.append(f"closure.name must be 'm1' or 'gamma_law', got {cfg.closure_name!r}")
+    amplitude = cfg.perturbation_amplitude
+    bump = owned(PerturbationSpec, amplitude, cfg.perturbation_center, cfg.perturbation_width)
+    spec = owned(
+        ScenarioSpec, closure=closure or gamma_law_closure(),
+        v_minus=cfg.v_minus, v_plus=cfg.v_plus, u_minus=cfg.u_minus, u_plus=cfg.u_plus,
+        perturbation=bump or PerturbationSpec(amplitude),
+        n_cells=cfg.n_cells, x_max=cfg.x_max, end_time=cfg.end_time, cfl=cfg.cfl,
     )
+    owned(check_profile_arguments, closure, cfg.v_minus, cfg.v_plus, cfg.n_cells)
+    return spec
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate an INI-style config document.
 
     Collects all problems (unknown keys with nearest-match suggestions,
-    bad values, failed range checks) and raises one ConfigError listing
-    them; returns a fully populated RunConfig otherwise.
+    bad values, every owner's failed rules) and raises one ConfigError
+    listing them; returns a fully populated RunConfig otherwise.
     """
     parser = configparser.ConfigParser(
         comment_prefixes=("#",), inline_comment_prefixes=("#",)
@@ -211,11 +221,15 @@ def parse_config(text: str) -> RunConfig:
             merged.update(values)  # explicit keys win over the preset
             values = merged
 
-    # range-check whatever did parse so one failure reports everything
+    # check whatever did parse so one failure reports everything
     cfg = RunConfig(**values)
-    _validate(cfg, errors)
+    for (section, key), (name, _) in _SCHEMA.items():
+        value = getattr(cfg, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            errors.append(f"{section}.{key} must be finite, got {value!r}")
     if cfg.closure_name == "m1" and "gamma" in given:
         errors.append("closure.gamma does not apply to the m1 closure; remove it")
+    _construct(cfg, errors)
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -225,28 +239,12 @@ def build_scenario(cfg: RunConfig):
     """Instantiate the scenario and its wave profile.
 
     Returns ``(spec, profile)``; the profile is solved on the config's
-    ``n_cells``, and ``spec.corr`` is the scenario's correction pair.
+    ``n_cells``, and ``spec.corr`` is the scenario's correction pair.  A
+    config that an owner refuses raises ConfigError, as in ``parse_config``.
     """
-    if cfg.closure_name == "m1":
-        closure = m1_closure(cfg.alpha)
-    else:
-        closure = gamma_law_closure(cfg.gamma, cfg.alpha)
-
-    spec = ScenarioSpec(
-        closure=closure,
-        v_minus=cfg.v_minus,
-        v_plus=cfg.v_plus,
-        u_minus=cfg.u_minus,
-        u_plus=cfg.u_plus,
-        perturbation=PerturbationSpec(
-            amplitude=cfg.perturbation_amplitude,
-            center=cfg.perturbation_center,
-            width=cfg.perturbation_width,
-        ),
-        n_cells=cfg.n_cells,
-        x_max=cfg.x_max,
-        end_time=cfg.end_time,
-        cfl=cfg.cfl,
-    )
-    profile = solve_profile(closure, cfg.v_minus, cfg.v_plus, n_cells=cfg.n_cells)
+    errors: list[str] = []
+    spec = _construct(cfg, errors)
+    if errors:
+        raise ConfigError(errors)
+    profile = solve_profile(spec.closure, cfg.v_minus, cfg.v_plus, n_cells=cfg.n_cells)
     return spec, profile

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .closures import _require_positive
 from .diffusion_wave import WaveProfile, _cumulative_simpson, eval_vbar
 
 __all__ = [
@@ -113,8 +114,7 @@ def make_mollifier(
         raise ValueError(f"unknown mollifier shape {shape!r}")
     if not math.isfinite(center):
         raise ValueError(f"center must be finite, not {center}")
-    if not (math.isfinite(half_width) and half_width > 0.0):
-        raise ValueError(f"half_width must be positive and finite, not {half_width}")
+    _require_positive("half_width", half_width)
 
     # Cumulative table of the unnormalized shape by Simpson's rule on a fine
     # symmetric grid; interpolation error is far below the quadrature
@@ -141,8 +141,7 @@ class CorrectionField:
     mollifier: Mollifier
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        _require_positive("alpha", self.alpha)
 
     @property
     def du(self) -> float:

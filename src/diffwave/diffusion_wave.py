@@ -31,13 +31,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernel
-from .closures import ModelClosure
+from .closures import ModelClosure, _require_positive
 
 __all__ = [
     "WaveProfile",
     "TailFit",
     "ProfileSolverError",
     "solve_profile",
+    "check_profile_arguments",
     "flux_relation_check",
     "eval_vbar",
     "eval_ubar",
@@ -236,6 +237,21 @@ def _correction_term(closure, alpha, xi, phi, h):
     return r2 - r4
 
 
+def check_profile_arguments(closure: ModelClosure | None, v_minus, v_plus, n_cells) -> None:
+    """``solve_profile``'s argument check, which a config runs without solving:
+    n_cells >= 64 and finite far fields inside the closure's ``v_range``, the
+    last rule skipped for a closure of None (one that failed to build)."""
+    if not n_cells >= 64:
+        raise ValueError(f"n_cells must be at least 64, not {n_cells!r}")
+    for name, value in (("v_minus", v_minus), ("v_plus", v_plus)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
+    lo, hi = min(v_minus, v_plus), max(v_minus, v_plus)
+    if closure is not None and not closure.v_range[0] <= lo <= hi <= closure.v_range[1]:
+        raise ValueError(f"far-field states ({v_minus}, {v_plus}) outside admissible "
+                         f"v_range {closure.v_range}")
+
+
 def solve_profile(
     closure: ModelClosure,
     v_minus: float,
@@ -264,20 +280,16 @@ def solve_profile(
     Higher derivatives are produced analytically from the ODE, not by
     repeated differencing of phi.
 
-    A non-finite v_minus or v_plus, or an xi_max that is not positive and
-    finite, raises ValueError; a Newton iteration that does not converge
-    (a NaN residual included) raises ProfileSolverError.
+    Arguments that ``check_profile_arguments`` refuses, or an xi_max that
+    is not positive and finite, raise ValueError; a Newton iteration that
+    does not converge (a NaN residual included) raises ProfileSolverError.
     """
+    check_profile_arguments(closure, v_minus, v_plus, n_cells)
     alpha = closure.alpha
-    if n_cells < 64:
-        raise ValueError("n_cells must be at least 64")
-    for name, value in (("v_minus", v_minus), ("v_plus", v_plus)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, not {value}")
     if xi_max is None:
         xi_max = 12.0 / np.sqrt(alpha)
-    elif not (math.isfinite(xi_max) and xi_max > 0.0):
-        raise ValueError(f"xi_max must be positive and finite, not {xi_max}")
+    else:
+        _require_positive("xi_max", xi_max)
 
     n_nodes = n_cells + 1
     xi = np.linspace(-xi_max, xi_max, n_nodes)
@@ -299,12 +311,6 @@ def solve_profile(
         )
 
     lo, hi = min(v_minus, v_plus), max(v_minus, v_plus)
-    if not (closure.v_range[0] <= lo and hi <= closure.v_range[1]):
-        raise ValueError(
-            f"far-field states ({v_minus}, {v_plus}) outside admissible "
-            f"v_range {closure.v_range}"
-        )
-
     # erf-shaped initial guess with the linearized similarity width
     diffusivity = -closure.dp(0.5 * (v_minus + v_plus))
     c0 = np.sqrt(alpha / (4.0 * diffusivity))

@@ -108,7 +108,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .closures import ModelClosure, _require_real, face_combine, wave_speed_bound
+from .closures import (ModelClosure, _require_positive, _require_real, face_combine,
+                       wave_speed_bound)
 from .corrections import CorrectionField, eval_uhat, eval_vhat, make_mollifier
 from .diffusion_wave import WaveProfile, eval_ubar, eval_vbar
 
@@ -137,29 +138,15 @@ MAX_PERTURBATION_AMPLITUDE = 0.1
 _UNIT_BUMP = make_mollifier("bump")
 
 
-def wave_strength(v_minus, v_plus, u_minus, u_plus) -> float:
-    """delta = |v_plus - v_minus| + |u_plus - u_minus|."""
-    return abs(v_plus - v_minus) + abs(u_plus - u_minus)
+def _require(error: str | None) -> None:
+    """Raise ValueError(error) unless the rules held: ``error`` is None or empty."""
+    if error:
+        raise ValueError(error)
 
 
-def smallness_errors(strength: float, amplitude: float) -> list[str]:
-    """One message per smallness cap the wave strength or bump amplitude exceeds."""
-    errors = []
-    if strength > MAX_WAVE_STRENGTH:
-        errors.append(
-            f"wave strength {strength:g} exceeds the smallness cap {MAX_WAVE_STRENGTH}"
-        )
-    if abs(amplitude) > MAX_PERTURBATION_AMPLITUDE:
-        errors.append(
-            f"perturbation amplitude {amplitude:g} exceeds the smallness "
-            f"cap {MAX_PERTURBATION_AMPLITUDE}"
-        )
-    return errors
-
-
-def _require_cells(n_cells) -> None:
+def _cells_error(n_cells) -> str | None:
     if not n_cells >= 1:
-        raise ValueError(f"n_cells must be at least 1, not {n_cells!r}")
+        return f"n_cells must be at least 1, not {n_cells!r}"
 
 
 def _require_finite(v, u) -> None:
@@ -169,10 +156,10 @@ def _require_finite(v, u) -> None:
         raise ValueError(f"cell {i} is not finite: v={float(v[i])!r}, u={float(u[i])!r}")
 
 
-def _require_cfl(cfl) -> None:
+def _cfl_error(cfl) -> str | None:
     """The CFL number of ``ScenarioSpec``, ``cfl_dt`` and ``advance``: 0 < cfl < 1."""
     if not 0.0 < cfl < 1.0:
-        raise ValueError(f"cfl must lie in (0, 1), not {cfl!r}")
+        return f"cfl must lie in (0, 1), not {cfl!r}"
 
 
 class BlowUpError(RuntimeError):
@@ -211,7 +198,7 @@ class SimState:
     _cells = None
 
     def __post_init__(self):
-        _require_cells(self.n_cells)
+        _require(_cells_error(self.n_cells))
         self.x_left, self.x_right = float(self.x_left), float(self.x_right)
         if not -math.inf < self.x_left < self.x_right < math.inf:
             raise ValueError(f"the domain ends must be finite with x_left < x_right, "
@@ -248,9 +235,7 @@ class PerturbationSpec:
     width: float = 2.0
 
     def __post_init__(self):
-        if not 0.0 < self.width < math.inf:
-            raise ValueError(f"perturbation width must be positive and finite, not "
-                             f"{self.width!r}")
+        _require_positive("perturbation width", self.width)
 
     def __call__(self, x):
         if self.amplitude == 0.0:
@@ -271,7 +256,8 @@ class ScenarioSpec:
 
     ``corr`` is the scenario's correction pair (vhat, uhat), derived once
     from ``u_minus``, ``u_plus``, the closure's alpha and the unit bump on
-    [-1, 1]; it takes no part in ``==`` or ``repr``.
+    [-1, 1]; it takes no part in ``==`` or ``repr``.  Construction raises
+    one ValueError naming every rule of ``__post_init__`` that fails.
     """
 
     closure: ModelClosure
@@ -287,18 +273,26 @@ class ScenarioSpec:
     corr: CorrectionField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_cells(self.n_cells)
-        _require_cfl(self.cfl)
-        errors = smallness_errors(self.wave_strength, self.perturbation.amplitude)
-        if errors:
-            raise ValueError("; ".join(errors))
+        errors = [_cells_error(self.n_cells), _cfl_error(self.cfl)]
+        if not 0.0 <= self.end_time < math.inf:
+            errors.append(f"end_time must be finite and >= 0, not {self.end_time!r}")
+        if not (self.x_max is None or 0.0 < self.x_max < math.inf):
+            errors.append(f"x_max must be None or positive and finite, not {self.x_max!r}")
+        strength, amplitude = self.wave_strength, self.perturbation.amplitude
+        if strength > MAX_WAVE_STRENGTH:
+            errors.append(f"wave strength {strength:g} exceeds the smallness cap "
+                          f"{MAX_WAVE_STRENGTH}")
+        if abs(amplitude) > MAX_PERTURBATION_AMPLITUDE:
+            errors.append(f"perturbation amplitude {amplitude:g} exceeds the smallness "
+                          f"cap {MAX_PERTURBATION_AMPLITUDE}")
+        _require("; ".join(filter(None, errors)))
         corr = CorrectionField(self.u_minus, self.u_plus, self.closure.alpha, _UNIT_BUMP)
         object.__setattr__(self, "corr", corr)
 
     @property
     def wave_strength(self) -> float:
         """delta = |v_plus - v_minus| + |u_plus - u_minus|."""
-        return wave_strength(self.v_minus, self.v_plus, self.u_minus, self.u_plus)
+        return abs(self.v_plus - self.v_minus) + abs(self.u_plus - self.u_minus)
 
     def domain_half_width(self) -> float:
         """x_max, or the default margin 10 sqrt(1+T) max|lambda| + support."""
@@ -398,7 +392,7 @@ def cfl_dt(state: SimState, cfl: float) -> float:
     max|lambda(v, u)|.  ``step`` rejects a Courant number above 1, and this
     a cfl outside (0, 1).
     """
-    _require_cfl(cfl)
+    _require(_cfl_error(cfl))
     amax = state.speed_bound
     if amax is None:
         amax = float(wave_speed_bound(state.closure, state.v, state.u).max())
@@ -528,7 +522,7 @@ def advance(state: SimState, t_end: float, cfl: float) -> SimState:
     """
     if not (math.isfinite(t_end) and t_end >= state.t - 1e-12):
         raise ValueError(f"t_end must be finite and not before t={state.t!r}, not {t_end!r}")
-    _require_cfl(cfl)
+    _require(_cfl_error(cfl))
     while state.t < t_end - 1e-12:
         state = step(state, min(cfl_dt(state, cfl), t_end - state.t))
     return state

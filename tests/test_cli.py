@@ -164,6 +164,42 @@ def test_smallness_cap_is_a_config_error(tmp_path, capsys):
     assert "perturbation amplitude 0.5 exceeds the smallness cap 0.1" in err
 
 
+# one config per moved rule: (preset, section, lines, the owner's message)
+OWNER_RULES = {
+    "alpha": ("gamma-default", "closure", "alpha = 0",
+              "damping constant alpha must be positive and finite, not 0.0"),
+    "gamma": ("gamma-default", "closure", "gamma = 0.5",
+              "adiabatic exponent gamma must be finite and >= 1, not 0.5"),
+    "width": ("gamma-default", "scenario", "perturbation_width = 0",
+              "perturbation width must be positive and finite, not 0.0"),
+    "n_cells": ("gamma-default", "grid", "n_cells = 10", "n_cells must be at least 64, not 10"),
+    "cfl": ("gamma-default", "time", "cfl = 1.5", "cfl must lie in (0, 1), not 1.5"),
+    "end": ("gamma-default", "time", "end = -1", "end_time must be finite and >= 0, not -1.0"),
+    "x_max": ("gamma-default", "grid", "x_max = 0",
+              "x_max must be None or positive and finite, not 0.0"),
+    "v_range": ("m1-default", "scenario", "v_minus = 0.04\nv_plus = 0.045",
+                "far-field states (0.04, 0.045) outside admissible v_range (0.05, 20.0)"),
+    "constant": ("constant-state", "scenario", "v_minus = -1\nv_plus = -1",
+                 "far-field states (-1.0, -1.0) outside admissible v_range (0.05, 20.0)"),
+}
+
+
+@pytest.mark.parametrize("rule", list(OWNER_RULES))
+def test_each_owner_rule_is_a_config_error(tmp_path, capsys, rule):
+    """The owner's own message reaches the exit-2 report; none is restated."""
+    preset, section, lines, message = OWNER_RULES[rule]
+    sections = {"scenario": [f"preset = {preset}"]}
+    sections.setdefault(section, []).append(lines)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("".join(f"[{name}]\n" + "\n".join(body) + "\n"
+                           for name, body in sections.items()))
+    for command in ("simulate", "profile"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid configuration:\n")
+        assert f"\n  {message}\n" in err
+
+
 def test_hyperbolicity_loss_exit_code(tiny_config, tmp_path, monkeypatch, capsys):
     from diffwave import cli
     from diffwave.closures import HyperbolicityError

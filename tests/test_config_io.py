@@ -29,7 +29,7 @@ def test_minimal_config_defaults():
 
 
 def test_cfl_range_error():
-    with pytest.raises(ConfigError, match=r"cfl must lie in \(0,1\)"):
+    with pytest.raises(ConfigError, match=r"cfl must lie in \(0, 1\), not 1\.5"):
         parse_config(MINIMAL + "[time]\ncfl = 1.5\n")
 
 
@@ -44,7 +44,26 @@ def test_errors_are_collected_not_fail_fast():
     bad = MINIMAL + "[time]\ncfl = 1.5\nend = -3\n[grid]\nn_cell = 512\n"
     with pytest.raises(ConfigError) as exc:
         parse_config(bad)
-    assert len(exc.value.errors) >= 2
+    text = "\n".join(exc.value.errors)
+    assert "unknown key 'n_cell' in [grid]; did you mean 'n_cells'?" in text
+    assert "cfl must lie in (0, 1), not 1.5" in text
+    assert "end_time must be finite and >= 0, not -3.0" in text
+
+
+def test_every_owner_reports_in_one_error():
+    """One broken rule per owner: the document, the closure, the bump, the
+    spec and the profile's arguments all report, none hiding another."""
+    bad = ("[closure]\nname = gamma_law\nalpha = 0\nsigma = 1\n"
+           "[scenario]\nperturbation_width = 0\n[grid]\nn_cells = 10\n[time]\ncfl = 1.5\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    assert exc.value.errors == [
+        "unknown key 'sigma' in [closure]; did you mean 'alpha'?",
+        "damping constant alpha must be positive and finite, not 0.0",
+        "perturbation width must be positive and finite, not 0.0",
+        "cfl must lie in (0, 1), not 1.5",
+        "n_cells must be at least 64, not 10",
+    ]
 
 
 def test_preset_expands_to_acceptance_scenario():

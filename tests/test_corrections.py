@@ -26,6 +26,13 @@ def bump():
     return make_mollifier("bump", 0.0, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+def test_correction_field_alpha_must_be_positive_and_finite(bump, alpha):
+    """NaN passed ``alpha <= 0`` and built a pair with a NaN decay rate."""
+    with pytest.raises(ValueError, match=r"^alpha must be positive and finite, not "):
+        CorrectionField(0.0, 0.1, alpha, bump)
+
+
 @pytest.fixture()
 def corr(bump):
     return CorrectionField(u_minus=0.0, u_plus=0.1, alpha=1.0, mollifier=bump)

@@ -48,6 +48,14 @@ def test_constant_profile_shortcut(m1):
     assert np.all(prof.dphi == 0.0) and np.all(prof.d4phi == 0.0)
 
 
+@pytest.mark.parametrize("v", [-1.0, 50.0])
+def test_constant_profile_outside_v_range_is_refused(m1, v):
+    """The flat shortcut returned before the v_range check, so a constant
+    state at v = -1 or 50 came back as a profile."""
+    with pytest.raises(ValueError, match=r"outside admissible v_range \(0\.05, 20\.0\)$"):
+        solve_profile(m1, v, v, n_cells=128)
+
+
 def test_linear_pressure_matches_erf(erf_profile):
     err = np.max(np.abs(erf_profile.phi - exact_erf(erf_profile.xi_grid)))
     assert err < 1e-10

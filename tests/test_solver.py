@@ -119,6 +119,32 @@ def test_wave_strength_and_caps(gamma_closure):
         )
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("end_time", -1.0, r"end_time must be finite and >= 0, not -1\.0"),
+    ("end_time", np.nan, r"end_time must be finite and >= 0, not nan"),
+    ("x_max", 0.0, r"x_max must be None or positive and finite, not 0\.0"),
+    ("x_max", -5.0, r"x_max must be None or positive and finite, not -5\.0"),
+    ("x_max", np.inf, r"x_max must be None or positive and finite, not inf"),
+])
+def test_spec_rejects_end_time_and_x_max(gamma_closure, field, value, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        ScenarioSpec(closure=gamma_closure, v_minus=1.0, v_plus=1.1, **{field: value})
+
+
+def test_spec_names_every_failed_rule(gamma_closure):
+    with pytest.raises(ValueError) as err:
+        ScenarioSpec(closure=gamma_closure, v_minus=1.0, v_plus=2.0, n_cells=0, cfl=1.5,
+                     end_time=-1.0, x_max=0.0, perturbation=PerturbationSpec(amplitude=0.5))
+    assert str(err.value).split("; ") == [
+        "n_cells must be at least 1, not 0",
+        "cfl must lie in (0, 1), not 1.5",
+        "end_time must be finite and >= 0, not -1.0",
+        "x_max must be None or positive and finite, not 0.0",
+        "wave strength 1 exceeds the smallness cap 0.5",
+        "perturbation amplitude 0.5 exceeds the smallness cap 0.1",
+    ]
+
+
 def test_spec_derives_its_correction_pair():
     """u_minus, u_plus and alpha have one owner: the pair is read off the spec."""
     closure = gamma_law_closure(2.0, 3.0)
