@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .closures import HyperbolicityError
-from .config import ConfigError, build_scenario, parse_config
+from .config import ConfigError, build_scenario
 from .diagnostics import FitError, FitWindowError, theorem_report
 from .diffusion_wave import ProfileSolverError
 from .output import (
@@ -53,13 +53,14 @@ ERROR_EXITS = (
 def _load_config(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise ConfigError([f"cannot read config {path!r}: {exc}"]) from exc
+    return build_scenario(text)
 
 
 def cmd_profile(args) -> int:
-    _, profile = build_scenario(_load_config(args.config))
+    _, profile = _load_config(args.config)
     path = os.path.join(args.out, "profile.csv")
     write_profile_csv(path, profile)
     print(f"wrote {path} ({len(profile.xi_grid)} nodes, residual {profile.residual:.3e})")
@@ -67,7 +68,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec, profile = build_scenario(_load_config(args.config))
+    spec, profile = _load_config(args.config)
     if spec.end_time > 0.0:
         samples = np.linspace(0.0, spec.end_time, 101)
     else:

@@ -192,7 +192,6 @@ def m1_closure(sigma: float = 1.0) -> ModelClosure:
     The default box keeps v away from vacuum and |u| away from the square
     root singularity at |u| = 2/sqrt(3).
     """
-    _require_positive("opacity sigma", sigma)
     return ModelClosure(
         name="m1",
         alpha=sigma,

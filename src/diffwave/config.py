@@ -1,22 +1,23 @@
 """Run configuration: INI-style parsing, presets and validation.
 
 A config is a small INI document with sections [closure], [scenario],
-[grid] and [time]; `#` starts a comment.  Scenario presets expand to the
-full parameter set of the built-in verification scenarios and can be
-overridden key by key.
+[grid] and [time]; `#` starts a comment.  ``parse_config`` returns the
+``ScenarioSpec`` the document describes.  Each key has one default in
+``_SCHEMA``; a scenario preset lists only the values it changes from
+those defaults, and the document's own keys override both.
 
 Each input rule has one owner.  This module owns the document's rules:
 unknown sections, keys and presets (with the nearest valid name
-suggested), values that do not parse, a non-finite float (named by its
-key), ``closure.name``, and ``gamma`` given with ``name = m1``.  The
-objects built from the document own the rest: the closure constructors
-own alpha and gamma, ``PerturbationSpec`` the bump width, ``ScenarioSpec``
-n_cells >= 1, cfl, end, x_max and the smallness caps, and
-``check_profile_arguments`` n_cells >= 64 and finite far fields inside
-the closure's v_range.  Validation builds what ``build_scenario`` builds,
-short of the profile solve, and collects every owner's error into one
-ConfigError; a rule that needs the closure is skipped only when the
-closure itself failed.
+suggested), values that do not parse, ``closure.name``, and ``gamma``
+given with ``name = m1``.  The objects built from the document own the
+rest, a non-finite value included: the closure constructors own alpha
+and gamma, ``PerturbationSpec`` the bump's amplitude, center and width,
+``ScenarioSpec`` u_minus, u_plus, n_cells >= 1, cfl, end, x_max and the
+smallness caps, and ``check_profile_arguments`` n_cells >= 64 and finite
+far fields inside the closure's v_range.  Validation builds the spec and
+runs the profile's argument check, short of the profile solve, and
+collects every owner's error into one ConfigError; a rule that needs the
+closure is skipped only when the closure itself failed.
 
 Each scenario input has one key: ``[closure] alpha`` is the damping of
 both closures (for m1 it is the opacity sigma).  The correction pair is
@@ -29,13 +30,12 @@ from __future__ import annotations
 import configparser
 import difflib
 import math
-from dataclasses import dataclass
 
 from .closures import gamma_law_closure, m1_closure
 from .diffusion_wave import check_profile_arguments, solve_profile
 from .solver import PerturbationSpec, ScenarioSpec
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "PRESETS"]
+__all__ = ["ConfigError", "parse_config", "build_scenario", "PRESETS"]
 
 
 class ConfigError(ValueError):
@@ -46,102 +46,47 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  " + "\n  ".join(self.errors))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flat view of a run configuration."""
-
-    closure_name: str = "gamma_law"
-    gamma: float = 2.0
-    alpha: float = 1.0
-    preset: str | None = None
-    v_minus: float = 1.0
-    v_plus: float = 1.1
-    u_minus: float = 0.0
-    u_plus: float = 0.0
-    perturbation_amplitude: float = 0.01
-    perturbation_center: float = 0.0
-    perturbation_width: float = 2.0
-    n_cells: int = 4096
-    x_max: float | None = None
-    end_time: float = 500.0
-    cfl: float = 0.45
-
-
-# (section, key) -> (config field, converter)
+# (section, key) -> (field, converter, default)
 _SCHEMA = {
-    ("closure", "name"): ("closure_name", str),
-    ("closure", "gamma"): ("gamma", float),
-    ("closure", "alpha"): ("alpha", float),
-    ("scenario", "preset"): ("preset", str),
-    ("scenario", "v_minus"): ("v_minus", float),
-    ("scenario", "v_plus"): ("v_plus", float),
-    ("scenario", "u_minus"): ("u_minus", float),
-    ("scenario", "u_plus"): ("u_plus", float),
-    ("scenario", "perturbation_amplitude"): ("perturbation_amplitude", float),
-    ("scenario", "perturbation_center"): ("perturbation_center", float),
-    ("scenario", "perturbation_width"): ("perturbation_width", float),
-    ("grid", "n_cells"): ("n_cells", int),
-    ("grid", "x_max"): ("x_max", lambda s: None if s == "auto" else float(s)),
-    ("time", "end"): ("end_time", float),
-    ("time", "cfl"): ("cfl", float),
+    ("closure", "name"): ("closure_name", str, "gamma_law"),
+    ("closure", "gamma"): ("gamma", float, 2.0),
+    ("closure", "alpha"): ("alpha", float, 1.0),
+    ("scenario", "preset"): ("preset", str, None),
+    ("scenario", "v_minus"): ("v_minus", float, 1.0),
+    ("scenario", "v_plus"): ("v_plus", float, 1.1),
+    ("scenario", "u_minus"): ("u_minus", float, 0.0),
+    ("scenario", "u_plus"): ("u_plus", float, 0.0),
+    ("scenario", "perturbation_amplitude"): ("perturbation_amplitude", float, 0.01),
+    ("scenario", "perturbation_center"): ("perturbation_center", float, 0.0),
+    ("scenario", "perturbation_width"): ("perturbation_width", float, 2.0),
+    ("grid", "n_cells"): ("n_cells", int, 4096),
+    ("grid", "x_max"): ("x_max", lambda s: None if s == "auto" else float(s), None),
+    ("time", "end"): ("end_time", float, 500.0),
+    ("time", "cfl"): ("cfl", float, 0.45),
 }
 
 # retired keys whose value now lives under another key of the same section
 _FOLDED = {("closure", "sigma"): "alpha"}
 
-# Scenario presets; "m1-default" is the long verification scenario for
-# the radiative closure, "gamma-default" the gas-dynamics counterpart.
+# Scenario presets, each the values it changes from _SCHEMA's defaults;
+# "m1-default" is the long verification scenario for the radiative closure,
+# "gamma-default" the gas-dynamics counterpart.
 PRESETS = {
-    "m1-default": {
-        "closure_name": "m1",
-        "alpha": 1.0,
-        "v_minus": 1.0,
-        "v_plus": 1.1,
-        "u_minus": 0.0,
-        "u_plus": 0.05,
-        "perturbation_amplitude": 0.01,
-        "perturbation_center": 0.0,
-        "perturbation_width": 2.0,
-        "n_cells": 8192,
-        "end_time": 500.0,
-        "cfl": 0.45,
-    },
-    "gamma-default": {
-        "closure_name": "gamma_law",
-        "gamma": 2.0,
-        "alpha": 1.0,
-        "v_minus": 1.0,
-        "v_plus": 1.1,
-        "u_minus": 0.0,
-        "u_plus": 0.0,
-        "perturbation_amplitude": 0.01,
-        "perturbation_center": 0.0,
-        "perturbation_width": 2.0,
-        "n_cells": 8192,
-        "end_time": 500.0,
-        "cfl": 0.45,
-    },
+    "m1-default": {"closure_name": "m1", "u_plus": 0.05, "n_cells": 8192},
+    "gamma-default": {"n_cells": 8192},
     "constant-state": {
-        "closure_name": "gamma_law",
-        "gamma": 2.0,
-        "alpha": 1.0,
-        "v_minus": 1.0,
-        "v_plus": 1.0,
-        "u_minus": 0.0,
-        "u_plus": 0.0,
-        "perturbation_amplitude": 0.0,
-        "n_cells": 1024,
-        "end_time": 50.0,
-        "cfl": 0.45,
+        "v_plus": 1.0, "perturbation_amplitude": 0.0, "n_cells": 1024, "end_time": 50.0,
     },
 }
 
 
-def _construct(cfg: RunConfig, errors: list):
-    """``build_scenario``'s spec, the profile's arguments checked, not solved.
+def _construct(errors: list, closure_name, gamma, alpha, perturbation_amplitude,
+               perturbation_center, perturbation_width, preset, **scenario):
+    """The document's spec, the profile's arguments checked, not solved.
 
-    Each owner's ValueError becomes an entry of ``errors``.  The spec's rules
-    read neither the closure nor the bump's width, so where either failed a
+    ``scenario`` holds the spec's own fields.  Each owner's ValueError
+    becomes an entry of ``errors``.  The spec's rules read neither the
+    closure nor the bump's center and width, so where either failed a
     default stands in; only the far fields' v_range, which needs the
     closure, is then skipped.
     """
@@ -152,30 +97,29 @@ def _construct(cfg: RunConfig, errors: list):
             errors.append(str(exc))
 
     closure = None
-    if cfg.closure_name == "m1":
-        closure = owned(m1_closure, cfg.alpha)
-    elif cfg.closure_name == "gamma_law":
-        closure = owned(gamma_law_closure, cfg.gamma, cfg.alpha)
+    if closure_name == "m1":
+        closure = owned(m1_closure, alpha)
+    elif closure_name == "gamma_law":
+        closure = owned(gamma_law_closure, gamma, alpha)
     else:
-        errors.append(f"closure.name must be 'm1' or 'gamma_law', got {cfg.closure_name!r}")
-    amplitude = cfg.perturbation_amplitude
-    bump = owned(PerturbationSpec, amplitude, cfg.perturbation_center, cfg.perturbation_width)
-    spec = owned(
-        ScenarioSpec, closure=closure or gamma_law_closure(),
-        v_minus=cfg.v_minus, v_plus=cfg.v_plus, u_minus=cfg.u_minus, u_plus=cfg.u_plus,
-        perturbation=bump or PerturbationSpec(amplitude),
-        n_cells=cfg.n_cells, x_max=cfg.x_max, end_time=cfg.end_time, cfl=cfg.cfl,
-    )
-    owned(check_profile_arguments, closure, cfg.v_minus, cfg.v_plus, cfg.n_cells)
+        errors.append(f"closure.name must be 'm1' or 'gamma_law', got {closure_name!r}")
+    amplitude = perturbation_amplitude
+    bump = owned(PerturbationSpec, amplitude, perturbation_center, perturbation_width)
+    # a finite amplitude still meets the spec's cap when the bump failed
+    stand_in = PerturbationSpec(amplitude if math.isfinite(amplitude) else 0.0)
+    spec = owned(ScenarioSpec, closure=closure or gamma_law_closure(),
+                 perturbation=bump or stand_in, **scenario)
+    owned(check_profile_arguments, closure, scenario["v_minus"], scenario["v_plus"],
+          scenario["n_cells"])
     return spec
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate an INI-style config document.
+def parse_config(text: str) -> ScenarioSpec:
+    """Parse and validate an INI-style config document into its scenario.
 
     Collects all problems (unknown keys with nearest-match suggestions,
     bad values, every owner's failed rules) and raises one ConfigError
-    listing them; returns a fully populated RunConfig otherwise.
+    listing them; returns the validated ScenarioSpec otherwise.
     """
     parser = configparser.ConfigParser(
         comment_prefixes=("#",), inline_comment_prefixes=("#",)
@@ -187,7 +131,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError([f"syntax error: {exc}"]) from exc
 
     known_sections = {s for s, _ in _SCHEMA}
-    values = {}
+    given = {}  # the document's own keys
     for section in parser.sections():
         if section not in known_sections:
             near = difflib.get_close_matches(section, known_sections, n=1)
@@ -203,48 +147,39 @@ def parse_config(text: str) -> RunConfig:
                 hint = f"; did you mean '{near[0]}'?" if near else ""
                 errors.append(f"unknown key '{key}' in [{section}]{hint}")
                 continue
-            field_name, conv = _SCHEMA[(section, key)]
+            field_name, conv, _ = _SCHEMA[(section, key)]
             try:
-                values[field_name] = conv(raw.strip().strip('"'))
+                given[field_name] = conv(raw.strip().strip('"'))
             except ValueError:
                 errors.append(f"bad value for {section}.{key}: {raw!r}")
 
-    given = set(values)  # the document's own keys, before any preset
-    preset = values.get("preset")
-    if preset is not None:
-        if preset not in PRESETS:
-            near = difflib.get_close_matches(preset, PRESETS, n=1)
-            hint = f"; did you mean {near[0]!r}?" if near else ""
-            errors.append(f"unknown scenario preset {preset!r}{hint}")
-        else:
-            merged = dict(PRESETS[preset])
-            merged.update(values)  # explicit keys win over the preset
-            values = merged
+    # defaults, then the preset, then the document's own keys
+    values = {name: default for name, _, default in _SCHEMA.values()}
+    preset = given.get("preset")
+    if preset in PRESETS:
+        values.update(PRESETS[preset])
+    elif preset is not None:
+        near = difflib.get_close_matches(preset, PRESETS, n=1)
+        hint = f"; did you mean {near[0]!r}?" if near else ""
+        errors.append(f"unknown scenario preset {preset!r}{hint}")
+    values.update(given)
 
     # check whatever did parse so one failure reports everything
-    cfg = RunConfig(**values)
-    for (section, key), (name, _) in _SCHEMA.items():
-        value = getattr(cfg, name)
-        if isinstance(value, float) and not math.isfinite(value):
-            errors.append(f"{section}.{key} must be finite, got {value!r}")
-    if cfg.closure_name == "m1" and "gamma" in given:
+    if values["closure_name"] == "m1" and "gamma" in given:
         errors.append("closure.gamma does not apply to the m1 closure; remove it")
-    _construct(cfg, errors)
+    spec = _construct(errors, **values)
     if errors:
         raise ConfigError(errors)
-    return cfg
+    return spec
 
 
-def build_scenario(cfg: RunConfig):
-    """Instantiate the scenario and its wave profile.
+def build_scenario(text: str):
+    """The scenario of a config document and its wave profile.
 
-    Returns ``(spec, profile)``; the profile is solved on the config's
-    ``n_cells``, and ``spec.corr`` is the scenario's correction pair.  A
-    config that an owner refuses raises ConfigError, as in ``parse_config``.
+    Returns ``(spec, profile)``: the document parsed once, and the profile
+    solved on the spec's ``n_cells``; ``spec.corr`` is the scenario's
+    correction pair.
     """
-    errors: list[str] = []
-    spec = _construct(cfg, errors)
-    if errors:
-        raise ConfigError(errors)
-    profile = solve_profile(spec.closure, cfg.v_minus, cfg.v_plus, n_cells=cfg.n_cells)
+    spec = parse_config(text)
+    profile = solve_profile(spec.closure, spec.v_minus, spec.v_plus, n_cells=spec.n_cells)
     return spec, profile

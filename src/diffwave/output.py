@@ -131,7 +131,7 @@ def write_json(path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def emit_loglog_svg(path, t, series_map, title="decay of perturbation norms") -> None:
+def emit_loglog_svg(path, t, series_map) -> None:
     """Plot norm series on log-log axes as a plain polyline SVG.
 
     ``series_map`` maps a label to an array of positive values aligned
@@ -172,7 +172,8 @@ def emit_loglog_svg(path, t, series_map, title="decay of perturbation norms") ->
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{ml}" y="24" font-family="monospace" font-size="14">{title}</text>',
+        f'<text x="{ml}" y="24" font-family="monospace" font-size="14">'
+        'decay of perturbation norms</text>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
         f'<text x="{ml + pw // 2}" y="{height - 12}" font-family="monospace" '

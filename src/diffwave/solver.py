@@ -156,6 +156,11 @@ def _require_finite(v, u) -> None:
         raise ValueError(f"cell {i} is not finite: v={float(v[i])!r}, u={float(u[i])!r}")
 
 
+def _finite_error(name: str, value) -> str | None:
+    if not math.isfinite(value):
+        return f"{name} must be finite, not {value!r}"
+
+
 def _cfl_error(cfl) -> str | None:
     """The CFL number of ``ScenarioSpec``, ``cfl_dt`` and ``advance``: 0 < cfl < 1."""
     if not 0.0 < cfl < 1.0:
@@ -235,6 +240,8 @@ class PerturbationSpec:
     width: float = 2.0
 
     def __post_init__(self):
+        _require(_finite_error("perturbation amplitude", self.amplitude)
+                 or _finite_error("perturbation center", self.center))
         _require_positive("perturbation width", self.width)
 
     def __call__(self, x):
@@ -273,13 +280,15 @@ class ScenarioSpec:
     corr: CorrectionField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        errors = [_cells_error(self.n_cells), _cfl_error(self.cfl)]
+        errors = [_cells_error(self.n_cells), _cfl_error(self.cfl),
+                  _finite_error("u_minus", self.u_minus), _finite_error("u_plus", self.u_plus)]
         if not 0.0 <= self.end_time < math.inf:
             errors.append(f"end_time must be finite and >= 0, not {self.end_time!r}")
         if not (self.x_max is None or 0.0 < self.x_max < math.inf):
             errors.append(f"x_max must be None or positive and finite, not {self.x_max!r}")
         strength, amplitude = self.wave_strength, self.perturbation.amplitude
-        if strength > MAX_WAVE_STRENGTH:
+        # a non-finite strength is reported once, by its far field's finite rule
+        if MAX_WAVE_STRENGTH < strength < math.inf:
             errors.append(f"wave strength {strength:g} exceeds the smallness cap "
                           f"{MAX_WAVE_STRENGTH}")
         if abs(amplitude) > MAX_PERTURBATION_AMPLITUDE:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernel
 from .closures import gamma_law_closure, linear_closure, m1_closure
-from .config import build_scenario, parse_config
+from .config import build_scenario
 from .corrections import (
     CorrectionField,
     compute_shift_x0,
@@ -119,7 +119,7 @@ class CriterionResult:
 def _run_long_scenario(preset: str, store_z: bool):
     """One preset to its end time, sampled every 5; with ``store_z`` the z
     snapshots P8 differences in time are kept."""
-    spec, profile = build_scenario(parse_config(f"[scenario]\npreset = {preset}\n"))
+    spec, profile = build_scenario(f"[scenario]\npreset = {preset}\n")
     samples = np.arange(0.0, spec.end_time + 0.5, 5.0)
     series = run(spec, profile, samples, store_z=store_z)
     return spec, profile, series

@@ -207,8 +207,8 @@ NAN, INF = float("nan"), float("inf")
         (gamma_law_closure, (-INF,), "gamma"),
         (gamma_law_closure, (2.0, NAN), "alpha"),
         (gamma_law_closure, (2.0, INF), "alpha"),
-        (m1_closure, (NAN,), "sigma"),
-        (m1_closure, (INF,), "sigma"),
+        (m1_closure, (NAN,), "damping constant alpha must be positive and finite, not nan"),
+        (m1_closure, (INF,), "damping constant alpha must be positive and finite, not inf"),
         (linear_closure, (INF,), "alpha"),
         (linear_closure, (NAN,), "alpha"),
     ],

@@ -1,9 +1,11 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from diffwave import config
+from diffwave.closures import gamma_law_closure, m1_closure
 from diffwave.config import PRESETS, ConfigError, build_scenario, parse_config
 from diffwave.diagnostics import NORM_KEYS, DiagnosticsSeries
 from diffwave.output import (
@@ -13,6 +15,7 @@ from diffwave.output import (
     write_rates_csv,
     write_series_csv,
 )
+from diffwave.solver import PerturbationSpec, ScenarioSpec
 
 MINIMAL = """
 [closure]
@@ -21,11 +24,16 @@ name = gamma_law
 
 
 def test_minimal_config_defaults():
-    cfg = parse_config(MINIMAL)
-    assert cfg.cfl == 0.45
-    assert cfg.n_cells == 4096
-    assert cfg.x_max is None  # auto
-    assert cfg.closure_name == "gamma_law"
+    spec = parse_config(MINIMAL)
+    assert spec.cfl == 0.45
+    assert spec.n_cells == 4096
+    assert spec.x_max is None  # auto
+    assert spec.closure.name == "gamma_law"
+    assert spec == ScenarioSpec(
+        closure=gamma_law_closure(2.0, 1.0), v_minus=1.0, v_plus=1.1, u_minus=0.0,
+        u_plus=0.0, perturbation=PerturbationSpec(0.01, 0.0, 2.0), n_cells=4096,
+        x_max=None, end_time=500.0, cfl=0.45,
+    )
 
 
 def test_cfl_range_error():
@@ -66,27 +74,56 @@ def test_every_owner_reports_in_one_error():
     ]
 
 
+def _preset(name, extra=""):
+    return parse_config(f"[scenario]\npreset = {name}\n" + extra)
+
+
 def test_preset_expands_to_acceptance_scenario():
-    cfg = parse_config("[scenario]\npreset = m1-default\n")
-    assert cfg.closure_name == "m1"
-    assert cfg.alpha == 1.0
-    assert cfg.v_minus == 1.0 and cfg.v_plus == 1.1
-    assert cfg.u_minus == 0.0 and cfg.u_plus == 0.05
-    assert cfg.perturbation_amplitude == 0.01
-    assert cfg.n_cells == 8192
-    assert cfg.end_time == 500.0
+    spec = _preset("m1-default")
+    assert spec.closure.name == "m1"
+    assert spec.closure.alpha == 1.0
+    assert spec.v_minus == 1.0 and spec.v_plus == 1.1
+    assert spec.u_minus == 0.0 and spec.u_plus == 0.05
+    assert spec.perturbation.amplitude == 0.01
+    assert spec.n_cells == 8192
+    assert spec.end_time == 500.0
     # explicit keys override the preset
-    cfg = parse_config("[scenario]\npreset = m1-default\nv_plus = 1.05\n")
-    assert cfg.v_plus == 1.05
+    assert _preset("m1-default", "v_plus = 1.05\n").v_plus == 1.05
     with pytest.raises(ConfigError, match="m1-default"):
         parse_config("[scenario]\npreset = m1-defualt\n")
 
 
 def test_preset_table_regression():
     assert set(PRESETS) == {"m1-default", "gamma-default", "constant-state"}
-    assert PRESETS["gamma-default"]["gamma"] == 2.0
-    assert PRESETS["gamma-default"]["u_plus"] == 0.0
-    assert PRESETS["m1-default"]["cfl"] == 0.45
+    gas = _preset("gamma-default")
+    assert gas.closure == gamma_law_closure(2.0)
+    assert gas.u_plus == 0.0
+    assert _preset("m1-default").cfl == 0.45
+
+
+# each preset, hand-built: pinned apart from the defaults table
+PRESET_SPECS = {
+    "m1-default": ScenarioSpec(
+        closure=m1_closure(1.0), v_minus=1.0, v_plus=1.1, u_minus=0.0, u_plus=0.05,
+        perturbation=PerturbationSpec(0.01, 0.0, 2.0), n_cells=8192, x_max=None,
+        end_time=500.0, cfl=0.45,
+    ),
+    "gamma-default": ScenarioSpec(
+        closure=gamma_law_closure(2.0, 1.0), v_minus=1.0, v_plus=1.1, u_minus=0.0,
+        u_plus=0.0, perturbation=PerturbationSpec(0.01, 0.0, 2.0), n_cells=8192,
+        x_max=None, end_time=500.0, cfl=0.45,
+    ),
+    "constant-state": ScenarioSpec(
+        closure=gamma_law_closure(2.0, 1.0), v_minus=1.0, v_plus=1.0, u_minus=0.0,
+        u_plus=0.0, perturbation=PerturbationSpec(0.0, 0.0, 2.0), n_cells=1024,
+        x_max=None, end_time=50.0, cfl=0.45,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_SPECS))
+def test_preset_is_its_hand_built_scenario(name):
+    assert _preset(name) == PRESET_SPECS[name]
 
 
 def test_config_keys_are_fixed():
@@ -108,24 +145,54 @@ def test_config_keys_are_fixed():
         ("time", "end"),
         ("time", "cfl"),
     ]
+    # ... and so is its default: changing one means editing this test too
+    assert {key: default for key, (_, _, default) in config._SCHEMA.items()} == {
+        ("closure", "name"): "gamma_law",
+        ("closure", "gamma"): 2.0,
+        ("closure", "alpha"): 1.0,
+        ("scenario", "preset"): None,
+        ("scenario", "v_minus"): 1.0,
+        ("scenario", "v_plus"): 1.1,
+        ("scenario", "u_minus"): 0.0,
+        ("scenario", "u_plus"): 0.0,
+        ("scenario", "perturbation_amplitude"): 0.01,
+        ("scenario", "perturbation_center"): 0.0,
+        ("scenario", "perturbation_width"): 2.0,
+        ("grid", "n_cells"): 4096,
+        ("grid", "x_max"): None,
+        ("time", "end"): 500.0,
+        ("time", "cfl"): 0.45,
+    }
 
 
 def test_build_scenario_wiring():
-    cfg = parse_config("[scenario]\npreset = m1-default\n")
-    spec, profile = build_scenario(cfg)
+    spec, profile = build_scenario("[scenario]\npreset = m1-default\n")
+    assert spec == PRESET_SPECS["m1-default"]
     assert spec.closure.name == "m1"
-    assert len(profile.xi_grid) == cfg.n_cells + 1
+    assert len(profile.xi_grid) == spec.n_cells + 1
     assert (profile.v_minus, profile.v_plus) == (spec.v_minus, spec.v_plus)
     assert spec.wave_strength == pytest.approx(0.15)
     assert (spec.corr.u_minus, spec.corr.u_plus) == (0.0, 0.05)
     assert spec.corr.mollifier.shape == "bump"
 
 
+def test_build_scenario_builds_the_spec_once(monkeypatch):
+    """The document is parsed and its spec validated once, not once more to build."""
+    built = []
+    post_init = ScenarioSpec.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ScenarioSpec, "__post_init__", counted)
+    spec, _ = build_scenario("[scenario]\npreset = constant-state\n")
+    assert built == [spec]
+
+
 def test_alpha_reaches_closure_correction_and_profile():
     """One damping key: an m1 override moves every holder of alpha."""
-    spec, profile = build_scenario(
-        parse_config("[scenario]\npreset = m1-default\n[closure]\nalpha = 2.0\n")
-    )
+    spec, profile = build_scenario("[scenario]\npreset = m1-default\n[closure]\nalpha = 2.0\n")
     assert spec.closure.name == "m1"
     assert (spec.closure.alpha, spec.corr.alpha, profile.alpha) == (2.0, 2.0, 2.0)
 
@@ -142,27 +209,48 @@ def test_retired_and_foreign_closure_keys_are_errors(tmp_path, capsys):
         path.write_text("[scenario]\npreset = m1-default\n[closure]\n" + line)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
-    # a preset's own gamma is not the document's: naming m1 over it is fine
-    cfg = parse_config("[scenario]\npreset = gamma-default\n[closure]\nname = m1\n")
-    assert cfg.closure_name == "m1" and cfg.gamma == 2.0
+    # the default gamma is not the document's: naming m1 over gamma-default is fine
+    spec = _preset("gamma-default", "[closure]\nname = m1\n")
+    assert spec == dataclasses.replace(PRESET_SPECS["gamma-default"], closure=m1_closure(1.0))
 
 
-_FLOAT_KEYS = [key for key, (_, conv) in config._SCHEMA.items() if conv not in (str, int)]
+_FLOAT_KEYS = [key for key, (_, conv, _) in config._SCHEMA.items() if conv not in (str, int)]
+
+# each float key's one owner and its message for a value v
+_OWNER_MESSAGES = {
+    "gamma": "adiabatic exponent gamma must be finite and >= 1, not {}",
+    "alpha": "damping constant alpha must be positive and finite, not {}",
+    "v_minus": "v_minus must be finite, not {}",
+    "v_plus": "v_plus must be finite, not {}",
+    "u_minus": "u_minus must be finite, not {}",
+    "u_plus": "u_plus must be finite, not {}",
+    "perturbation_amplitude": "perturbation amplitude must be finite, not {}",
+    "perturbation_center": "perturbation center must be finite, not {}",
+    "perturbation_width": "perturbation width must be positive and finite, not {}",
+    "x_max": "x_max must be None or positive and finite, not {}",
+    "end": "end_time must be finite and >= 0, not {}",
+    "cfl": "cfl must lie in (0, 1), not {}",
+}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("section,key", _FLOAT_KEYS, ids=[".".join(k) for k in _FLOAT_KEYS])
 def test_non_finite_float_is_a_config_error(tmp_path, capsys, section, key, value):
-    """NaN passes no range check and inf passes some: each float key names itself."""
+    """NaN passes no range check and inf passes some: each float key's owner
+    reports it, once, and the CLI exits 2 with that one message."""
     from diffwave.cli import main
 
     sections = {"scenario": ["preset = gamma-default"]}
     sections.setdefault(section, []).append(f"{key} = {value}")
     path = tmp_path / "bad.ini"
-    path.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n"
-                            for name, lines in sections.items()))
+    text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+    path.write_text(text)
+    message = _OWNER_MESSAGES[key].format(float(value))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == [message]
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"{section}.{key} must be finite, got {float(value)!r}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: invalid configuration:\n  {message}\n"
 
 
 def _tiny_series(n_samples=3):

@@ -320,8 +320,8 @@ def test_monotone_decay_after_transient(gamma_closure, gamma_profile):
 @pytest.fixture(scope="module")
 def m1_ledger_case():
     """m1-default at 4096 cells on its t = 500 domain, run to t = 20."""
-    cfg = config.parse_config("[scenario]\npreset = m1-default\n[grid]\nn_cells = 4096\n")
-    spec, profile = config.build_scenario(cfg)
+    spec, profile = config.build_scenario(
+        "[scenario]\npreset = m1-default\n[grid]\nn_cells = 4096\n")
     spec = dataclasses.replace(spec, x_max=spec.domain_half_width(), end_time=20.0)
     return spec, profile
 

@@ -23,7 +23,7 @@ from diffwave import (
     solve_profile,
     verify_gaussian_tail,
 )
-from diffwave.config import build_scenario, parse_config
+from diffwave.config import build_scenario
 from diffwave.diffusion_wave import (
     _cumulative_simpson,
     _hermite_coefficients,
@@ -270,7 +270,7 @@ def test_nan_residual_is_a_solver_failure(linear):
 @pytest.fixture(scope="module")
 def preset_profiles():
     return [
-        build_scenario(parse_config(f"[scenario]\npreset = {preset}\n"))[1]
+        build_scenario(f"[scenario]\npreset = {preset}\n")[1]
         for preset in ("gamma-default", "m1-default")
     ]
 

@@ -142,7 +142,7 @@ x = -20.0 + (np.arange(n) + 0.5) * (40.0 / n)
 ramp = 0.5 + 0.5 * x / (1.0 + np.abs(x))
 bump = 1.0 / (1.0 + x * x)
 for preset in ("gamma-default", "m1-default"):
-    spec, _ = config.build_scenario(config.parse_config(f"[scenario]\\npreset = {preset}\\n"))
+    spec, _ = config.build_scenario(f"[scenario]\\npreset = {preset}\\n")
     v = spec.v_minus + (spec.v_plus - spec.v_minus) * ramp + 0.05 * bump
     u = spec.u_minus + (spec.u_plus - spec.u_minus) * ramp + 0.02 * bump
     state = solver.SimState(-20.0, 20.0, n, v, u, 0.0, spec.closure)

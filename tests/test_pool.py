@@ -69,8 +69,7 @@ def same_bits(a, b):
 
 def _preset_states(preset):
     """The preset at t = 20 and t = 50, and its cfl."""
-    spec, profile = config.build_scenario(
-        config.parse_config(f"[scenario]\npreset = {preset}\n"))
+    spec, profile = config.build_scenario(f"[scenario]\npreset = {preset}\n")
     state = build_initial_data(spec, profile)
     states = []
     for t in (20.0, 50.0):

@@ -504,12 +504,11 @@ def test_runs_at_the_smallness_caps_stay_in_the_box(preset, v_plus, amplitude):
     amplitude and a narrow bump, on 2048 cells to t = 500.  The slope is not
     limited, so this is the scheme's robustness guard: the run finishes
     inside the closure's box, with v back between its far-field values."""
-    cfg = config.parse_config(
+    spec, profile = config.build_scenario(
         f"[scenario]\npreset = {preset}\nv_plus = {v_plus}\n"
         f"perturbation_amplitude = {amplitude}\nperturbation_width = 0.5\n"
         "[grid]\nn_cells = 2048\n"
     )
-    spec, profile = config.build_scenario(cfg)
     assert spec.wave_strength == pytest.approx(0.5)
     state = advance(build_initial_data(spec, profile), spec.end_time, spec.cfl)
     assert state.t == spec.end_time == 500.0
@@ -579,6 +578,24 @@ def test_perturbation_width_must_be_positive_and_finite(width):
     as its absolute value."""
     with pytest.raises(ValueError, match=r"^perturbation width must be positive and finite"):
         PerturbationSpec(amplitude=0.01, width=width)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["amplitude", "center"])
+def test_perturbation_amplitude_and_center_must_be_finite(field, value):
+    """A center at inf gave a bump of 0 everywhere and a NaN amplitude passed,
+    both without an error."""
+    with pytest.raises(ValueError, match=rf"^perturbation {field} must be finite, not {value!r}$"):
+        PerturbationSpec(**{"amplitude": 0.01, field: value})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["u_minus", "u_plus"])
+def test_spec_far_field_velocities_must_be_finite(gamma_closure, field, value):
+    """NaN passed the wave-strength cap and left ``run`` a non-finite cell;
+    inf was reported as a strength.  One bad velocity gives one message."""
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, not {value!r}$"):
+        ScenarioSpec(closure=gamma_closure, v_minus=1.0, v_plus=1.1, **{field: value})
 
 
 def test_run_end_time_zero(gamma_closure):

@@ -124,10 +124,9 @@ def reference_step(state, dt):
 
 
 def _preset_state(preset, n_cells):
-    cfg = config.parse_config(
+    spec, profile = config.build_scenario(
         f"[scenario]\npreset = {preset}\n[grid]\nn_cells = {n_cells}\n"
     )
-    spec, profile = config.build_scenario(cfg)
     return spec, build_initial_data(spec, profile)
 
 
