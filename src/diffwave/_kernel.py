@@ -55,6 +55,8 @@ and ``flux_and_speed`` run the same one.
 
 ``power`` is the package's own pow, within 1 ulp and the same bits on
 every CPU and under any NumPy dispatch: the gamma law's callables call it.
+A row of ordinary values runs it without its special-value lanes, to the
+same bits (``_step.c``'s ``ordinary``).
 The step's damping scalars e^-h and sinh(h)/h come from the same routine's
 exp (``dw_damping``, which C's step calls and ``damping`` wraps).  ``erf``
 is the C library's erf in one loop, ``tridiagonal_solve`` the profile

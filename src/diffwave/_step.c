@@ -9,7 +9,11 @@
  * package's exp and pow"): they are built from the same operations and
  * explicit fused multiply-adds, each correctly rounded, so they give the same
  * bits in every clone and on every IEEE-754 machine, and the gamma law's
- * callables (closures._PowerLaw) call them too.  The AVX-512 m1 evaluators
+ * callables (closures._PowerLaw) call them too.  A row of pow whose values
+ * all lie in [2^-64, 2^64], with |y| <= 8, runs without the lanes that serve
+ * zeros, subnormals, negatives, infinities, NaN and overflow (ordinary); any
+ * other row runs the general code, and both give the same bits on such a
+ * row.  A decay run's rows are all ordinary.  The AVX-512 m1 evaluators
  * (see "the AVX-512 m1 evaluators") take four of the seven divisions of a
  * face state off the divider: each reciprocal is correctly rounded by fused
  * multiply-adds, so it is the quotient's bits; and where every state of a
@@ -165,7 +169,12 @@ static inline int64_t max64(int64_t a, int64_t b)
  * multiply-adds only, each of which rounds correctly, so every clone and
  * every IEEE-754 machine computes the same bits.  Within 1 ulp of the exact
  * value, by a double-double log and an exp that rounds once at its end
- * (tests/test_elementary.py checks them against 40-digit decimal). */
+ * (tests/test_elementary.py checks them against 40-digit decimal).
+ * log_dd, exp_dd and power_at take a compile-time argument general: each
+ * call passes a constant, so with general = 0 their special-value picks
+ * and clamps compile away.  pow runs that code on an ordinary row, whose
+ * bits it keeps (ordinary says why), and the general code on any other;
+ * dw_damping's exp is always general. */
 #define FMA __builtin_fma
 /* inlined into each clone, so that every clone vectorizes them with its own
    instructions (a call would reach the baseline code and a library fma) */
@@ -204,21 +213,22 @@ INLINE double pow2(double k)
     return from_bits(bits(k + (SHIFT + 1023.0)) << 52);
 }
 
-/* log v = hi + *lo to about 2^-59, for finite v > 0 (subnormals too), and
- * v = 2^*k_out *m_out exactly with m in [sqrt(1/2), sqrt(2)).
+/* log v = hi + *lo to about 2^-59, for finite v > 0 (subnormals too when
+ * general), and v = 2^*k_out *m_out exactly with m in [sqrt(1/2), sqrt(2)).
  * log m = 2 atanh f with
  * f = (m - 1)/(m + 1), |f| < 0.172: 2f in double-double, then 2f^3/3 and
  * f^5 R(f^2) in double.  R is a Chebyshev fit (mpmath.chebyfit, 7 terms) of
  * (2 atanh f - 2f - 2f^3/3)/f^5 on f^2 in [0, 0.0295]: 2^-64 on f^5 R. */
-INLINE double log_dd(double v, double *lo, double *k_out, double *m_out)
+INLINE double log_dd(double v, double *lo, double *k_out, double *m_out, int general)
 {
-    int64_t tiny = v < 0x1p-1022;
-    double w = pick(tiny, v * 0x1p54, v);
+    int64_t tiny = general && v < 0x1p-1022;
+    double w = general ? pick(tiny, v * 0x1p54, v) : v;
     uint64_t t = bits(w) - 0x3fe6a09e667f3bcdULL; /* the bits of sqrt(1/2) */
     double m = from_bits(bits(w) - (t & 0xfff0000000000000ULL));
     /* k + 2048 is the top 12 bits of t, with bit 11 flipped */
     double k = from_bits(0x4330000000000000ULL | ((t >> 52) ^ 0x800)) - (0x1p52 + 2048.0);
-    k -= pick(tiny, 54.0, 0.0);
+    if (general)
+        k -= pick(tiny, 54.0, 0.0);
 
     double a = m - 1.0, b = m + 1.0, b_lo = m - (b - 1.0); /* all exact */
     double inv = 1.0 / b, f = a * inv;
@@ -246,11 +256,12 @@ INLINE double log_dd(double v, double *lo, double *k_out, double *m_out)
  * 2^-60 before its one rounding.  z = k ln 2 + r, |r| <= ln(2)/2:
  * e^r = 1 + r + r^2/2 in double-double, and r^3 P(r) in double, P a
  * Chebyshev fit (10 terms) of (e^r - 1 - r - r^2/2)/r^3 on |r| <= 0.3466:
- * 2^-60 on r^3 P.  z is clamped to [-746, 710], where e^z rounds to 0 and
- * to inf; a NaN z stays NaN. */
-INLINE double exp_dd(double z, double z_lo, double *lo, double *k)
+ * 2^-60 on r^3 P.  When general, z is clamped to [-746, 710], where e^z
+ * rounds to 0 and to inf; a NaN z stays NaN. */
+INLINE double exp_dd(double z, double z_lo, double *lo, double *k, int general)
 {
-    z = pick(z > 710.0, 710.0, pick(z < -746.0, -746.0, z));
+    if (general)
+        z = pick(z > 710.0, 710.0, pick(z < -746.0, -746.0, z));
     double kd = (z * INV_LN2 + SHIFT) - SHIFT;
     /* |z_lo - kd LN2_LO| < 2^-21: when it is the larger part, |r| < 2^-20 and
        the sum's error is below 2^-70 */
@@ -282,10 +293,11 @@ INLINE double scaled(double m, double k)
 
 /* e^(y (l + l_lo)) = 2^*k (hi + *lo) before its one rounding, with
    log v = l + l_lo */
-INLINE double exp_of_log(double y, double l, double l_lo, double *lo, double *k)
+INLINE double exp_of_log(double y, double l, double l_lo, double *lo, double *k,
+                         int general)
 {
     double z = y * l, z_lo = FMA(y, l, -z) + y * l_lo;
-    return exp_dd(z, z_lo, lo, k);
+    return exp_dd(z, z_lo, lo, k, general);
 }
 
 /* (hi + *lo) / m in double-double, with inv = 1/m */
@@ -310,12 +322,38 @@ INLINE limits limits_of(double y)
     return w;
 }
 
-/* 2^k (hi + lo) rounded, or v^y's limit when v is not in (0, inf) */
-INLINE double power_at(const limits *w, double v, double hi, double lo, double k)
+/* 2^k (hi + lo) rounded, or, when general, v^y's limit when v is not in
+   (0, inf) */
+INLINE double power_at(const limits *w, double v, double hi, double lo, double k,
+                       int general)
 {
+    if (!general)
+        return (hi + lo) * pow2(k);
     double x = scaled(hi + lo, k);
     double edge = pick(v == 0.0, w->at_zero, pick(v == INFINITY, w->at_inf, NAN));
     return pick((v > 0.0) & (v < INFINITY), x, edge);
+}
+
+/* Whether a row of k values v, raised to y, is ordinary: every v in
+ * [2^-64, 2^64] and |y| <= 8.  NaN, +-0, subnormals, negatives and inf all
+ * fail the compares.  An ordinary row runs log_dd, exp_dd and power_at with
+ * general = 0, whose picks and clamps compile away, to the same bits:
+ *  - no v is below the normal range, so log_dd's rescale (tiny) is 0;
+ *  - |log v| <= 64 ln 2 and |y| <= 8, so |z| <= 512 ln 2 < 356, and neither
+ *    of exp_dd's clamps (-746, 710) binds; exp_dd's k is within +-512;
+ *  - log_dd's k is within +-64 and the order at most 4, so the scale
+ *    exponent e - order kv lies within +-768, and the value scaled lies in
+ *    [2^-4, 2^4]: the result is normal, so scaled's two exact multiplies
+ *    equal one exact multiply by pow2(k), and its +-1100 clamp does not bind;
+ *  - every v lies in (0, inf), so power_at's picks select x.
+ * Any other row runs the general code.  One copy of the polynomials serves
+ * both. */
+INLINE int ordinary(int64_t k, const double *restrict v, double y)
+{
+    int64_t in = fabs(y) <= 8.0;
+    for (int64_t i = 0; i < k; i++)
+        in &= (v[i] >= 0x1p-64) & (v[i] <= 0x1p64);
+    return (int)in;
 }
 
 /* out = coef v^(y - order) on k values: e^(y log v) / v^order in
@@ -323,18 +361,28 @@ INLINE double power_at(const limits *w, double v, double hi, double lo, double k
  * 2^(-order kv).  So p and its derivatives (closures._PowerLaw) share one
  * routine, and p' = -gamma v^(-gamma-1) shares p's log and exp.  An order
  * above 0 needs y <= 0: e^(y log v) saturates where v^y's range ends. */
-INLINE void power_row(int64_t k, const double *restrict v, double y, int order,
-                      double coef, double *restrict out)
+INLINE void power_loop(int64_t k, const double *restrict v, double y, int order,
+                       double coef, double *restrict out, int general)
 {
     limits w = limits_of(y - order);
     for (int64_t i = 0; i < k; i++) {
-        double kv, m, l_lo, l = log_dd(v[i], &l_lo, &kv, &m);
-        double e, lo, hi = exp_of_log(y, l, l_lo, &lo, &e);
+        double kv, m, l_lo, l = log_dd(v[i], &l_lo, &kv, &m, general);
+        double e, lo, hi = exp_of_log(y, l, l_lo, &lo, &e, general);
         double inv = 1.0 / m;
         for (int o = 0; o < order; o++)
             hi = over(hi, &lo, m, inv);
-        out[i] = coef * power_at(&w, v[i], hi, lo, e - order * kv);
+        out[i] = coef * power_at(&w, v[i], hi, lo, e - order * kv, general);
     }
+}
+
+/* power_loop, without its special-value lanes when the row is ordinary */
+INLINE void power_row(int64_t k, const double *restrict v, double y, int order,
+                      double coef, double *restrict out)
+{
+    if (ordinary(k, v, y))
+        power_loop(k, v, y, order, coef, out, 0);
+    else
+        power_loop(k, v, y, order, coef, out, 1);
 }
 
 /* What the cells and faces of a chunk tell the step's flag and status.
@@ -793,7 +841,8 @@ __attribute__((constructor)) static void select_m1(void)
 /* --- end of x86-64 --- */
 
 /* out = coef v^(y - order) on k values, with the package's pow (power_row);
- * order is 0 .. 4, each inlined with its own constant */
+ * order is 0 .. 4, each inlined with its own constant, in an ordinary and a
+ * general loop */
 POW_CLONED void dw_pow(int64_t k, const double *restrict v, double y, int order,
                        double coef, double *restrict out)
 {
@@ -813,7 +862,7 @@ POW_CLONED void dw_pow(int64_t k, const double *restrict v, double y, int order,
  * h = 709.7. */
 void dw_damping(double h, double *decay, double *kappa)
 {
-    double e, lo, hi = exp_dd(-h, 0.0, &lo, &e);
+    double e, lo, hi = exp_dd(-h, 0.0, &lo, &e, 1);
     *decay = scaled(hi + lo, e);
     double a = fabs(h), a2 = a * a;
     if (a < 0.5) {
@@ -827,7 +876,7 @@ void dw_damping(double h, double *decay, double *kappa)
         *kappa = 1.0 + a2 * p;
         return;
     }
-    hi = exp_dd(a, 0.0, &lo, &e);
+    hi = exp_dd(a, 0.0, &lo, &e, 1);
     hi = fast_two_sum(hi, lo, &lo);
     double big = scaled(hi, e), big_lo = scaled(lo, e);     /* e^a */
     double inv = 1.0 / big;                                  /* e^-a */
@@ -863,23 +912,31 @@ void dw_erf(int64_t k, const double *x, double *out)
  * closure's callables (closures._PowerLaw of orders 0 and 1) to the bit.
  * With g = 0 and f = 1 the momentum flux is p, the speed sqrt(-p'), which is
  * combine's 0.5 (0 + sqrt(0 - 4 (p' - 0))) exactly, and hyperbolicity
- * p' <= 0.  p and p' of a face state share one log and one exp (power_row). */
-POW_CLONED static int gamma_flux_and_speed(int64_t k, double neg_gamma,
-                                           const double *restrict v, double *restrict flux,
-                                           double *restrict speed)
+ * p' <= 0.  p and p' of a face state share one log and one exp (power_row),
+ * and an ordinary row (ordinary) runs without the special-value lanes. */
+INLINE int gamma_loop(int64_t k, double neg_gamma, const double *restrict v,
+                      double *restrict flux, double *restrict speed, int general)
 {
     limits w0 = limits_of(neg_gamma), w1 = limits_of(neg_gamma - 1.0);
     int64_t ok = 1;
     for (int64_t i = 0; i < k; i++) {
-        double kv, m, l_lo, l = log_dd(v[i], &l_lo, &kv, &m);
-        double e, lo, hi = exp_of_log(neg_gamma, l, l_lo, &lo, &e);
+        double kv, m, l_lo, l = log_dd(v[i], &l_lo, &kv, &m, general);
+        double e, lo, hi = exp_of_log(neg_gamma, l, l_lo, &lo, &e, general);
         double lo1 = lo, hi1 = over(hi, &lo1, m, 1.0 / m);
-        double dp = neg_gamma * power_at(&w1, v[i], hi1, lo1, e - kv);
+        double dp = neg_gamma * power_at(&w1, v[i], hi1, lo1, e - kv, general);
         ok &= (int64_t)(dp <= 0.0);
         speed[i] = sqrt(-dp);
-        flux[i] = power_at(&w0, v[i], hi, lo, e); /* coef 1 */
+        flux[i] = power_at(&w0, v[i], hi, lo, e, general); /* coef 1 */
     }
     return ok;
+}
+
+POW_CLONED static int gamma_flux_and_speed(int64_t k, double neg_gamma,
+                                           const double *restrict v, double *restrict flux,
+                                           double *restrict speed)
+{
+    return ordinary(k, v, neg_gamma) ? gamma_loop(k, neg_gamma, v, flux, speed, 0)
+                                     : gamma_loop(k, neg_gamma, v, flux, speed, 1);
 }
 
 /* Chunk c of the step j, its window cells from c * CHUNK on, through

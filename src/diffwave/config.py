@@ -12,12 +12,12 @@ suggested), values that do not parse, ``closure.name``, and ``gamma``
 given with ``name = m1``.  The objects built from the document own the
 rest, a non-finite value included: the closure constructors own alpha
 and gamma, ``PerturbationSpec`` the bump's amplitude, center and width,
-``ScenarioSpec`` u_minus, u_plus, n_cells >= 1, cfl, end, x_max and the
-smallness caps, and ``check_profile_arguments`` n_cells >= 64 and finite
-far fields inside the closure's v_range.  Validation builds the spec and
-runs the profile's argument check, short of the profile solve, and
-collects every owner's error into one ConfigError; a rule that needs the
-closure is skipped only when the closure itself failed.
+``ScenarioSpec`` finite far fields, n_cells >= 1, cfl, end, x_max and the
+smallness caps, and ``check_profile_arguments`` n_cells >= 64 and each
+finite far field inside the closure's v_range.  Validation builds the
+spec and runs the profile's argument check, short of the profile solve,
+and collects every owner's error into one ConfigError; a rule that needs
+the closure is skipped only when the closure itself failed.
 
 Each scenario input has one key: ``[closure] alpha`` is the damping of
 both closures (for m1 it is the opacity sigma).  The correction pair is

@@ -239,15 +239,16 @@ def _correction_term(closure, alpha, xi, phi, h):
 
 def check_profile_arguments(closure: ModelClosure | None, v_minus, v_plus, n_cells) -> None:
     """``solve_profile``'s argument check, which a config runs without solving:
-    n_cells >= 64 and finite far fields inside the closure's ``v_range``, the
-    last rule skipped for a closure of None (one that failed to build)."""
+    n_cells >= 64 and each finite far field inside the closure's ``v_range``,
+    the last rule skipped for a closure of None (one that failed to build).
+    A non-finite far field is its owner's to report: ``ScenarioSpec``'s in a
+    config, ``solve_profile``'s own otherwise."""
     if not n_cells >= 64:
         raise ValueError(f"n_cells must be at least 64, not {n_cells!r}")
-    for name, value in (("v_minus", v_minus), ("v_plus", v_plus)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, not {value}")
-    lo, hi = min(v_minus, v_plus), max(v_minus, v_plus)
-    if closure is not None and not closure.v_range[0] <= lo <= hi <= closure.v_range[1]:
+    if closure is None:
+        return
+    lo, hi = closure.v_range
+    if any(math.isfinite(v) and not lo <= v <= hi for v in (v_minus, v_plus)):
         raise ValueError(f"far-field states ({v_minus}, {v_plus}) outside admissible "
                          f"v_range {closure.v_range}")
 
@@ -280,11 +281,15 @@ def solve_profile(
     Higher derivatives are produced analytically from the ODE, not by
     repeated differencing of phi.
 
-    Arguments that ``check_profile_arguments`` refuses, or an xi_max that
-    is not positive and finite, raise ValueError; a Newton iteration that
-    does not converge (a NaN residual included) raises ProfileSolverError.
+    Arguments that ``check_profile_arguments`` refuses, a far field that is
+    not finite, or an xi_max that is not positive and finite, raise
+    ValueError; a Newton iteration that does not converge (a NaN residual
+    included) raises ProfileSolverError.
     """
     check_profile_arguments(closure, v_minus, v_plus, n_cells)
+    for name, value in (("v_minus", v_minus), ("v_plus", v_plus)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
     alpha = closure.alpha
     if xi_max is None:
         xi_max = 12.0 / np.sqrt(alpha)

@@ -80,7 +80,11 @@ p' = -gamma v^(-gamma-1) run on the package's own ``pow`` in ``_step.c``,
 the routine the closure's callables call (``_kernel.power``), with p and p'
 of a face state sharing one log and one exp.  That ``pow`` is built from
 IEEE operations and explicit fused multiply-adds, within 1 ulp, so its bits
-are the same on every CPU, unlike NumPy's SIMD ``pow``.  The one call cuts
+are the same on every CPU, unlike NumPy's SIMD ``pow``.  A row whose values
+all lie in [2^-64, 2^64], raised to an exponent of at most 8 in magnitude,
+as every row of a decay run is, runs it without the lanes for zeros,
+subnormals, negatives, infinities, NaN and overflow, to the same bits; any
+other row runs the general code.  The one call cuts
 the window into chunks of 256 cells and runs each chunk through every stage
 on its own scratch, on the calling thread from the window's left end and,
 when the process's affinity mask holds a second CPU, on one C helper thread
@@ -281,7 +285,8 @@ class ScenarioSpec:
 
     def __post_init__(self):
         errors = [_cells_error(self.n_cells), _cfl_error(self.cfl),
-                  _finite_error("u_minus", self.u_minus), _finite_error("u_plus", self.u_plus)]
+                  *(_finite_error(name, getattr(self, name))
+                    for name in ("v_minus", "v_plus", "u_minus", "u_plus"))]
         if not 0.0 <= self.end_time < math.inf:
             errors.append(f"end_time must be finite and >= 0, not {self.end_time!r}")
         if not (self.x_max is None or 0.0 < self.x_max < math.inf):

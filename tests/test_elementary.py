@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from diffwave import _kernel
+from diffwave.closures import gamma_law_closure
 
 SRC = str(Path(_kernel.__file__).parents[1])
 
@@ -107,6 +108,43 @@ def test_pow_special_values():
         for y in (-0.5, 0.5):
             for v, got in zip(sub.tolist(), _kernel.power(sub, y).tolist()):
                 assert ulps(got, (Decimal(v).ln() * Decimal(y)).exp()) < 1
+
+
+# an ordinary row for pow: every v in [2^-64, 2^64] (_step.c's ``ordinary``),
+# with both bounds, their neighbours inside and values spread over the range
+LOW, HIGH = 2.0 ** -64, 2.0 ** 64
+ORDINARY = np.concatenate([[LOW, np.nextafter(LOW, 1.0), HIGH, np.nextafter(HIGH, 1.0), 1.0],
+                           np.exp2(np.random.default_rng(9).uniform(-64.0, 64.0, 300))])
+# each sends a row down pow's general path: outside the range, or no number
+OUTSIDE = [0.0, 5e-324, np.inf, np.nan, 2.0 ** 100, np.nextafter(LOW, 0.0),
+           np.nextafter(HIGH, np.inf)]
+
+
+@pytest.mark.parametrize("y", [-1.0, -1.4, -2.0, -3.0, 0.5, -8.0, 8.0])
+def test_pow_ordinary_rows_keep_the_general_paths_bits(y):
+    """An ordinary row and the same row with one value outside it appended,
+    which runs pow's general code: the same bits on the ordinary values, up
+    to |y| = 8 and order 4, where the scale exponent reaches 768."""
+    for order in range(5) if y <= 0.0 else (0,):
+        want = bits(_kernel.power(ORDINARY, y, order))
+        for extra in OUTSIDE:
+            got = _kernel.power(np.append(ORDINARY, extra), y, order)
+            assert np.array_equal(bits(got[:-1]), want), (order, extra)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0, 8.0])
+def test_gamma_face_combine_ordinary_rows_keep_the_general_paths_bits(gamma):
+    """The gamma face combine likewise.  A NaN state fails hyperbolicity, so
+    the wrapper gives None for it; the other outside values keep p' <= 0."""
+    closure = gamma_law_closure(gamma)
+    want = [bits(a) for a in _kernel.flux_and_speed(closure, ORDINARY, np.zeros_like(ORDINARY))]
+    for extra in OUTSIDE:
+        v = np.append(ORDINARY, extra)
+        got = _kernel.flux_and_speed(closure, v, np.zeros_like(v))
+        if np.isnan(extra):
+            assert got is None
+            continue
+        assert all(np.array_equal(bits(a[:-1]), b) for a, b in zip(got, want)), extra
 
 
 def test_pow_keeps_the_shape_and_a_scalar():

@@ -266,9 +266,10 @@ def test_baseline_build_gives_the_loaded_librarys_bits(monkeypatch, tmp_path):
     clones and no AVX-512 m1 evaluators (the baseline x86-64 code, whose fma
     is the C library's, and the generic m1 pair), against the loaded library,
     which runs its AVX2 or AVX-512 clones and, on an AVX-512 CPU, the AVX-512
-    m1 pair: pow, exp, the damping scalars, the gamma and m1 steps and the m1
-    face combine give the same bits, as explicit fused multiply-adds round
-    once in both and the reciprocals round correctly."""
+    m1 pair: pow (on ordinary rows and on rows with special values, which
+    take its general path), exp, the damping scalars, the gamma and m1 steps
+    and both face combines give the same bits, as explicit fused multiply-adds
+    round once in both and the reciprocals round correctly."""
     text = _kernel._SOURCE.read_text()
     region = re.compile(r"/\* --- x86-64 --- \*/\n.*?/\* --- end of x86-64 --- \*/\n", re.S)
     assert len(region.findall(text)) == 2
@@ -295,11 +296,15 @@ def _compare_libraries(module):
         getattr(lib, fn)(arg.size, ptr(arg), *args, ptr(out))
         return out.view(np.uint64)
 
+    # v's special values send its row down pow's general path; the in-range
+    # values alone are an ordinary row, which runs without those lanes
+    ordinary = v[:6001]
     for gamma in (1.0, 1.4, 2.0):
         for order in (0, 1, 4):
             args = (-gamma, order, 1.0)
-            assert np.array_equal(run(loaded, "dw_pow", *args, arg=v),
-                                  run(baseline, "dw_pow", *args, arg=v))
+            for row in (v, ordinary):
+                assert np.array_equal(run(loaded, "dw_pow", *args, arg=row),
+                                      run(baseline, "dw_pow", *args, arg=row))
     out = _kernel.ffi.new("double[4]")  # a double * goes into either module
     for h in (*x, 0.0, 1e-3, 0.2, 0.5, 0.9, 7.0):  # e^-h over exp's range, and kappa
         loaded.dw_damping(h, out, out + 1)
@@ -317,13 +322,16 @@ def _compare_libraries(module):
         assert np.array_equal(want_rows.view(np.uint64), rows.view(np.uint64))
 
     # the m1 face combine in m1's box, |u| sorted down to 2^-40 so that whole
-    # vectors take s = 2
+    # vectors take s = 2; the gamma face combine on the ordinary row, and on
+    # the row with the special values, whose flag is clear
     face_u = rng.uniform(-0.99, 0.99, 6000) * np.exp2(rng.integers(-40, 1, 6000))
     face_v, face_u = v[:6000], face_u[np.argsort(np.abs(face_u))]
-    combined = []
-    for lib in (loaded, baseline):
-        rows = np.empty((2, face_v.size))
-        assert lib.dw_flux_and_speed(face_v.size, *M1, ptr(face_v), ptr(face_u), ptr(rows[0]),
-                                     ptr(rows[1])) == 1
-        combined.append(rows.view(np.uint64))
-    assert np.array_equal(*combined)
+    for closure, sv, su, flag in ((M1, face_v, face_u, 1), (GAMMA2, face_v, face_u, 1),
+                                  (GAMMA2, v, np.zeros_like(v), 0)):
+        combined = []
+        for lib in (loaded, baseline):
+            rows = np.empty((2, sv.size))
+            assert lib.dw_flux_and_speed(sv.size, *closure, ptr(sv), ptr(su), ptr(rows[0]),
+                                         ptr(rows[1])) == flag
+            combined.append(rows.view(np.uint64))
+        assert np.array_equal(*combined)

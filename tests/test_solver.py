@@ -590,12 +590,13 @@ def test_perturbation_amplitude_and_center_must_be_finite(field, value):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("field", ["u_minus", "u_plus"])
+@pytest.mark.parametrize("field", ["u_minus", "u_plus", "v_minus", "v_plus"])
 def test_spec_far_field_velocities_must_be_finite(gamma_closure, field, value):
-    """NaN passed the wave-strength cap and left ``run`` a non-finite cell;
-    inf was reported as a strength.  One bad velocity gives one message."""
+    """NaN passed the wave-strength cap and left ``run`` a non-finite cell
+    (u) or a hyperbolicity error naming neither field (v); inf was reported
+    as a strength.  One bad far field gives one message."""
     with pytest.raises(ValueError, match=rf"^{field} must be finite, not {value!r}$"):
-        ScenarioSpec(closure=gamma_closure, v_minus=1.0, v_plus=1.1, **{field: value})
+        ScenarioSpec(closure=gamma_closure, **{"v_minus": 1.0, "v_plus": 1.1, field: value})
 
 
 def test_run_end_time_zero(gamma_closure):
